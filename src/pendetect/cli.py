@@ -77,8 +77,7 @@ class ExperimentConfig:
 
     seed: int
     source: dict
-    feature_groups: tuple[str, ...]
-    include_raw_pressure_in_derived: bool
+    features: FeatureGroupSelection
     model_spec: ModelSpec | None  # explicit spec, else reference variant
     model_cell: str
     model_with_conv: bool
@@ -154,7 +153,9 @@ def load_config(
         all(g in GROUPS for g in groups) and len(groups) > 0,
         f"feature groups must be a non-empty subset of {GROUPS}",
     )
-    include_raw_pressure = bool(feat.get("include_raw_pressure_in_derived", False))
+    selection = FeatureGroupSelection(
+        groups, bool(feat.get("include_raw_pressure_in_derived", False))
+    )
 
     model = raw.get("model", {})
     model_spec = None
@@ -203,8 +204,7 @@ def load_config(
     return ExperimentConfig(
         seed=seed,
         source=source,
-        feature_groups=groups,
-        include_raw_pressure_in_derived=include_raw_pressure,
+        features=selection,
         model_spec=model_spec,
         model_cell=cell,
         model_with_conv=with_conv,
@@ -244,10 +244,6 @@ def load_sequences(config: ExperimentConfig) -> list:
         base_dir=manifest_path.parent,
         sample_rate_hz=src.get("sample_rate_hz"),
     )
-
-
-def _selection(config: ExperimentConfig) -> FeatureGroupSelection:
-    return FeatureGroupSelection(config.feature_groups)
 
 
 def _model_spec(config: ExperimentConfig, input_size: int) -> ModelSpec:
@@ -294,14 +290,9 @@ def cmd_features(args) -> int:
         print("warning: dataset is empty, nothing to do", file=sys.stderr)
         return 0
     feat_dir.mkdir(parents=True, exist_ok=True)
-    selection = _selection(config)
     counts: Counter = Counter()
     for seq in sequences:
-        fm = assemble_features(
-            seq,
-            selection,
-            include_raw_pressure_in_derived=config.include_raw_pressure_in_derived,
-        )
+        fm = assemble_features(seq, config.features)
         counts = Counter(fm.column_groups)
         dump_csv(fm, feat_dir / f"{seq.subject_id}_{seq.task_id}.csv")
     per_group = ", ".join(f"{g}={counts[g]}" for g in GROUPS if counts[g])
@@ -315,23 +306,17 @@ def cmd_features(args) -> int:
 def cmd_train(args) -> int:
     config = load_config(resolve_config_path(args), args.seed, args.out)
     sequences = load_sequences(config)
-    selection = _selection(config)
-    probe = assemble_features(
-        sequences[0],
-        selection,
-        include_raw_pressure_in_derived=config.include_raw_pressure_in_derived,
-    )
+    probe = assemble_features(sequences[0], config.features)
     artifacts: dict = {}
     report = run_experiment(
         sequences,
-        selection,
+        config.features,
         _model_spec(config, probe.m),
         config.train,
         config.plan,
         cutoff_scope=config.cutoff_scope,
         normalize=config.normalize,
         clip_pcts=config.clip_pcts,
-        include_raw_pressure_in_derived=config.include_raw_pressure_in_derived,
         out_artifacts=artifacts,
     )
 
@@ -347,8 +332,8 @@ def cmd_train(args) -> int:
         save_stats(artifacts["stats"], out / norm_ref)
     preprocessing = {
         "cutoff": artifacts["policy"].cutoff,
-        "feature_groups": list(config.feature_groups),
-        "include_raw_pressure_in_derived": config.include_raw_pressure_in_derived,
+        "feature_groups": list(config.features.groups),
+        "include_raw_pressure_in_derived": config.features.include_raw_pressure_in_derived,
         "format": config.source.get("format", "synthetic"),
         "sample_rate_hz": config.source.get("sample_rate_hz"),
     }
@@ -370,13 +355,12 @@ def cmd_ablate(args) -> int:
     sequences = load_sequences(config)
     report = run_ablation_grid(
         sequences,
-        _selection(config),
+        config.features,
         config.train,
         config.plan,
         cutoff_scope=config.cutoff_scope,
         normalize=config.normalize,
         clip_pcts=config.clip_pcts,
-        include_raw_pressure_in_derived=config.include_raw_pressure_in_derived,
     )
     out = config.out_dir
     out.mkdir(parents=True, exist_ok=True)
@@ -401,12 +385,11 @@ def score_file(checkpoint: str | Path, input_path: str | Path) -> float:
     else:
         seq = parse_smartpen_file(input_path, sample_rate_hz=rate or 100.0)
 
-    selection = FeatureGroupSelection(tuple(pre.get("feature_groups", ["derived"])))
-    fm = assemble_features(
-        seq,
-        selection,
-        include_raw_pressure_in_derived=pre.get("include_raw_pressure_in_derived", False),
+    selection = FeatureGroupSelection(
+        tuple(pre.get("feature_groups", ["derived"])),
+        pre.get("include_raw_pressure_in_derived", False),
     )
+    fm = assemble_features(seq, selection)
     if meta.get("normalization_ref"):
         stats = load_stats(ckpt_dir / meta["normalization_ref"])
         fm = apply_normalization(fm, stats)

@@ -67,9 +67,14 @@ _GROUP_COLUMNS = {
 
 @dataclass(frozen=True)
 class FeatureGroupSelection:
-    """Non-empty subset of feature groups, kept in canonical order."""
+    """Non-empty subset of feature groups, kept in canonical order.
+
+    ``include_raw_pressure_in_derived`` widens the derived group with the
+    raw pressure column (a sensitivity-analysis switch, off by default).
+    """
 
     groups: tuple[str, ...]
+    include_raw_pressure_in_derived: bool = False
 
     def __post_init__(self):
         if not self.groups:
@@ -227,7 +232,6 @@ def assemble_features(
     seq: SignalSequence,
     selection: FeatureGroupSelection,
     tick_seconds: float | None = None,
-    include_raw_pressure_in_derived: bool = False,
 ) -> FeatureMatrix:
     """Build the FeatureMatrix for the selected groups.
 
@@ -237,9 +241,7 @@ def assemble_features(
 
     ``tick_seconds`` converts timestamp ticks to seconds; the default of
     one nominal sample interval per tick matches data whose timestamps
-    count samples. ``include_raw_pressure_in_derived`` widens the derived
-    group with the raw pressure column (a sensitivity-analysis switch, off
-    by default).
+    count samples.
     """
     if tick_seconds is None:
         tick_seconds = 1.0 / seq.sample_rate_hz
@@ -263,7 +265,7 @@ def assemble_features(
         )
 
     group_columns = dict(_GROUP_COLUMNS)
-    if include_raw_pressure_in_derived:
+    if selection.include_raw_pressure_in_derived:
         group_columns["derived"] = KINEMATIC_COLUMNS + ("pressure", "pressure_derivative")
 
     names: list[str] = []

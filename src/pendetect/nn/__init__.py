@@ -2,7 +2,7 @@
 
 from .gradcheck import gradient_check
 from .layers import CELLS, Conv1d, DenseSigmoid, Recurrent, cell_step, sigmoid
-from .losses import bce_logit_grad, bce_loss, bce_loss_grad
+from .losses import bce_logit_grad, bce_loss
 from .model import (
     Conv1dSpec,
     ModelSpec,
@@ -24,7 +24,6 @@ __all__ = [
     "sigmoid",
     "bce_logit_grad",
     "bce_loss",
-    "bce_loss_grad",
     "Conv1dSpec",
     "ModelSpec",
     "RecurrentSpec",

@@ -26,21 +26,19 @@ def gradient_check(
     model.zero_grads()
     p = model.forward(values, train=False)
     model.backward(bce_logit_grad(p, y))
-    analytic = {key: g.copy() for key, g in model.grads().items()}
+    analytic = model.grad.copy()
 
+    theta = model.theta
     worst = 0.0
-    for key, theta in model.params().items():
-        flat = theta.reshape(-1)
-        analytic_flat = analytic[key].reshape(-1)
-        for i in range(flat.size):
-            original = flat[i]
-            flat[i] = original + epsilon
-            loss_plus = bce_loss(model.forward(values, train=False), y)
-            flat[i] = original - epsilon
-            loss_minus = bce_loss(model.forward(values, train=False), y)
-            flat[i] = original
-            numeric = (loss_plus - loss_minus) / (2.0 * epsilon)
-            a = analytic_flat[i]
-            rel = abs(a - numeric) / max(abs(a) + abs(numeric), 1e-8)
-            worst = max(worst, rel)
+    for i in range(theta.size):
+        original = theta[i]
+        theta[i] = original + epsilon
+        loss_plus = bce_loss(model.forward(values, train=False), y)
+        theta[i] = original - epsilon
+        loss_minus = bce_loss(model.forward(values, train=False), y)
+        theta[i] = original
+        numeric = (loss_plus - loss_minus) / (2.0 * epsilon)
+        a = analytic[i]
+        rel = abs(a - numeric) / max(abs(a) + abs(numeric), 1e-8)
+        worst = max(worst, rel)
     return worst

@@ -2,9 +2,14 @@
 
 Everything operates on one sequence at a time: inputs are (T, C) arrays,
 recurrent states are 1-d vectors. Batching lives in the trainer, which
-accumulates per-sequence gradients. Each layer keeps its parameters and
-gradient accumulators in dicts keyed by short block names, so optimizers
-and checkpoints can address every block as "<layer>/<block>".
+accumulates per-sequence gradients.
+
+Parameter blocks live in ``params``/``grads`` dicts keyed by short block
+names ("W", "U", "b", "w"); a recurrent layer's blocks belong to its
+``fwd``/``bwd`` directions. A standalone layer owns its arrays. Inside a
+SequenceClassifier every entry is a view into the model's flat
+``theta``/``grad`` vectors, so layers read and accumulate in place and
+never replace an entry.
 
 Gate layouts of the combined matrices:
 
@@ -60,22 +65,17 @@ def orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 class Layer:
-    """Shared bookkeeping: params, gradient accumulators, zeroing."""
+    """Named parameter blocks and their same-shaped gradient accumulators."""
 
-    def __init__(self):
-        self.params: dict[str, np.ndarray] = {}
-        self.grads: dict[str, np.ndarray] = {}
-
-    def zero_grads(self):
-        for key, value in self.params.items():
-            self.grads[key] = np.zeros_like(value)
+    def __init__(self, **blocks: np.ndarray):
+        self.params: dict[str, np.ndarray] = blocks
+        self.grads: dict[str, np.ndarray] = {k: np.zeros_like(v) for k, v in blocks.items()}
 
 
 class Conv1d(Layer):
     """Valid-padding strided 1-d convolution over (T, C) sequences."""
 
     def __init__(self, in_channels, out_channels, kernel, stride, activation, rng):
-        super().__init__()
         if kernel < 1 or stride < 1:
             raise ValueError("kernel and stride must be >= 1")
         if activation not in ("relu", "none"):
@@ -87,11 +87,10 @@ class Conv1d(Layer):
         self.activation = activation
         fan_in = in_channels * kernel
         fan_out = out_channels * kernel
-        self.params["W"] = glorot_uniform(
-            rng, (kernel, in_channels, out_channels), fan_in, fan_out
+        super().__init__(
+            W=glorot_uniform(rng, (kernel, in_channels, out_channels), fan_in, fan_out),
+            b=np.zeros(out_channels),
         )
-        self.params["b"] = np.zeros(out_channels)
-        self.zero_grads()
         self._cache = None
 
     @staticmethod
@@ -244,7 +243,7 @@ def cell_step(cell: str, x, h_prev, params, rmask):
     raise ValueError(f"unknown cell {cell!r}")
 
 
-class _Direction:
+class _Direction(Layer):
     """Parameters and the unrolled pass for one direction of a layer."""
 
     def __init__(self, cell, input_size, hidden, rng):
@@ -253,12 +252,7 @@ class _Direction:
         self.hidden = hidden
         w = glorot_uniform(rng, (input_size, gates * hidden), input_size, hidden)
         u = np.concatenate([orthogonal(rng, hidden) for _ in range(gates)], axis=1)
-        self.params = {"W": w, "U": u, "b": np.zeros(gates * hidden)}
-        self.grads = {k: np.zeros_like(v) for k, v in self.params.items()}
-
-    def zero_grads(self):
-        for key, value in self.params.items():
-            self.grads[key] = np.zeros_like(value)
+        super().__init__(W=w, U=u, b=np.zeros(gates * hidden))
 
     def run(self, x: np.ndarray, rmask: np.ndarray):
         t = x.shape[0]
@@ -293,12 +287,13 @@ class _Direction:
         return dx
 
 
-class Recurrent(Layer):
+class Recurrent:
     """A (bi)directional recurrent layer over a (T, C) sequence.
 
     Output is (T, hidden) or (T, 2*hidden) when bidirectional; the second
     half of each row is the backward direction's state after reading the
-    sequence from the end down to that step.
+    sequence from the end down to that step. The parameter blocks belong
+    to the ``fwd`` and ``bwd`` directions.
     """
 
     def __init__(
@@ -311,7 +306,6 @@ class Recurrent(Layer):
         recurrent_dropout_rate,
         rng,
     ):
-        super().__init__()
         if cell not in CELLS:
             raise ValueError(f"cell must be one of {CELLS}, got {cell!r}")
         if hidden_units < 1:
@@ -326,21 +320,7 @@ class Recurrent(Layer):
         self.recurrent_dropout_rate = recurrent_dropout_rate
         self.fwd = _Direction(cell, input_size, hidden_units, rng)
         self.bwd = _Direction(cell, input_size, hidden_units, rng) if bidirectional else None
-        self._sync_param_dicts()
         self._cache = None
-
-    def _sync_param_dicts(self):
-        self.params = {f"fwd/{k}": v for k, v in self.fwd.params.items()}
-        self.grads = {f"fwd/{k}": v for k, v in self.fwd.grads.items()}
-        if self.bwd is not None:
-            self.params.update({f"bwd/{k}": v for k, v in self.bwd.params.items()})
-            self.grads.update({f"bwd/{k}": v for k, v in self.bwd.grads.items()})
-
-    def zero_grads(self):
-        self.fwd.zero_grads()
-        if self.bwd is not None:
-            self.bwd.zero_grads()
-        self._sync_param_dicts()
 
     @property
     def output_size(self) -> int:
@@ -395,11 +375,8 @@ class DenseSigmoid(Layer):
     """The scalar classification head: p = sigmoid(w . s + b)."""
 
     def __init__(self, input_size, rng):
-        super().__init__()
         self.input_size = input_size
-        self.params["w"] = glorot_uniform(rng, (input_size,), input_size, 1)
-        self.params["b"] = np.zeros(1)
-        self.zero_grads()
+        super().__init__(w=glorot_uniform(rng, (input_size,), input_size, 1), b=np.zeros(1))
         self._cache = None
 
     def forward(self, s: np.ndarray, train: bool = False, rng=None) -> float:

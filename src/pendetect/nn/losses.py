@@ -13,12 +13,6 @@ def bce_loss(p: float, y: int) -> float:
     return -(y * math.log(p) + (1 - y) * math.log1p(-p))
 
 
-def bce_loss_grad(p: float, y: int) -> float:
-    """dL/dp at the clamped point."""
-    p = min(max(p, P_EPS), 1.0 - P_EPS)
-    return (p - y) / (p * (1.0 - p))
-
-
 def bce_logit_grad(p: float, y: int) -> float:
     """dL/dlogit for p = sigmoid(logit): the fused, numerically exact form."""
     return p - y

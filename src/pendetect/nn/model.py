@@ -7,6 +7,11 @@ second recurrent layer carries input dropout 0.1 (the conventional
 dropout sitting between the two BiGRUs) and recurrent dropout 0.1; the
 first carries none.
 
+The classifier owns one contiguous float64 parameter vector ``theta``
+and one gradient vector ``grad`` of the same length. Every parameter
+block a layer, optimizer or checkpoint sees is a named view into them
+("conv0/W", "rec1/bwd/U", "head/b", ...), laid out in that order.
+
 Checkpoints are a single JSON document: the spec, every parameter block
 base64-encoded in documented order, and a SHA-256 over the canonical
 spec encoding. Loading into a mismatched spec raises SpecMismatch. JSON
@@ -177,35 +182,45 @@ class SequenceClassifier:
         self.head = DenseSigmoid(width, rng)
         self._last_rec_steps = None
 
-    # -- parameter plumbing -------------------------------------------------
+        # move every block into the flat vectors and rebind the layers to views
+        owners = [(f"conv{i}", conv) for i, conv in enumerate(self.convs)]
+        for i, rec in enumerate(self.recurrents):
+            owners.append((f"rec{i}/fwd", rec.fwd))
+            if rec.bwd is not None:
+                owners.append((f"rec{i}/bwd", rec.bwd))
+        owners.append(("head", self.head))
+        total = sum(v.size for _, layer in owners for v in layer.params.values())
+        self.theta = np.empty(total)
+        self.grad = np.zeros(total)
+        self._params: dict[str, np.ndarray] = {}
+        self._grads: dict[str, np.ndarray] = {}
+        offset = 0
+        for name, layer in owners:
+            for key, value in layer.params.items():
+                end = offset + value.size
+                view = self.theta[offset:end].reshape(value.shape)
+                view[...] = value
+                layer.params[key] = self._params[f"{name}/{key}"] = view
+                layer.grads[key] = self._grads[f"{name}/{key}"] = (
+                    self.grad[offset:end].reshape(value.shape)
+                )
+                offset = end
 
-    def _layers(self):
-        for i, layer in enumerate(self.convs):
-            yield f"conv{i}", layer
-        for i, layer in enumerate(self.recurrents):
-            yield f"rec{i}", layer
-        yield "head", self.head
+    # -- parameter store ------------------------------------------------------
 
     def params(self) -> dict[str, np.ndarray]:
-        out = {}
-        for name, layer in self._layers():
-            for key, value in layer.params.items():
-                out[f"{name}/{key}"] = value
-        return out
+        """Block name -> view into ``theta``, in layout order."""
+        return self._params
 
     def grads(self) -> dict[str, np.ndarray]:
-        out = {}
-        for name, layer in self._layers():
-            for key, value in layer.grads.items():
-                out[f"{name}/{key}"] = value
-        return out
+        """Block name -> view into ``grad``, in layout order."""
+        return self._grads
 
     def zero_grads(self):
-        for _, layer in self._layers():
-            layer.zero_grads()
+        self.grad.fill(0.0)
 
     def parameter_count(self) -> int:
-        actual = sum(v.size for v in self.params().values())
+        actual = self.theta.size
         expected = closed_form_parameter_count(self.spec, self.input_size)
         assert actual == expected, (
             f"parameter arrays hold {actual} entries, closed form says {expected}"

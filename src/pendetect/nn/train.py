@@ -64,16 +64,13 @@ def train_step(
         p = model.forward(fm.values, train=True, rng=rng)
         total += bce_loss(p, y)
         model.backward(bce_logit_grad(p, y))
-    grads = model.grads()
-    scale = 1.0 / len(batch)
-    for g in grads.values():
-        g *= scale
-    for key, g in grads.items():
-        if not np.isfinite(g).all():
-            layer, _, block = key.partition("/")
-            ids = [f"{fm.subject_id}/{fm.task_id}" for fm, _ in batch]
-            raise NonFiniteGradient(layer, block, ids)
-    optimizer.step(grads)
+    model.grad *= 1.0 / len(batch)
+    if not np.isfinite(model.grad).all():
+        key = next(k for k, g in model.grads().items() if not np.isfinite(g).all())
+        layer, _, block = key.partition("/")
+        ids = [f"{fm.subject_id}/{fm.task_id}" for fm, _ in batch]
+        raise NonFiniteGradient(layer, block, ids)
+    optimizer.step(model.grad)
     return total / len(batch)
 
 
@@ -96,7 +93,7 @@ def train_model(
     """
     rng = np.random.default_rng([config.seed])
     optimizer = Adam(
-        model.params(),
+        model.theta,
         learning_rate=config.learning_rate,
         beta1=config.adam_beta1,
         beta2=config.adam_beta2,
@@ -112,7 +109,7 @@ def train_model(
     )
     n = len(train_set)
     best_val = np.inf
-    best_params = None
+    best_theta = None
     since_best = 0
 
     for epoch in range(config.epochs):
@@ -133,7 +130,7 @@ def train_model(
                 if val_loss < best_val:
                     best_val = val_loss
                     result.best_epoch = epoch + 1
-                    best_params = {k: v.copy() for k, v in model.params().items()}
+                    best_theta = model.theta.copy()
                     since_best = 0
                 else:
                     since_best += 1
@@ -141,7 +138,6 @@ def train_model(
                         result.stopped_early = True
                         break
 
-    if use_early_stop and best_params is not None:
-        for key, value in model.params().items():
-            value[...] = best_params[key]
+    if use_early_stop and best_theta is not None:
+        model.theta[...] = best_theta
     return result

@@ -6,8 +6,10 @@ longer ones lose their tail. Normalization clips each column to fitted
 percentile bounds and then z-scores it; statistics always come from the
 training split alone and travel to the other splits as an explicit
 NormalizationStats value, so there is no way to leak test data into the
-fit. Padding is applied after fitting, which means the all-zero rows are
-normalized like any other value at apply time.
+fit. Callers normalize first and fit the length afterwards, so padding
+rows are appended after normalization: they are exact zeros in
+normalized space (each column at its clipped training mean) and never
+pass through the clip or the z-score.
 """
 
 from __future__ import annotations
@@ -27,16 +29,10 @@ STATS_FILE_VERSION = "pendetect-normalization v1"
 @dataclass(frozen=True)
 class LengthPolicy:
     cutoff: int
-    padding: str = "post_zero"
-    truncation: str = "tail_cut"
 
     def __post_init__(self):
         if self.cutoff < 1:
             raise ValueError(f"cutoff must be >= 1, got {self.cutoff}")
-        if self.padding != "post_zero":
-            raise ValueError(f"unsupported padding mode {self.padding!r}")
-        if self.truncation != "tail_cut":
-            raise ValueError(f"unsupported truncation mode {self.truncation!r}")
 
 
 @dataclass

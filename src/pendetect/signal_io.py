@@ -54,25 +54,6 @@ MANIFEST_HEADER = ("path", "subject_id", "task_id", "label")
 MANIFEST_FORMATS = ("tablet_svc", "smartpen_channels", "synthetic")
 
 
-@dataclass(frozen=True)
-class PenRecord:
-    """One time-step of a raw tablet acquisition."""
-
-    x: int
-    y: int
-    timestamp: int
-    pressure: int
-    tilt_x: int
-    tilt_y: int
-    button: int
-
-    def __post_init__(self):
-        if self.button not in (0, 1):
-            raise ValueError(f"button must be 0 or 1, got {self.button}")
-        if self.pressure < 0:
-            raise ValueError(f"pressure must be >= 0, got {self.pressure}")
-
-
 @dataclass
 class SignalSequence:
     """One task performance by one subject: named equal-length channels."""
@@ -104,12 +85,6 @@ class SignalSequence:
 
     def is_smartpen(self) -> bool:
         return set(SMARTPEN_CHANNELS) <= set(self.channels)
-
-    def record(self, i: int) -> PenRecord:
-        """Materialize time-step ``i`` of a tablet sequence as a PenRecord."""
-        if not self.is_tablet():
-            raise KeyError("record() requires the tablet channel set")
-        return PenRecord(*(int(self.channels[name][i]) for name in TABLET_CHANNELS))
 
 
 @dataclass(frozen=True)

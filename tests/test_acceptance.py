@@ -270,7 +270,7 @@ def test_criterion_5_synthetic_quick(tmp_path):
     )
     shuffled = run_experiment(
         seqs,
-        FeatureGroupSelection(preset.feature_groups),
+        preset.features,
         None,
         preset.train,
         preset.plan,

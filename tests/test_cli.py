@@ -40,7 +40,7 @@ def _write_config(path: Path, **overrides) -> Path:
 def test_load_config_minimal(tmp_path):
     cfg = load_config(_write_config(tmp_path / "c.json"), env={})
     assert cfg.seed == 3
-    assert cfg.feature_groups == ("kinematic",)
+    assert cfg.features.groups == ("kinematic",)
     assert cfg.train.epochs == 2
     assert cfg.train.seed == 3
     assert cfg.plan.kind == "kfold" and cfg.plan.k == 2 and cfg.plan.seed == 3

@@ -219,7 +219,7 @@ def test_assemble_all_groups_deduplicates():
 def test_assemble_derived_with_raw_pressure_override():
     seq = generate_synthetic(1, (30, 30), 0.5, seed=2)[0]
     fm = assemble_features(
-        seq, FeatureGroupSelection.of("derived"), include_raw_pressure_in_derived=True
+        seq, FeatureGroupSelection(("derived",), include_raw_pressure_in_derived=True)
     )
     assert fm.m == 18
     assert "pressure" in fm.column_names

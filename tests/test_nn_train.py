@@ -13,7 +13,6 @@ from pendetect.nn import (
     SequenceClassifier,
     TrainConfig,
     bce_loss,
-    bce_loss_grad,
     gradient_check,
     train_model,
     train_step,
@@ -73,39 +72,30 @@ def test_bce_clamp_keeps_loss_finite():
     assert bce_loss(0.0, 1) == pytest.approx(-math.log(1e-7), rel=1e-9)
 
 
-def test_bce_grad_matches_finite_differences():
-    delta = 1e-8
-    for y in (0, 1):
-        for p in (0.12, 0.5, 0.77, 0.93):
-            numeric = (bce_loss(p + delta, y) - bce_loss(p - delta, y)) / (2 * delta)
-            analytic = bce_loss_grad(p, y)
-            assert analytic == pytest.approx(numeric, rel=1e-6)
-
-
 # ---------------------------------------------------------------------------
 # adam
 
 def test_adam_zero_gradients_leave_params_unchanged():
-    theta = {"w": np.array([1.0, -2.0])}
+    theta = np.array([1.0, -2.0])
     opt = Adam(theta, learning_rate=0.1)
     for _ in range(3):
-        opt.step({"w": np.zeros(2)})
-    np.testing.assert_array_equal(theta["w"], [1.0, -2.0])
+        opt.step(np.zeros(2))
+    np.testing.assert_array_equal(theta, [1.0, -2.0])
     assert opt.step_count == 3
 
 
 def test_adam_moments_decay_after_gradient_stops():
-    theta = {"w": np.array([0.0])}
+    theta = np.array([0.0])
     opt = Adam(theta, learning_rate=0.0)
-    opt.step({"w": np.array([4.0])})
-    m_after_signal = opt.m["w"].copy()
-    opt.step({"w": np.array([0.0])})
-    assert abs(opt.m["w"][0]) == pytest.approx(0.9 * abs(m_after_signal[0]), rel=1e-12)
+    opt.step(np.array([4.0]))
+    m_after_signal = opt.m.copy()
+    opt.step(np.array([0.0]))
+    assert abs(opt.m[0]) == pytest.approx(0.9 * abs(m_after_signal[0]), rel=1e-12)
 
 
 def test_adam_quadratic_trajectory_matches_hand_rolled_oracle():
     lr, b1, b2, eps = 0.1, 0.9, 0.999, 1e-8
-    theta = {"t": np.array([0.0])}
+    theta = np.array([0.0])
     opt = Adam(theta, learning_rate=lr, beta1=b1, beta2=b2, eps=eps)
 
     # independent scalar implementation of the same five steps
@@ -113,9 +103,9 @@ def test_adam_quadratic_trajectory_matches_hand_rolled_oracle():
     mine = []
     ours = []
     for step in range(1, 6):
-        g = 2.0 * (theta["t"][0] - 3.0)
-        opt.step({"t": np.array([g])})
-        mine.append(theta["t"][0])
+        g = 2.0 * (theta[0] - 3.0)
+        opt.step(np.array([g]))
+        mine.append(theta[0])
 
         g_o = 2.0 * (t_oracle - 3.0)
         m = b1 * m + (1 - b1) * g_o
@@ -132,13 +122,12 @@ def test_adam_quadratic_trajectory_matches_hand_rolled_oracle():
 
 def test_adam_lr_zero_is_identity():
     model = _small_model(seed=1)
-    before = {k: v.copy() for k, v in model.params().items()}
-    opt = Adam(model.params(), learning_rate=0.0)
+    before = model.theta.copy()
+    opt = Adam(model.theta, learning_rate=0.0)
     rng = np.random.default_rng(0)
     for _ in range(4):
-        opt.step({k: rng.normal(size=v.shape) for k, v in model.params().items()})
-    for key, value in model.params().items():
-        np.testing.assert_array_equal(value, before[key])
+        opt.step(rng.normal(size=model.theta.shape))
+    np.testing.assert_array_equal(model.theta, before)
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +135,7 @@ def test_adam_lr_zero_is_identity():
 
 def test_train_step_returns_mean_loss_and_updates():
     model = _small_model(seed=2)
-    opt = Adam(model.params(), learning_rate=0.01)
+    opt = Adam(model.theta, learning_rate=0.01)
     batch = _toy_set(2, 12, 3, seed=0)
     before = {k: v.copy() for k, v in model.params().items()}
     loss = train_step(model, batch, opt, np.random.default_rng(0))
@@ -156,6 +145,31 @@ def test_train_step_returns_mean_loss_and_updates():
     )
     with pytest.raises(ValueError):
         train_step(model, [], opt, np.random.default_rng(0))
+
+
+def test_parameters_and_gradients_are_views_of_one_flat_store():
+    data = _toy_set(2, 60, 4, seed=12)
+    model = SequenceClassifier(ModelSpec.reference(4), 4, np.random.default_rng(13))
+    params, grads = model.params(), model.grads()
+    assert list(params) == list(grads)
+    assert len(params) == 18
+    for key in params:
+        assert np.shares_memory(params[key], model.theta), key
+        assert np.shares_memory(grads[key], model.grad), key
+        assert params[key].shape == grads[key].shape
+    assert sum(v.size for v in params.values()) == model.theta.size == model.parameter_count()
+    assert model.grad.shape == model.theta.shape
+
+    theta, grad = model.theta, model.grad
+    opt = Adam(theta, learning_rate=0.01)
+    before = theta.copy()
+    train_step(model, data, opt, np.random.default_rng(0))
+    assert model.theta is theta and model.grad is grad
+    assert not np.array_equal(theta, before)
+    assert np.any(grad != 0.0)
+    model.zero_grads()
+    assert model.grad is grad
+    assert not grad.any()
 
 
 def test_training_is_deterministic():
@@ -210,8 +224,7 @@ def test_no_early_stop_without_validation_set():
 def test_non_finite_gradient_diagnostics():
     model = _small_model(seed=10)
     model.recurrents[0].fwd.params["W"][0, 0] = np.nan
-    model.recurrents[0]._sync_param_dicts()
-    opt = Adam(model.params(), learning_rate=0.01)
+    opt = Adam(model.theta, learning_rate=0.01)
     batch = _toy_set(2, 10, 3, seed=10)
     with pytest.raises(NonFiniteGradient) as exc:
         train_step(model, batch, opt, np.random.default_rng(0))

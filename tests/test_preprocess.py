@@ -61,10 +61,6 @@ def test_cutoff_empty():
 def test_length_policy_validation():
     with pytest.raises(ValueError):
         LengthPolicy(cutoff=0)
-    with pytest.raises(ValueError):
-        LengthPolicy(cutoff=5, padding="pre_zero")
-    with pytest.raises(ValueError):
-        LengthPolicy(cutoff=5, truncation="head_cut")
 
 
 # ---------------------------------------------------------------------------

@@ -278,13 +278,6 @@ def test_signal_sequence_rejects_bad_label():
         SignalSequence("s", "t", "sick", {"a": np.zeros(3)})
 
 
-def test_pen_record_view():
-    seq = generate_synthetic(1, (10, 10), 0.0, seed=0)[0]
-    rec = seq.record(0)
-    assert rec.x == int(seq.channels["x"][0])
-    assert rec.button in (0, 1)
-
-
 # ---------------------------------------------------------------------------
 # manifests and dataset assembly
 
