@@ -38,6 +38,7 @@ from .nn import (
     ModelSpec,
     SequenceClassifier,
     TrainConfig,
+    predict,
     train_model,
 )
 
@@ -548,8 +549,8 @@ def _run_fold(
         ("val", split.val, val_pairs),
         ("test", split.test, test_pairs),
     ):
-        for i, (fm, y) in zip(idx, items):
-            p = model.forward(fm.values)
+        probs, _ = predict(model, items, train_config.batch_size)
+        for i, (_, y), p in zip(idx, items, probs.tolist()):
             src = matrices[i]
             samples.append(
                 {

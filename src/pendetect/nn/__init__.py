@@ -1,7 +1,7 @@
 """From-scratch numpy neural network: conv, recurrent cells, Adam, gradcheck."""
 
 from .gradcheck import gradient_check
-from .layers import CELLS, Conv1d, DenseSigmoid, Recurrent, cell_step, sigmoid
+from .layers import CELLS, Conv1d, DenseSigmoid, Recurrent, sigmoid
 from .losses import bce_logit_grad, bce_loss
 from .model import (
     Conv1dSpec,
@@ -13,14 +13,21 @@ from .model import (
     spec_hash,
 )
 from .optim import Adam
-from .train import LABEL_TO_Y, TrainConfig, TrainResult, mean_eval_loss, train_model, train_step
+from .train import (
+    LABEL_TO_Y,
+    TrainConfig,
+    TrainResult,
+    mean_eval_loss,
+    predict,
+    train_model,
+    train_step,
+)
 
 __all__ = [
     "CELLS",
     "Conv1d",
     "DenseSigmoid",
     "Recurrent",
-    "cell_step",
     "sigmoid",
     "bce_logit_grad",
     "bce_loss",
@@ -36,6 +43,7 @@ __all__ = [
     "TrainConfig",
     "TrainResult",
     "mean_eval_loss",
+    "predict",
     "train_model",
     "train_step",
     "gradient_check",

@@ -1,13 +1,11 @@
 """Layers with explicit forward passes and hand-written gradients.
 
-Everything operates on one sequence at a time: inputs are (T, C) arrays,
-recurrent states are 1-d vectors. Batching lives in the trainer, which
-accumulates per-sequence gradients.
-
-Parameter blocks live in ``params``/``grads`` dicts keyed by short block
-names ("W", "U", "b", "w"); a recurrent layer's blocks belong to its
-``fwd``/``bwd`` directions. A standalone layer owns its arrays. Inside a
-SequenceClassifier every entry is a view into the model's flat
+Every layer runs on a whole minibatch held time-major: sequences are
+(T, B, C) arrays, recurrent states (B, H); one sequence is a batch of
+one. Parameter blocks live in ``params``/``grads`` dicts keyed by short
+block names ("W", "U", "b", "w"); a recurrent layer's blocks belong to
+its ``fwd``/``bwd`` directions. A standalone layer owns its arrays;
+inside a SequenceClassifier every entry is a view into the model's flat
 ``theta``/``grad`` vectors, so layers read and accumulate in place and
 never replace an entry.
 
@@ -26,11 +24,18 @@ The recurrent state update for the GRU is
     hbar = tanh(W_h x + U_h (r * h) + b_h)
     h' = (1 - z) * h + z * hbar
 
-with the reset gate applied to h before the U_h product. Recurrent
-dropout is variational: one mask per sequence and direction, applied to
-h wherever it enters a U product, never to the (1 - z) * h carry term.
-Input dropout (the conventional kind) is an inverted elementwise mask
-drawn independently per time-step.
+with the reset gate applied to h before the U_h product. A direction
+computes X @ W + b for all steps in one product and loops over t only,
+adding the (B, H) @ (H, gates*H) recurrent term and activating the gates
+in place; after the backward sweep, dW, dU, db and dx are each one
+product over all T*B rows. Dropout is drawn in Recurrent.forward, once
+per minibatch and only in train mode with a generator: an inverted
+elementwise (T, B, C) input mask, then a (B, H) recurrent mask per
+direction. Recurrent dropout is thus variational, one mask per sequence
+and direction, applied to h wherever it enters a U product, never to the
+(1 - z) * h carry term. A train-mode forward keeps what backward needs
+and backward releases it; eval mode keeps nothing. Train mode without a
+generator keeps caches but draws no masks (gradient checks use that).
 """
 
 from __future__ import annotations
@@ -40,24 +45,31 @@ import numpy as np
 from ..errors import DimensionMismatch, InputTooShort
 
 CELLS = ("rnn", "lstm", "gru")
-_GATES_PER_CELL = {"rnn": 1, "lstm": 4, "gru": 3}
+# per gate block, in layout order: 1 where the activation is tanh, 0 for sigmoid
+_TANH_BLOCKS = {"rnn": (1,), "lstm": (0, 0, 1, 0), "gru": (0, 0, 1)}
 
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """0.5 * (tanh(0.5 x) + 1): one ufunc chain, exact 0 and 1 at the extremes."""
+    out = np.multiply(x, 0.5, out=out)
+    np.tanh(out, out=out)
+    out += 1.0
+    out *= 0.5
     return out
 
 
-def glorot_uniform(rng: np.random.Generator, shape: tuple[int, int], fan_in: int, fan_out: int) -> np.ndarray:
+def glorot_uniform(rng: np.random.Generator | None, shape, fan_in: int, fan_out: int) -> np.ndarray:
+    """Glorot draw; without a generator, zeros (a model to be filled from a checkpoint)."""
+    if rng is None:
+        return np.zeros(shape)
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=shape)
 
 
-def orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
+def orthogonal(rng: np.random.Generator | None, n: int) -> np.ndarray:
+    """Orthogonal draw; without a generator, zeros, like glorot_uniform."""
+    if rng is None:
+        return np.zeros((n, n))
     a = rng.normal(size=(n, n))
     q, r = np.linalg.qr(a)
     # fix the sign ambiguity of the decomposition so init is reproducible
@@ -73,7 +85,7 @@ class Layer:
 
 
 class Conv1d(Layer):
-    """Valid-padding strided 1-d convolution over (T, C) sequences."""
+    """Valid-padding strided 1-d convolution over the time axis of (T, B, C)."""
 
     def __init__(self, in_channels, out_channels, kernel, stride, activation, rng):
         if kernel < 1 or stride < 1:
@@ -85,12 +97,9 @@ class Conv1d(Layer):
         self.kernel = kernel
         self.stride = stride
         self.activation = activation
-        fan_in = in_channels * kernel
-        fan_out = out_channels * kernel
-        super().__init__(
-            W=glorot_uniform(rng, (kernel, in_channels, out_channels), fan_in, fan_out),
-            b=np.zeros(out_channels),
-        )
+        w = glorot_uniform(rng, (kernel, in_channels, out_channels),
+                           in_channels * kernel, out_channels * kernel)
+        super().__init__(W=w, b=np.zeros(out_channels))
         self._cache = None
 
     @staticmethod
@@ -98,214 +107,216 @@ class Conv1d(Layer):
         return (t - kernel) // stride + 1
 
     def forward(self, x: np.ndarray, train: bool = False, rng=None) -> np.ndarray:
-        t, c = x.shape
+        t, _, c = x.shape
         if c != self.in_channels:
             raise DimensionMismatch(f"expected {self.in_channels} channels, got {c}")
         if t < self.kernel:
             raise InputTooShort(f"length {t} < kernel {self.kernel}")
-        windows = np.lib.stride_tricks.sliding_window_view(x, self.kernel, axis=0)
-        windows = windows[:: self.stride]          # (T_out, C, k)
-        z = np.einsum("tck,kco->to", windows, self.params["W"]) + self.params["b"]
+        w = self.params["W"]
+        span = self.stride * (self.output_length(t, self.kernel, self.stride) - 1) + 1
+        # tap j reads rows j, j + stride, ...: one (T_out, B, C) @ (C, C_out) per tap
+        out = x[:span:self.stride] @ w[0] + self.params["b"]
+        for j in range(1, self.kernel):
+            out += x[j : j + span : self.stride] @ w[j]
         if self.activation == "relu":
-            out = np.maximum(z, 0.0)
-        else:
-            out = z
-        self._cache = (x.shape, windows, z)
+            np.maximum(out, 0.0, out=out)
+        self._cache = (x, out) if train else None
         return out
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        (t, _), windows, z = self._cache
+        x, out = self._cache
+        self._cache = None
         if self.activation == "relu":
-            dout = dout * (z > 0)
-        self.grads["b"] += dout.sum(axis=0)
-        self.grads["W"] += np.einsum("tck,to->kco", windows, dout)
-        dx = np.zeros((t, self.in_channels))
-        t_out = dout.shape[0]
+            dout = dout * (out > 0)
+        w = self.params["W"]
+        span = self.stride * (dout.shape[0] - 1) + 1
+        rows = dout.reshape(-1, self.out_channels)
+        self.grads["b"] += rows.sum(axis=0)
+        dx = np.zeros_like(x)
         for j in range(self.kernel):
-            dx[j : j + self.stride * t_out : self.stride] += dout @ self.params["W"][j].T
+            taps = x[j : j + span : self.stride].reshape(-1, self.in_channels)
+            self.grads["W"][j] += taps.T @ rows
+            dx[j : j + span : self.stride] += dout @ w[j].T
         return dx
 
 
 # ---------------------------------------------------------------------------
-# recurrent cell math: step/backstep pairs per cell kind
+# recurrent sweeps, a forward/backward pair per cell. `acts` holds a (T, B, k)
+# buffer per gate group activated at once, X @ W + b on entry and the gates
+# on return. Backward scales `dacts`, which arrives holding each gate's
+# activation derivative, in place; it may overwrite `cells`. `hprev`/`cprev`
+# are the states the forward sweep read before step t, `hm` is hprev * rmask.
 
-def _gru_step(x, h_prev, p, rmask):
-    hidden = h_prev.shape[0]
-    gx = x @ p["W"] + p["b"]
-    hm = h_prev * rmask
-    z = sigmoid(gx[:hidden] + hm @ p["U"][:, :hidden])
-    r = sigmoid(gx[hidden : 2 * hidden] + hm @ p["U"][:, hidden : 2 * hidden])
-    rhm = r * hm
-    hbar = np.tanh(gx[2 * hidden :] + rhm @ p["U"][:, 2 * hidden :])
-    h = (1.0 - z) * h_prev + z * hbar
-    return h, (x, h_prev, hm, z, r, rhm, hbar)
-
-
-def _gru_backstep(dh, cache, p, grads, rmask):
-    x, h_prev, hm, z, r, rhm, hbar = cache
-    hidden = h_prev.shape[0]
-    u_z = p["U"][:, :hidden]
-    u_r = p["U"][:, hidden : 2 * hidden]
-    u_c = p["U"][:, 2 * hidden :]
-
-    dz = dh * (hbar - h_prev)
-    dhbar = dh * z
-    dh_prev = dh * (1.0 - z)
-
-    da_c = dhbar * (1.0 - hbar * hbar)
-    drhm = da_c @ u_c.T
-    dr = drhm * hm
-    dhm = drhm * r
-
-    da_z = dz * z * (1.0 - z)
-    da_r = dr * r * (1.0 - r)
-    dhm += da_z @ u_z.T + da_r @ u_r.T
-
-    da = np.concatenate([da_z, da_r, da_c])
-    grads["W"] += np.outer(x, da)
-    grads["b"] += da
-    grads["U"][:, :hidden] += np.outer(hm, da_z)
-    grads["U"][:, hidden : 2 * hidden] += np.outer(hm, da_r)
-    grads["U"][:, 2 * hidden :] += np.outer(rhm, da_c)
-
-    dh_prev += dhm * rmask
-    dx = da @ p["W"].T
-    return dx, dh_prev
+def _gru_forward(acts, u, rmask, states, steps):
+    hidden = states.shape[2]
+    u_zr, u_c = u[:, : 2 * hidden], u[:, 2 * hidden :]
+    h = np.zeros(states.shape[1:])
+    for t in steps:
+        hm = h if rmask is None else h * rmask
+        zr, c = acts[0][t], acts[1][t]
+        zr += hm @ u_zr
+        sigmoid(zr, out=zr)
+        c += (zr[:, hidden:] * hm) @ u_c
+        np.tanh(c, out=c)
+        h = h + zr[:, :hidden] * (c - h)
+        states[t] = h
 
 
-def _lstm_step(x, h_prev, p, rmask, c_prev):
-    hidden = h_prev.shape[0]
-    hm = h_prev * rmask
-    a = x @ p["W"] + hm @ p["U"] + p["b"]
-    i = sigmoid(a[:hidden])
-    f = sigmoid(a[hidden : 2 * hidden])
-    g = np.tanh(a[2 * hidden : 3 * hidden])
-    o = sigmoid(a[3 * hidden :])
-    c = f * c_prev + i * g
-    h = o * np.tanh(c)
-    return h, c, (x, h_prev, hm, c_prev, i, f, g, o, c)
+def _gru_backward(acts, u, rmask, dstates, dacts, steps, hprev, hm, cells, cprev):
+    hidden = hprev.shape[2]
+    u_zr, u_c = u[:, : 2 * hidden], u[:, 2 * hidden :]
+    dh = 0.0
+    for t in steps:
+        dh = dh + dstates[t]
+        z, r = acts[0][t, :, :hidden], acts[0][t, :, hidden:]
+        d = dacts[t]
+        dhz = dh * z
+        d[:, 2 * hidden :] *= dhz
+        drhm = d[:, 2 * hidden :] @ u_c.T
+        d[:, :hidden] *= dh * (acts[1][t] - hprev[t])
+        d[:, hidden : 2 * hidden] *= drhm * hm[t]
+        dhm = drhm * r + d[:, : 2 * hidden] @ u_zr.T
+        dh = dh - dhz + (dhm if rmask is None else dhm * rmask)
 
 
-def _lstm_backstep(dh, dc, cache, p, grads, rmask):
-    x, h_prev, hm, c_prev, i, f, g, o, c = cache
-    tc = np.tanh(c)
-    do = dh * tc
-    dc_total = dc + dh * o * (1.0 - tc * tc)
-    di = dc_total * g
-    df = dc_total * c_prev
-    dg = dc_total * i
-    dc_prev = dc_total * f
-
-    da = np.concatenate(
-        [
-            di * i * (1.0 - i),
-            df * f * (1.0 - f),
-            dg * (1.0 - g * g),
-            do * o * (1.0 - o),
-        ]
-    )
-    grads["W"] += np.outer(x, da)
-    grads["U"] += np.outer(hm, da)
-    grads["b"] += da
-    dx = da @ p["W"].T
-    dh_prev = (da @ p["U"].T) * rmask
-    return dx, dh_prev, dc_prev
+def _lstm_forward(acts, u, rmask, states, steps):
+    hidden = states.shape[2]
+    # sigmoid(a) = 0.5 * tanh(0.5 a) + 0.5 on i, f, o and tanh(a) on g: one
+    # chain of four ufuncs over the whole row
+    scale = np.repeat([0.5, 0.5, 1.0, 0.5], hidden)
+    shift = 1.0 - scale
+    h = c = np.zeros(states.shape[1:])
+    cells = np.empty(states.shape)
+    for t in steps:
+        a = acts[0][t]
+        a += (h if rmask is None else h * rmask) @ u
+        a *= scale
+        np.tanh(a, out=a)
+        a *= scale
+        a += shift
+        c = a[:, hidden : 2 * hidden] * c + a[:, :hidden] * a[:, 2 * hidden : 3 * hidden]
+        cells[t] = c
+        h = a[:, 3 * hidden :] * np.tanh(c)
+        states[t] = h
+    return cells
 
 
-def _rnn_step(x, h_prev, p, rmask):
-    hm = h_prev * rmask
-    h = np.tanh(x @ p["W"] + hm @ p["U"] + p["b"])
-    return h, (x, hm, h)
+def _lstm_backward(acts, u, rmask, dstates, dacts, steps, hprev, hm, cells, cprev):
+    hidden = hprev.shape[2]
+    tcs = np.tanh(cells, out=cells)
+    dh, dc = 0.0, 0.0
+    for t in steps:
+        dh = dh + dstates[t]
+        i, f = acts[0][t, :, :hidden], acts[0][t, :, hidden : 2 * hidden]
+        g, o = acts[0][t, :, 2 * hidden : 3 * hidden], acts[0][t, :, 3 * hidden :]
+        d, tc = dacts[t], tcs[t]
+        dc = dc + dh * o * (1.0 - tc * tc)
+        d[:, :hidden] *= dc * g
+        d[:, hidden : 2 * hidden] *= dc * cprev[t]
+        d[:, 2 * hidden : 3 * hidden] *= dc * i
+        d[:, 3 * hidden :] *= dh * tc
+        dc = dc * f
+        dh = d @ u.T if rmask is None else (d @ u.T) * rmask
 
 
-def _rnn_backstep(dh, cache, p, grads, rmask):
-    x, hm, h = cache
-    da = dh * (1.0 - h * h)
-    grads["W"] += np.outer(x, da)
-    grads["U"] += np.outer(hm, da)
-    grads["b"] += da
-    dx = da @ p["W"].T
-    dh_prev = (da @ p["U"].T) * rmask
-    return dx, dh_prev
+def _rnn_forward(acts, u, rmask, states, steps):
+    h = np.zeros(states.shape[1:])
+    for t in steps:
+        a = acts[0][t]
+        a += (h if rmask is None else h * rmask) @ u
+        h = np.tanh(a, out=a)
+        states[t] = h
 
 
-def cell_step(cell: str, x, h_prev, params, rmask):
-    """One recurrent step with zero initial extra state; public for tests."""
-    if cell == "gru":
-        h, _ = _gru_step(x, h_prev, params, rmask)
-        return h
-    if cell == "lstm":
-        h, _, _ = _lstm_step(x, h_prev, params, rmask, np.zeros_like(h_prev))
-        return h
-    if cell == "rnn":
-        h, _ = _rnn_step(x, h_prev, params, rmask)
-        return h
-    raise ValueError(f"unknown cell {cell!r}")
+def _rnn_backward(acts, u, rmask, dstates, dacts, steps, hprev, hm, cells, cprev):
+    dh = 0.0
+    for t in steps:
+        d = dacts[t]
+        d *= dh + dstates[t]
+        dh = d @ u.T if rmask is None else (d @ u.T) * rmask
+
+
+_SWEEPS = {
+    "gru": (_gru_forward, _gru_backward),
+    "lstm": (_lstm_forward, _lstm_backward),
+    "rnn": (_rnn_forward, _rnn_backward),
+}
+
+
+def _previous(seq: np.ndarray, reverse: bool) -> np.ndarray:
+    """seq one step earlier in the reading order, zero before the first step."""
+    prev = np.roll(seq, -1 if reverse else 1, axis=0)
+    prev[-1 if reverse else 0] = 0.0
+    return prev
 
 
 class _Direction(Layer):
-    """Parameters and the unrolled pass for one direction of a layer."""
+    """Parameters and the unrolled pass for one direction of a layer. A
+    reverse direction reads t = T-1 down to 0 and writes each state at the
+    step it was computed, so every array stays in natural time order."""
 
-    def __init__(self, cell, input_size, hidden, rng):
-        gates = _GATES_PER_CELL[cell]
+    def __init__(self, cell, input_size, hidden, reverse, rng):
+        gates = len(_TANH_BLOCKS[cell])
         self.cell = cell
         self.hidden = hidden
+        self.reverse = reverse
+        # the GRU activates its candidate after r, so it keeps two gate groups
+        self.groups = (slice(0, 2 * hidden), slice(2 * hidden, None)) if cell == "gru" else (slice(None),)
+        self.tanh_cols = np.repeat(np.array(_TANH_BLOCKS[cell], dtype=np.float64), hidden)
         w = glorot_uniform(rng, (input_size, gates * hidden), input_size, hidden)
         u = np.concatenate([orthogonal(rng, hidden) for _ in range(gates)], axis=1)
         super().__init__(W=w, U=u, b=np.zeros(gates * hidden))
 
-    def run(self, x: np.ndarray, rmask: np.ndarray):
+    def forward(self, x: np.ndarray, rmask, states: np.ndarray, keep: bool):
+        """Read x (T, B, C), writing h into states (T, B, H); returns the
+        backward cache when `keep`, else None."""
         t = x.shape[0]
-        h = np.zeros(self.hidden)
-        c = np.zeros(self.hidden)
-        states = np.empty((t, self.hidden))
-        caches = []
-        for step in range(t):
-            if self.cell == "gru":
-                h, cache = _gru_step(x[step], h, self.params, rmask)
-            elif self.cell == "lstm":
-                h, c, cache = _lstm_step(x[step], h, self.params, rmask, c)
-            else:
-                h, cache = _rnn_step(x[step], h, self.params, rmask)
-            states[step] = h
-            caches.append(cache)
-        return states, caches
+        steps = range(t - 1, -1, -1) if self.reverse else range(t)
+        w, b = self.params["W"], self.params["b"]
+        acts = [x @ w[:, k] + b[k] for k in self.groups]
+        cells = _SWEEPS[self.cell][0](acts, self.params["U"], rmask, states, steps)
+        return (x, acts, rmask, states, steps, cells) if keep else None
 
-    def run_backward(self, dstates: np.ndarray, caches, rmask: np.ndarray):
-        t = dstates.shape[0]
-        dx = np.empty((t, self.params["W"].shape[0]))
-        dh = np.zeros(self.hidden)
-        dc = np.zeros(self.hidden)
-        for step in reversed(range(t)):
-            dh = dh + dstates[step]
-            if self.cell == "gru":
-                dx[step], dh = _gru_backstep(dh, caches[step], self.params, self.grads, rmask)
-            elif self.cell == "lstm":
-                dx[step], dh, dc = _lstm_backstep(dh, dc, caches[step], self.params, self.grads, rmask)
-            else:
-                dx[step], dh = _rnn_backstep(dh, caches[step], self.params, self.grads, rmask)
-        return dx
+    def backward(self, cache, dstates: np.ndarray) -> np.ndarray:
+        x, acts, rmask, states, steps, cells = cache
+        hidden = self.hidden
+        hprev = _previous(states, self.reverse)
+        hm = hprev if rmask is None else hprev * rmask
+        cprev = None if cells is None else _previous(cells, self.reverse)
+        # sigmoid' = (1 - a) * a and tanh' = (1 - a) * (1 + a)
+        dacts = np.empty(acts[0].shape[:2] + self.params["b"].shape)
+        for k, a in zip(self.groups, acts):
+            np.add(a, self.tanh_cols[k], out=dacts[:, :, k])
+            dacts[:, :, k] *= 1.0 - a
+        _SWEEPS[self.cell][1](
+            acts, self.params["U"], rmask, dstates, dacts, steps[::-1], hprev, hm, cells, cprev
+        )
+        rows = dacts.reshape(-1, dacts.shape[2])
+        hm_rows = hm.reshape(-1, hidden)
+        self.grads["W"] += x.reshape(-1, x.shape[2]).T @ rows
+        self.grads["b"] += rows.sum(axis=0)
+        if self.cell == "gru":
+            # the candidate block's U reads r * h, not h
+            rhm = (acts[0][:, :, hidden:] * hm).reshape(-1, hidden)
+            self.grads["U"][:, : 2 * hidden] += hm_rows.T @ rows[:, : 2 * hidden]
+            self.grads["U"][:, 2 * hidden :] += rhm.T @ rows[:, 2 * hidden :]
+        else:
+            self.grads["U"] += hm_rows.T @ rows
+        return dacts @ self.params["W"].T
 
 
 class Recurrent:
-    """A (bi)directional recurrent layer over a (T, C) sequence.
+    """A (bi)directional recurrent layer over a (T, B, C) batch.
 
-    Output is (T, hidden) or (T, 2*hidden) when bidirectional; the second
-    half of each row is the backward direction's state after reading the
-    sequence from the end down to that step. The parameter blocks belong
-    to the ``fwd`` and ``bwd`` directions.
+    Output is (T, B, hidden) or (T, B, 2*hidden) when bidirectional; the
+    second half of each row is the backward direction's state after
+    reading the sequence from the end down to that step. The parameter
+    blocks belong to the ``fwd`` and ``bwd`` directions. ``steps`` is the
+    T of the last forward.
     """
 
-    def __init__(
-        self,
-        cell,
-        input_size,
-        hidden_units,
-        bidirectional,
-        dropout_rate,
-        recurrent_dropout_rate,
-        rng,
-    ):
+    def __init__(self, cell, input_size, hidden_units, bidirectional,
+                 dropout_rate, recurrent_dropout_rate, rng):
         if cell not in CELLS:
             raise ValueError(f"cell must be one of {CELLS}, got {cell!r}")
         if hidden_units < 1:
@@ -318,83 +329,72 @@ class Recurrent:
         self.bidirectional = bidirectional
         self.dropout_rate = dropout_rate
         self.recurrent_dropout_rate = recurrent_dropout_rate
-        self.fwd = _Direction(cell, input_size, hidden_units, rng)
-        self.bwd = _Direction(cell, input_size, hidden_units, rng) if bidirectional else None
+        self.fwd = _Direction(cell, input_size, hidden_units, False, rng)
+        self.bwd = _Direction(cell, input_size, hidden_units, True, rng) if bidirectional else None
+        self.directions = [self.fwd] if self.bwd is None else [self.fwd, self.bwd]
         self._cache = None
 
     @property
     def output_size(self) -> int:
-        return self.hidden * (2 if self.bidirectional else 1)
+        return self.hidden * len(self.directions)
 
     def forward(self, x: np.ndarray, train: bool = False, rng=None) -> np.ndarray:
-        t, c = x.shape
+        t, batch, c = x.shape
         if c != self.input_size:
             raise DimensionMismatch(f"expected input size {self.input_size}, got {c}")
         if t < 1:
             raise InputTooShort("recurrent layer needs at least one step")
-
-        if train and self.dropout_rate > 0:
+        draw = train and rng is not None
+        in_mask = None
+        if draw and self.dropout_rate > 0:
             keep = 1.0 - self.dropout_rate
             in_mask = (rng.random(x.shape) < keep) / keep
-            x_used = x * in_mask
-        else:
-            in_mask = None
-            x_used = x
-
-        def rec_mask():
-            if train and self.recurrent_dropout_rate > 0:
+            x = x * in_mask
+        out = np.empty((t, batch, self.output_size))
+        caches = []
+        for k, direction in enumerate(self.directions):
+            rmask = None
+            if draw and self.recurrent_dropout_rate > 0:
                 keep = 1.0 - self.recurrent_dropout_rate
-                return (rng.random(self.hidden) < keep) / keep
-            return np.ones(self.hidden)
-
-        fmask = rec_mask()
-        fstates, fcaches = self.fwd.run(x_used, fmask)
-        if self.bwd is not None:
-            bmask = rec_mask()
-            bstates_rev, bcaches = self.bwd.run(x_used[::-1], bmask)
-            out = np.concatenate([fstates, bstates_rev[::-1]], axis=1)
-        else:
-            bmask, bcaches = None, None
-            out = fstates
-        self._cache = (in_mask, fmask, fcaches, bmask, bcaches)
+                rmask = (rng.random((batch, self.hidden)) < keep) / keep
+            states = out[:, :, k * self.hidden : (k + 1) * self.hidden]
+            caches.append(direction.forward(x, rmask, states, train))
+        self.steps = t
+        self._cache = (in_mask, caches) if train else None
         return out
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        in_mask, fmask, fcaches, bmask, bcaches = self._cache
+        in_mask, caches = self._cache
+        self._cache = None
         h = self.hidden
-        dx = self.fwd.run_backward(dout[:, :h], fcaches, fmask)
-        if self.bwd is not None:
-            dx_rev = self.bwd.run_backward(dout[::-1, h:], bcaches, bmask)
-            dx = dx + dx_rev[::-1]
+        dx = sum(d.backward(cache, dout[:, :, k * h : (k + 1) * h])
+                 for k, (d, cache) in enumerate(zip(self.directions, caches)))
         if in_mask is not None:
-            dx = dx * in_mask
+            dx *= in_mask
         return dx
 
 
 class DenseSigmoid(Layer):
-    """The scalar classification head: p = sigmoid(w . s + b)."""
+    """The classification head: p = sigmoid(s . w + b) for each row of a
+    (B, W) state. ``logits`` keeps the last forward's (B,) logits, so a
+    loss can be formed from them."""
 
     def __init__(self, input_size, rng):
         self.input_size = input_size
         super().__init__(w=glorot_uniform(rng, (input_size,), input_size, 1), b=np.zeros(1))
+        self.logits = None
         self._cache = None
 
-    def forward(self, s: np.ndarray, train: bool = False, rng=None) -> float:
-        if s.shape != (self.input_size,):
-            raise DimensionMismatch(
-                f"expected state of shape ({self.input_size},), got {s.shape}"
-            )
-        logit = float(s @ self.params["w"] + self.params["b"][0])
-        p = float(sigmoid(np.array([logit]))[0])
-        self._cache = (s, p)
-        return p
+    def forward(self, s: np.ndarray, train: bool = False, rng=None) -> np.ndarray:
+        if s.ndim != 2 or s.shape[1] != self.input_size:
+            raise DimensionMismatch(f"expected states (B, {self.input_size}), got {s.shape}")
+        self.logits = s @ self.params["w"] + self.params["b"][0]
+        self._cache = s if train else None
+        return sigmoid(self.logits)
 
-    def backward(self, dlogit: float) -> np.ndarray:
-        s, _ = self._cache
-        self.grads["w"] += dlogit * s
-        self.grads["b"] += dlogit
-        return dlogit * self.params["w"]
-
-    @property
-    def last_probability(self) -> float:
-        return self._cache[1]
+    def backward(self, dlogits: np.ndarray) -> np.ndarray:
+        s = self._cache
+        self._cache = None
+        self.grads["w"] += dlogits @ s
+        self.grads["b"] += dlogits.sum()
+        return np.outer(dlogits, self.params["w"])

@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import DimensionMismatch, InputTooShort, IoError, SpecMismatch
-from .layers import CELLS, _GATES_PER_CELL, Conv1d, DenseSigmoid, Recurrent
+from .layers import _TANH_BLOCKS, CELLS, Conv1d, DenseSigmoid, Recurrent
 
 CHECKPOINT_VERSION = "pendetect-checkpoint v1"
 
@@ -138,7 +138,7 @@ def closed_form_parameter_count(spec: ModelSpec, input_size: int) -> int:
         total += c.in_channels * c.kernel * c.out_channels + c.out_channels
         width = c.out_channels
     for r in spec.recurrent_layers:
-        gates = _GATES_PER_CELL[r.cell]
+        gates = len(_TANH_BLOCKS[r.cell])
         per_direction = gates * (width * r.hidden_units + r.hidden_units**2 + r.hidden_units)
         directions = 2 if r.bidirectional else 1
         total += per_direction * directions
@@ -154,9 +154,12 @@ class SequenceClassifier:
     bidirectional layer that is the forward state at the last step
     concatenated with the backward state at the first step (each
     direction's own final state).
+
+    Built without a generator (``rng=None``) every parameter is zero and
+    nothing is drawn: the form `load_checkpoint` fills.
     """
 
-    def __init__(self, spec: ModelSpec, input_size: int, rng: np.random.Generator):
+    def __init__(self, spec: ModelSpec, input_size: int, rng: np.random.Generator | None):
         if spec.conv_layers and spec.conv_layers[0].in_channels != input_size:
             raise DimensionMismatch(
                 f"first conv expects {spec.conv_layers[0].in_channels} channels, "
@@ -180,7 +183,6 @@ class SequenceClassifier:
             self.recurrents.append(layer)
             width = layer.output_size
         self.head = DenseSigmoid(width, rng)
-        self._last_rec_steps = None
 
         # move every block into the flat vectors and rebind the layers to views
         owners = [(f"conv{i}", conv) for i, conv in enumerate(self.convs)]
@@ -237,35 +239,49 @@ class SequenceClassifier:
         return t
 
     def forward(self, values: np.ndarray, train: bool = False,
-                rng: np.random.Generator | None = None) -> float:
+                rng: np.random.Generator | None = None):
+        """Probabilities for a (B, T, m) batch, as a (B,) array.
+
+        A (T, m) matrix is a batch of one and gives a float. The logits
+        behind the probabilities stay in ``head.logits`` until the next
+        forward. Train mode keeps what `backward` needs and draws dropout
+        masks from `rng`; see the layers module.
+        """
         x = np.asarray(values, dtype=np.float64)
-        if x.ndim != 2:
-            raise DimensionMismatch(f"expected a (T, m) matrix, got shape {x.shape}")
-        if x.shape[0] < self.min_input_length():
-            raise InputTooShort(
-                f"length {x.shape[0]} < minimum {self.min_input_length()} for the conv stack"
+        single = x.ndim == 2
+        if single:
+            x = x[None]
+        if x.ndim != 3:
+            raise DimensionMismatch(
+                f"expected a (B, T, m) batch or a (T, m) matrix, got shape {x.shape}"
             )
+        if x.shape[1] < self.min_input_length():
+            raise InputTooShort(
+                f"length {x.shape[1]} < minimum {self.min_input_length()} for the conv stack"
+            )
+        x = np.ascontiguousarray(x.transpose(1, 0, 2))
         for conv in self.convs:
             x = conv.forward(x, train=train, rng=rng)
         for rec in self.recurrents:
             x = rec.forward(x, train=train, rng=rng)
-        self._last_rec_steps = x.shape[0]
         last = self.recurrents[-1]
         if last.bidirectional:
-            state = np.concatenate([x[-1, : last.hidden], x[0, last.hidden :]])
+            state = np.concatenate([x[-1, :, : last.hidden], x[0, :, last.hidden :]], axis=1)
         else:
             state = x[-1]
-        return self.head.forward(state)
+        p = self.head.forward(state, train=train)
+        return float(p[0]) if single else p
 
-    def backward(self, dlogit: float) -> None:
-        """Accumulate gradients for the preceding forward pass."""
-        dstate = self.head.backward(dlogit)
+    def backward(self, dlogits) -> None:
+        """Accumulate gradients for the preceding train-mode forward, given
+        the (B,) logit gradients (a float for a batch of one)."""
+        dlogits = np.atleast_1d(np.asarray(dlogits, dtype=np.float64))
+        dstate = self.head.backward(dlogits)
         last = self.recurrents[-1]
-        t = self._last_rec_steps
-        dseq = np.zeros((t, last.output_size))
+        dseq = np.zeros((last.steps, len(dlogits), last.output_size))
         if last.bidirectional:
-            dseq[-1, : last.hidden] = dstate[: last.hidden]
-            dseq[0, last.hidden :] = dstate[last.hidden :]
+            dseq[-1, :, : last.hidden] = dstate[:, : last.hidden]
+            dseq[0, :, last.hidden :] = dstate[:, last.hidden :]
         else:
             dseq[-1] = dstate
         for rec in reversed(self.recurrents):
@@ -343,7 +359,7 @@ def load_checkpoint(path: str | Path) -> tuple[SequenceClassifier, dict]:
     input_size = int(doc["input_size"])
     if spec_hash(spec, input_size) != doc["spec_sha256"]:
         raise SpecMismatch("spec hash does not match the stored spec")
-    model = SequenceClassifier(spec, input_size, rng=np.random.default_rng(0))
+    model = SequenceClassifier(spec, input_size, rng=None)
     model.load_parameters(doc)
     meta = {
         "normalization_ref": doc.get("normalization_ref"),

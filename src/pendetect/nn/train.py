@@ -49,6 +49,12 @@ class TrainResult:
     wall_clock_epoch_seconds: list[float] = field(default_factory=list)
 
 
+def _stack(pairs: list[tuple[FeatureMatrix, int]]) -> tuple[np.ndarray, np.ndarray]:
+    """(B, T, m) values and (B,) labels; the matrices must share T."""
+    values = np.stack([fm.values for fm, _ in pairs])
+    return values, np.array([y for _, y in pairs], dtype=np.float64)
+
+
 def train_step(
     model: SequenceClassifier,
     batch: list[tuple[FeatureMatrix, int]],
@@ -59,11 +65,9 @@ def train_step(
     if not batch:
         raise ValueError("batch must be non-empty")
     model.zero_grads()
-    total = 0.0
-    for fm, y in batch:
-        p = model.forward(fm.values, train=True, rng=rng)
-        total += bce_loss(p, y)
-        model.backward(bce_logit_grad(p, y))
+    values, y = _stack(batch)
+    p = model.forward(values, train=True, rng=rng)
+    model.backward(bce_logit_grad(p, y))
     model.grad *= 1.0 / len(batch)
     if not np.isfinite(model.grad).all():
         key = next(k for k, g in model.grads().items() if not np.isfinite(g).all())
@@ -71,13 +75,30 @@ def train_step(
         ids = [f"{fm.subject_id}/{fm.task_id}" for fm, _ in batch]
         raise NonFiniteGradient(layer, block, ids)
     optimizer.step(model.grad)
-    return total / len(batch)
+    return float(bce_loss(model.head.logits, y).mean())
 
 
-def mean_eval_loss(model: SequenceClassifier, data: list[tuple[FeatureMatrix, int]]) -> float:
-    return float(
-        np.mean([bce_loss(model.forward(fm.values, train=False), y) for fm, y in data])
-    )
+def predict(
+    model: SequenceClassifier,
+    data: list[tuple[FeatureMatrix, int]],
+    batch_size: int = TrainConfig.batch_size,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Eval-mode (probabilities, logits) of every pair, in chunks of batch_size."""
+    probs, logits = np.empty(len(data)), np.empty(len(data))
+    for start in range(0, len(data), batch_size):
+        chunk = slice(start, start + batch_size)
+        probs[chunk] = model.forward(_stack(data[chunk])[0])
+        logits[chunk] = model.head.logits
+    return probs, logits
+
+
+def mean_eval_loss(
+    model: SequenceClassifier,
+    data: list[tuple[FeatureMatrix, int]],
+    batch_size: int = TrainConfig.batch_size,
+) -> float:
+    _, logits = predict(model, data, batch_size)
+    return float(np.mean(bce_loss(logits, np.array([y for _, y in data]))))
 
 
 def train_model(
@@ -124,7 +145,7 @@ def train_model(
         result.epochs_run = epoch + 1
 
         if val_set is not None:
-            val_loss = mean_eval_loss(model, val_set)
+            val_loss = mean_eval_loss(model, val_set, config.batch_size)
             result.val_losses.append(val_loss)
             if use_early_stop:
                 if val_loss < best_val:

@@ -8,6 +8,8 @@ datasets are not available; they do not gate the suite.
 
 import json
 import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -156,7 +158,7 @@ def test_criterion_2_conv_oracle():
             rng=np.random.default_rng(int(rng.integers(1 << 30))),
         )
         x = rng.normal(size=(t_in, c_in))
-        got = layer.forward(x)
+        got = layer.forward(x[:, None])[:, 0]  # a (T, 1, C) batch of one
         assert got.shape[0] == (t_in - kernel) // stride + 1
         assert got.shape[0] == Conv1d.output_length(t_in, kernel, stride)
         expect = _naive_conv(x, layer.params["W"], layer.params["b"], stride, relu)
@@ -291,21 +293,23 @@ def test_criterion_5_synthetic_quick(tmp_path):
 # 6. determinism of cmd_train
 
 
+_CRITERION_6_CONFIG = {
+    "seed": 17,
+    "source": {
+        "kind": "synthetic",
+        "n_per_class": 5,
+        "length_range": [40, 60],
+        "class_separation": 1.0,
+    },
+    "features": {"groups": ["kinematic"]},
+    "train": {"epochs": 3, "early_stop_patience": None},
+    "split": {"kind": "kfold", "k": 2},
+}
+
+
 def test_criterion_6_determinism(tmp_path):
-    config = {
-        "seed": 17,
-        "source": {
-            "kind": "synthetic",
-            "n_per_class": 5,
-            "length_range": [40, 60],
-            "class_separation": 1.0,
-        },
-        "features": {"groups": ["kinematic"]},
-        "train": {"epochs": 3, "early_stop_patience": None},
-        "split": {"kind": "kfold", "k": 2},
-    }
     cfg = tmp_path / "c.json"
-    cfg.write_text(json.dumps(config))
+    cfg.write_text(json.dumps(_CRITERION_6_CONFIG))
     for name in ("a", "b"):
         assert main(["train", "--config", str(cfg), "--out", str(tmp_path / name)]) == 0
 
@@ -324,6 +328,35 @@ def test_criterion_6_determinism(tmp_path):
         ok,
         "two cmd_train runs: reports byte-identical after dropping wall_clock fields, "
         "checkpoints and normalization stats bit-identical",
+    )
+
+
+def test_criterion_6_determinism_across_blas_threads(tmp_path):
+    # larger GEMMs may take threaded BLAS paths; they must give the same bits
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(_CRITERION_6_CONFIG))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        subprocess.run(
+            [sys.executable, "-m", "pendetect.cli", "train", "--config", str(cfg),
+             "--out", str(tmp_path / threads)],
+            env=env, check=True, capture_output=True, timeout=300,
+        )
+    reports = [
+        json.dumps(
+            strip_wall_clock(json.loads((tmp_path / n / "report.json").read_text())),
+            sort_keys=True,
+        )
+        for n in ("1", "2")
+    ]
+    ckpts = [(tmp_path / n / "model.ckpt").read_bytes() for n in ("1", "2")]
+    _verdict(
+        6,
+        reports[0] == reports[1] and ckpts[0] == ckpts[1],
+        "cmd_train at OPENBLAS_NUM_THREADS=1 and =2: reports byte-identical after "
+        "dropping wall_clock fields, checkpoints bit-identical",
     )
 
 

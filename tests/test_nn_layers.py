@@ -6,24 +6,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pendetect.errors import DimensionMismatch, InputTooShort
-from pendetect.nn.layers import (
-    Conv1d,
-    DenseSigmoid,
-    Recurrent,
-    _gru_step,
-    cell_step,
-    orthogonal,
-    sigmoid,
-)
+from pendetect.nn.layers import Conv1d, DenseSigmoid, Recurrent, orthogonal, sigmoid
 
 
-def _zero_params(cell, c, h):
-    gates = {"rnn": 1, "gru": 3, "lstm": 4}[cell]
-    return {
-        "W": np.zeros((c, gates * h)),
-        "U": np.zeros((h, gates * h)),
-        "b": np.zeros(gates * h),
-    }
+def _one_direction(cell, params):
+    """A unidirectional layer carrying `params` and no dropout."""
+    c, hidden = params["W"].shape[0], params["U"].shape[0]
+    layer = Recurrent(cell, c, hidden, False, 0.0, 0.0, np.random.default_rng(0))
+    for key, value in params.items():
+        layer.fwd.params[key][...] = value
+    return layer
+
+
+def _run_one(layer, x):
+    """Forward one (T, C) sequence as a batch of one; returns (T, width)."""
+    return layer.forward(x[:, None, :])[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -50,7 +47,7 @@ def test_conv_identity():
     conv = Conv1d(3, 3, kernel=1, stride=1, activation="none", rng=rng)
     conv.params["W"][0] = np.eye(3)
     conv.params["b"][:] = 0.0
-    x = rng.normal(size=(12, 3))
+    x = rng.normal(size=(12, 2, 3))
     np.testing.assert_array_equal(conv.forward(x), x)
 
 
@@ -58,25 +55,27 @@ def test_conv_matches_triple_loop_oracle():
     rng = np.random.default_rng(2)
     t, c_in, c_out, kernel, stride = 40, 3, 4, 5, 2
     conv = Conv1d(c_in, c_out, kernel, stride, activation="none", rng=rng)
-    x = rng.normal(size=(t, c_in))
+    batch = 3
+    x = rng.normal(size=(t, batch, c_in))
     out = conv.forward(x)
 
     t_out = (t - kernel) // stride + 1
-    oracle = np.zeros((t_out, c_out))
+    oracle = np.zeros((t_out, batch, c_out))
     for i in range(t_out):
-        for o in range(c_out):
-            acc = conv.params["b"][o]
-            for j in range(kernel):
-                for ch in range(c_in):
-                    acc += x[i * stride + j, ch] * conv.params["W"][j, ch, o]
-            oracle[i, o] = acc
+        for s in range(batch):
+            for o in range(c_out):
+                acc = conv.params["b"][o]
+                for j in range(kernel):
+                    for ch in range(c_in):
+                        acc += x[i * stride + j, s, ch] * conv.params["W"][j, ch, o]
+                oracle[i, s, o] = acc
     np.testing.assert_allclose(out, oracle, rtol=1e-12, atol=1e-12)
 
 
 def test_conv_relu_clamps():
     rng = np.random.default_rng(3)
     conv = Conv1d(2, 2, kernel=2, stride=1, activation="relu", rng=rng)
-    out = conv.forward(rng.normal(size=(10, 2)))
+    out = conv.forward(rng.normal(size=(10, 3, 2)))
     assert (out >= 0).all()
 
 
@@ -84,14 +83,14 @@ def test_conv_input_too_short():
     rng = np.random.default_rng(4)
     conv = Conv1d(2, 2, kernel=5, stride=5, activation="relu", rng=rng)
     with pytest.raises(InputTooShort):
-        conv.forward(np.zeros((4, 2)))
+        conv.forward(np.zeros((4, 1, 2)))
 
 
 def test_conv_wrong_channel_count():
     rng = np.random.default_rng(4)
     conv = Conv1d(2, 2, kernel=2, stride=1, activation="relu", rng=rng)
     with pytest.raises(DimensionMismatch):
-        conv.forward(np.zeros((10, 3)))
+        conv.forward(np.zeros((10, 1, 3)))
 
 
 @given(
@@ -105,26 +104,30 @@ def test_conv_length_property(kernel, stride, extra, seed):
     rng = np.random.default_rng(seed)
     t = kernel + extra
     conv = Conv1d(2, 3, kernel, stride, activation="relu", rng=rng)
-    out = conv.forward(rng.normal(size=(t, 2)))
-    assert out.shape == ((t - kernel) // stride + 1, 3)
+    out = conv.forward(rng.normal(size=(t, 2, 2)))
+    assert out.shape == ((t - kernel) // stride + 1, 2, 3)
 
 
 # ---------------------------------------------------------------------------
 # recurrent cells
 
 def test_gru_zero_params_analytic_case():
-    h, cache = _gru_step(
-        np.array([1.0, -2.0]), np.zeros(3), _zero_params("gru", 2, 3), np.ones(3)
-    )
-    x, h_prev, hm, z, r, rhm, hbar = cache
-    np.testing.assert_array_equal(z, np.full(3, 0.5))
-    np.testing.assert_array_equal(hbar, np.zeros(3))
-    np.testing.assert_array_equal(h, np.zeros(3))
+    # zero weights and a candidate bias beta: z = r = 1/2 and hbar = tanh(beta)
+    # at every step, so h1 = tanh(beta) / 2 and h2 = 3/4 tanh(beta)
+    beta = np.array([0.3, -1.2, 2.0])
+    params = {"W": np.zeros((2, 9)), "U": np.zeros((3, 9)), "b": np.zeros(9)}
+    params["b"][6:] = beta
+    out = _run_one(_one_direction("gru", params), np.array([[1.0, -2.0], [0.5, 4.0]]))
+    np.testing.assert_array_equal(out[0], 0.5 * np.tanh(beta))
+    np.testing.assert_allclose(out[1], 0.75 * np.tanh(beta), rtol=1e-15)
 
 
 def _scalar_sigmoid(v):
     return 1.0 / (1.0 + math.exp(-v))
 
+
+# The cell oracles run two steps, so the second reads a non-zero state
+# through U; each transcribes the update equations in plain scalar math.
 
 def test_gru_matches_symbolic_oracle():
     rng = np.random.default_rng(7)
@@ -134,28 +137,27 @@ def test_gru_matches_symbolic_oracle():
         "U": rng.normal(size=(hidden, 3 * hidden)),
         "b": rng.normal(size=3 * hidden),
     }
-    x = rng.normal(size=c)
-    h_prev = rng.normal(size=hidden)
-    out = cell_step("gru", x, h_prev, params, np.ones(hidden))
+    xs = rng.normal(size=(2, c))
+    out = _run_one(_one_direction("gru", params), xs)
 
-    # independent transcription of the update equations, plain scalar math
-    def affine(gate, unit):
-        g = gate * hidden + unit
-        return (
-            sum(x[j] * params["W"][j, g] for j in range(c))
-            + params["b"][g]
-        )
+    def step(x, h_prev):
+        def affine(gate, unit):
+            g = gate * hidden + unit
+            return sum(x[j] * params["W"][j, g] for j in range(c)) + params["b"][g]
 
-    def rec(gate, unit, h_vec):
-        g = gate * hidden + unit
-        return sum(h_vec[k] * params["U"][k, g] for k in range(hidden))
+        def rec(gate, unit, h_vec):
+            g = gate * hidden + unit
+            return sum(h_vec[k] * params["U"][k, g] for k in range(hidden))
 
-    z = [_scalar_sigmoid(affine(0, u) + rec(0, u, h_prev)) for u in range(hidden)]
-    r = [_scalar_sigmoid(affine(1, u) + rec(1, u, h_prev)) for u in range(hidden)]
-    rh = [r[k] * h_prev[k] for k in range(hidden)]
-    hbar = [math.tanh(affine(2, u) + rec(2, u, rh)) for u in range(hidden)]
-    expected = [(1 - z[u]) * h_prev[u] + z[u] * hbar[u] for u in range(hidden)]
-    np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-14)
+        z = [_scalar_sigmoid(affine(0, u) + rec(0, u, h_prev)) for u in range(hidden)]
+        r = [_scalar_sigmoid(affine(1, u) + rec(1, u, h_prev)) for u in range(hidden)]
+        rh = [r[k] * h_prev[k] for k in range(hidden)]
+        hbar = [math.tanh(affine(2, u) + rec(2, u, rh)) for u in range(hidden)]
+        return [(1 - z[u]) * h_prev[u] + z[u] * hbar[u] for u in range(hidden)]
+
+    h1 = step(xs[0], [0.0] * hidden)
+    h2 = step(xs[1], h1)
+    np.testing.assert_allclose(out, [h1, h2], rtol=1e-12, atol=1e-14)
 
 
 def test_lstm_matches_symbolic_oracle():
@@ -166,28 +168,32 @@ def test_lstm_matches_symbolic_oracle():
         "U": rng.normal(size=(hidden, 4 * hidden)),
         "b": rng.normal(size=4 * hidden),
     }
-    x = rng.normal(size=c)
-    h_prev = rng.normal(size=hidden)
-    out = cell_step("lstm", x, h_prev, params, np.ones(hidden))
+    xs = rng.normal(size=(2, c))
+    out = _run_one(_one_direction("lstm", params), xs)
 
-    def gate(idx, unit, act):
-        g = idx * hidden + unit
-        v = (
-            sum(x[j] * params["W"][j, g] for j in range(c))
-            + sum(h_prev[k] * params["U"][k, g] for k in range(hidden))
-            + params["b"][g]
-        )
-        return act(v)
+    def step(x, h_prev, c_prev):
+        def gate(idx, unit, act):
+            g = idx * hidden + unit
+            v = (
+                sum(x[j] * params["W"][j, g] for j in range(c))
+                + sum(h_prev[k] * params["U"][k, g] for k in range(hidden))
+                + params["b"][g]
+            )
+            return act(v)
 
-    expected = []
-    for u in range(hidden):
-        i = gate(0, u, _scalar_sigmoid)
-        f = gate(1, u, _scalar_sigmoid)
-        g = gate(2, u, math.tanh)
-        o = gate(3, u, _scalar_sigmoid)
-        cell = f * 0.0 + i * g  # cell_step starts from c_prev = 0
-        expected.append(o * math.tanh(cell))
-    np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-14)
+        h, cell = [], []
+        for u in range(hidden):
+            i = gate(0, u, _scalar_sigmoid)
+            f = gate(1, u, _scalar_sigmoid)
+            g = gate(2, u, math.tanh)
+            o = gate(3, u, _scalar_sigmoid)
+            cell.append(f * c_prev[u] + i * g)
+            h.append(o * math.tanh(cell[u]))
+        return h, cell
+
+    h1, c1 = step(xs[0], [0.0] * hidden, [0.0] * hidden)
+    h2, _ = step(xs[1], h1, c1)
+    np.testing.assert_allclose(out, [h1, h2], rtol=1e-12, atol=1e-14)
 
 
 def test_rnn_matches_symbolic_oracle():
@@ -197,11 +203,11 @@ def test_rnn_matches_symbolic_oracle():
         "U": rng.normal(size=(3, 3)),
         "b": rng.normal(size=3),
     }
-    x = rng.normal(size=2)
-    h_prev = rng.normal(size=3)
-    out = cell_step("rnn", x, h_prev, params, np.ones(3))
-    expected = np.tanh(x @ params["W"] + h_prev @ params["U"] + params["b"])
-    np.testing.assert_allclose(out, expected, rtol=1e-14)
+    xs = rng.normal(size=(2, 2))
+    out = _run_one(_one_direction("rnn", params), xs)
+    h1 = np.tanh(xs[0] @ params["W"] + params["b"])
+    h2 = np.tanh(xs[1] @ params["W"] + h1 @ params["U"] + params["b"])
+    np.testing.assert_allclose(out, [h1, h2], rtol=1e-14)
 
 
 @given(seed=st.integers(0, 500), cell=st.sampled_from(["rnn", "lstm", "gru"]))
@@ -218,13 +224,13 @@ def test_hidden_state_bounded(seed, cell):
         "U": rng.normal(size=(hidden, gates * hidden)),
         "b": rng.normal(size=gates * hidden),
     }
-    h = cell_step(cell, rng.normal(size=c), np.zeros(hidden), params, np.ones(hidden))
+    h = _run_one(_one_direction(cell, params), rng.normal(size=(1, c)))
     assert (np.abs(h) < 1).all()
 
     # extreme scale: tanh saturates to exactly 1.0 in float64, so the
     # representable guarantee is |h| <= 1 and finite
     big = {k: v * 100 for k, v in params.items()}
-    h = cell_step(cell, rng.normal(size=c) * 100, np.zeros(hidden), big, np.ones(hidden))
+    h = _run_one(_one_direction(cell, big), rng.normal(size=(1, c)) * 100)
     assert (np.abs(h) <= 1).all()
     assert np.isfinite(h).all()
 
@@ -233,7 +239,7 @@ def test_cell_dimension_mismatch():
     rng = np.random.default_rng(0)
     layer = Recurrent("gru", 3, 4, False, 0.0, 0.0, rng)
     with pytest.raises(DimensionMismatch):
-        layer.forward(np.zeros((5, 2)))
+        layer.forward(np.zeros((5, 1, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -245,9 +251,9 @@ def test_bidirectional_width_and_degenerate_length():
     # make both directions identical so the single step is visibly shared
     for key in layer.fwd.params:
         layer.bwd.params[key][...] = layer.fwd.params[key]
-    out = layer.forward(np.array([[0.5, -1.0, 2.0]]))
-    assert out.shape == (1, 8)
-    np.testing.assert_array_equal(out[0, :4], out[0, 4:])
+    out = layer.forward(np.array([[[0.5, -1.0, 2.0]]]))
+    assert out.shape == (1, 1, 8)
+    np.testing.assert_array_equal(out[0, 0, :4], out[0, 0, 4:])
 
 
 def test_bidirectional_reversal_symmetry():
@@ -258,18 +264,18 @@ def test_bidirectional_reversal_symmetry():
     for key in a.fwd.params:
         b.fwd.params[key][...] = a.bwd.params[key]
         b.bwd.params[key][...] = a.fwd.params[key]
-    x = rng.normal(size=(t, c))
+    x = rng.normal(size=(t, 2, c))
     out_a = a.forward(x)
     out_b = b.forward(x[::-1])
-    swapped = np.concatenate([out_a[::-1, hidden:], out_a[::-1, :hidden]], axis=1)
+    swapped = np.concatenate([out_a[::-1, :, hidden:], out_a[::-1, :, :hidden]], axis=2)
     np.testing.assert_allclose(out_b, swapped, rtol=1e-12, atol=1e-14)
 
 
 def test_bidirectional_paper_width():
     rng = np.random.default_rng(12)
     layer = Recurrent("gru", 16, 32, True, 0.0, 0.0, rng)
-    out = layer.forward(rng.normal(size=(7, 16)))
-    assert out.shape == (7, 64)
+    out = layer.forward(rng.normal(size=(7, 5, 16)))
+    assert out.shape == (7, 5, 64)
 
 
 # ---------------------------------------------------------------------------
@@ -278,23 +284,36 @@ def test_bidirectional_paper_width():
 def test_dropout_inactive_in_eval_mode():
     rng = np.random.default_rng(13)
     layer = Recurrent("gru", 3, 4, True, 0.5, 0.5, rng)
-    x = rng.normal(size=(6, 3))
+    x = rng.normal(size=(6, 2, 3))
     np.testing.assert_array_equal(layer.forward(x, train=False), layer.forward(x, train=False))
 
 
 def test_dropout_applies_in_train_mode():
     rng = np.random.default_rng(14)
     layer = Recurrent("gru", 3, 4, True, 0.5, 0.5, rng)
-    x = np.random.default_rng(0).normal(size=(6, 3))
+    x = np.random.default_rng(0).normal(size=(6, 2, 3))
     eval_out = layer.forward(x, train=False)
     train_out = layer.forward(x, train=True, rng=np.random.default_rng(99))
     assert not np.allclose(eval_out, train_out)
 
 
+def test_recurrent_masks_are_drawn_per_sequence():
+    # two identical sequences in one batch: with recurrent dropout only, each
+    # gets its own (B, H) mask per direction, so their outputs part ways
+    layer = Recurrent("gru", 3, 8, True, 0.0, 0.5, np.random.default_rng(17))
+    seq = np.random.default_rng(2).normal(size=(6, 1, 3))
+    x = np.concatenate([seq, seq], axis=1)
+    out = layer.forward(x, train=True, rng=np.random.default_rng(5))
+    for half in (slice(0, 8), slice(8, 16)):
+        assert not np.allclose(out[:, 0, half], out[:, 1, half])
+    eval_out = layer.forward(x)
+    np.testing.assert_allclose(eval_out[:, 0], eval_out[:, 1], rtol=1e-12)
+
+
 def test_zero_rate_train_equals_eval():
     rng = np.random.default_rng(15)
     layer = Recurrent("gru", 3, 4, True, 0.0, 0.0, rng)
-    x = np.random.default_rng(1).normal(size=(6, 3))
+    x = np.random.default_rng(1).normal(size=(6, 2, 3))
     np.testing.assert_array_equal(
         layer.forward(x, train=True, rng=np.random.default_rng(0)),
         layer.forward(x, train=False),
@@ -307,12 +326,13 @@ def test_zero_rate_train_equals_eval():
 def test_dense_sigmoid_forward():
     rng = np.random.default_rng(16)
     head = DenseSigmoid(4, rng)
-    s = rng.normal(size=4)
+    s = rng.normal(size=(3, 4))
     p = head.forward(s)
-    logit = float(s @ head.params["w"] + head.params["b"][0])
-    assert p == pytest.approx(1.0 / (1.0 + math.exp(-logit)), rel=1e-12)
+    for row, p_row in zip(s, p):
+        logit = float(row @ head.params["w"] + head.params["b"][0])
+        assert p_row == pytest.approx(1.0 / (1.0 + math.exp(-logit)), rel=1e-12)
     with pytest.raises(DimensionMismatch):
-        head.forward(np.zeros(5))
+        head.forward(np.zeros((1, 5)))
 
 
 def test_sigmoid_stable_at_extremes():

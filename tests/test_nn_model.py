@@ -134,11 +134,42 @@ def test_head_reads_each_directions_final_state():
         np.random.default_rng(7),
     )
     x = np.random.default_rng(2).normal(size=(9, 2))
-    rec_out = model.recurrents[0].forward(x)
+    rec_out = model.recurrents[0].forward(x[:, None])[:, 0]  # a (T, 1, C) batch
     state = np.concatenate([rec_out[-1, :3], rec_out[0, 3:]])
     expected_logit = float(state @ model.head.params["w"] + model.head.params["b"][0])
     p = model.forward(x)
     assert p == pytest.approx(1.0 / (1.0 + np.exp(-expected_logit)), rel=1e-12)
+
+
+@pytest.mark.parametrize("cell", ["rnn", "lstm", "gru"])
+@pytest.mark.parametrize("with_conv", [True, False])
+@pytest.mark.parametrize("bidirectional", [True, False])
+def test_batch_equals_sequences_one_at_a_time(cell, with_conv, bidirectional):
+    spec = ModelSpec(
+        conv_layers=(Conv1dSpec(2, 3, kernel=3, stride=2),) if with_conv else (),
+        recurrent_layers=(
+            RecurrentSpec(cell, 3, bidirectional=bidirectional),
+            RecurrentSpec(cell, 2, bidirectional=bidirectional),
+        ),
+    )
+    model = SequenceClassifier(spec, 2, np.random.default_rng(21))
+    x = np.random.default_rng(22).normal(size=(3, 11, 2))
+    dlogits = np.array([0.7, -0.4, 0.2])
+
+    single_p, single_grad = [], np.zeros_like(model.grad)
+    for values, d in zip(x, dlogits):
+        single_p.append(model.forward(values, train=True))
+        model.zero_grads()
+        model.backward(d)
+        single_grad += model.grad
+
+    p = model.forward(x, train=True)
+    model.zero_grads()
+    model.backward(dlogits)
+    assert p.shape == (3,)
+    np.testing.assert_allclose(p, single_p, rtol=1e-12)
+    np.testing.assert_allclose(model.grad, single_grad, rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(model.forward(x), p, rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +188,21 @@ def test_checkpoint_round_trip(tmp_path):
     assert loaded.forward(x) == before
     for key, value in model.params().items():
         np.testing.assert_array_equal(loaded.params()[key], value)
+
+
+def test_load_checkpoint_draws_no_initialization(tmp_path, monkeypatch):
+    model = SequenceClassifier(ModelSpec.reference(3), 3, np.random.default_rng(5))
+    x = np.random.default_rng(6).normal(size=(40, 3))
+    path = tmp_path / "model.ckpt"
+    model.save_checkpoint(path)
+
+    def no_qr(*args, **kwargs):
+        raise AssertionError("load_checkpoint ran an orthogonal initialization")
+
+    monkeypatch.setattr(np.linalg, "qr", no_qr)
+    loaded, _ = load_checkpoint(path)
+    assert loaded.forward(x) == model.forward(x)
+    np.testing.assert_array_equal(loaded.theta, model.theta)
 
 
 def test_checkpoint_bytes_are_deterministic(tmp_path):

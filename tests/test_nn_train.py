@@ -55,21 +55,37 @@ def _small_model(seed=0, cell="gru", m=3):
 # bce
 
 def test_bce_at_half_is_ln2():
-    assert bce_loss(0.5, 0) == pytest.approx(math.log(2), rel=1e-12)
-    assert bce_loss(0.5, 1) == pytest.approx(math.log(2), rel=1e-12)
+    assert bce_loss(0.0, 0) == pytest.approx(math.log(2), rel=1e-12)
+    assert bce_loss(0.0, 1) == pytest.approx(math.log(2), rel=1e-12)
 
 
 def test_bce_monotone_toward_label():
-    losses_1 = [bce_loss(p, 1) for p in (0.6, 0.9, 0.99, 0.999)]
+    losses_1 = [bce_loss(z, 1) for z in (0.5, 2.0, 5.0, 10.0)]
     assert losses_1 == sorted(losses_1, reverse=True)
-    losses_0 = [bce_loss(p, 0) for p in (0.4, 0.1, 0.01, 0.001)]
+    losses_0 = [bce_loss(z, 0) for z in (-0.5, -2.0, -5.0, -10.0)]
     assert losses_0 == sorted(losses_0, reverse=True)
 
 
 def test_bce_clamp_keeps_loss_finite():
-    assert math.isfinite(bce_loss(0.0, 1))
-    assert math.isfinite(bce_loss(1.0, 0))
-    assert bce_loss(0.0, 1) == pytest.approx(-math.log(1e-7), rel=1e-9)
+    # no clamp any more: the loss is formed from the logit and stays finite
+    # and exact where sigmoid(logit) rounds to 0 or 1
+    assert bce_loss(-1000.0, 1) == 1000.0
+    assert bce_loss(1000.0, 0) == 1000.0
+    assert bce_loss(1000.0, 1) == 0.0
+    np.testing.assert_allclose(
+        bce_loss(np.array([-2.0, 3.0]), np.array([1.0, 0.0])),
+        [-math.log(_sigmoid(-2.0)), -math.log1p(-_sigmoid(3.0))],
+        rtol=1e-12,
+    )
+
+
+def test_bce_from_logit_does_not_saturate():
+    # computed from a clamped probability this read -ln(1e-7) = 16.1
+    assert bce_loss(-40.0, 1) == pytest.approx(40.0, rel=1e-15)
+
+
+def _sigmoid(z):
+    return 1.0 / (1.0 + math.exp(-z))
 
 
 # ---------------------------------------------------------------------------
@@ -118,6 +134,15 @@ def test_adam_quadratic_trajectory_matches_hand_rolled_oracle():
     np.testing.assert_allclose(mine, ours, rtol=1e-12)
     # first update moves by almost exactly lr (signal dwarfs eps)
     assert mine[0] == pytest.approx(0.1, abs=1e-8)
+
+
+def test_adam_updates_its_moments_in_place():
+    theta = np.array([1.0, -2.0, 0.5])
+    opt = Adam(theta, learning_rate=0.1)
+    m, v = opt.m, opt.v
+    opt.step(np.array([0.3, -1.0, 2.0]))
+    assert opt.m is m and opt.v is v and opt.theta is theta
+    assert m.any() and v.any()
 
 
 def test_adam_lr_zero_is_identity():
