@@ -1,13 +1,13 @@
 """Layers with explicit forward passes and hand-written gradients.
 
 Every layer runs on a whole minibatch held time-major: sequences are
-(T, B, C) arrays, recurrent states (B, H); one sequence is a batch of
-one. Parameter blocks live in ``params``/``grads`` dicts keyed by short
-block names ("W", "U", "b", "w"); a recurrent layer's blocks belong to
-its ``fwd``/``bwd`` directions. A standalone layer owns its arrays;
-inside a SequenceClassifier every entry is a view into the model's flat
-``theta``/``grad`` vectors, so layers read and accumulate in place and
-never replace an entry.
+(T, B, C) arrays, recurrent states (B, H); one sequence is a batch of one.
+Parameter blocks live in ``params``/``grads`` dicts keyed by short block
+names ("W", "U", "b", "w"); a recurrent layer's blocks belong to its
+``fwd``/``bwd`` directions. A standalone layer owns its arrays; inside a
+SequenceClassifier every entry is a view into the model's flat ``theta``/
+``grad`` vectors, so layers read and accumulate in place and never replace
+an entry.
 
 Gate layouts of the combined matrices:
 
@@ -25,17 +25,15 @@ The recurrent state update for the GRU is
     h' = (1 - z) * h + z * hbar
 
 with the reset gate applied to h before the U_h product. A direction
-computes X @ W + b for all steps in one product and loops over t only,
-adding the (B, H) @ (H, gates*H) recurrent term and activating the gates
-in place; after the backward sweep, dW, dU, db and dx are each one
-product over all T*B rows. Dropout is drawn in Recurrent.forward, once
-per minibatch and only in train mode with a generator: an inverted
-elementwise (T, B, C) input mask, then a (B, H) recurrent mask per
-direction. Recurrent dropout is thus variational, one mask per sequence
-and direction, applied to h wherever it enters a U product, never to the
-(1 - z) * h carry term. A train-mode forward keeps what backward needs
-and backward releases it; eval mode keeps nothing. Train mode without a
-generator keeps caches but draws no masks (gradient checks use that).
+computes X @ W + b for all steps as one (T*B, C) product and loops over t
+only, adding the (B, H) @ (H, gates*H) recurrent term and activating the
+gates in place; after the backward sweep, dW, dU, db and dx are each one
+product over all T*B rows, as is each conv tap. Recurrent.forward draws
+dropout once per minibatch, in train mode with a generator: an inverted
+(T, B, C) input mask, then a (B, H) recurrent mask per direction (all ones
+otherwise), applied to h wherever it enters a U product, never to the
+(1 - z) * h carry term: variational, one mask per sequence and direction.
+Train mode keeps what backward needs; eval mode keeps nothing.
 """
 
 from __future__ import annotations
@@ -47,10 +45,11 @@ from ..errors import DimensionMismatch, InputTooShort
 CELLS = ("rnn", "lstm", "gru")
 # per gate block, in layout order: 1 where the activation is tanh, 0 for sigmoid
 _TANH_BLOCKS = {"rnn": (1,), "lstm": (0, 0, 1, 0), "gru": (0, 0, 1)}
+GATES = {cell: len(blocks) for cell, blocks in _TANH_BLOCKS.items()}
 
 
 def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """0.5 * (tanh(0.5 x) + 1): one ufunc chain, exact 0 and 1 at the extremes."""
+    """Gate sigmoid 0.5 * (tanh(0.5 x) + 1): one ufunc chain, 0 below x ~ -37."""
     out = np.multiply(x, 0.5, out=out)
     np.tanh(out, out=out)
     out += 1.0
@@ -107,17 +106,18 @@ class Conv1d(Layer):
         return (t - kernel) // stride + 1
 
     def forward(self, x: np.ndarray, train: bool = False, rng=None) -> np.ndarray:
-        t, _, c = x.shape
+        t, batch, c = x.shape
         if c != self.in_channels:
             raise DimensionMismatch(f"expected {self.in_channels} channels, got {c}")
         if t < self.kernel:
             raise InputTooShort(f"length {t} < kernel {self.kernel}")
         w = self.params["W"]
         span = self.stride * (self.output_length(t, self.kernel, self.stride) - 1) + 1
-        # tap j reads rows j, j + stride, ...: one (T_out, B, C) @ (C, C_out) per tap
-        out = x[:span:self.stride] @ w[0] + self.params["b"]
+        # tap j reads rows j, j + stride, ...: one (T_out*B, C) @ (C, C_out) per tap
+        out = x[:span:self.stride].reshape(-1, c) @ w[0] + self.params["b"]
         for j in range(1, self.kernel):
-            out += x[j : j + span : self.stride] @ w[j]
+            out += x[j : j + span : self.stride].reshape(-1, c) @ w[j]
+        out = out.reshape(-1, batch, self.out_channels)
         if self.activation == "relu":
             np.maximum(out, 0.0, out=out)
         self._cache = (x, out) if train else None
@@ -136,7 +136,7 @@ class Conv1d(Layer):
         for j in range(self.kernel):
             taps = x[j : j + span : self.stride].reshape(-1, self.in_channels)
             self.grads["W"][j] += taps.T @ rows
-            dx[j : j + span : self.stride] += dout @ w[j].T
+            dx[j : j + span : self.stride] += (rows @ w[j].T).reshape(-1, x.shape[1], x.shape[2])
         return dx
 
 
@@ -152,7 +152,7 @@ def _gru_forward(acts, u, rmask, states, steps):
     u_zr, u_c = u[:, : 2 * hidden], u[:, 2 * hidden :]
     h = np.zeros(states.shape[1:])
     for t in steps:
-        hm = h if rmask is None else h * rmask
+        hm = h * rmask
         zr, c = acts[0][t], acts[1][t]
         zr += hm @ u_zr
         sigmoid(zr, out=zr)
@@ -176,20 +176,20 @@ def _gru_backward(acts, u, rmask, dstates, dacts, steps, hprev, hm, cells, cprev
         d[:, :hidden] *= dh * (acts[1][t] - hprev[t])
         d[:, hidden : 2 * hidden] *= drhm * hm[t]
         dhm = drhm * r + d[:, : 2 * hidden] @ u_zr.T
-        dh = dh - dhz + (dhm if rmask is None else dhm * rmask)
+        dh = dh - dhz + dhm * rmask
 
 
 def _lstm_forward(acts, u, rmask, states, steps):
     hidden = states.shape[2]
     # sigmoid(a) = 0.5 * tanh(0.5 a) + 0.5 on i, f, o and tanh(a) on g: one
     # chain of four ufuncs over the whole row
-    scale = np.repeat([0.5, 0.5, 1.0, 0.5], hidden)
+    scale = 0.5 + 0.5 * np.repeat(_TANH_BLOCKS["lstm"], hidden)
     shift = 1.0 - scale
     h = c = np.zeros(states.shape[1:])
     cells = np.empty(states.shape)
     for t in steps:
         a = acts[0][t]
-        a += (h if rmask is None else h * rmask) @ u
+        a += (h * rmask) @ u
         a *= scale
         np.tanh(a, out=a)
         a *= scale
@@ -216,14 +216,14 @@ def _lstm_backward(acts, u, rmask, dstates, dacts, steps, hprev, hm, cells, cpre
         d[:, 2 * hidden : 3 * hidden] *= dc * i
         d[:, 3 * hidden :] *= dh * tc
         dc = dc * f
-        dh = d @ u.T if rmask is None else (d @ u.T) * rmask
+        dh = (d @ u.T) * rmask
 
 
 def _rnn_forward(acts, u, rmask, states, steps):
     h = np.zeros(states.shape[1:])
     for t in steps:
         a = acts[0][t]
-        a += (h if rmask is None else h * rmask) @ u
+        a += (h * rmask) @ u
         h = np.tanh(a, out=a)
         states[t] = h
 
@@ -233,7 +233,7 @@ def _rnn_backward(acts, u, rmask, dstates, dacts, steps, hprev, hm, cells, cprev
     for t in steps:
         d = dacts[t]
         d *= dh + dstates[t]
-        dh = d @ u.T if rmask is None else (d @ u.T) * rmask
+        dh = (d @ u.T) * rmask
 
 
 _SWEEPS = {
@@ -256,7 +256,7 @@ class _Direction(Layer):
     step it was computed, so every array stays in natural time order."""
 
     def __init__(self, cell, input_size, hidden, reverse, rng):
-        gates = len(_TANH_BLOCKS[cell])
+        gates = GATES[cell]
         self.cell = cell
         self.hidden = hidden
         self.reverse = reverse
@@ -270,10 +270,11 @@ class _Direction(Layer):
     def forward(self, x: np.ndarray, rmask, states: np.ndarray, keep: bool):
         """Read x (T, B, C), writing h into states (T, B, H); returns the
         backward cache when `keep`, else None."""
-        t = x.shape[0]
+        t, batch, c = x.shape
         steps = range(t - 1, -1, -1) if self.reverse else range(t)
         w, b = self.params["W"], self.params["b"]
-        acts = [x @ w[:, k] + b[k] for k in self.groups]
+        rows = x.reshape(-1, c)
+        acts = [(rows @ w[:, k] + b[k]).reshape(t, batch, -1) for k in self.groups]
         cells = _SWEEPS[self.cell][0](acts, self.params["U"], rmask, states, steps)
         return (x, acts, rmask, states, steps, cells) if keep else None
 
@@ -281,7 +282,7 @@ class _Direction(Layer):
         x, acts, rmask, states, steps, cells = cache
         hidden = self.hidden
         hprev = _previous(states, self.reverse)
-        hm = hprev if rmask is None else hprev * rmask
+        hm = hprev * rmask
         cprev = None if cells is None else _previous(cells, self.reverse)
         # sigmoid' = (1 - a) * a and tanh' = (1 - a) * (1 + a)
         dacts = np.empty(acts[0].shape[:2] + self.params["b"].shape)
@@ -292,27 +293,25 @@ class _Direction(Layer):
             acts, self.params["U"], rmask, dstates, dacts, steps[::-1], hprev, hm, cells, cprev
         )
         rows = dacts.reshape(-1, dacts.shape[2])
-        hm_rows = hm.reshape(-1, hidden)
         self.grads["W"] += x.reshape(-1, x.shape[2]).T @ rows
         self.grads["b"] += rows.sum(axis=0)
         if self.cell == "gru":
             # the candidate block's U reads r * h, not h
             rhm = (acts[0][:, :, hidden:] * hm).reshape(-1, hidden)
-            self.grads["U"][:, : 2 * hidden] += hm_rows.T @ rows[:, : 2 * hidden]
+            self.grads["U"][:, : 2 * hidden] += hm.reshape(-1, hidden).T @ rows[:, : 2 * hidden]
             self.grads["U"][:, 2 * hidden :] += rhm.T @ rows[:, 2 * hidden :]
         else:
-            self.grads["U"] += hm_rows.T @ rows
-        return dacts @ self.params["W"].T
+            self.grads["U"] += hm.reshape(-1, hidden).T @ rows
+        return (rows @ self.params["W"].T).reshape(x.shape)
 
 
 class Recurrent:
     """A (bi)directional recurrent layer over a (T, B, C) batch.
 
     Output is (T, B, hidden) or (T, B, 2*hidden) when bidirectional; the
-    second half of each row is the backward direction's state after
-    reading the sequence from the end down to that step. The parameter
-    blocks belong to the ``fwd`` and ``bwd`` directions. ``steps`` is the
-    T of the last forward.
+    second half of each row is the backward direction's state after reading
+    the sequence from the end down to that step. The parameter blocks belong
+    to the ``fwd`` and ``bwd`` directions; ``steps`` is the last forward's T.
     """
 
     def __init__(self, cell, input_size, hidden_units, bidirectional,
@@ -353,7 +352,7 @@ class Recurrent:
         out = np.empty((t, batch, self.output_size))
         caches = []
         for k, direction in enumerate(self.directions):
-            rmask = None
+            rmask = np.ones((batch, self.hidden))
             if draw and self.recurrent_dropout_rate > 0:
                 keep = 1.0 - self.recurrent_dropout_rate
                 rmask = (rng.random((batch, self.hidden)) < keep) / keep
@@ -376,8 +375,8 @@ class Recurrent:
 
 class DenseSigmoid(Layer):
     """The classification head: p = sigmoid(s . w + b) for each row of a
-    (B, W) state. ``logits`` keeps the last forward's (B,) logits, so a
-    loss can be formed from them."""
+    (B, W) state, as 1 / (1 + e^-x) or e^x / (1 + e^x) by sign, exact at any
+    logit. ``logits`` keeps the (B,) logits for a loss to be formed from."""
 
     def __init__(self, input_size, rng):
         self.input_size = input_size
@@ -390,7 +389,8 @@ class DenseSigmoid(Layer):
             raise DimensionMismatch(f"expected states (B, {self.input_size}), got {s.shape}")
         self.logits = s @ self.params["w"] + self.params["b"][0]
         self._cache = s if train else None
-        return sigmoid(self.logits)
+        e = np.exp(-np.abs(self.logits))
+        return np.where(self.logits >= 0, 1.0, e) / (1.0 + e)
 
     def backward(self, dlogits: np.ndarray) -> np.ndarray:
         s = self._cache

@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import DimensionMismatch, InputTooShort, IoError, SpecMismatch
-from .layers import _TANH_BLOCKS, CELLS, Conv1d, DenseSigmoid, Recurrent
+from .layers import CELLS, GATES, Conv1d, DenseSigmoid, Recurrent
 
 CHECKPOINT_VERSION = "pendetect-checkpoint v1"
 
@@ -138,7 +138,7 @@ def closed_form_parameter_count(spec: ModelSpec, input_size: int) -> int:
         total += c.in_channels * c.kernel * c.out_channels + c.out_channels
         width = c.out_channels
     for r in spec.recurrent_layers:
-        gates = len(_TANH_BLOCKS[r.cell])
+        gates = GATES[r.cell]
         per_direction = gates * (width * r.hidden_units + r.hidden_units**2 + r.hidden_units)
         directions = 2 if r.bidirectional else 1
         total += per_direction * directions

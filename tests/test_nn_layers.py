@@ -310,6 +310,42 @@ def test_recurrent_masks_are_drawn_per_sequence():
     np.testing.assert_allclose(eval_out[:, 0], eval_out[:, 1], rtol=1e-12)
 
 
+@pytest.mark.parametrize("bidirectional", [False, True])
+@pytest.mark.parametrize("cell", ["rnn", "lstm", "gru"])
+def test_masked_gradients_match_finite_differences(cell, bidirectional):
+    # the dropout path training runs: input and recurrent masks drawn from a
+    # fixed seed, so every forward of the check sees the same masks
+    layer = Recurrent(cell, 3, 4, bidirectional, 0.3, 0.4, np.random.default_rng(21))
+    data = np.random.default_rng(3)
+    x = data.normal(size=(5, 2, 3))
+    g = data.normal(size=(5, 2, layer.output_size))
+
+    def loss(inputs):
+        return float(np.sum(layer.forward(inputs, train=True, rng=np.random.default_rng(8)) * g))
+
+    # the masks drop units: the train-mode loss differs from the eval-mode one
+    assert not np.isclose(np.sum(layer.forward(x) * g), loss(x))
+    dx = layer.backward(g)
+    eps = 1e-6
+    for direction in layer.directions:
+        for name, block in direction.params.items():
+            numeric = np.zeros_like(block)
+            for i in np.ndindex(block.shape):
+                original = block[i]
+                block[i] = original + eps
+                plus = loss(x)
+                block[i] = original - eps
+                numeric[i] = (plus - loss(x)) / (2 * eps)
+                block[i] = original
+            np.testing.assert_allclose(direction.grads[name], numeric, rtol=1e-6, atol=1e-8)
+    numeric = np.zeros_like(x)
+    for i in np.ndindex(x.shape):
+        step = np.zeros_like(x)
+        step[i] = eps
+        numeric[i] = (loss(x + step) - loss(x - step)) / (2 * eps)
+    np.testing.assert_allclose(dx, numeric, rtol=1e-6, atol=1e-8)
+
+
 def test_zero_rate_train_equals_eval():
     rng = np.random.default_rng(15)
     layer = Recurrent("gru", 3, 4, True, 0.0, 0.0, rng)
@@ -333,6 +369,16 @@ def test_dense_sigmoid_forward():
         assert p_row == pytest.approx(1.0 / (1.0 + math.exp(-logit)), rel=1e-12)
     with pytest.raises(DimensionMismatch):
         head.forward(np.zeros((1, 5)))
+    # p keeps full relative precision far below the logit where the tanh-form
+    # gate sigmoid rounds to 0, so confident negatives stay ranked apart
+    unit = DenseSigmoid(1, rng)
+    unit.params["w"][...] = 1.0
+    logits = np.array([-30.0, -40.0, -41.0, -700.0, 30.0])
+    p = unit.forward(logits[:, None])
+    expected = [math.exp(v) / (1.0 + math.exp(v)) if v < 0 else 1.0 / (1.0 + math.exp(-v))
+                for v in logits]
+    np.testing.assert_allclose(p, expected, rtol=1e-12, atol=0.0)
+    assert p[1] > p[2] > p[3] > 0.0
 
 
 def test_sigmoid_stable_at_extremes():
