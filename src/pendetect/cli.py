@@ -28,6 +28,7 @@ from . import __version__
 from .errors import (
     ConfigError,
     DataError,
+    EmptyDataset,
     ParseError,
     PenDetectError,
     ShapeError,
@@ -246,6 +247,16 @@ def load_sequences(config: ExperimentConfig) -> list:
     )
 
 
+def load_training_sequences(config: ExperimentConfig) -> list:
+    """load_sequences for `train` and `ablate`, which need at least one recording."""
+    sequences = load_sequences(config)
+    if not sequences:
+        # only a manifest can be empty: synthetic sources need n_per_class >= 1
+        manifest_path = (config.config_dir / config.source["path"]).resolve()
+        raise EmptyDataset(f"manifest {manifest_path} lists no recordings")
+    return sequences
+
+
 def _model_spec(config: ExperimentConfig, input_size: int) -> ModelSpec:
     if config.model_spec is not None:
         return config.model_spec
@@ -305,7 +316,7 @@ def cmd_features(args) -> int:
 
 def cmd_train(args) -> int:
     config = load_config(resolve_config_path(args), args.seed, args.out)
-    sequences = load_sequences(config)
+    sequences = load_training_sequences(config)
     probe = assemble_features(sequences[0], config.features)
     artifacts: dict = {}
     report = run_experiment(
@@ -352,7 +363,7 @@ def cmd_train(args) -> int:
 
 def cmd_ablate(args) -> int:
     config = load_config(resolve_config_path(args), args.seed, args.out)
-    sequences = load_sequences(config)
+    sequences = load_training_sequences(config)
     report = run_ablation_grid(
         sequences,
         config.features,

@@ -542,28 +542,27 @@ def _run_fold(
         raise
     train_seconds = time.perf_counter() - t0
 
+    # one scoring pass over every role, so the batch_size chunks span roles
+    scored = train_pairs + val_pairs + test_pairs
+    probs, _ = predict(model, scored, train_config.batch_size)
+    roles = ["train"] * len(train_pairs) + ["val"] * len(val_pairs) + ["test"] * len(test_pairs)
     samples = []
     test_scores: list[tuple[float, int]] = []
-    for role, idx, items in (
-        ("train", split.train, train_pairs),
-        ("val", split.val, val_pairs),
-        ("test", split.test, test_pairs),
-    ):
-        probs, _ = predict(model, items, train_config.batch_size)
-        for i, (_, y), p in zip(idx, items, probs.tolist()):
-            src = matrices[i]
-            samples.append(
-                {
-                    "subject_id": src.subject_id,
-                    "task_id": src.task_id,
-                    "role": role,
-                    "label": src.label,
-                    "y": y,
-                    "p": p,
-                }
-            )
-            if role == "test":
-                test_scores.append((p, LABEL_TO_Y[src.label]))
+    for role, i, (_, y), p in zip(roles, split.train + split.val + split.test, scored,
+                                  probs.tolist()):
+        src = matrices[i]
+        samples.append(
+            {
+                "subject_id": src.subject_id,
+                "task_id": src.task_id,
+                "role": role,
+                "label": src.label,
+                "y": y,
+                "p": p,
+            }
+        )
+        if role == "test":
+            test_scores.append((p, LABEL_TO_Y[src.label]))
 
     metrics = metrics_from_scores(test_scores)
     epoch_secs = result.wall_clock_epoch_seconds

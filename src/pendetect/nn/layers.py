@@ -24,15 +24,33 @@ The recurrent state update for the GRU is
     hbar = tanh(W_h x + U_h (r * h) + b_h)
     h' = (1 - z) * h + z * hbar
 
-with the reset gate applied to h before the U_h product. A direction
-computes X @ W + b for all steps as one (T*B, C) product and loops over t
-only, adding the (B, H) @ (H, gates*H) recurrent term and activating the
-gates in place; after the backward sweep, dW, dU, db and dx are each one
-product over all T*B rows, as is each conv tap. Recurrent.forward draws
-dropout once per minibatch, in train mode with a generator: an inverted
-(T, B, C) input mask, then a (B, H) recurrent mask per direction (all ones
-otherwise), applied to h wherever it enters a U product, never to the
-(1 - z) * h carry term: variational, one mask per sequence and direction.
+with the reset gate applied to h before the U_h product.
+
+A recurrent layer runs all D of its directions (1, or 2 when
+bidirectional) in one loop over t, on a (B, D*H) state:
+
+* Reading order. Row t of a direction's arrays holds the time step it
+  reads t-th: time t for fwd, time T-1-t for bwd. The sweep always reads
+  rows 0..T-1; the bwd input projection is time-reversed once when it is
+  packed, and its states once when they are unpacked into the output.
+* Column layout. The gate buffers order their columns (gate, direction,
+  unit), so each gate of all directions is one contiguous D*H block and
+  the state is [h_fwd | h_bwd].
+* Recurrent weights. Each forward builds a (D*H, gates*D*H) block-diagonal
+  U from the directions' U blocks, so one (B, D*H) product per step (two
+  for the GRU) serves every direction. The off-diagonal zeros add exact
+  zeros, but BLAS may group the longer sums differently: at some widths a
+  direction's numbers then move by a few ulp against a one-direction layer
+  (at the reference width, H = 32, they match bit for bit on OpenBLAS).
+
+X @ W + b is one (T*B, C) product per direction and gate group, before the
+loop; after the backward sweep, each direction's dW, dU, db and dx are one
+product over all T*B rows of its own columns, back in time order, as is
+each conv tap. Recurrent.forward draws dropout once per minibatch, in
+train mode with a generator: an inverted (T, B, C) input mask, then a
+(B, H) recurrent mask per direction, fwd first (all ones otherwise),
+applied to h wherever it enters a U product, never to the (1 - z) * h
+carry term: variational, one mask per sequence and direction.
 Train mode keeps what backward needs; eval mode keeps nothing.
 """
 
@@ -141,17 +159,18 @@ class Conv1d(Layer):
 
 
 # ---------------------------------------------------------------------------
-# recurrent sweeps, a forward/backward pair per cell. `acts` holds a (T, B, k)
-# buffer per gate group activated at once, X @ W + b on entry and the gates
-# on return. Backward scales `dacts`, which arrives holding each gate's
-# activation derivative, in place; it may overwrite `cells`. `hprev`/`cprev`
-# are the states the forward sweep read before step t, `hm` is hprev * rmask.
+# recurrent sweeps, a forward/backward pair per cell, reading rows t = 0..T-1
+# of arrays held in reading order. `acts` holds a (T, B, k) buffer per gate
+# group activated at once, X @ W + b on entry and the gates on return.
+# Backward scales `dacts`, which arrives holding each gate's activation
+# derivative, in place; it may overwrite `cells`. `hprev`/`cprev` are the
+# states the forward sweep read before step t, `hm` is hprev * rmask.
 
-def _gru_forward(acts, u, rmask, states, steps):
+def _gru_forward(acts, u, rmask, states):
     hidden = states.shape[2]
     u_zr, u_c = u[:, : 2 * hidden], u[:, 2 * hidden :]
     h = np.zeros(states.shape[1:])
-    for t in steps:
+    for t in range(states.shape[0]):
         hm = h * rmask
         zr, c = acts[0][t], acts[1][t]
         zr += hm @ u_zr
@@ -162,11 +181,11 @@ def _gru_forward(acts, u, rmask, states, steps):
         states[t] = h
 
 
-def _gru_backward(acts, u, rmask, dstates, dacts, steps, hprev, hm, cells, cprev):
+def _gru_backward(acts, u, rmask, dstates, dacts, hprev, hm, cells, cprev):
     hidden = hprev.shape[2]
     u_zr, u_c = u[:, : 2 * hidden], u[:, 2 * hidden :]
     dh = 0.0
-    for t in steps:
+    for t in range(hprev.shape[0] - 1, -1, -1):
         dh = dh + dstates[t]
         z, r = acts[0][t, :, :hidden], acts[0][t, :, hidden:]
         d = dacts[t]
@@ -179,7 +198,7 @@ def _gru_backward(acts, u, rmask, dstates, dacts, steps, hprev, hm, cells, cprev
         dh = dh - dhz + dhm * rmask
 
 
-def _lstm_forward(acts, u, rmask, states, steps):
+def _lstm_forward(acts, u, rmask, states):
     hidden = states.shape[2]
     # sigmoid(a) = 0.5 * tanh(0.5 a) + 0.5 on i, f, o and tanh(a) on g: one
     # chain of four ufuncs over the whole row
@@ -187,7 +206,7 @@ def _lstm_forward(acts, u, rmask, states, steps):
     shift = 1.0 - scale
     h = c = np.zeros(states.shape[1:])
     cells = np.empty(states.shape)
-    for t in steps:
+    for t in range(states.shape[0]):
         a = acts[0][t]
         a += (h * rmask) @ u
         a *= scale
@@ -201,11 +220,11 @@ def _lstm_forward(acts, u, rmask, states, steps):
     return cells
 
 
-def _lstm_backward(acts, u, rmask, dstates, dacts, steps, hprev, hm, cells, cprev):
+def _lstm_backward(acts, u, rmask, dstates, dacts, hprev, hm, cells, cprev):
     hidden = hprev.shape[2]
     tcs = np.tanh(cells, out=cells)
     dh, dc = 0.0, 0.0
-    for t in steps:
+    for t in range(hprev.shape[0] - 1, -1, -1):
         dh = dh + dstates[t]
         i, f = acts[0][t, :, :hidden], acts[0][t, :, hidden : 2 * hidden]
         g, o = acts[0][t, :, 2 * hidden : 3 * hidden], acts[0][t, :, 3 * hidden :]
@@ -219,18 +238,18 @@ def _lstm_backward(acts, u, rmask, dstates, dacts, steps, hprev, hm, cells, cpre
         dh = (d @ u.T) * rmask
 
 
-def _rnn_forward(acts, u, rmask, states, steps):
+def _rnn_forward(acts, u, rmask, states):
     h = np.zeros(states.shape[1:])
-    for t in steps:
+    for t in range(states.shape[0]):
         a = acts[0][t]
         a += (h * rmask) @ u
         h = np.tanh(a, out=a)
         states[t] = h
 
 
-def _rnn_backward(acts, u, rmask, dstates, dacts, steps, hprev, hm, cells, cprev):
+def _rnn_backward(acts, u, rmask, dstates, dacts, hprev, hm, cells, cprev):
     dh = 0.0
-    for t in steps:
+    for t in range(hprev.shape[0] - 1, -1, -1):
         d = dacts[t]
         d *= dh + dstates[t]
         dh = (d @ u.T) * rmask
@@ -242,67 +261,26 @@ _SWEEPS = {
     "rnn": (_rnn_forward, _rnn_backward),
 }
 
+# the rows of the time axis in each direction's reading order: fwd, then bwd
+_ORDERS = (slice(None), slice(None, None, -1))
 
-def _previous(seq: np.ndarray, reverse: bool) -> np.ndarray:
+
+def _previous(seq: np.ndarray) -> np.ndarray:
     """seq one step earlier in the reading order, zero before the first step."""
-    prev = np.roll(seq, -1 if reverse else 1, axis=0)
-    prev[-1 if reverse else 0] = 0.0
+    prev = np.roll(seq, 1, axis=0)
+    prev[0] = 0.0
     return prev
 
 
 class _Direction(Layer):
-    """Parameters and the unrolled pass for one direction of a layer. A
-    reverse direction reads t = T-1 down to 0 and writes each state at the
-    step it was computed, so every array stays in natural time order."""
+    """The W (C, gates*H), U (H, gates*H) and b (gates*H,) blocks of one
+    direction, in the per-cell gate layout of the module docstring."""
 
-    def __init__(self, cell, input_size, hidden, reverse, rng):
+    def __init__(self, cell, input_size, hidden, rng):
         gates = GATES[cell]
-        self.cell = cell
-        self.hidden = hidden
-        self.reverse = reverse
-        # the GRU activates its candidate after r, so it keeps two gate groups
-        self.groups = (slice(0, 2 * hidden), slice(2 * hidden, None)) if cell == "gru" else (slice(None),)
-        self.tanh_cols = np.repeat(np.array(_TANH_BLOCKS[cell], dtype=np.float64), hidden)
         w = glorot_uniform(rng, (input_size, gates * hidden), input_size, hidden)
         u = np.concatenate([orthogonal(rng, hidden) for _ in range(gates)], axis=1)
         super().__init__(W=w, U=u, b=np.zeros(gates * hidden))
-
-    def forward(self, x: np.ndarray, rmask, states: np.ndarray, keep: bool):
-        """Read x (T, B, C), writing h into states (T, B, H); returns the
-        backward cache when `keep`, else None."""
-        t, batch, c = x.shape
-        steps = range(t - 1, -1, -1) if self.reverse else range(t)
-        w, b = self.params["W"], self.params["b"]
-        rows = x.reshape(-1, c)
-        acts = [(rows @ w[:, k] + b[k]).reshape(t, batch, -1) for k in self.groups]
-        cells = _SWEEPS[self.cell][0](acts, self.params["U"], rmask, states, steps)
-        return (x, acts, rmask, states, steps, cells) if keep else None
-
-    def backward(self, cache, dstates: np.ndarray) -> np.ndarray:
-        x, acts, rmask, states, steps, cells = cache
-        hidden = self.hidden
-        hprev = _previous(states, self.reverse)
-        hm = hprev * rmask
-        cprev = None if cells is None else _previous(cells, self.reverse)
-        # sigmoid' = (1 - a) * a and tanh' = (1 - a) * (1 + a)
-        dacts = np.empty(acts[0].shape[:2] + self.params["b"].shape)
-        for k, a in zip(self.groups, acts):
-            np.add(a, self.tanh_cols[k], out=dacts[:, :, k])
-            dacts[:, :, k] *= 1.0 - a
-        _SWEEPS[self.cell][1](
-            acts, self.params["U"], rmask, dstates, dacts, steps[::-1], hprev, hm, cells, cprev
-        )
-        rows = dacts.reshape(-1, dacts.shape[2])
-        self.grads["W"] += x.reshape(-1, x.shape[2]).T @ rows
-        self.grads["b"] += rows.sum(axis=0)
-        if self.cell == "gru":
-            # the candidate block's U reads r * h, not h
-            rhm = (acts[0][:, :, hidden:] * hm).reshape(-1, hidden)
-            self.grads["U"][:, : 2 * hidden] += hm.reshape(-1, hidden).T @ rows[:, : 2 * hidden]
-            self.grads["U"][:, 2 * hidden :] += rhm.T @ rows[:, 2 * hidden :]
-        else:
-            self.grads["U"] += hm.reshape(-1, hidden).T @ rows
-        return (rows @ self.params["W"].T).reshape(x.shape)
 
 
 class Recurrent:
@@ -312,6 +290,12 @@ class Recurrent:
     second half of each row is the backward direction's state after reading
     the sequence from the end down to that step. The parameter blocks belong
     to the ``fwd`` and ``bwd`` directions; ``steps`` is the last forward's T.
+
+    Every direction runs in the same loop over t: the sweep holds its gate
+    buffers and states in reading order (bwd rows time-reversed), with
+    columns ordered (gate, direction, unit), and multiplies the (B, D*H)
+    state by a block-diagonal U built from the directions' U blocks. A
+    unidirectional layer is the case D = 1 of the same code.
     """
 
     def __init__(self, cell, input_size, hidden_units, bidirectional,
@@ -328,14 +312,36 @@ class Recurrent:
         self.bidirectional = bidirectional
         self.dropout_rate = dropout_rate
         self.recurrent_dropout_rate = recurrent_dropout_rate
-        self.fwd = _Direction(cell, input_size, hidden_units, False, rng)
-        self.bwd = _Direction(cell, input_size, hidden_units, True, rng) if bidirectional else None
+        self.fwd = _Direction(cell, input_size, hidden_units, rng)
+        self.bwd = _Direction(cell, input_size, hidden_units, rng) if bidirectional else None
         self.directions = [self.fwd] if self.bwd is None else [self.fwd, self.bwd]
+        # gate groups activated at once, as gate index ranges: the GRU
+        # activates its candidate after r, so it keeps two
+        self._groups = ((0, 2), (2, 3)) if cell == "gru" else ((0, GATES[cell]),)
+        self._tanh_cols = np.repeat(np.array(_TANH_BLOCKS[cell], dtype=np.float64),
+                                    self.output_size)
         self._cache = None
 
     @property
     def output_size(self) -> int:
         return self.hidden * len(self.directions)
+
+    def _block_u(self) -> np.ndarray:
+        """The directions' U blocks on the diagonal of a (D*H, gates*D*H) matrix."""
+        h, n = self.hidden, len(self.directions)
+        u = np.zeros((n, h, GATES[self.cell], n, h))
+        for d, direction in enumerate(self.directions):
+            u[d, :, :, d] = direction.params["U"].reshape(h, -1, h)
+        return u.reshape(n * h, -1)
+
+    def _reorder(self, seq: np.ndarray) -> np.ndarray:
+        """(T, B, D*H) with each direction's columns moved between time order
+        and its reading order (the map is its own inverse)."""
+        h = self.hidden
+        out = np.empty_like(seq)
+        for d, order in enumerate(_ORDERS[: len(self.directions)]):
+            out[:, :, d * h : (d + 1) * h] = seq[order, :, d * h : (d + 1) * h]
+        return out
 
     def forward(self, x: np.ndarray, train: bool = False, rng=None) -> np.ndarray:
         t, batch, c = x.shape
@@ -343,31 +349,68 @@ class Recurrent:
             raise DimensionMismatch(f"expected input size {self.input_size}, got {c}")
         if t < 1:
             raise InputTooShort("recurrent layer needs at least one step")
+        h, n = self.hidden, len(self.directions)
         draw = train and rng is not None
         in_mask = None
         if draw and self.dropout_rate > 0:
             keep = 1.0 - self.dropout_rate
             in_mask = (rng.random(x.shape) < keep) / keep
             x = x * in_mask
-        out = np.empty((t, batch, self.output_size))
-        caches = []
-        for k, direction in enumerate(self.directions):
-            rmask = np.ones((batch, self.hidden))
-            if draw and self.recurrent_dropout_rate > 0:
-                keep = 1.0 - self.recurrent_dropout_rate
-                rmask = (rng.random((batch, self.hidden)) < keep) / keep
-            states = out[:, :, k * self.hidden : (k + 1) * self.hidden]
-            caches.append(direction.forward(x, rmask, states, train))
+        rmask = np.ones((batch, n * h))
+        if draw and self.recurrent_dropout_rate > 0:
+            keep = 1.0 - self.recurrent_dropout_rate
+            rmask = np.concatenate([rng.random((batch, h)) < keep for _ in self.directions],
+                                   axis=1) / keep
+        # X @ W + b per direction and group, packed in reading order
+        rows = x.reshape(-1, c)
+        acts = []
+        for g0, g1 in self._groups:
+            group = np.empty((t, batch, g1 - g0, n, h))
+            for d, (direction, order) in enumerate(zip(self.directions, _ORDERS)):
+                k = slice(g0 * h, g1 * h)
+                proj = rows @ direction.params["W"][:, k] + direction.params["b"][k]
+                group[:, :, :, d] = proj.reshape(t, batch, g1 - g0, h)[order]
+            acts.append(group.reshape(t, batch, -1))
+        u = self._block_u()
+        states = np.empty((t, batch, n * h))
+        cells = _SWEEPS[self.cell][0](acts, u, rmask, states)
         self.steps = t
-        self._cache = (in_mask, caches) if train else None
-        return out
+        self._cache = (x, in_mask, acts, u, rmask, states, cells) if train else None
+        return self._reorder(states)
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        in_mask, caches = self._cache
+        x, in_mask, acts, u, rmask, states, cells = self._cache
         self._cache = None
-        h = self.hidden
-        dx = sum(d.backward(cache, dout[:, :, k * h : (k + 1) * h])
-                 for k, (d, cache) in enumerate(zip(self.directions, caches)))
+        t, batch, c = x.shape
+        h, gates, width = self.hidden, GATES[self.cell], self.output_size
+        hprev = _previous(states)
+        hm = hprev * rmask
+        cprev = None if cells is None else _previous(cells)
+        # sigmoid' = (1 - a) * a and tanh' = (1 - a) * (1 + a)
+        dacts = np.empty((t, batch, gates * width))
+        for (g0, g1), a in zip(self._groups, acts):
+            k = slice(g0 * width, g1 * width)
+            np.add(a, self._tanh_cols[k], out=dacts[:, :, k])
+            dacts[:, :, k] *= 1.0 - a
+        _SWEEPS[self.cell][1](acts, u, rmask, self._reorder(dout), dacts, hprev, hm, cells, cprev)
+        # each direction's dW, dU, db and dx from its own columns, in time order
+        per_gate = dacts.reshape(t, batch, gates, -1, h)
+        x_rows = x.reshape(-1, c)
+        dx = 0.0
+        for d, (direction, order) in enumerate(zip(self.directions, _ORDERS)):
+            rows = per_gate[order, :, :, d].reshape(-1, gates * h)
+            hm_d = hm[order, :, d * h : (d + 1) * h].reshape(-1, h)
+            direction.grads["W"] += x_rows.T @ rows
+            direction.grads["b"] += rows.sum(axis=0)
+            if self.cell == "gru":
+                # the candidate block's U reads r * h, not h
+                r = acts[0].reshape(t, batch, 2, -1, h)[order, :, 1, d].reshape(-1, h)
+                direction.grads["U"][:, : 2 * h] += hm_d.T @ rows[:, : 2 * h]
+                direction.grads["U"][:, 2 * h :] += (r * hm_d).T @ rows[:, 2 * h :]
+            else:
+                direction.grads["U"] += hm_d.T @ rows
+            dx = dx + rows @ direction.params["W"].T
+        dx = dx.reshape(x.shape)
         if in_mask is not None:
             dx *= in_mask
         return dx

@@ -112,15 +112,12 @@ def fit_normalization(
             )
     stacked = np.concatenate([fm.values for fm in train], axis=0)
 
-    m = len(names)
+    # both bounds from one partition of each column
+    low, high = np.percentile(stacked, [clip_low_pct, clip_high_pct], axis=0)
     if clip_low_pct == 0:
-        low = np.full(m, -np.inf)
-    else:
-        low = np.percentile(stacked, clip_low_pct, axis=0)
+        low = np.full(len(names), -np.inf)
     if clip_high_pct == 100:
-        high = np.full(m, np.inf)
-    else:
-        high = np.percentile(stacked, clip_high_pct, axis=0)
+        high = np.full(len(names), np.inf)
 
     clipped = np.clip(stacked, low, high)
     mean = clipped.mean(axis=0)

@@ -117,7 +117,7 @@ class DatasetManifest:
 def _read_lines(path: str | Path) -> list[str]:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(str(exc), path=str(path)) from exc
     return text.splitlines()
 
@@ -127,7 +127,8 @@ def _parse_numeric_lines(path: str | Path, arity: int) -> tuple[np.ndarray, list
 
     Returns the value matrix and the 1-based physical line number of each data
     row. A first line that does not match the arity is treated as a header and
-    skipped with a warning; blank lines are ignored.
+    skipped with a warning; blank lines are ignored. A nan or infinite value
+    is a MalformedLine naming its line.
     """
     lines = _read_lines(path)
     rows: list[list[float]] = []
@@ -154,7 +155,15 @@ def _parse_numeric_lines(path: str | Path, arity: int) -> tuple[np.ndarray, list
         line_nos.append(line_no)
     if not rows:
         raise EmptyFile(path=str(path))
-    return np.asarray(rows, dtype=np.float64), line_nos
+    values = np.asarray(rows, dtype=np.float64)
+    # float() also reads nan, inf and out-of-range numbers such as 1e999
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:
+        row, col = bad[0]
+        raise MalformedLine(
+            line_nos[row], f"non-finite value in field {col + 1}", path=str(path)
+        )
+    return values, line_nos
 
 
 def parse_tablet_file(
@@ -185,7 +194,8 @@ def parse_tablet_file(
     if bad_pressure.size:
         i = int(bad_pressure[0])
         raise MalformedLine(line_nos[i], "pressure must be >= 0", path=str(path))
-    decreasing = np.nonzero(np.diff(channels["timestamp"]) < 0)[0]
+    ts = channels["timestamp"]
+    decreasing = np.nonzero(ts[1:] < ts[:-1])[0]
     if decreasing.size:
         i = int(decreasing[0]) + 1
         raise NonMonotonicTime(line_nos[i], path=str(path))

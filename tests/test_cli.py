@@ -172,6 +172,21 @@ def test_features_empty_manifest_warns(tmp_path, capsys):
     assert not (tmp_path / "o" / "features").exists()
 
 
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_empty_manifest_is_a_data_error(tmp_path, capsys, command):
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("path,subject_id,task_id,label\n")
+    cfg = _write_config(
+        tmp_path / "c.json",
+        source={"kind": "manifest", "path": "manifest.csv", "format": "tablet_svc"},
+    )
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:")
+    assert str(manifest.resolve()) in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_train_writes_artifacts_and_is_deterministic(tmp_path):
     cfg = _write_config(tmp_path / "c.json")
     for name in ("r1", "r2"):

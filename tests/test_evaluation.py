@@ -431,6 +431,34 @@ def test_early_stop_carveout_in_kfold():
         assert "val" in roles.values()
 
 
+
+def test_fold_scores_every_role_in_one_pass(monkeypatch):
+    # training is stubbed out, so every eval forward is the fold's scoring:
+    # train, val and test pairs share the batch_size chunks
+    from pendetect.nn import SequenceClassifier, TrainResult
+
+    seqs = _quick_dataset(n=12)
+    sel = FeatureGroupSelection.of("raw")
+    config = _quick_config(batch_size=8, early_stop_patience=2)
+    chunks = []
+    forward = SequenceClassifier.forward
+
+    def counting_forward(model, values, train=False, rng=None):
+        if not train:
+            chunks.append(len(values))
+        return forward(model, values, train, rng)
+
+    monkeypatch.setattr(SequenceClassifier, "forward", counting_forward)
+    monkeypatch.setattr(
+        "pendetect.evaluation.train_model",
+        lambda *args, **kwargs: TrainResult(epoch_losses=[0.0], wall_clock_epoch_seconds=[0.0]),
+    )
+    report = run_experiment(seqs, sel, None, config, SplitPlan.kfold(2, seed=1))
+    totals = [sum(fold["sizes"].values()) for fold in report.per_fold]
+    assert all(fold["sizes"]["val"] > 0 for fold in report.per_fold)
+    assert len(chunks) == sum(math.ceil(total / 8) for total in totals)
+    assert sum(chunks) == sum(totals)
+
 def test_training_error_carries_fold_index(monkeypatch):
     seqs = _quick_dataset()
     sel = FeatureGroupSelection.of("raw")

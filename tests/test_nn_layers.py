@@ -257,18 +257,63 @@ def test_bidirectional_width_and_degenerate_length():
 
 
 def test_bidirectional_reversal_symmetry():
+    # swapping the directions' parameters and reversing time swaps the
+    # halves: the fused sweep reads the backward direction's rows reversed
     rng = np.random.default_rng(11)
     c, hidden, t = 3, 4, 9
-    a = Recurrent("gru", c, hidden, True, 0.0, 0.0, rng)
-    b = Recurrent("gru", c, hidden, True, 0.0, 0.0, rng)
-    for key in a.fwd.params:
-        b.fwd.params[key][...] = a.bwd.params[key]
-        b.bwd.params[key][...] = a.fwd.params[key]
-    x = rng.normal(size=(t, 2, c))
-    out_a = a.forward(x)
-    out_b = b.forward(x[::-1])
-    swapped = np.concatenate([out_a[::-1, :, hidden:], out_a[::-1, :, :hidden]], axis=2)
-    np.testing.assert_allclose(out_b, swapped, rtol=1e-12, atol=1e-14)
+    for cell in ("rnn", "lstm", "gru"):
+        a = Recurrent(cell, c, hidden, True, 0.0, 0.0, rng)
+        b = Recurrent(cell, c, hidden, True, 0.0, 0.0, rng)
+        for key in a.fwd.params:
+            b.fwd.params[key][...] = a.bwd.params[key]
+            b.bwd.params[key][...] = a.fwd.params[key]
+        x = rng.normal(size=(t, 2, c))
+        out_a = a.forward(x)
+        out_b = b.forward(x[::-1])
+        swapped = np.concatenate([out_a[::-1, :, hidden:], out_a[::-1, :, :hidden]], axis=2)
+        np.testing.assert_array_equal(out_b, swapped, err_msg=cell)
+
+
+def _forward_half_and_unidirectional(cell, hidden):
+    """A bidirectional layer and a unidirectional one with the same fwd
+    parameters, run in train mode with drawn masks on the same batch; the
+    bidirectional output's gradient is zero on the backward half."""
+    c, t, batch = 5, 9, 4
+    bi = Recurrent(cell, c, hidden, True, 0.3, 0.4, np.random.default_rng(21))
+    uni = Recurrent(cell, c, hidden, False, 0.3, 0.4, np.random.default_rng(0))
+    for key in bi.fwd.params:
+        uni.fwd.params[key][...] = bi.fwd.params[key]
+    data = np.random.default_rng(3)
+    x = data.normal(size=(t, batch, c))
+    g = data.normal(size=(t, batch, hidden))
+    # both draw the input mask, then the fwd recurrent mask, from one seed
+    out_bi = bi.forward(x, train=True, rng=np.random.default_rng(8))
+    out_uni = uni.forward(x, train=True, rng=np.random.default_rng(8))
+    dx_bi = bi.backward(np.concatenate([g, np.zeros_like(g)], axis=2))
+    dx_uni = uni.backward(g)
+    return (out_bi[:, :, :hidden], bi.fwd.grads, dx_bi), (out_uni, uni.fwd.grads, dx_uni)
+
+
+@pytest.mark.parametrize("cell", ["rnn", "lstm", "gru"])
+def test_bidirectional_forward_half_equals_unidirectional(cell):
+    # at the paper's width the block-diagonal U adds only exact zeros to each
+    # product, so the fwd half keeps every bit; the bwd direction's share of
+    # dx is exactly zero here
+    (out, grads, dx), (out_uni, grads_uni, dx_uni) = _forward_half_and_unidirectional(cell, 32)
+    np.testing.assert_array_equal(out, out_uni)
+    for key in grads_uni:
+        np.testing.assert_array_equal(grads[key], grads_uni[key], err_msg=key)
+    np.testing.assert_array_equal(dx, dx_uni)
+
+
+@pytest.mark.parametrize("hidden", [4, 17])
+@pytest.mark.parametrize("cell", ["rnn", "lstm", "gru"])
+def test_bidirectional_forward_half_at_other_widths(cell, hidden):
+    # BLAS may sum a longer row in another order: within a few ulp, not bits
+    (out, grads, _), (out_uni, grads_uni, _) = _forward_half_and_unidirectional(cell, hidden)
+    np.testing.assert_allclose(out, out_uni, rtol=1e-13, atol=1e-15)
+    for key in grads_uni:
+        np.testing.assert_allclose(grads[key], grads_uni[key], rtol=1e-12, atol=1e-14, err_msg=key)
 
 
 def test_bidirectional_paper_width():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -61,6 +63,25 @@ def test_parse_tablet_non_numeric_field(tmp_path):
     assert exc.value.line_no == 2
 
 
+@pytest.mark.parametrize("token", ["nan", "NaN", "inf", "-Infinity", "1e999"])
+def test_parse_tablet_non_finite_field_names_line(tmp_path, token):
+    p = tmp_path / "a.svc"
+    p.write_text(f"0 0 0 1 0 0 100\n\n{token} 1 5 1 0 0 110\n")
+    with pytest.raises(MalformedLine) as exc:
+        parse_tablet_file(p)
+    assert exc.value.line_no == 3
+    assert exc.value.path == str(p)
+    assert "non-finite value in field 1" in str(exc.value)
+
+
+def test_parse_undecodable_file_names_path(tmp_path):
+    p = tmp_path / "a.svc"
+    p.write_bytes(b"0 0 0 1 0 0 100\n\xff\xfe\n")
+    with pytest.raises(ParseError) as exc:
+        parse_tablet_file(p)
+    assert exc.value.path == str(p)
+
+
 def test_parse_tablet_empty_file(tmp_path):
     p = tmp_path / "a.svc"
     p.write_text("")
@@ -81,10 +102,12 @@ def test_parse_tablet_header_skipped_with_warning(tmp_path):
 
 def test_parse_tablet_non_monotonic_time(tmp_path):
     p = tmp_path / "a.svc"
-    p.write_text("0 0 10 1 0 0 100\n1 1 5 1 0 0 110\n")
-    with pytest.raises(NonMonotonicTime) as exc:
-        parse_tablet_file(p)
-    assert exc.value.line_no == 2
+    # in the second case the difference overflows to -inf: the check must not warn
+    for first, second in (("10", "5"), ("1e308", "-1e308")):
+        p.write_text(f"0 0 {first} 1 0 0 100\n1 1 {second} 1 0 0 110\n")
+        with pytest.raises(NonMonotonicTime) as exc:
+            parse_tablet_file(p)
+        assert exc.value.line_no == 2
 
 
 def test_parse_tablet_repeated_timestamp_ok(tmp_path):
@@ -384,3 +407,29 @@ def test_tablet_round_trip_property(tmp_path_factory, data):
     back = parse_tablet_file(path)
     for name in TABLET_CHANNELS:
         np.testing.assert_array_equal(back.channels[name], seq.channels[name], err_msg=name)
+
+
+_NUMBER = st.one_of(
+    st.sampled_from(["0", "1", "-3", "2.5", "nan", "-inf", "Infinity", "1e999", "1e308", "-1e308"]),
+    st.integers(-10**6, 10**6).map(str),
+    st.floats().map(repr),
+)
+# lines of arbitrary tokens, and lines of 6 or 7 numbers that pass the arity check
+_LINE = st.one_of(
+    st.lists(st.one_of(st.text(max_size=6), _NUMBER), max_size=8),
+    st.lists(_NUMBER, min_size=6, max_size=7),
+).map(" ".join)
+
+
+@given(lines=st.lists(_LINE, max_size=6), tablet=st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_parsers_raise_only_parse_errors(tmp_path_factory, lines, tablet):
+    path = tmp_path_factory.mktemp("fuzz") / "rec.txt"
+    path.write_text("\n".join(lines), encoding="utf-8")
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # header lines
+            seq = (parse_tablet_file if tablet else parse_smartpen_file)(path)
+    except ParseError:
+        return
+    assert all(np.isfinite(values).all() for values in seq.channels.values())
