@@ -29,6 +29,7 @@ from .errors import (
     ConfigError,
     DataError,
     EmptyDataset,
+    IoError,
     ParseError,
     PenDetectError,
     ShapeError,
@@ -36,13 +37,14 @@ from .errors import (
     TrainingError,
 )
 from .evaluation import (
+    DECISION_THRESHOLD,
     SplitPlan,
     emit_roc,
     run_ablation_grid,
     run_experiment,
 )
 from .features import GROUPS, FeatureGroupSelection, assemble_features, dump_csv
-from .nn import ModelSpec, TrainConfig, load_checkpoint
+from .nn import CELLS, ModelSpec, TrainConfig, load_checkpoint
 from .preprocess import LengthPolicy, apply_normalization, fit_length, load_stats, save_stats
 from .signal_io import (
     DatasetManifest,
@@ -50,8 +52,7 @@ from .signal_io import (
     generate_synthetic,
     load_dataset,
     load_manifest,
-    parse_smartpen_file,
-    parse_tablet_file,
+    parse_recording,
     write_manifest,
     write_tablet_file,
 )
@@ -74,7 +75,10 @@ _TOP_KEYS = {
 
 @dataclass
 class ExperimentConfig:
-    """Resolved experiment settings; see load_config for the file format."""
+    """Resolved experiment settings; see load_config for the file format.
+
+    A manifest source's "path" holds the resolved manifest path.
+    """
 
     seed: int
     source: dict
@@ -88,7 +92,6 @@ class ExperimentConfig:
     cutoff_scope: str
     normalize: bool
     clip_pcts: tuple[float, float]
-    config_dir: Path
 
 
 def _require(condition: bool, message: str) -> None:
@@ -142,6 +145,7 @@ def load_config(
         _require("path" in source and "format" in source, "manifest source needs path and format")
         manifest_path = (path.parent / source["path"]).resolve()
         _require(manifest_path.exists(), f"manifest {manifest_path} does not exist")
+        source = {**source, "path": manifest_path}
     elif source["kind"] == "synthetic":
         for key in ("n_per_class", "length_range", "class_separation"):
             _require(key in source, f"synthetic source needs {key}")
@@ -167,7 +171,7 @@ def load_config(
             raise ConfigError(f"bad model spec: {exc}") from exc
     cell = model.get("cell", "gru")
     with_conv = bool(model.get("with_conv", True))
-    _require(cell in ("rnn", "lstm", "gru"), f"unknown cell {cell!r}")
+    _require(cell in CELLS, f"unknown cell {cell!r}")
 
     train_block = dict(raw.get("train", {}))
     if "PENDETECT_EPOCHS" in env:
@@ -215,7 +219,6 @@ def load_config(
         cutoff_scope=cutoff_scope,
         normalize=bool(raw.get("normalize", True)),
         clip_pcts=(float(clip[0]), float(clip[1])),
-        config_dir=path.parent,
     )
 
 
@@ -238,11 +241,10 @@ def load_sequences(config: ExperimentConfig) -> list:
             float(src["class_separation"]),
             seed=int(src.get("seed", config.seed)),
         )
-    manifest_path = (config.config_dir / src["path"]).resolve()
-    manifest = load_manifest(manifest_path, format=src["format"])
+    manifest = load_manifest(src["path"], format=src["format"])
     return load_dataset(
         manifest,
-        base_dir=manifest_path.parent,
+        base_dir=src["path"].parent,
         sample_rate_hz=src.get("sample_rate_hz"),
     )
 
@@ -252,9 +254,23 @@ def load_training_sequences(config: ExperimentConfig) -> list:
     sequences = load_sequences(config)
     if not sequences:
         # only a manifest can be empty: synthetic sources need n_per_class >= 1
-        manifest_path = (config.config_dir / config.source["path"]).resolve()
-        raise EmptyDataset(f"manifest {manifest_path} lists no recordings")
+        raise EmptyDataset(f"manifest {config.source['path']} lists no recordings")
     return sequences
+
+
+def _make_out_dir(path: Path) -> Path:
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise IoError(str(exc), path=str(path)) from exc
+    return path
+
+
+def _write_text(path: Path, text: str) -> None:
+    try:
+        path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise IoError(str(exc), path=str(path)) from exc
 
 
 def _model_spec(config: ExperimentConfig, input_size: int) -> ModelSpec:
@@ -300,7 +316,7 @@ def cmd_features(args) -> int:
     if not sequences:
         print("warning: dataset is empty, nothing to do", file=sys.stderr)
         return 0
-    feat_dir.mkdir(parents=True, exist_ok=True)
+    _make_out_dir(feat_dir)
     counts: Counter = Counter()
     for seq in sequences:
         fm = assemble_features(seq, config.features)
@@ -317,6 +333,7 @@ def cmd_features(args) -> int:
 def cmd_train(args) -> int:
     config = load_config(resolve_config_path(args), args.seed, args.out)
     sequences = load_training_sequences(config)
+    out = _make_out_dir(config.out_dir)
     probe = assemble_features(sequences[0], config.features)
     artifacts: dict = {}
     report = run_experiment(
@@ -331,10 +348,8 @@ def cmd_train(args) -> int:
         out_artifacts=artifacts,
     )
 
-    out = config.out_dir
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "report.json").write_text(report.to_json() + "\n", encoding="utf-8")
-    (out / "report.txt").write_text(report.to_table(), encoding="utf-8")
+    _write_text(out / "report.json", report.to_json() + "\n")
+    _write_text(out / "report.txt", report.to_table())
     emit_roc(report, out / "roc.csv")
 
     norm_ref = None
@@ -364,6 +379,7 @@ def cmd_train(args) -> int:
 def cmd_ablate(args) -> int:
     config = load_config(resolve_config_path(args), args.seed, args.out)
     sequences = load_training_sequences(config)
+    out = _make_out_dir(config.out_dir)
     report = run_ablation_grid(
         sequences,
         config.features,
@@ -373,10 +389,8 @@ def cmd_ablate(args) -> int:
         normalize=config.normalize,
         clip_pcts=config.clip_pcts,
     )
-    out = config.out_dir
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "ablation.json").write_text(report.to_json() + "\n", encoding="utf-8")
-    (out / "ablation.txt").write_text(report.to_table(), encoding="utf-8")
+    _write_text(out / "ablation.json", report.to_json() + "\n")
+    _write_text(out / "ablation.txt", report.to_table())
     print(report.to_table(), end="")
     print(f"ablation grid written to {out}")
     return 0
@@ -387,22 +401,14 @@ def score_file(checkpoint: str | Path, input_path: str | Path) -> float:
     preprocessing (feature groups, normalization statistics, cutoff)."""
     model, meta = load_checkpoint(checkpoint)
     pre = meta.get("preprocessing") or {}
-    ckpt_dir = Path(checkpoint).parent
-
-    fmt = pre.get("format", "tablet_svc")
-    rate = pre.get("sample_rate_hz")
-    if fmt in ("tablet_svc", "synthetic"):
-        seq = parse_tablet_file(input_path, sample_rate_hz=rate or 200.0)
-    else:
-        seq = parse_smartpen_file(input_path, sample_rate_hz=rate or 100.0)
-
+    seq = parse_recording(input_path, pre.get("format", "tablet_svc"), pre.get("sample_rate_hz"))
     selection = FeatureGroupSelection(
         tuple(pre.get("feature_groups", ["derived"])),
         pre.get("include_raw_pressure_in_derived", False),
     )
     fm = assemble_features(seq, selection)
     if meta.get("normalization_ref"):
-        stats = load_stats(ckpt_dir / meta["normalization_ref"])
+        stats = load_stats(Path(checkpoint).parent / meta["normalization_ref"])
         fm = apply_normalization(fm, stats)
     if pre.get("cutoff"):
         fm = fit_length(fm, LengthPolicy(cutoff=int(pre["cutoff"])))
@@ -411,7 +417,7 @@ def score_file(checkpoint: str | Path, input_path: str | Path) -> float:
 
 def cmd_score(args) -> int:
     p = score_file(args.checkpoint, args.input)
-    print(f"{p:.4f} {'PD' if p >= 0.5 else 'HC'}")
+    print(f"{p:.4f} {'PD' if p >= DECISION_THRESHOLD else 'HC'}")
     return 0
 
 

@@ -33,17 +33,13 @@ from .preprocess import (
     fit_length,
     fit_normalization,
 )
-from .nn import (
-    LABEL_TO_Y,
-    ModelSpec,
-    SequenceClassifier,
-    TrainConfig,
-    predict,
-    train_model,
-)
+from .nn import CELLS, ModelSpec, SequenceClassifier, TrainConfig, predict, train_model
+from .signal_io import LABEL_TO_Y
 
 HOLDOUT_ROUNDING = "per-class: round-half-up train, floor val, remainder test"
 CARVEOUT_FRACTION = 0.10
+#: a sample is called PD when its probability is at least this
+DECISION_THRESHOLD = 0.5
 ROC_FILE_VERSION = "pendetect-roc v1"
 
 
@@ -244,56 +240,15 @@ def make_splits(dataset, plan: SplitPlan) -> list[SplitIndices]:
 # metrics
 
 
-@dataclass(frozen=True)
-class MetricSet:
-    accuracy: float
-    auc: float
-    sensitivity: float
-    specificity: float
-    roc_points: tuple[tuple[float, float], ...]
-    confusion: tuple[int, int, int, int]  # tp, fp, tn, fn
-
-    def __post_init__(self):
-        tp, fp, tn, fn = self.confusion
-        total = tp + fp + tn + fn
-        if total <= 0:
-            raise ValueError("empty confusion matrix")
-        if self.accuracy != (tp + tn) / total:
-            raise ValueError("accuracy does not match the confusion counts")
-        if tp + fn > 0 and self.sensitivity != tp / (tp + fn):
-            raise ValueError("sensitivity does not match the confusion counts")
-        if tn + fp > 0 and self.specificity != tn / (tn + fp):
-            raise ValueError("specificity does not match the confusion counts")
-        if self.roc_points[0] != (0.0, 0.0) or self.roc_points[-1] != (1.0, 1.0):
-            raise ValueError("roc_points must run from (0,0) to (1,1)")
-
-    def to_dict(self) -> dict:
-        tp, fp, tn, fn = self.confusion
-        return {
-            "accuracy": self.accuracy,
-            "auc": self.auc,
-            "sensitivity": self.sensitivity,
-            "specificity": self.specificity,
-            "confusion": {"tp": tp, "fp": fp, "tn": tn, "fn": fn},
-            "roc_points": [list(p) for p in self.roc_points],
-        }
-
-
-def _as_y(label) -> int:
-    if isinstance(label, str):
-        return LABEL_TO_Y[label]
-    return int(label)
-
-
 def compute_roc(scores) -> list[tuple[float, float]]:
-    """Threshold-swept ROC curve over (probability, label) pairs.
+    """Threshold-swept ROC curve over (probability, 0/1 target) pairs.
 
     Thresholds sit at +inf and at every distinct score, predicting the
     positive class at score >= threshold; equal scores move as one step,
     so ties trace a single diagonal segment. Points run from (0,0) to
     (1,1) sorted by fpr.
     """
-    pairs = [(float(p), _as_y(y)) for p, y in scores]
+    pairs = [(float(p), int(y)) for p, y in scores]
     pos = sum(y for _, y in pairs)
     neg = len(pairs) - pos
     if pos == 0 or neg == 0:
@@ -326,23 +281,23 @@ def compute_auc(scores) -> float:
     return roc_auc_from_points(compute_roc(scores))
 
 
-def metrics_from_scores(scores, threshold: float = 0.5) -> MetricSet:
-    """Confusion counts at `threshold` plus ROC/AUC over the scores."""
-    pairs = [(float(p), _as_y(y)) for p, y in scores]
-    tp = sum(1 for p, y in pairs if p >= threshold and y == 1)
-    fp = sum(1 for p, y in pairs if p >= threshold and y == 0)
-    tn = sum(1 for p, y in pairs if p < threshold and y == 0)
-    fn = sum(1 for p, y in pairs if p < threshold and y == 1)
-    total = tp + fp + tn + fn
-    roc = tuple((x, y) for x, y in compute_roc(pairs))
-    return MetricSet(
-        accuracy=(tp + tn) / total,
-        auc=roc_auc_from_points(roc),
-        sensitivity=tp / (tp + fn) if tp + fn else 0.0,
-        specificity=tn / (tn + fp) if tn + fp else 0.0,
-        roc_points=roc,
-        confusion=(tp, fp, tn, fn),
-    )
+def metrics_from_scores(scores) -> dict:
+    """Confusion counts at DECISION_THRESHOLD plus ROC/AUC over
+    (probability, 0/1 target) pairs, as a report's per-fold metrics."""
+    pairs = [(float(p), int(y)) for p, y in scores]
+    tp = sum(1 for p, y in pairs if p >= DECISION_THRESHOLD and y == 1)
+    fp = sum(1 for p, y in pairs if p >= DECISION_THRESHOLD and y == 0)
+    tn = sum(1 for p, y in pairs if p < DECISION_THRESHOLD and y == 0)
+    fn = sum(1 for p, y in pairs if p < DECISION_THRESHOLD and y == 1)
+    roc = compute_roc(pairs)
+    return {
+        "accuracy": (tp + tn) / (tp + fp + tn + fn),
+        "auc": roc_auc_from_points(roc),
+        "sensitivity": tp / (tp + fn) if tp + fn else 0.0,
+        "specificity": tn / (tn + fp) if tn + fp else 0.0,
+        "confusion": {"tp": tp, "fp": fp, "tn": tn, "fn": fn},
+        "roc_points": [list(p) for p in roc],
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -471,10 +426,8 @@ def _carve_validation(
     even on small cohorts.
     """
     labels: dict[str, list[str]] = {}
-    subject_indices: dict[str, list[int]] = {}
     for i in train_idx:
         fm = matrices[i]
-        subject_indices.setdefault(fm.subject_id, []).append(i)
         if fm.subject_id not in labels.setdefault(fm.label, []):
             labels[fm.label].append(fm.subject_id)
     rng = np.random.default_rng(seed_words)
@@ -503,7 +456,7 @@ def _run_fold(
     clip_pcts: tuple[float, float],
     shuffle_labels: bool,
     carved: bool,
-) -> tuple[dict, list[tuple[float, int]], SequenceClassifier, dict]:
+) -> tuple[dict, dict]:
     train_ms = [matrices[i] for i in split.train]
     cutoff_src = train_ms if cutoff_scope == "train" else matrices
     policy = compute_cutoff(cutoff_src)
@@ -547,7 +500,6 @@ def _run_fold(
     probs, _ = predict(model, scored, train_config.batch_size)
     roles = ["train"] * len(train_pairs) + ["val"] * len(val_pairs) + ["test"] * len(test_pairs)
     samples = []
-    test_scores: list[tuple[float, int]] = []
     for role, i, (_, y), p in zip(roles, split.train + split.val + split.test, scored,
                                   probs.tolist()):
         src = matrices[i]
@@ -561,10 +513,7 @@ def _run_fold(
                 "p": p,
             }
         )
-        if role == "test":
-            test_scores.append((p, LABEL_TO_Y[src.label]))
 
-    metrics = metrics_from_scores(test_scores)
     epoch_secs = result.wall_clock_epoch_seconds
     entry = {
         "fold": fold_i,
@@ -575,7 +524,7 @@ def _run_fold(
         },
         "cutoff": policy.cutoff,
         "early_stop_carveout": carved,
-        "metrics": metrics.to_dict(),
+        "metrics": metrics_from_scores(_test_scores(samples)),
         "samples": samples,
         "training": {
             "epochs_run": result.epochs_run,
@@ -588,7 +537,12 @@ def _run_fold(
         "wall_clock_mean_epoch_seconds": float(np.mean(epoch_secs)),
     }
     artifacts = {"policy": policy, "stats": stats, "model": model}
-    return entry, test_scores, model, artifacts
+    return entry, artifacts
+
+
+def _test_scores(samples: list[dict]) -> list[tuple[float, int]]:
+    """(p, target) of a fold's test rows; test targets are never shuffled."""
+    return [(s["p"], s["y"]) for s in samples if s["role"] == "test"]
 
 
 def run_experiment(
@@ -640,7 +594,7 @@ def run_experiment(
                 split = SplitIndices(train=train_idx, val=val_idx, test=split.test)
                 carved = True
                 any_carved = True
-        entry, test_scores, _, artifacts = _run_fold(
+        entry, artifacts = _run_fold(
             fold_i,
             split,
             matrices,
@@ -654,7 +608,7 @@ def run_experiment(
             carved,
         )
         per_fold.append(entry)
-        pooled_scores.extend(test_scores)
+        pooled_scores.extend(_test_scores(entry["samples"]))
         last_artifacts = artifacts
 
     aggregate = {
@@ -711,16 +665,11 @@ def run_experiment(
     return report
 
 
-GRID_CELLS = ("rnn", "lstm", "gru")
-
-
 def run_ablation_grid(
     dataset,
     feature_selection: FeatureGroupSelection,
     train_config: TrainConfig,
     plan: SplitPlan,
-    *,
-    cells: tuple[str, ...] = GRID_CELLS,
     **experiment_kwargs,
 ) -> ExperimentReport:
     """Run the {rnn, lstm, gru} x {with_conv, without_conv} grid.
@@ -733,15 +682,16 @@ def run_ablation_grid(
     the table renders the per-cell speed comparison from them.
     """
     t_start = time.perf_counter()
+    input_size = assemble_features(dataset[0], feature_selection).m
     probe = None
     grid: dict[str, dict] = {}
-    for cell in cells:
+    for cell in CELLS:
         for with_conv in (True, False):
             name = f"{cell}/{'with_conv' if with_conv else 'without_conv'}"
             sub = run_experiment(
                 dataset,
                 feature_selection,
-                _grid_spec(dataset, feature_selection, cell, with_conv),
+                ModelSpec.reference(input_size, cell=cell, with_conv=with_conv),
                 train_config,
                 plan,
                 **experiment_kwargs,
@@ -756,13 +706,8 @@ def run_ablation_grid(
                 ),
             }
 
-    expected = {f"{c}/{tag}" for c in cells for tag in ("with_conv", "without_conv")}
-    missing = expected - set(grid)
-    if missing:
-        raise RuntimeError(f"ablation grid incomplete, missing {sorted(missing)}")
-
     notes = []
-    for cell in cells:
+    for cell in CELLS:
         with_c = grid[f"{cell}/with_conv"]
         without_c = grid[f"{cell}/without_conv"]
         acc_w = with_c["aggregate"]["accuracy"]
@@ -775,7 +720,7 @@ def run_ablation_grid(
 
     config = dict(probe.config)
     config.pop("model_spec", None)
-    config["grid_cells"] = sorted(expected)
+    config["grid_cells"] = sorted(grid)
     return ExperimentReport(
         kind="ablation",
         seed=plan.seed,
@@ -787,11 +732,6 @@ def run_ablation_grid(
         notes=notes,
         wall_clock_total_seconds=time.perf_counter() - t_start,
     )
-
-
-def _grid_spec(dataset, selection, cell, with_conv) -> ModelSpec:
-    probe = assemble_features(dataset[0], selection)
-    return ModelSpec.reference(probe.m, cell=cell, with_conv=with_conv)
 
 
 # ---------------------------------------------------------------------------

@@ -146,10 +146,8 @@ def displacement(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def directional_displacement(c: np.ndarray, axis: str) -> np.ndarray:
-    """Signed coordinate difference along one axis; first entry 0."""
-    if axis not in ("horizontal", "vertical"):
-        raise ValueError(f"axis must be 'horizontal' or 'vertical', got {axis!r}")
+def directional_displacement(c: np.ndarray) -> np.ndarray:
+    """Signed difference of one coordinate series; first entry 0."""
     c = np.asarray(c, dtype=np.float64)
     if len(c) < 2:
         raise TooShort(f"need at least 2 points, got {len(c)}")
@@ -158,18 +156,11 @@ def directional_displacement(c: np.ndarray, axis: str) -> np.ndarray:
     return out
 
 
-def time_derivative(
-    s: np.ndarray,
-    timestamps: np.ndarray,
-    tick_seconds: float,
-    nominal_interval_s: float | None = None,
-) -> np.ndarray:
+def time_derivative(s: np.ndarray, timestamps: np.ndarray, tick_seconds: float) -> np.ndarray:
     """Backward-difference time derivative; first entry 0.
 
     Each delta divides by the actual timestamp gap converted to seconds,
-    floored at one nominal sample interval so that repeated ticks cannot
-    divide by zero. ``nominal_interval_s`` defaults to ``tick_seconds``,
-    which is correct when timestamps advance one tick per sample.
+    floored at one tick so that repeated ticks cannot divide by zero.
     """
     s = np.asarray(s, dtype=np.float64)
     timestamps = np.asarray(timestamps, dtype=np.float64)
@@ -179,10 +170,9 @@ def time_derivative(
         )
     if tick_seconds <= 0:
         raise ValueError("tick_seconds must be positive")
-    eps_t = tick_seconds if nominal_interval_s is None else nominal_interval_s
     out = np.zeros_like(s)
     if len(s) > 1:
-        dt = np.maximum(np.diff(timestamps) * tick_seconds, eps_t)
+        dt = np.maximum(np.diff(timestamps) * tick_seconds, tick_seconds)
         out[1:] = np.diff(s) / dt
     return out
 
@@ -190,13 +180,13 @@ def time_derivative(
 # ---------------------------------------------------------------------------
 # assembly
 
-def _tablet_column_builders(seq: SignalSequence, tick_seconds: float):
+def _tablet_column_builders(seq: SignalSequence):
     ts = seq.channels["timestamp"]
-    nominal = 1.0 / seq.sample_rate_hz
+    tick_seconds = 1.0 / seq.sample_rate_hz
     cache: dict[str, np.ndarray] = {}
 
     def deriv(series: np.ndarray) -> np.ndarray:
-        return time_derivative(series, ts, tick_seconds, nominal_interval_s=nominal)
+        return time_derivative(series, ts, tick_seconds)
 
     def col(name: str) -> np.ndarray:
         if name in cache:
@@ -208,9 +198,9 @@ def _tablet_column_builders(seq: SignalSequence, tick_seconds: float):
         elif name == "displacement":
             out = displacement(seq.channels["x"], seq.channels["y"])
         elif name == "horizontal_displacement":
-            out = directional_displacement(seq.channels["x"], "horizontal")
+            out = directional_displacement(seq.channels["x"])
         elif name == "vertical_displacement":
-            out = directional_displacement(seq.channels["y"], "vertical")
+            out = directional_displacement(seq.channels["y"])
         elif name in ("velocity", "horizontal_velocity", "vertical_velocity"):
             out = deriv(col(name.replace("velocity", "displacement")))
         elif name in ("acceleration", "horizontal_acceleration", "vertical_acceleration"):
@@ -228,24 +218,16 @@ def _tablet_column_builders(seq: SignalSequence, tick_seconds: float):
     return col
 
 
-def assemble_features(
-    seq: SignalSequence,
-    selection: FeatureGroupSelection,
-    tick_seconds: float | None = None,
-) -> FeatureMatrix:
+def assemble_features(seq: SignalSequence, selection: FeatureGroupSelection) -> FeatureMatrix:
     """Build the FeatureMatrix for the selected groups.
 
     Selected groups are laid out in canonical order (raw, inclination,
     pressure, kinematic, derived); a column name already emitted by an
     earlier group is not repeated.
 
-    ``tick_seconds`` converts timestamp ticks to seconds; the default of
-    one nominal sample interval per tick matches data whose timestamps
-    count samples.
+    Timestamps count samples: one tick is one nominal sample interval,
+    ``1 / seq.sample_rate_hz`` seconds.
     """
-    if tick_seconds is None:
-        tick_seconds = 1.0 / seq.sample_rate_hz
-
     if seq.is_smartpen() and not seq.is_tablet():
         if selection.groups != ("raw",):
             needed = set(selection.groups) - {"raw"}
@@ -291,7 +273,7 @@ def assemble_features(
     if any(n.endswith("jerk") for n in names) and seq.length < 4:
         raise TooShort(f"jerk needs at least 4 time-steps, got {seq.length}")
 
-    col = _tablet_column_builders(seq, tick_seconds)
+    col = _tablet_column_builders(seq)
     values = np.column_stack([col(name) for name in names])
     return FeatureMatrix(
         values=values,

@@ -14,7 +14,6 @@ from .model import (
 )
 from .optim import Adam
 from .train import (
-    LABEL_TO_Y,
     TrainConfig,
     TrainResult,
     mean_eval_loss,
@@ -39,7 +38,6 @@ __all__ = [
     "load_checkpoint",
     "spec_hash",
     "Adam",
-    "LABEL_TO_Y",
     "TrainConfig",
     "TrainResult",
     "mean_eval_loss",

@@ -13,8 +13,6 @@ from .losses import bce_logit_grad, bce_loss
 from .model import SequenceClassifier
 from .optim import Adam
 
-LABEL_TO_Y = {"HC": 0, "PD": 1}
-
 
 @dataclass(frozen=True)
 class TrainConfig:

@@ -31,6 +31,8 @@ from .errors import (
 PD = "PD"
 HC = "HC"
 LABELS = (PD, HC)
+#: model target of each label: PD is the positive class
+LABEL_TO_Y = {HC: 0, PD: 1}
 
 #: channel names of a tablet recording, in canonical order
 TABLET_CHANNELS = ("x", "y", "timestamp", "pressure", "tilt_x", "tilt_y", "button")
@@ -233,6 +235,24 @@ def parse_smartpen_file(
     )
 
 
+def parse_recording(
+    path: str | Path, format: str, sample_rate_hz: float | None = None, **ids
+) -> SignalSequence:
+    """Parse one recording stored in a manifest ``format``.
+
+    Smart-pen files go to parse_smartpen_file, tablet and synthetic files
+    to parse_tablet_file. ``sample_rate_hz`` None keeps that parser's
+    nominal rate (100 Hz smart pen, 200 Hz tablet); ``ids`` (subject_id,
+    task_id, label) pass through to it.
+    """
+    if format not in MANIFEST_FORMATS:
+        raise ValueError(f"unknown recording format {format!r}")
+    parse = parse_smartpen_file if format == "smartpen_channels" else parse_tablet_file
+    if sample_rate_hz is not None:
+        ids["sample_rate_hz"] = sample_rate_hz
+    return parse(path, **ids)
+
+
 # ---------------------------------------------------------------------------
 # writing (round-trip counterpart of the parsers; used by `synth` and tests)
 
@@ -381,7 +401,6 @@ def write_manifest(manifest: DatasetManifest, path: str | Path) -> None:
 def load_dataset(
     manifest: DatasetManifest,
     base_dir: str | Path | None = None,
-    column_map: tuple[str, ...] = DEFAULT_TABLET_COLUMNS,
     sample_rate_hz: float | None = None,
 ) -> list[SignalSequence]:
     """Parse every manifest entry, attaching ids and labels from the manifest."""
@@ -395,25 +414,14 @@ def load_dataset(
         seen.add(key)
 
     base = Path(base_dir) if base_dir is not None else None
-    sequences: list[SignalSequence] = []
-    for e in manifest.entries:
-        file_path = Path(e.path) if base is None else base / e.path
-        if manifest.format in ("tablet_svc", "synthetic"):
-            seq = parse_tablet_file(
-                file_path,
-                column_map=column_map,
-                sample_rate_hz=sample_rate_hz or 200.0,
-                subject_id=e.subject_id,
-                task_id=e.task_id,
-                label=e.label,
-            )
-        else:
-            seq = parse_smartpen_file(
-                file_path,
-                sample_rate_hz=sample_rate_hz or 100.0,
-                subject_id=e.subject_id,
-                task_id=e.task_id,
-                label=e.label,
-            )
-        sequences.append(seq)
-    return sequences
+    return [
+        parse_recording(
+            Path(e.path) if base is None else base / e.path,
+            manifest.format,
+            sample_rate_hz,
+            subject_id=e.subject_id,
+            task_id=e.task_id,
+            label=e.label,
+        )
+        for e in manifest.entries
+    ]

@@ -14,6 +14,7 @@ from pendetect.cli import (
 from pendetect.errors import ConfigError, TrainingError
 from pendetect.evaluation import strip_wall_clock
 from pendetect.nn import ModelSpec, SequenceClassifier
+from pendetect.signal_io import SMARTPEN_CHANNELS, SignalSequence, write_smartpen_file
 
 
 def _write_config(path: Path, **overrides) -> Path:
@@ -274,6 +275,27 @@ def test_score_zero_weight_checkpoint_prints_half(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "0.5000 PD"
 
 
+def test_score_smartpen_checkpoint_matches_forward(tmp_path, capsys):
+    rng = np.random.default_rng(5)
+    values = rng.normal(0.0, 1.0, (45, len(SMARTPEN_CHANNELS)))
+    pen = tmp_path / "pen.txt"
+    write_smartpen_file(
+        SignalSequence("s", "t", None, dict(zip(SMARTPEN_CHANNELS, values.T))), pen
+    )
+    model = SequenceClassifier(ModelSpec.reference(6), 6, np.random.default_rng(1))
+    ckpt = tmp_path / "pen.ckpt"
+    model.save_checkpoint(
+        ckpt,
+        preprocessing={"cutoff": 30, "feature_groups": ["raw"], "format": "smartpen_channels"},
+    )
+    expected = model.forward(values[:30])
+    assert score_file(ckpt, pen) == expected
+    capsys.readouterr()
+    assert main(["score", "--checkpoint", str(ckpt), "--input", str(pen)]) == 0
+    label = "PD" if expected >= 0.5 else "HC"
+    assert capsys.readouterr().out.strip() == f"{expected:.4f} {label}"
+
+
 def test_score_too_short_input_is_a_data_error(tmp_path, capsys):
     model = SequenceClassifier(ModelSpec.reference(16), 16, np.random.default_rng(0))
     ckpt = tmp_path / "m.ckpt"
@@ -318,6 +340,41 @@ def test_exit_code_training_failure(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("pendetect.cli.run_experiment", boom)
     assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
     assert "training failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, runner", [("train", "run_experiment"), ("ablate", "run_ablation_grid")]
+)
+def test_uncreatable_out_fails_before_any_training(tmp_path, capsys, monkeypatch,
+                                                   command, runner):
+    def never(*args, **kwargs):
+        pytest.fail(f"{runner} ran although the output directory cannot be created")
+
+    monkeypatch.setattr(f"pendetect.cli.{runner}", never)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "run"
+    cfg = _write_config(tmp_path / "c.json")
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert str(out) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, report", [("train", "report.json"), ("ablate", "ablation.json")])
+def test_unwritable_report_is_an_io_error(tmp_path, capsys, command, report):
+    cfg = _write_config(
+        tmp_path / "c.json",
+        source={
+            "kind": "synthetic",
+            "n_per_class": 3,
+            "length_range": [25, 35],
+            "class_separation": 1.0,
+        },
+        train={"epochs": 1, "early_stop_patience": None},
+        features={"groups": ["pressure"]},
+    )
+    (tmp_path / "o" / report).mkdir(parents=True)
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert str(tmp_path / "o" / report) in capsys.readouterr().err
 
 
 def test_missing_config_flag_is_a_config_error(capsys):

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from pendetect.errors import IoError, ParseError, SingleClass, TooSmall, TrainingError
 from pendetect.evaluation import (
     ExperimentReport,
-    MetricSet,
     SplitPlan,
     compute_auc,
     compute_roc,
@@ -250,38 +249,11 @@ def test_roc_monotone():
 def test_metrics_hand_case():
     scores = [(0.9, 1), (0.6, 1), (0.4, 1), (0.8, 0), (0.3, 0), (0.2, 0)]
     m = metrics_from_scores(scores)
-    assert m.confusion == (2, 1, 2, 1)
-    assert m.accuracy == pytest.approx(4 / 6)
-    assert m.sensitivity == pytest.approx(2 / 3)
-    assert m.specificity == pytest.approx(2 / 3)
-    assert m.auc == pytest.approx(_auc_pairwise(scores), abs=1e-12)
-
-
-def test_metrics_accept_string_labels():
-    m = metrics_from_scores([(0.9, "PD"), (0.1, "HC")])
-    assert m.accuracy == 1.0
-
-
-def test_metric_set_rejects_inconsistent_fields():
-    roc = ((0.0, 0.0), (1.0, 1.0))
-    with pytest.raises(ValueError):
-        MetricSet(
-            accuracy=0.9,
-            auc=0.5,
-            sensitivity=1.0,
-            specificity=1.0,
-            roc_points=roc,
-            confusion=(1, 0, 1, 0),
-        )
-    with pytest.raises(ValueError):
-        MetricSet(
-            accuracy=1.0,
-            auc=0.5,
-            sensitivity=1.0,
-            specificity=1.0,
-            roc_points=((0.0, 0.0), (0.5, 0.5)),
-            confusion=(1, 0, 1, 0),
-        )
+    assert m["confusion"] == {"tp": 2, "fp": 1, "tn": 2, "fn": 1}
+    assert m["accuracy"] == pytest.approx(4 / 6)
+    assert m["sensitivity"] == pytest.approx(2 / 3)
+    assert m["specificity"] == pytest.approx(2 / 3)
+    assert m["auc"] == pytest.approx(_auc_pairwise(scores), abs=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
@@ -397,7 +369,7 @@ def test_label_shuffle_is_visible_in_the_audit_trail():
     plan = SplitPlan.kfold(2, seed=3)
 
     def train_mismatches(report):
-        from pendetect.nn import LABEL_TO_Y
+        from pendetect.signal_io import LABEL_TO_Y
 
         return sum(
             1
@@ -508,7 +480,7 @@ def test_ablation_fingerprint_does_not_depend_on_the_clock(monkeypatch):
     for tick in (1.0, 3.0):
         clock = itertools.count(step=tick)
         monkeypatch.setattr(time, "perf_counter", lambda: float(next(clock)))
-        report = run_ablation_grid(seqs, sel, config, plan, cells=("rnn",))
+        report = run_ablation_grid(seqs, sel, config, plan)
         fingerprints.append(report.fingerprint())
     assert fingerprints[0] == fingerprints[1]
 

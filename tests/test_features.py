@@ -71,13 +71,13 @@ def test_displacement_errors():
 
 def test_directional_displacement_constant():
     np.testing.assert_array_equal(
-        directional_displacement([5, 5, 5], "horizontal"), [0.0, 0.0, 0.0]
+        directional_displacement([5, 5, 5]), [0.0, 0.0, 0.0]
     )
 
 
 def test_directional_displacement_signed():
     np.testing.assert_array_equal(
-        directional_displacement([0, 2, 1], "vertical"), [0.0, 2.0, -1.0]
+        directional_displacement([0, 2, 1]), [0.0, 2.0, -1.0]
     )
 
 
@@ -86,15 +86,13 @@ def test_directional_matches_displacement_when_other_axis_flat():
     c = rng.integers(-100, 100, 30).astype(float)
     zeros = np.zeros(30)
     np.testing.assert_array_equal(
-        np.abs(directional_displacement(c, "horizontal")), displacement(c, zeros)
+        np.abs(directional_displacement(c)), displacement(c, zeros)
     )
 
 
 def test_directional_displacement_errors():
-    with pytest.raises(ValueError):
-        directional_displacement([0, 1], "diagonal")
     with pytest.raises(TooShort):
-        directional_displacement([0], "horizontal")
+        directional_displacement([0])
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from pendetect.nn import (
     train_model,
     train_step,
 )
-from pendetect.nn.train import LABEL_TO_Y
+from pendetect.signal_io import LABEL_TO_Y
 
 
 def _fm(values, label="PD", subject="s", task="t"):

@@ -23,6 +23,7 @@ from pendetect.signal_io import (
     generate_synthetic,
     load_dataset,
     load_manifest,
+    parse_recording,
     parse_smartpen_file,
     parse_tablet_file,
     write_manifest,
@@ -204,6 +205,34 @@ def test_parse_smartpen_wrong_arity(tmp_path):
     with pytest.raises(MalformedLine) as exc:
         parse_smartpen_file(p)
     assert exc.value.line_no == 2
+
+
+# ---------------------------------------------------------------------------
+# one loader per manifest format
+
+@pytest.mark.parametrize(
+    "fmt, line, default_hz",
+    [
+        ("tablet_svc", "1 2 0 1 300 400 600\n", 200.0),
+        ("synthetic", "1 2 0 1 300 400 600\n", 200.0),
+        ("smartpen_channels", "0.5 1 2 3 4 5\n", 100.0),
+    ],
+)
+def test_parse_recording_rate_defaults_by_format(tmp_path, fmt, line, default_hz):
+    p = tmp_path / "rec.txt"
+    p.write_text(line * 3)
+    seq = parse_recording(p, fmt, subject_id="s1", task_id="spiral", label="PD")
+    assert seq.sample_rate_hz == default_hz
+    assert (seq.subject_id, seq.task_id, seq.label, seq.length) == ("s1", "spiral", "PD", 3)
+    assert (fmt == "smartpen_channels") == seq.is_smartpen()
+    assert parse_recording(p, fmt, 50.0).sample_rate_hz == 50.0
+
+
+def test_parse_recording_rejects_unknown_format(tmp_path):
+    p = tmp_path / "rec.txt"
+    p.write_text("0.5 1 2 3 4 5\n")
+    with pytest.raises(ValueError, match="format"):
+        parse_recording(p, "smartpen")
 
 
 # ---------------------------------------------------------------------------
