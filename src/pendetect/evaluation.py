@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import IoError, ParseError, SingleClass, TooSmall, TrainingError
+from .errors import IoError, SingleClass, TooSmall, TrainingError
 from .features import FeatureGroupSelection, FeatureMatrix, assemble_features
 from .preprocess import (
     NormalizationStats,
@@ -265,20 +265,15 @@ def compute_roc(scores) -> list[tuple[float, float]]:
 
 
 def roc_auc_from_points(points) -> float:
-    """Trapezoidal area under an fpr-sorted ROC polyline."""
+    """Trapezoidal area under an fpr-sorted ROC polyline.
+
+    Over compute_roc's tie-grouped polyline this equals the normalized
+    Mann-Whitney statistic P(score_pos > score_neg) + 0.5 * P(tie).
+    """
     area = 0.0
     for (x0, y0), (x1, y1) in zip(points, points[1:]):
         area += (x1 - x0) * (y0 + y1) / 2.0
     return area
-
-
-def compute_auc(scores) -> float:
-    """AUC by trapezoidal integration of the tie-grouped ROC.
-
-    Equals the normalized Mann-Whitney statistic
-    P(score_pos > score_neg) + 0.5 * P(tie).
-    """
-    return roc_auc_from_points(compute_roc(scores))
 
 
 def metrics_from_scores(scores) -> dict:
@@ -754,23 +749,3 @@ def emit_roc(report: ExperimentReport, path: str | Path) -> None:
         Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
     except OSError as exc:
         raise IoError(str(exc), path=str(path)) from exc
-
-
-def read_roc(path: str | Path) -> tuple[list[tuple[float, float]], float]:
-    """Parse an emit_roc file back to (points, stated_auc)."""
-    try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise IoError(str(exc), path=str(path)) from exc
-    if not lines or lines[0] != f"# {ROC_FILE_VERSION}":
-        raise ParseError(f"expected header '# {ROC_FILE_VERSION}'", path=str(path))
-    if not lines[1].startswith("# auc="):
-        raise ParseError("missing auc header comment", path=str(path))
-    auc = float(lines[1][len("# auc=") :])
-    points = []
-    for line in lines[3:]:
-        if not line:
-            continue
-        fpr, tpr = line.split(",")
-        points.append((float(fpr), float(tpr)))
-    return points, auc

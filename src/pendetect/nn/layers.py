@@ -118,6 +118,9 @@ class Conv1d(Layer):
                            in_channels * kernel, out_channels * kernel)
         super().__init__(W=w, b=np.zeros(out_channels))
         self._cache = None
+        # backward returns dx only when a layer below needs it; a model's
+        # first conv clears this, and its backward then returns None
+        self._input_grad = True
 
     @staticmethod
     def output_length(t: int, kernel: int, stride: int) -> int:
@@ -141,7 +144,7 @@ class Conv1d(Layer):
         self._cache = (x, out) if train else None
         return out
 
-    def backward(self, dout: np.ndarray) -> np.ndarray:
+    def backward(self, dout: np.ndarray) -> np.ndarray | None:
         x, out = self._cache
         self._cache = None
         if self.activation == "relu":
@@ -150,11 +153,12 @@ class Conv1d(Layer):
         span = self.stride * (dout.shape[0] - 1) + 1
         rows = dout.reshape(-1, self.out_channels)
         self.grads["b"] += rows.sum(axis=0)
-        dx = np.zeros_like(x)
+        dx = np.zeros_like(x) if self._input_grad else None
         for j in range(self.kernel):
             taps = x[j : j + span : self.stride].reshape(-1, self.in_channels)
             self.grads["W"][j] += taps.T @ rows
-            dx[j : j + span : self.stride] += (rows @ w[j].T).reshape(-1, x.shape[1], x.shape[2])
+            if dx is not None:
+                dx[j : j + span : self.stride] += (rows @ w[j].T).reshape(-1, *x.shape[1:])
         return dx
 
 

@@ -22,6 +22,7 @@ timestamps, so identical runs write identical files.
 from __future__ import annotations
 
 import base64
+import copy
 import hashlib
 import json
 from dataclasses import asdict, dataclass
@@ -29,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import DimensionMismatch, InputTooShort, IoError, SpecMismatch
+from ..errors import DimensionMismatch, InputTooShort, IoError, ParseError, SpecMismatch
 from .layers import CELLS, GATES, Conv1d, DenseSigmoid, Recurrent
 
 CHECKPOINT_VERSION = "pendetect-checkpoint v1"
@@ -174,6 +175,8 @@ class SequenceClassifier:
                 Conv1d(c.in_channels, c.out_channels, c.kernel, c.stride, c.activation, rng)
             )
             width = c.out_channels
+        if self.convs:
+            self.convs[0]._input_grad = False  # nothing reads the gradient of the input
         self.recurrents: list[Recurrent] = []
         for r in spec.recurrent_layers:
             layer = Recurrent(
@@ -343,26 +346,60 @@ class SequenceClassifier:
             target[...] = np.frombuffer(raw, dtype=np.float64).reshape(target.shape)
 
 
+# the last checkpoint decoded: (file bytes, spec, input_size, theta, meta)
+_last_decoded: tuple[bytes, ModelSpec, int, np.ndarray, dict] | None = None
+
+
+def _decode_checkpoint(raw: bytes, path: str | Path) -> tuple[SequenceClassifier, dict]:
+    """Parse and verify checkpoint bytes; a malformed file is a ParseError
+    naming `path`, a foreign format or spec a SpecMismatch."""
+    try:
+        doc = json.loads(raw.decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
+        raise ParseError(f"not a JSON checkpoint: {exc}", path=str(path)) from exc
+    if not isinstance(doc, dict):
+        raise ParseError("checkpoint is not a JSON object", path=str(path))
+    if doc.get("format") != CHECKPOINT_VERSION:
+        raise SpecMismatch(f"unknown checkpoint format {doc.get('format')!r}")
+    try:
+        spec = ModelSpec.from_dict(doc["spec"])
+        input_size = int(doc["input_size"])
+        if spec_hash(spec, input_size) != doc["spec_sha256"]:
+            raise SpecMismatch("spec hash does not match the stored spec")
+        model = SequenceClassifier(spec, input_size, rng=None)
+        model.load_parameters(doc)
+    except KeyError as exc:
+        raise ParseError(f"checkpoint has no {exc} entry", path=str(path)) from exc
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"malformed checkpoint: {exc}", path=str(path)) from exc
+    ref, pre = doc.get("normalization_ref"), doc.get("preprocessing")
+    if not (ref is None or isinstance(ref, str)) or not (pre is None or isinstance(pre, dict)):
+        raise ParseError("malformed checkpoint: wrongly typed metadata", path=str(path))
+    return model, {"normalization_ref": ref, "preprocessing": pre}
+
+
 def load_checkpoint(path: str | Path) -> tuple[SequenceClassifier, dict]:
     """Rebuild the model stored at `path`.
 
     Returns (model, meta) where meta holds the non-parameter payload:
     "normalization_ref" and "preprocessing" as stored by save_checkpoint.
+
+    The file is read on every call, but the last file that decoded is
+    kept: when the bytes are equal, the JSON parse, the spec-hash check
+    and the base64 decode are skipped. Every call returns a new model and
+    a new meta, so changing one never reaches the next load.
     """
+    global _last_decoded
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        raw = Path(path).read_bytes()
     except OSError as exc:
         raise IoError(str(exc), path=str(path)) from exc
-    if doc.get("format") != CHECKPOINT_VERSION:
-        raise SpecMismatch(f"unknown checkpoint format {doc.get('format')!r}")
-    spec = ModelSpec.from_dict(doc["spec"])
-    input_size = int(doc["input_size"])
-    if spec_hash(spec, input_size) != doc["spec_sha256"]:
-        raise SpecMismatch("spec hash does not match the stored spec")
-    model = SequenceClassifier(spec, input_size, rng=None)
-    model.load_parameters(doc)
-    meta = {
-        "normalization_ref": doc.get("normalization_ref"),
-        "preprocessing": doc.get("preprocessing"),
-    }
-    return model, meta
+    last = _last_decoded  # one read: another thread may replace the entry
+    if last is None or last[0] != raw:
+        model, meta = _decode_checkpoint(raw, path)
+        _last_decoded = (raw, model.spec, model.input_size, model.theta.copy(), meta)
+    else:
+        _, spec, input_size, theta, meta = last
+        model = SequenceClassifier(spec, input_size, rng=None)
+        model.theta[...] = theta
+    return model, copy.deepcopy(meta)

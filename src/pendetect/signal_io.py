@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -131,33 +132,36 @@ def _parse_numeric_lines(path: str | Path, arity: int) -> tuple[np.ndarray, list
     row. A first line that does not match the arity is treated as a header and
     skipped with a warning; blank lines are ignored. A nan or infinite value
     is a MalformedLine naming its line.
+
+    Every token goes through float() in one pass over the whole file; only
+    when a line has the wrong arity or a token does not convert does a
+    line-by-line scan run, to name the first faulty line.
     """
-    lines = _read_lines(path)
-    rows: list[list[float]] = []
-    line_nos: list[int] = []
-    for line_no, line in enumerate(lines, start=1):
-        tokens = line.split()
-        if not tokens:
-            continue
-        if len(tokens) != arity:
-            if not rows and line_no == 1:
-                warnings.warn(
-                    f"{path}: skipping line 1 ({len(tokens)} fields, expected {arity}); "
-                    "assumed to be a header",
-                    stacklevel=3,
-                )
-                continue
-            raise MalformedLine(
-                line_no, f"expected {arity} fields, got {len(tokens)}", path=str(path)
-            )
-        try:
-            rows.append([float(t) for t in tokens])
-        except ValueError as exc:
-            raise MalformedLine(line_no, f"non-numeric field: {exc}", path=str(path)) from exc
-        line_nos.append(line_no)
-    if not rows:
+    split = list(map(str.split, _read_lines(path)))
+    counts = np.fromiter(map(len, split), dtype=np.intp, count=len(split))
+    start = 0
+    if split and int(counts[0]) not in (0, arity):
+        warnings.warn(
+            f"{path}: skipping line 1 ({counts[0]} fields, expected {arity}); "
+            "assumed to be a header",
+            stacklevel=3,
+        )
+        counts[0] = 0
+        start = 1
+    rows = np.flatnonzero(counts)
+    if np.any(counts[rows] != arity):
+        _raise_first_fault(split, arity, start, path)
+    try:
+        flat = np.fromiter(
+            map(float, chain.from_iterable(split[start:])), dtype=np.float64,
+            count=rows.size * arity,
+        )
+    except ValueError:
+        _raise_first_fault(split, arity, start, path)
+    if not rows.size:
         raise EmptyFile(path=str(path))
-    values = np.asarray(rows, dtype=np.float64)
+    values = flat.reshape(-1, arity)
+    line_nos = (rows + 1).tolist()
     # float() also reads nan, inf and out-of-range numbers such as 1e999
     bad = np.argwhere(~np.isfinite(values))
     if bad.size:
@@ -166,6 +170,21 @@ def _parse_numeric_lines(path: str | Path, arity: int) -> tuple[np.ndarray, list
             line_nos[row], f"non-finite value in field {col + 1}", path=str(path)
         )
     return values, line_nos
+
+
+def _raise_first_fault(split: list[list[str]], arity: int, start: int, path) -> None:
+    """Raise the MalformedLine of the first line from index `start` on, in
+    file order, that has the wrong arity or a token float() rejects."""
+    for line_no, tokens in enumerate(split[start:], start=start + 1):
+        if tokens and len(tokens) != arity:
+            raise MalformedLine(
+                line_no, f"expected {arity} fields, got {len(tokens)}", path=str(path)
+            )
+        try:
+            [float(t) for t in tokens]
+        except ValueError as exc:
+            raise MalformedLine(line_no, f"non-numeric field: {exc}", path=str(path)) from exc
+    raise AssertionError("no faulty line found")
 
 
 def parse_tablet_file(
@@ -254,7 +273,7 @@ def parse_recording(
 
 
 # ---------------------------------------------------------------------------
-# writing (round-trip counterpart of the parsers; used by `synth` and tests)
+# writing (round-trip counterpart of the tablet parser; used by `synth`)
 
 def write_tablet_file(
     seq: SignalSequence,
@@ -266,14 +285,6 @@ def write_tablet_file(
     with open(path, "w", encoding="utf-8") as fh:
         for row in zip(*cols):
             fh.write(" ".join(str(int(round(v))) for v in row) + "\n")
-
-
-def write_smartpen_file(seq: SignalSequence, path: str | Path) -> None:
-    """Write a smart-pen sequence; floats use shortest round-trip decimals."""
-    cols = [seq.channels[name] for name in SMARTPEN_CHANNELS]
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in zip(*cols):
-            fh.write(" ".join(repr(float(v)) for v in row) + "\n")
 
 
 # ---------------------------------------------------------------------------

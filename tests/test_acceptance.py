@@ -19,7 +19,8 @@ import pytest
 from pendetect.cli import load_config, main
 from pendetect.evaluation import (
     SplitPlan,
-    compute_auc,
+    compute_roc,
+    roc_auc_from_points,
     run_experiment,
     strip_wall_clock,
 )
@@ -188,7 +189,7 @@ def test_criterion_3_auc_oracle():
         wins = sum(1 for a in pos for b in neg if a > b)
         ties = sum(1 for a in pos for b in neg if a == b)
         oracle = (wins + 0.5 * ties) / (len(pos) * len(neg))
-        worst = max(worst, abs(compute_auc(pairs) - oracle))
+        worst = max(worst, abs(roc_auc_from_points(compute_roc(pairs)) - oracle))
     _verdict(3, worst < 1e-12, f"1000 score sets, max |trapezoid - pairwise| {worst:.3e}")
 
 

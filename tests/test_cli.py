@@ -1,4 +1,5 @@
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -13,8 +14,10 @@ from pendetect.cli import (
 )
 from pendetect.errors import ConfigError, TrainingError
 from pendetect.evaluation import strip_wall_clock
+from pendetect.features import FeatureGroupSelection, assemble_features
 from pendetect.nn import ModelSpec, SequenceClassifier
-from pendetect.signal_io import SMARTPEN_CHANNELS, SignalSequence, write_smartpen_file
+from pendetect.preprocess import LengthPolicy, fit_length
+from pendetect.signal_io import SMARTPEN_CHANNELS, parse_recording
 
 
 def _write_config(path: Path, **overrides) -> Path:
@@ -279,9 +282,7 @@ def test_score_smartpen_checkpoint_matches_forward(tmp_path, capsys):
     rng = np.random.default_rng(5)
     values = rng.normal(0.0, 1.0, (45, len(SMARTPEN_CHANNELS)))
     pen = tmp_path / "pen.txt"
-    write_smartpen_file(
-        SignalSequence("s", "t", None, dict(zip(SMARTPEN_CHANNELS, values.T))), pen
-    )
+    pen.write_text("".join(" ".join(map(repr, row)) + "\n" for row in values.tolist()))
     model = SequenceClassifier(ModelSpec.reference(6), 6, np.random.default_rng(1))
     ckpt = tmp_path / "pen.ckpt"
     model.save_checkpoint(
@@ -306,6 +307,72 @@ def test_score_too_short_input_is_a_data_error(tmp_path, capsys):
     short.write_text("0 0 0 1 0 0 100\n")
     assert main(["score", "--checkpoint", str(ckpt), "--input", str(short)]) == 2
     assert "data error" in capsys.readouterr().err
+
+
+def test_score_reads_a_checkpoint_rewritten_in_place(tmp_path):
+    data = tmp_path / "data"
+    main(["synth", "--out", str(data), "--n-per-class", "1",
+          "--min-length", "40", "--max-length", "40", "--seed", "3"])
+    svc = next(data.glob("*.svc"))
+    ckpt = tmp_path / "model.ckpt"
+    pre = {"cutoff": 40, "feature_groups": ["kinematic"], "format": "synthetic"}
+    scores = []
+    for seed in (31, 32, 31):
+        model = SequenceClassifier(ModelSpec.reference(16), 16, np.random.default_rng(seed))
+        stat = ckpt.stat() if ckpt.exists() else None
+        model.save_checkpoint(ckpt, preprocessing=pre)
+        if stat is not None:  # same size and mtime: only the bytes tell the files apart
+            assert ckpt.stat().st_size == stat.st_size
+            os.utime(ckpt, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        expected = model.forward(fit_length(assemble_features(
+            parse_recording(svc, "synthetic"), FeatureGroupSelection(("kinematic",))
+        ), LengthPolicy(cutoff=40)).values)
+        scores.append(score_file(ckpt, svc))
+        assert scores[-1] == expected
+        assert score_file(ckpt, svc) == expected
+    assert scores[0] != scores[1]
+
+
+def _corrupt_checkpoint(path: Path, kind: str) -> None:
+    model = SequenceClassifier(ModelSpec.reference(16), 16, np.random.default_rng(0))
+    model.save_checkpoint(path)
+    raw = path.read_bytes()
+    if kind == "truncated":
+        path.write_bytes(raw[: len(raw) // 2])
+    elif kind == "not-utf-8":
+        path.write_bytes(b"\xff\xfe" + raw)
+    else:
+        doc = json.loads(raw)
+        if kind == "no-spec":
+            del doc["spec"]
+        elif kind == "list-spec":
+            doc["spec"] = ["gru"]
+        elif kind == "short-block":
+            doc["params"]["head/b"]["data"] = "AAAA"
+        elif kind == "list-preprocessing":
+            doc["preprocessing"] = [40]
+        path.write_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "kind",
+    ["no-spec", "truncated", "not-utf-8", "list-spec", "short-block", "list-preprocessing"],
+)
+def test_corrupt_checkpoint_is_a_data_error_naming_the_file(tmp_path, capsys, kind):
+    svc = tmp_path / "rec.svc"
+    svc.write_text("0 0 0 1 0 0 100\n" * 40)
+    good, bad = tmp_path / "good.ckpt", tmp_path / "bad.ckpt"
+    SequenceClassifier(ModelSpec.reference(16), 16, np.random.default_rng(1)).save_checkpoint(
+        good, preprocessing={"cutoff": 40, "feature_groups": ["kinematic"]}
+    )
+    _corrupt_checkpoint(bad, kind)
+    before = score_file(good, svc)
+    for _ in range(2):  # a file that failed to decode is never kept
+        capsys.readouterr()
+        assert main(["score", "--checkpoint", str(bad), "--input", str(svc)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and str(bad) in err
+    assert score_file(good, svc) == before
 
 
 # ---------------------------------------------------------------------------

@@ -8,16 +8,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from pendetect.errors import IoError, ParseError, SingleClass, TooSmall, TrainingError
+from pendetect.errors import IoError, SingleClass, TooSmall, TrainingError
 from pendetect.evaluation import (
+    ROC_FILE_VERSION,
     ExperimentReport,
     SplitPlan,
-    compute_auc,
     compute_roc,
     emit_roc,
     make_splits,
     metrics_from_scores,
-    read_roc,
     roc_auc_from_points,
     run_ablation_grid,
     run_experiment,
@@ -198,17 +197,21 @@ def test_kfold_properties(n_pd, n_hc, k, seed):
 # ---------------------------------------------------------------------------
 # roc and metrics
 
+def _auc(scores):
+    return roc_auc_from_points(compute_roc(scores))
+
+
 def test_auc_perfect_separation():
-    assert compute_auc([(0.9, 1), (0.8, 1), (0.2, 0), (0.1, 0)]) == 1.0
+    assert _auc([(0.9, 1), (0.8, 1), (0.2, 0), (0.1, 0)]) == 1.0
 
 
 def test_auc_all_ties():
-    assert compute_auc([(0.4, 1), (0.4, 0), (0.4, 1), (0.4, 0)]) == 0.5
+    assert _auc([(0.4, 1), (0.4, 0), (0.4, 1), (0.4, 0)]) == 0.5
 
 
 def test_auc_single_class_rejected():
     with pytest.raises(SingleClass):
-        compute_auc([(0.9, 1), (0.8, 1)])
+        _auc([(0.9, 1), (0.8, 1)])
 
 
 def test_auc_matches_pairwise_oracle_random():
@@ -221,7 +224,7 @@ def test_auc_matches_pairwise_oracle_random():
         # quantized scores produce plenty of exact ties
         ps = np.round(rng.random(n), 1)
         scores = list(zip(ps.tolist(), ys.tolist()))
-        assert compute_auc(scores) == pytest.approx(_auc_pairwise(scores), abs=1e-12)
+        assert _auc(scores) == pytest.approx(_auc_pairwise(scores), abs=1e-12)
 
 
 def test_roc_shape_perfect_classifier():
@@ -271,7 +274,7 @@ def test_auc_trapezoid_equals_pairwise(data):
         )
     )
     scores = list(zip(ps, ys))
-    assert compute_auc(scores) == pytest.approx(_auc_pairwise(scores), abs=1e-12)
+    assert _auc(scores) == pytest.approx(_auc_pairwise(scores), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +318,7 @@ def test_run_experiment_report_structure():
         for row in fold["samples"]
         if row["role"] == "test"
     ]
-    assert report.pooled["auc"] == pytest.approx(compute_auc(scores), abs=1e-15)
+    assert report.pooled["auc"] == pytest.approx(_auc(scores), abs=1e-15)
 
     table = report.to_table()
     assert "pooled auc" in table
@@ -495,7 +498,10 @@ def test_emit_roc_round_trip(tmp_path):
     path = tmp_path / "roc.csv"
     emit_roc(report, path)
 
-    points, stated = read_roc(path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines[:3] == [f"# {ROC_FILE_VERSION}", f"# auc={report.pooled['auc']!r}", "fpr,tpr"]
+    stated = float(lines[1].removeprefix("# auc="))
+    points = [tuple(map(float, line.split(","))) for line in lines[3:]]
     assert stated == report.pooled["auc"]
     assert abs(roc_auc_from_points(points) - stated) < 1e-9
     assert points[0] == (0.0, 0.0)
@@ -509,13 +515,6 @@ def test_emit_roc_errors(tmp_path):
     report.pooled = {"auc": 1.0, "roc_points": [[0.0, 0.0], [0.0, 1.0], [1.0, 1.0]]}
     with pytest.raises(IoError):
         emit_roc(report, tmp_path / "missing" / "roc.csv")
-
-
-def test_read_roc_rejects_foreign_files(tmp_path):
-    path = tmp_path / "x.csv"
-    path.write_text("fpr,tpr\n0,0\n")
-    with pytest.raises(ParseError):
-        read_roc(path)
 
 
 def test_report_fingerprint_drops_only_wall_clock():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pendetect.errors import DimensionMismatch, InputTooShort, SpecMismatch
+from pendetect.nn import model as model_module
 from pendetect.nn import (
     Conv1dSpec,
     ModelSpec,
@@ -13,6 +14,7 @@ from pendetect.nn import (
     load_checkpoint,
     spec_hash,
 )
+from pendetect.nn.layers import Conv1d
 
 
 def _tiny_spec(cell="gru", with_conv=True, bidirectional=True):
@@ -205,6 +207,61 @@ def test_load_checkpoint_draws_no_initialization(tmp_path, monkeypatch):
     np.testing.assert_array_equal(loaded.theta, model.theta)
 
 
+def test_repeated_load_decodes_once_per_content(tmp_path, monkeypatch):
+    a = SequenceClassifier(ModelSpec.reference(3), 3, np.random.default_rng(21))
+    b = SequenceClassifier(ModelSpec.reference(3), 3, np.random.default_rng(22))
+    x = np.random.default_rng(23).normal(size=(2, 40, 3))
+    pa, pb = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+    a.save_checkpoint(pa, preprocessing={"cutoff": 40})
+    b.save_checkpoint(pb, preprocessing={"cutoff": 40})
+
+    missed, _ = load_checkpoint(pa)
+    decode = model_module._decode_checkpoint
+
+    def no_decode(*args):
+        raise AssertionError("an unchanged checkpoint was decoded again")
+
+    monkeypatch.setattr(model_module, "_decode_checkpoint", no_decode)
+    hit, _ = load_checkpoint(pa)
+    assert hit is not missed
+    np.testing.assert_array_equal(hit.forward(x), missed.forward(x))
+    np.testing.assert_array_equal(hit.forward(x), a.forward(x))
+    monkeypatch.setattr(model_module, "_decode_checkpoint", decode)
+    other, _ = load_checkpoint(pb)  # new bytes: a miss
+    np.testing.assert_array_equal(other.forward(x), b.forward(x))
+
+
+def test_changing_a_load_leaves_the_next_unchanged(tmp_path):
+    model = SequenceClassifier(_tiny_spec(), 2, np.random.default_rng(24))
+    path = tmp_path / "model.ckpt"
+    model.save_checkpoint(path, normalization_ref="n.tsv",
+                          preprocessing={"cutoff": 9, "feature_groups": ["raw"]})
+    first, meta = load_checkpoint(path)
+    first.theta += 1.0
+    first.params()["head/b"][...] = 7.0
+    meta["preprocessing"]["cutoff"] = 3
+    meta["preprocessing"]["feature_groups"].append("kinematic")
+    meta["normalization_ref"] = None
+    second, meta2 = load_checkpoint(path)
+    np.testing.assert_array_equal(second.theta, model.theta)
+    assert meta2 == {"normalization_ref": "n.tsv",
+                     "preprocessing": {"cutoff": 9, "feature_groups": ["raw"]}}
+
+
+def test_load_failure_is_not_kept(tmp_path):
+    model = SequenceClassifier(_tiny_spec(), 2, np.random.default_rng(25))
+    good, bad = tmp_path / "good.ckpt", tmp_path / "bad.ckpt"
+    model.save_checkpoint(good)
+    load_checkpoint(good)
+    doc = json.loads(good.read_text())
+    doc["spec_sha256"] = "0" * 64
+    bad.write_text(json.dumps(doc))
+    for _ in range(2):
+        with pytest.raises(SpecMismatch):
+            load_checkpoint(bad)
+    np.testing.assert_array_equal(load_checkpoint(good)[0].theta, model.theta)
+
+
 def test_checkpoint_bytes_are_deterministic(tmp_path):
     a = SequenceClassifier(_tiny_spec(), 2, np.random.default_rng(9))
     b = SequenceClassifier(_tiny_spec(), 2, np.random.default_rng(9))
@@ -250,3 +307,34 @@ def test_spec_hash_differs_for_different_specs():
     assert spec_hash(_tiny_spec(), 2) != spec_hash(_tiny_spec("lstm"), 2)
     assert spec_hash(_tiny_spec(), 2) != spec_hash(_tiny_spec(), 3)
     assert spec_hash(_tiny_spec(), 2) == spec_hash(_tiny_spec(), 2)
+
+
+# ---------------------------------------------------------------------------
+# first conv
+
+
+def test_first_conv_skips_input_gradient_with_equal_weight_gradients():
+    model = SequenceClassifier(ModelSpec.reference(5), 5, np.random.default_rng(26))
+    x = np.random.default_rng(27).normal(size=(3, 60, 5))
+    conv0 = model.convs[0]
+    seen = {}
+
+    def recording_backward(dout):
+        seen["dout"] = dout.copy()
+        seen["dx"] = Conv1d.backward(conv0, dout)
+        return seen["dx"]
+
+    conv0.backward = recording_backward
+    model.zero_grads()
+    p = model.forward(x, train=True, rng=np.random.default_rng(28))
+    model.backward(p - np.array([1.0, 0.0, 1.0]))
+    assert seen["dx"] is None
+
+    ref = Conv1d(5, 8, 5, 5, "relu", rng=None)
+    ref.params["W"][...] = model.params()["conv0/W"]
+    ref.params["b"][...] = model.params()["conv0/b"]
+    ref.forward(np.ascontiguousarray(x.transpose(1, 0, 2)), train=True)
+    dx = ref.backward(seen["dout"])
+    assert dx.shape == (60, 3, 5)
+    assert model.grads()["conv0/W"].tobytes() == ref.grads["W"].tobytes()
+    assert model.grads()["conv0/b"].tobytes() == ref.grads["b"].tobytes()

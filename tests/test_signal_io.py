@@ -1,4 +1,5 @@
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,9 +28,9 @@ from pendetect.signal_io import (
     parse_smartpen_file,
     parse_tablet_file,
     write_manifest,
-    write_smartpen_file,
     write_tablet_file,
 )
+from pendetect.signal_io import _parse_numeric_lines
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +182,12 @@ def test_parse_smartpen_single_line_accepted(tmp_path):
     assert seq.length == 1
 
 
+def _write_smartpen(seq, path):
+    """One sample per line, floats as shortest round-trip decimals."""
+    rows = zip(*(seq.channels[name] for name in SMARTPEN_CHANNELS))
+    path.write_text("".join(" ".join(repr(float(v)) for v in row) + "\n" for row in rows))
+
+
 def test_smartpen_sinusoid_round_trip_bit_identical(tmp_path):
     t = np.arange(50, dtype=np.float64)
     channels = {
@@ -189,13 +196,13 @@ def test_smartpen_sinusoid_round_trip_bit_identical(tmp_path):
     }
     seq = SignalSequence("s", "task", None, channels, sample_rate_hz=100.0)
     p = tmp_path / "pen.txt"
-    write_smartpen_file(seq, p)
+    _write_smartpen(seq, p)
     back = parse_smartpen_file(p)
     for name in SMARTPEN_CHANNELS:
         assert np.array_equal(back.channels[name], seq.channels[name]), name
     # text form itself must be stable under a second write
     p2 = tmp_path / "pen2.txt"
-    write_smartpen_file(back, p2)
+    _write_smartpen(back, p2)
     assert p.read_text() == p2.read_text()
 
 
@@ -462,3 +469,102 @@ def test_parsers_raise_only_parse_errors(tmp_path_factory, lines, tablet):
     except ParseError:
         return
     assert all(np.isfinite(values).all() for values in seq.channels.values())
+
+
+def _parse_line_by_line(path, arity):
+    """The per-line parser the bulk one replaced, kept as its oracle."""
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    rows: list[list[float]] = []
+    line_nos: list[int] = []
+    for line_no, line in enumerate(lines, start=1):
+        tokens = line.split()
+        if not tokens:
+            continue
+        if len(tokens) != arity:
+            if not rows and line_no == 1:
+                warnings.warn(
+                    f"{path}: skipping line 1 ({len(tokens)} fields, expected {arity}); "
+                    "assumed to be a header",
+                    stacklevel=3,
+                )
+                continue
+            raise MalformedLine(
+                line_no, f"expected {arity} fields, got {len(tokens)}", path=str(path)
+            )
+        try:
+            rows.append([float(t) for t in tokens])
+        except ValueError as exc:
+            raise MalformedLine(line_no, f"non-numeric field: {exc}", path=str(path)) from exc
+        line_nos.append(line_no)
+    if not rows:
+        raise EmptyFile(path=str(path))
+    values = np.asarray(rows, dtype=np.float64)
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:
+        row, col = bad[0]
+        raise MalformedLine(
+            line_nos[row], f"non-finite value in field {col + 1}", path=str(path)
+        )
+    return values, line_nos
+
+
+def _outcome(parse, path, arity):
+    """(values, line numbers) or (error class, line, message), and the warnings."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = parse(path, arity)
+        except ParseError as exc:
+            result = (type(exc), getattr(exc, "line_no", None), str(exc))
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+_NUMBER = st.one_of(
+    st.integers(-(10**9), 10**9).map(str),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+)
+_ODD = st.sampled_from(["1_000", "0x10", "nan", "-inf", "1e999", "abc", "1,5", "--1"])
+_BLANK = st.sampled_from(["", " ", "\t", "  \t "])
+
+
+@st.composite
+def _recording(draw):
+    arity = draw(st.sampled_from([6, 7]))
+
+    def row(n):
+        tokens = draw(st.lists(_NUMBER, min_size=n, max_size=n))
+        if tokens and draw(st.integers(0, 5)) == 0:
+            tokens[draw(st.integers(0, n - 1))] = draw(_ODD)
+        return " ".join(tokens)
+
+    lines = []
+    if draw(st.booleans()):  # a wrong-arity line 1
+        lines.append(row(draw(st.integers(1, arity + 2).filter(lambda k: k != arity))))
+    for kind in draw(st.lists(st.sampled_from("vvvvvvbw"), max_size=12)):
+        if kind == "v":
+            lines.append(row(arity))
+        elif kind == "b":
+            lines.append(draw(_BLANK))
+        else:
+            lines.append(row(draw(st.integers(1, arity + 2).filter(lambda k: k != arity))))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n"]), min_size=len(lines),
+                         max_size=len(lines)))
+    return arity, "".join(line + end for line, end in zip(lines, ends))
+
+
+@given(_recording())
+@settings(max_examples=300, deadline=None)
+def test_bulk_parser_matches_line_by_line(tmp_path_factory, recording):
+    arity, text = recording
+    path = tmp_path_factory.mktemp("bulk") / "rec.txt"
+    path.write_bytes(text.encode("utf-8"))
+    got, got_warnings = _outcome(_parse_numeric_lines, path, arity)
+    want, want_warnings = _outcome(_parse_line_by_line, path, arity)
+    assert got_warnings == want_warnings
+    if isinstance(want[0], np.ndarray):
+        assert isinstance(got[0], np.ndarray)
+        assert np.array_equal(got[0], want[0])
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1] == want[1]
+    else:
+        assert got == want
