@@ -28,6 +28,7 @@ from . import __version__
 from .errors import (
     ConfigError,
     DataError,
+    DuplicateEntry,
     EmptyDataset,
     IoError,
     ParseError,
@@ -286,8 +287,7 @@ def _model_spec(config: ExperimentConfig, input_size: int) -> ModelSpec:
 
 
 def cmd_synth(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _make_out_dir(Path(args.out))
     sequences = generate_synthetic(
         args.n_per_class,
         (args.min_length, args.max_length),
@@ -316,12 +316,22 @@ def cmd_features(args) -> int:
     if not sequences:
         print("warning: dataset is empty, nothing to do", file=sys.stderr)
         return 0
+    # one plain file name per recording, checked before anything is written
+    names = [f"{seq.subject_id}_{seq.task_id}.csv" for seq in sequences]
+    owners: dict[str, tuple[str, str]] = {}
+    for seq, name in zip(sequences, names):
+        key = (seq.subject_id, seq.task_id)
+        if Path(name).name != name:
+            raise DataError(f"recording {key} gives {name!r}, which is not a plain file name")
+        if name in owners:
+            raise DuplicateEntry(f"recordings {owners[name]} and {key} both give {name}")
+        owners[name] = key
     _make_out_dir(feat_dir)
     counts: Counter = Counter()
-    for seq in sequences:
+    for seq, name in zip(sequences, names):
         fm = assemble_features(seq, config.features)
         counts = Counter(fm.column_groups)
-        dump_csv(fm, feat_dir / f"{seq.subject_id}_{seq.task_id}.csv")
+        dump_csv(fm, feat_dir / name)
     per_group = ", ".join(f"{g}={counts[g]}" for g in GROUPS if counts[g])
     print(
         f"wrote {len(sequences)} feature files to {feat_dir} "

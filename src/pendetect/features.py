@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LengthMismatch, MissingChannel, TooShort
+from .errors import IoError, LengthMismatch, MissingChannel, TooShort
 from .signal_io import SMARTPEN_CHANNELS, SignalSequence
 
 GROUPS = ("raw", "inclination", "pressure", "kinematic", "derived")
@@ -180,42 +180,29 @@ def time_derivative(s: np.ndarray, timestamps: np.ndarray, tick_seconds: float) 
 # ---------------------------------------------------------------------------
 # assembly
 
-def _tablet_column_builders(seq: SignalSequence):
+def _tablet_columns(seq: SignalSequence) -> dict[str, np.ndarray]:
+    """Every tablet column by name: the channels, the pressure derivative and
+    the four kinematic ladders."""
     ts = seq.channels["timestamp"]
     tick_seconds = 1.0 / seq.sample_rate_hz
-    cache: dict[str, np.ndarray] = {}
-
-    def deriv(series: np.ndarray) -> np.ndarray:
-        return time_derivative(series, ts, tick_seconds)
-
-    def col(name: str) -> np.ndarray:
-        if name in cache:
-            return cache[name]
-        if name in seq.channels:
-            out = seq.channels[name]
-        elif name == "pressure_derivative":
-            out = deriv(col("pressure"))
-        elif name == "displacement":
-            out = displacement(seq.channels["x"], seq.channels["y"])
-        elif name == "horizontal_displacement":
-            out = directional_displacement(seq.channels["x"])
-        elif name == "vertical_displacement":
-            out = directional_displacement(seq.channels["y"])
-        elif name in ("velocity", "horizontal_velocity", "vertical_velocity"):
-            out = deriv(col(name.replace("velocity", "displacement")))
-        elif name in ("acceleration", "horizontal_acceleration", "vertical_acceleration"):
-            out = deriv(col(name.replace("acceleration", "velocity")))
-        elif name in ("jerk", "horizontal_jerk", "vertical_jerk"):
-            out = deriv(col(name.replace("jerk", "acceleration")))
-        elif name.startswith("resultant_"):
-            quantity = name.removeprefix("resultant_")
-            out = np.hypot(col(f"horizontal_{quantity}"), col(f"vertical_{quantity}"))
-        else:
-            raise KeyError(name)
-        cache[name] = out
-        return out
-
-    return col
+    x, y = seq.channels["x"], seq.channels["y"]
+    cols = dict(seq.channels)
+    cols["pressure_derivative"] = time_derivative(cols["pressure"], ts, tick_seconds)
+    ladders = {
+        "": displacement(x, y),
+        "horizontal_": directional_displacement(x),
+        "vertical_": directional_displacement(y),
+    }
+    for prefix, series in ladders.items():
+        cols[prefix + "displacement"] = series
+        for quantity in ("velocity", "acceleration", "jerk"):
+            series = time_derivative(series, ts, tick_seconds)
+            cols[prefix + quantity] = series
+    for quantity in ("displacement", "velocity", "acceleration", "jerk"):
+        cols["resultant_" + quantity] = np.hypot(
+            cols["horizontal_" + quantity], cols["vertical_" + quantity]
+        )
+    return cols
 
 
 def assemble_features(seq: SignalSequence, selection: FeatureGroupSelection) -> FeatureMatrix:
@@ -273,8 +260,8 @@ def assemble_features(seq: SignalSequence, selection: FeatureGroupSelection) -> 
     if any(n.endswith("jerk") for n in names) and seq.length < 4:
         raise TooShort(f"jerk needs at least 4 time-steps, got {seq.length}")
 
-    col = _tablet_column_builders(seq)
-    values = np.column_stack([col(name) for name in names])
+    cols = seq.channels if selection.groups == ("raw",) else _tablet_columns(seq)
+    values = np.column_stack([cols[name] for name in names])
     return FeatureMatrix(
         values=values,
         column_names=names,
@@ -287,7 +274,10 @@ def assemble_features(seq: SignalSequence, selection: FeatureGroupSelection) -> 
 
 def dump_csv(fm: FeatureMatrix, path) -> None:
     """Write the matrix as CSV; floats use shortest round-trip decimals."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(fm.column_names) + "\n")
-        for row in fm.values:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(",".join(fm.column_names) + "\n")
+            for row in fm.values:
+                fh.write(",".join(repr(float(v)) for v in row) + "\n")
+    except OSError as exc:
+        raise IoError(str(exc), path=str(path)) from exc

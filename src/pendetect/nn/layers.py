@@ -167,14 +167,16 @@ class Conv1d(Layer):
 # of arrays held in reading order. `acts` holds a (T, B, k) buffer per gate
 # group activated at once, X @ W + b on entry and the gates on return.
 # Backward scales `dacts`, which arrives holding each gate's activation
-# derivative, in place; it may overwrite `cells`. `hprev`/`cprev` are the
-# states the forward sweep read before step t, `hm` is hprev * rmask.
+# derivative, in place. `states` (and the LSTM's `cells`) has T + 1 rows:
+# row 0 stays zero and the forward sweep writes step t's state to row t + 1,
+# so `hprev`, the states the sweep read before each step, is `states[:-1]`;
+# `hm` is hprev * rmask.
 
 def _gru_forward(acts, u, rmask, states):
     hidden = states.shape[2]
     u_zr, u_c = u[:, : 2 * hidden], u[:, 2 * hidden :]
     h = np.zeros(states.shape[1:])
-    for t in range(states.shape[0]):
+    for t in range(len(states) - 1):
         hm = h * rmask
         zr, c = acts[0][t], acts[1][t]
         zr += hm @ u_zr
@@ -182,10 +184,10 @@ def _gru_forward(acts, u, rmask, states):
         c += (zr[:, hidden:] * hm) @ u_c
         np.tanh(c, out=c)
         h = h + zr[:, :hidden] * (c - h)
-        states[t] = h
+        states[t + 1] = h
 
 
-def _gru_backward(acts, u, rmask, dstates, dacts, hprev, hm, cells, cprev):
+def _gru_backward(acts, u, rmask, dstates, dacts, hprev, hm, cells):
     hidden = hprev.shape[2]
     u_zr, u_c = u[:, : 2 * hidden], u[:, 2 * hidden :]
     dh = 0.0
@@ -209,8 +211,8 @@ def _lstm_forward(acts, u, rmask, states):
     scale = 0.5 + 0.5 * np.repeat(_TANH_BLOCKS["lstm"], hidden)
     shift = 1.0 - scale
     h = c = np.zeros(states.shape[1:])
-    cells = np.empty(states.shape)
-    for t in range(states.shape[0]):
+    cells = np.zeros(states.shape)
+    for t in range(len(states) - 1):
         a = acts[0][t]
         a += (h * rmask) @ u
         a *= scale
@@ -218,15 +220,15 @@ def _lstm_forward(acts, u, rmask, states):
         a *= scale
         a += shift
         c = a[:, hidden : 2 * hidden] * c + a[:, :hidden] * a[:, 2 * hidden : 3 * hidden]
-        cells[t] = c
+        cells[t + 1] = c
         h = a[:, 3 * hidden :] * np.tanh(c)
-        states[t] = h
+        states[t + 1] = h
     return cells
 
 
-def _lstm_backward(acts, u, rmask, dstates, dacts, hprev, hm, cells, cprev):
+def _lstm_backward(acts, u, rmask, dstates, dacts, hprev, hm, cells):
     hidden = hprev.shape[2]
-    tcs = np.tanh(cells, out=cells)
+    tcs, cprev = np.tanh(cells[1:]), cells[:-1]
     dh, dc = 0.0, 0.0
     for t in range(hprev.shape[0] - 1, -1, -1):
         dh = dh + dstates[t]
@@ -244,14 +246,14 @@ def _lstm_backward(acts, u, rmask, dstates, dacts, hprev, hm, cells, cprev):
 
 def _rnn_forward(acts, u, rmask, states):
     h = np.zeros(states.shape[1:])
-    for t in range(states.shape[0]):
+    for t in range(len(states) - 1):
         a = acts[0][t]
         a += (h * rmask) @ u
         h = np.tanh(a, out=a)
-        states[t] = h
+        states[t + 1] = h
 
 
-def _rnn_backward(acts, u, rmask, dstates, dacts, hprev, hm, cells, cprev):
+def _rnn_backward(acts, u, rmask, dstates, dacts, hprev, hm, cells):
     dh = 0.0
     for t in range(hprev.shape[0] - 1, -1, -1):
         d = dacts[t]
@@ -267,13 +269,6 @@ _SWEEPS = {
 
 # the rows of the time axis in each direction's reading order: fwd, then bwd
 _ORDERS = (slice(None), slice(None, None, -1))
-
-
-def _previous(seq: np.ndarray) -> np.ndarray:
-    """seq one step earlier in the reading order, zero before the first step."""
-    prev = np.roll(seq, 1, axis=0)
-    prev[0] = 0.0
-    return prev
 
 
 class _Direction(Layer):
@@ -376,27 +371,26 @@ class Recurrent:
                 group[:, :, :, d] = proj.reshape(t, batch, g1 - g0, h)[order]
             acts.append(group.reshape(t, batch, -1))
         u = self._block_u()
-        states = np.empty((t, batch, n * h))
+        states = np.zeros((t + 1, batch, n * h))
         cells = _SWEEPS[self.cell][0](acts, u, rmask, states)
         self.steps = t
         self._cache = (x, in_mask, acts, u, rmask, states, cells) if train else None
-        return self._reorder(states)
+        return self._reorder(states[1:])
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
         x, in_mask, acts, u, rmask, states, cells = self._cache
         self._cache = None
         t, batch, c = x.shape
         h, gates, width = self.hidden, GATES[self.cell], self.output_size
-        hprev = _previous(states)
+        hprev = states[:-1]
         hm = hprev * rmask
-        cprev = None if cells is None else _previous(cells)
         # sigmoid' = (1 - a) * a and tanh' = (1 - a) * (1 + a)
         dacts = np.empty((t, batch, gates * width))
         for (g0, g1), a in zip(self._groups, acts):
             k = slice(g0 * width, g1 * width)
             np.add(a, self._tanh_cols[k], out=dacts[:, :, k])
             dacts[:, :, k] *= 1.0 - a
-        _SWEEPS[self.cell][1](acts, u, rmask, self._reorder(dout), dacts, hprev, hm, cells, cprev)
+        _SWEEPS[self.cell][1](acts, u, rmask, self._reorder(dout), dacts, hprev, hm, cells)
         # each direction's dW, dU, db and dx from its own columns, in time order
         per_gate = dacts.reshape(t, batch, gates, -1, h)
         x_rows = x.reshape(-1, c)

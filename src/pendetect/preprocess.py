@@ -14,7 +14,7 @@ pass through the clip or the z-score.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +53,8 @@ class NormalizationStats:
                 raise ColumnMismatch(
                     f"{field_name} has shape {arr.shape}, expected ({m},)"
                 )
+            if np.isnan(arr).any():
+                raise ValueError(f"{field_name} has nan entries")
         if (self.std <= 0).any():
             raise ValueError("std entries must be positive after flooring")
         if (self.low_clip > self.high_clip).any():
@@ -77,14 +79,7 @@ def fit_length(fm: FeatureMatrix, policy: LengthPolicy) -> FeatureMatrix:
     else:
         values = np.zeros((policy.cutoff, fm.m), dtype=np.float64)
         values[:t] = fm.values
-    return FeatureMatrix(
-        values=values,
-        column_names=list(fm.column_names),
-        column_groups=list(fm.column_groups),
-        label=fm.label,
-        subject_id=fm.subject_id,
-        task_id=fm.task_id,
-    )
+    return replace(fm, values=values)
 
 
 def fit_normalization(
@@ -140,14 +135,7 @@ def apply_normalization(fm: FeatureMatrix, stats: NormalizationStats) -> Feature
             f"{stats.column_names}"
         )
     values = (np.clip(fm.values, stats.low_clip, stats.high_clip) - stats.mean) / stats.std
-    return FeatureMatrix(
-        values=values,
-        column_names=list(fm.column_names),
-        column_groups=list(fm.column_groups),
-        label=fm.label,
-        subject_id=fm.subject_id,
-        task_id=fm.task_id,
-    )
+    return replace(fm, values=values)
 
 
 # ---------------------------------------------------------------------------
@@ -175,34 +163,40 @@ def save_stats(stats: NormalizationStats, path: str | Path) -> None:
 
 
 def load_stats(path: str | Path) -> NormalizationStats:
+    """Read a stats file; any content fault is a ParseError naming it."""
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
     except OSError as exc:
         raise IoError(str(exc), path=str(path)) from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(str(exc), path=str(path)) from exc
     if not lines or lines[0] != STATS_FILE_VERSION:
         raise ParseError(
             f"expected version line {STATS_FILE_VERSION!r}", path=str(path)
         )
     if len(lines) < 2 or not lines[1].startswith("fitted_on "):
         raise ParseError("missing fitted_on line", path=str(path))
-    fitted_on = int(lines[1].split()[1])
-    names, mean, std, low, high = [], [], [], [], []
+    names, rows = [], []
     for line in lines[2:]:
         if not line.strip():
             continue
         parts = line.split("\t")
         if len(parts) != 5:
             raise ParseError(f"bad stats line {line!r}", path=str(path))
+        try:
+            rows.append([float(v) for v in parts[1:]])
+        except ValueError as exc:
+            raise ParseError(f"bad stats line {line!r}: {exc}", path=str(path)) from exc
         names.append(parts[0])
-        mean.append(float(parts[1]))
-        std.append(float(parts[2]))
-        low.append(float(parts[3]))
-        high.append(float(parts[4]))
-    return NormalizationStats(
-        column_names=names,
-        mean=np.array(mean),
-        std=np.array(std),
-        low_clip=np.array(low),
-        high_clip=np.array(high),
-        fitted_on=fitted_on,
-    )
+    mean, std, low, high = np.array(rows).reshape(-1, 4).T
+    try:
+        return NormalizationStats(
+            column_names=names,
+            mean=mean,
+            std=std,
+            low_clip=low,
+            high_clip=high,
+            fitted_on=int(lines[1].removeprefix("fitted_on ")),
+        )
+    except ValueError as exc:
+        raise ParseError(str(exc), path=str(path)) from exc

@@ -2,8 +2,10 @@
 
 Two on-disk formats are supported:
 
-* tablet: one sample per line, 7 whitespace-separated integers, optional
-  single header line (detected by arity mismatch and skipped).
+* tablet: one sample per line, 7 whitespace-separated integers in the
+  column order x, y, timestamp, button, tilt_x, tilt_y, pressure
+  (DEFAULT_TABLET_COLUMNS), optional single header line (detected by arity
+  mismatch and skipped).
 * smart pen: one sample per line, 6 whitespace-separated reals.
 
 Parsing is format-only: a parsed sequence may be as short as one sample;
@@ -24,6 +26,7 @@ from .errors import (
     DuplicateEntry,
     EmptyFile,
     InvalidRange,
+    IoError,
     MalformedLine,
     NonMonotonicTime,
     ParseError,
@@ -38,9 +41,9 @@ LABEL_TO_Y = {HC: 0, PD: 1}
 #: channel names of a tablet recording, in canonical order
 TABLET_CHANNELS = ("x", "y", "timestamp", "pressure", "tilt_x", "tilt_y", "button")
 
-#: default on-disk column order for tablet files. The acquisition format does
-#: not document its column order, so this is a convention; pass an explicit
-#: ``column_map`` if your files differ.
+#: on-disk column order of every tablet file read or written here. The
+#: acquisition format does not document its column order, so this is a
+#: convention.
 DEFAULT_TABLET_COLUMNS = ("x", "y", "timestamp", "button", "tilt_x", "tilt_y", "pressure")
 
 #: smart-pen channel names, in on-disk order
@@ -189,23 +192,15 @@ def _raise_first_fault(split: list[list[str]], arity: int, start: int, path) -> 
 
 def parse_tablet_file(
     path: str | Path,
-    column_map: tuple[str, ...] = DEFAULT_TABLET_COLUMNS,
     sample_rate_hz: float = 200.0,
     subject_id: str = "",
     task_id: str = "",
     label: str | None = None,
 ) -> SignalSequence:
-    """Parse a 7-column tablet recording into a SignalSequence.
-
-    ``column_map`` names every tablet channel exactly once, in the on-disk
-    column order.
-    """
-    if sorted(column_map) != sorted(TABLET_CHANNELS):
-        raise ValueError(
-            f"column_map must name each of {TABLET_CHANNELS} exactly once, got {column_map}"
-        )
+    """Parse a 7-column tablet recording, columns in DEFAULT_TABLET_COLUMNS
+    order, into a SignalSequence."""
     values, line_nos = _parse_numeric_lines(path, arity=7)
-    channels = {name: values[:, i].copy() for i, name in enumerate(column_map)}
+    channels = {name: values[:, i].copy() for i, name in enumerate(DEFAULT_TABLET_COLUMNS)}
 
     bad_button = np.nonzero(~np.isin(channels["button"], (0.0, 1.0)))[0]
     if bad_button.size:
@@ -275,16 +270,15 @@ def parse_recording(
 # ---------------------------------------------------------------------------
 # writing (round-trip counterpart of the tablet parser; used by `synth`)
 
-def write_tablet_file(
-    seq: SignalSequence,
-    path: str | Path,
-    column_map: tuple[str, ...] = DEFAULT_TABLET_COLUMNS,
-) -> None:
-    """Write a tablet sequence as integer columns in ``column_map`` order."""
-    cols = [seq.channels[name] for name in column_map]
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in zip(*cols):
-            fh.write(" ".join(str(int(round(v))) for v in row) + "\n")
+def write_tablet_file(seq: SignalSequence, path: str | Path) -> None:
+    """Write a tablet sequence as integer columns in DEFAULT_TABLET_COLUMNS order."""
+    cols = [seq.channels[name] for name in DEFAULT_TABLET_COLUMNS]
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            for row in zip(*cols):
+                fh.write(" ".join(str(int(round(v))) for v in row) + "\n")
+    except OSError as exc:
+        raise IoError(str(exc), path=str(path)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -402,11 +396,14 @@ def load_manifest(path: str | Path, format: str) -> DatasetManifest:
 
 
 def write_manifest(manifest: DatasetManifest, path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(MANIFEST_HEADER)
-        for e in manifest.entries:
-            writer.writerow([e.path, e.subject_id, e.task_id, e.label])
+    try:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(MANIFEST_HEADER)
+            for e in manifest.entries:
+                writer.writerow([e.path, e.subject_id, e.task_id, e.label])
+    except OSError as exc:
+        raise IoError(str(exc), path=str(path)) from exc
 
 
 def load_dataset(
@@ -415,15 +412,6 @@ def load_dataset(
     sample_rate_hz: float | None = None,
 ) -> list[SignalSequence]:
     """Parse every manifest entry, attaching ids and labels from the manifest."""
-    # the manifest constructor enforces uniqueness, but re-check in case the
-    # entries list was mutated after construction
-    seen: set[tuple[str, str]] = set()
-    for e in manifest.entries:
-        key = (e.subject_id, e.task_id)
-        if key in seen:
-            raise DuplicateEntry(f"duplicate (subject, task) pair {key}")
-        seen.add(key)
-
     base = Path(base_dir) if base_dir is not None else None
     return [
         parse_recording(

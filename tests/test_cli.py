@@ -14,7 +14,7 @@ from pendetect.cli import (
 )
 from pendetect.errors import ConfigError, TrainingError
 from pendetect.evaluation import strip_wall_clock
-from pendetect.features import FeatureGroupSelection, assemble_features
+from pendetect.features import KINEMATIC_COLUMNS, FeatureGroupSelection, assemble_features
 from pendetect.nn import ModelSpec, SequenceClassifier
 from pendetect.preprocess import LengthPolicy, fit_length
 from pendetect.signal_io import SMARTPEN_CHANNELS, parse_recording
@@ -154,6 +154,23 @@ def test_synth_writes_dataset(tmp_path):
     assert len(lines) == 7
 
 
+@pytest.mark.parametrize("blocked", ["out", "manifest.csv", "syn-hc-000.svc"])
+def test_synth_write_failure_is_an_io_error(tmp_path, capsys, blocked):
+    out = tmp_path / "data"
+    if blocked == "out":
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "x"
+        target = out
+    else:
+        target = out / blocked
+        target.mkdir(parents=True)  # a directory where synth writes a file
+    args = ["synth", "--out", str(out), "--n-per-class", "1", "--min-length", "20",
+            "--max-length", "20"]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert str(target) in err and "Traceback" not in err
+
+
 def test_features_command(tmp_path, capsys):
     cfg = _write_config(tmp_path / "c.json")
     code = main(["features", "--config", str(cfg), "--out", str(tmp_path / "o")])
@@ -162,6 +179,37 @@ def test_features_command(tmp_path, capsys):
     assert len(files) == 8
     out = capsys.readouterr().out
     assert "kinematic=16" in out
+
+
+def _manifest_config(tmp_path: Path, ids) -> Path:
+    """A config over a manifest of one short recording per (subject, task) pair."""
+    rows = ["path,subject_id,task_id,label"]
+    for i, (subject, task) in enumerate(ids):
+        (tmp_path / f"r{i}.svc").write_text("".join(f"{t} {t} {t} 1 0 0 100\n" for t in range(10)))
+        rows.append(f"r{i}.svc,{subject},{task},{'PD' if i % 2 else 'HC'}")
+    (tmp_path / "manifest.csv").write_text("\n".join(rows) + "\n")
+    return _write_config(
+        tmp_path / "c.json",
+        source={"kind": "manifest", "path": "manifest.csv", "format": "tablet_svc"},
+    )
+
+
+def test_features_file_name_clash_is_a_data_error(tmp_path, capsys):
+    cfg = _manifest_config(tmp_path, [("a_b", "c"), ("a", "b_c")])
+    out = tmp_path / "o"
+    assert main(["features", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "('a_b', 'c')" in err and "('a', 'b_c')" in err
+    assert not out.exists()
+
+
+def test_features_subject_id_cannot_leave_the_features_dir(tmp_path, capsys):
+    cfg = _manifest_config(tmp_path, [("../escaped", "t"), ("s", "t")])
+    out = tmp_path / "o"
+    assert main(["features", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "('../escaped', 't')" in err
+    assert not out.exists()
 
 
 def test_features_empty_manifest_warns(tmp_path, capsys):
@@ -373,6 +421,39 @@ def test_corrupt_checkpoint_is_a_data_error_naming_the_file(tmp_path, capsys, ki
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and str(bad) in err
     assert score_file(good, svc) == before
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        (b"fitted_on 4", b"fitted_on "),
+        (b"fitted_on 4", b"fitted_on x"),
+        (b"\t0.0\t", b"\tabc\t"),
+        (b"displacement\t", b"displacement\xff\t"),
+        (b"\t1.0\t", b"\t-1.0\t"),
+        (b"\t0.0\t", b"\tnan\t"),
+    ],
+    ids=["empty-fitted-on", "non-integer-fitted-on", "non-numeric-field", "not-utf-8",
+         "negative-std", "nan-mean"],
+)
+def test_corrupt_stats_sidecar_is_a_data_error_naming_the_file(tmp_path, capsys, old, new):
+    svc = tmp_path / "rec.svc"
+    svc.write_text("0 0 0 1 0 0 100\n" * 40)
+    ckpt, sidecar = tmp_path / "m.ckpt", tmp_path / "normalization.tsv"
+    SequenceClassifier(ModelSpec.reference(16), 16, np.random.default_rng(1)).save_checkpoint(
+        ckpt,
+        normalization_ref=sidecar.name,
+        preprocessing={"cutoff": 40, "feature_groups": ["kinematic"]},
+    )
+    lines = ["pendetect-normalization v1", "fitted_on 4"]
+    lines += [f"{name}\t0.0\t1.0\t-1.0\t1.0" for name in KINEMATIC_COLUMNS]
+    good = ("\n".join(lines) + "\n").encode()
+    sidecar.write_bytes(good)
+    assert main(["score", "--checkpoint", str(ckpt), "--input", str(svc)]) == 0
+    sidecar.write_bytes(good.replace(old, new))
+    assert main(["score", "--checkpoint", str(ckpt), "--input", str(svc)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and str(sidecar) in err and "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from pendetect.errors import LengthMismatch, MissingChannel, TooShort
 from pendetect.features import (
     DERIVED_COLUMNS,
+    GROUPS,
     INCLINATION_COLUMNS,
     KINEMATIC_COLUMNS,
     PRESSURE_COLUMNS,
@@ -342,6 +343,44 @@ def test_displacement_dominates_components_and_stays_finite(xs, data):
     assert (d >= np.abs(fm.column("horizontal_displacement")) - 1e-9).all()
     assert (d >= np.abs(fm.column("vertical_displacement")) - 1e-9).all()
     np.testing.assert_array_equal(fm.values[0], np.zeros(fm.m))
+
+
+@given(n=st.integers(4, 40), rate=st.sampled_from([100.0, 200.0]), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_assembled_columns_equal_column_by_column_oracles(n, rate, data):
+    ints = st.lists(st.integers(-8000, 8000), min_size=n, max_size=n)
+    x, y = np.array(data.draw(ints), float), np.array(data.draw(ints), float)
+    pressure = np.array(data.draw(st.lists(st.integers(0, 1023), min_size=n, max_size=n)), float)
+    # steps of 0 repeat a timestamp
+    ts = np.cumsum(data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))).astype(float)
+    seq = _tablet_sequence(x, y, timestamp=ts, pressure=pressure, rate=rate)
+    tick = 1.0 / rate
+
+    def deriv(s):
+        out = np.zeros(n)
+        out[1:] = np.diff(s) / np.maximum(np.diff(ts) * tick, tick)
+        return out
+
+    oracle = {name: seq.channels[name] for name in RAW_COLUMNS}
+    oracle["pressure_derivative"] = deriv(pressure)
+    for prefix, disp in (
+        ("", displacement(x, y)),
+        ("horizontal_", directional_displacement(x)),
+        ("vertical_", directional_displacement(y)),
+    ):
+        vel = deriv(disp)
+        acc = deriv(vel)
+        oracle[prefix + "displacement"] = disp
+        oracle[prefix + "velocity"] = vel
+        oracle[prefix + "acceleration"] = acc
+        oracle[prefix + "jerk"] = deriv(acc)
+    for q in ("displacement", "velocity", "acceleration", "jerk"):
+        oracle[f"resultant_{q}"] = np.hypot(oracle[f"horizontal_{q}"], oracle[f"vertical_{q}"])
+
+    fm = assemble_features(seq, FeatureGroupSelection(GROUPS))
+    assert sorted(fm.column_names) == sorted(oracle)
+    for name, expected in oracle.items():
+        np.testing.assert_array_equal(fm.column(name), expected, err_msg=name)
 
 
 # ---------------------------------------------------------------------------

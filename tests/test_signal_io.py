@@ -119,23 +119,6 @@ def test_parse_tablet_repeated_timestamp_ok(tmp_path):
     assert parse_tablet_file(p).length == 2
 
 
-def test_parse_tablet_custom_column_map(tmp_path):
-    p = tmp_path / "a.svc"
-    p.write_text("100 0 0 7 9 1 3\n")
-    cmap = ("pressure", "button", "timestamp", "x", "y", "tilt_x", "tilt_y")
-    seq = parse_tablet_file(p, column_map=cmap)
-    assert seq.channels["pressure"].tolist() == [100.0]
-    assert seq.channels["x"].tolist() == [7.0]
-    assert seq.channels["tilt_y"].tolist() == [3.0]
-
-
-def test_parse_tablet_bad_column_map_rejected(tmp_path):
-    p = tmp_path / "a.svc"
-    p.write_text("0 0 0 1 0 0 100\n")
-    with pytest.raises(ValueError):
-        parse_tablet_file(p, column_map=("x",) * 7)
-
-
 def test_parse_tablet_invalid_button(tmp_path):
     p = tmp_path / "a.svc"
     p.write_text("0 0 0 2 0 0 100\n")
