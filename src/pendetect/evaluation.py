@@ -535,6 +535,19 @@ def _run_fold(
     return entry, artifacts
 
 
+@dataclass(frozen=True)
+class _Cohort:
+    """A dataset's feature matrices and its splits under one plan."""
+
+    matrices: list[FeatureMatrix]
+    splits: list[SplitIndices]
+
+
+def _derive_cohort(dataset, feature_selection: FeatureGroupSelection, plan: SplitPlan) -> _Cohort:
+    matrices = [assemble_features(seq, feature_selection) for seq in dataset]
+    return _Cohort(matrices, make_splits(matrices, plan))
+
+
 def _test_scores(samples: list[dict]) -> list[tuple[float, int]]:
     """(p, target) of a fold's test rows; test targets are never shuffled."""
     return [(s["p"], s["y"]) for s in samples if s["role"] == "test"]
@@ -553,7 +566,8 @@ def run_experiment(
     shuffle_labels: bool = False,
     out_artifacts: dict | None = None,
 ) -> ExperimentReport:
-    """Run one full protocol over `dataset` (a list of SignalSequence).
+    """Run one full protocol over `dataset` (a list of SignalSequence, or
+    the `_Cohort` that run_ablation_grid derived once for all its cells).
 
     Per split: the length cutoff and normalization statistics are fitted
     on the training side only (set ``cutoff_scope="all"`` to fit the
@@ -571,15 +585,17 @@ def run_experiment(
     if cutoff_scope not in ("train", "all"):
         raise ValueError(f"cutoff_scope must be 'train' or 'all', got {cutoff_scope!r}")
     t_start = time.perf_counter()
-    matrices = [assemble_features(seq, feature_selection) for seq in dataset]
-    splits = make_splits(matrices, plan)
+    cohort = (
+        dataset if isinstance(dataset, _Cohort) else _derive_cohort(dataset, feature_selection, plan)
+    )
+    matrices = cohort.matrices
     spec = model_spec if model_spec is not None else ModelSpec.reference(matrices[0].m)
 
     per_fold = []
     pooled_scores: list[tuple[float, int]] = []
     any_carved = False
     last_artifacts: dict = {}
-    for fold_i, split in enumerate(splits):
+    for fold_i, split in enumerate(cohort.splits):
         carved = False
         if train_config.early_stop_patience is not None and not split.val:
             train_idx, val_idx = _carve_validation(
@@ -674,17 +690,19 @@ def run_ablation_grid(
     summary per cell plus soft-check notes comparing with_conv accuracy
     with the without_conv counterpart (logged, not asserted). Timings
     stay in the cells' ``wall_clock_*`` fields, out of the fingerprint;
-    the table renders the per-cell speed comparison from them.
+    the table renders the per-cell speed comparison from them. The
+    features and splits are derived once and shared by every cell.
     """
     t_start = time.perf_counter()
-    input_size = assemble_features(dataset[0], feature_selection).m
+    cohort = _derive_cohort(dataset, feature_selection, plan)
+    input_size = cohort.matrices[0].m
     probe = None
     grid: dict[str, dict] = {}
     for cell in CELLS:
         for with_conv in (True, False):
             name = f"{cell}/{'with_conv' if with_conv else 'without_conv'}"
             sub = run_experiment(
-                dataset,
+                cohort,
                 feature_selection,
                 ModelSpec.reference(input_size, cell=cell, with_conv=with_conv),
                 train_config,

@@ -16,7 +16,6 @@ from .optim import Adam
 from .train import (
     TrainConfig,
     TrainResult,
-    mean_eval_loss,
     predict,
     train_model,
     train_step,
@@ -40,7 +39,6 @@ __all__ = [
     "Adam",
     "TrainConfig",
     "TrainResult",
-    "mean_eval_loss",
     "predict",
     "train_model",
     "train_step",

@@ -1,7 +1,22 @@
-"""Mini-batch training loop: shuffling, Adam steps, early stopping."""
+"""Mini-batch training loop: shuffling, Adam steps, early stopping.
+
+Every set of (matrix, label) pairs a call receives (the training set and
+the validation set of `train_model`, the pairs `predict` scores) is
+stacked once per call into one time-major ``(T, N, m)`` array. A
+minibatch is a gather ``x[:, idx]`` (a chunk ``x[:, start:stop]`` for
+scoring), handed to the model as its ``(B, T, m)`` transpose view, so the
+model's own time-major copy costs nothing for a gathered batch.
+
+The first `train_model` call in a process also fixes glibc's malloc
+thresholds (`_keep_heap_resident`); importing the package or scoring
+leaves the allocator as it was.
+"""
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import platform
 import time
 from dataclasses import dataclass, field
 
@@ -12,6 +27,14 @@ from ..features import FeatureMatrix
 from .losses import bce_logit_grad, bce_loss
 from .model import SequenceClassifier
 from .optim import Adam
+
+# mallopt parameters and glibc's caps for its dynamic thresholds on a
+# 64-bit host: the mmap threshold stops at 32 MiB, the trim threshold at
+# twice that
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD_BYTES = 32 << 20
+_TRIM_THRESHOLD_BYTES = 64 << 20
 
 
 @dataclass(frozen=True)
@@ -47,33 +70,73 @@ class TrainResult:
     wall_clock_epoch_seconds: list[float] = field(default_factory=list)
 
 
-def _stack(pairs: list[tuple[FeatureMatrix, int]]) -> tuple[np.ndarray, np.ndarray]:
-    """(B, T, m) values and (B,) labels; the matrices must share T."""
-    values = np.stack([fm.values for fm, _ in pairs])
-    return values, np.array([y for _, y in pairs], dtype=np.float64)
+@functools.cache
+def _keep_heap_resident() -> None:
+    """Keep the memory a train step frees mapped for the next step.
+
+    A step frees a few MB of activations and gradients at the top of the
+    heap. glibc returns that top to the kernel once it exceeds the trim
+    threshold (128 KiB by default), and the next step faults every page
+    back in: about 300 minor faults a step at the reference shapes (B = 16,
+    T = 150, m = 17). This fixes the mmap threshold
+    at 32 MiB and the trim threshold at 64 MiB, the caps of glibc's own
+    dynamic rule, so up to 64 MiB of freed heap stays mapped. Both are
+    set: fixing the trim threshold alone freezes the mmap threshold at
+    128 KiB, and every minibatch-sized array would then be mmapped
+    afresh. Runs once per process; does nothing outside glibc.
+    """
+    if platform.libc_ver()[0] != "glibc":
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
+
+
+def _time_major(pairs: list[tuple[FeatureMatrix, int]]) -> tuple[np.ndarray, np.ndarray]:
+    """(T, N, m) values and (N,) 0/1 targets; the matrices must share T."""
+    x = np.stack([fm.values for fm, _ in pairs], axis=1)
+    return x, np.array([y for _, y in pairs], dtype=np.float64)
 
 
 def train_step(
     model: SequenceClassifier,
-    batch: list[tuple[FeatureMatrix, int]],
+    x: np.ndarray,
+    y: np.ndarray,
+    ids: list[str],
     optimizer: Adam,
     rng: np.random.Generator,
 ) -> float:
-    """One forward/backward/Adam update over a batch; returns the mean loss."""
-    if not batch:
+    """One forward/backward/Adam update over a (B, T, m) batch with (B,)
+    0/1 targets; returns the mean loss. `ids` name the B sequences
+    ("subject/task") in a NonFiniteGradient."""
+    if len(x) == 0:
         raise ValueError("batch must be non-empty")
     model.zero_grads()
-    values, y = _stack(batch)
-    p = model.forward(values, train=True, rng=rng)
+    p = model.forward(x, train=True, rng=rng)
     model.backward(bce_logit_grad(p, y))
-    model.grad *= 1.0 / len(batch)
+    model.grad *= 1.0 / len(x)
     if not np.isfinite(model.grad).all():
         key = next(k for k, g in model.grads().items() if not np.isfinite(g).all())
         layer, _, block = key.partition("/")
-        ids = [f"{fm.subject_id}/{fm.task_id}" for fm, _ in batch]
         raise NonFiniteGradient(layer, block, ids)
     optimizer.step(model.grad)
     return float(bce_loss(model.head.logits, y).mean())
+
+
+def _predict(
+    model: SequenceClassifier, x: np.ndarray, batch_size: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Eval-mode (probabilities, logits) of a (T, N, m) array, in chunks of
+    batch_size: the head's GEMV makes a row's p depend on its chunk."""
+    n = x.shape[1]
+    probs, logits = np.empty(n), np.empty(n)
+    for start in range(0, n, batch_size):
+        chunk = slice(start, start + batch_size)
+        probs[chunk] = model.forward(x[:, chunk].transpose(1, 0, 2))
+        logits[chunk] = model.head.logits
+    return probs, logits
 
 
 def predict(
@@ -82,21 +145,7 @@ def predict(
     batch_size: int = TrainConfig.batch_size,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Eval-mode (probabilities, logits) of every pair, in chunks of batch_size."""
-    probs, logits = np.empty(len(data)), np.empty(len(data))
-    for start in range(0, len(data), batch_size):
-        chunk = slice(start, start + batch_size)
-        probs[chunk] = model.forward(_stack(data[chunk])[0])
-        logits[chunk] = model.head.logits
-    return probs, logits
-
-
-def mean_eval_loss(
-    model: SequenceClassifier,
-    data: list[tuple[FeatureMatrix, int]],
-    batch_size: int = TrainConfig.batch_size,
-) -> float:
-    _, logits = predict(model, data, batch_size)
-    return float(np.mean(bce_loss(logits, np.array([y for _, y in data]))))
+    return _predict(model, _time_major(data)[0], batch_size)
 
 
 def train_model(
@@ -110,6 +159,7 @@ def train_model(
     All stochasticity (batch order, dropout masks) flows from one generator
     seeded with config.seed, so identical inputs give identical parameters.
     """
+    _keep_heap_resident()
     rng = np.random.default_rng([config.seed])
     optimizer = Adam(
         model.theta,
@@ -126,6 +176,10 @@ def train_model(
             else "fixed_epochs"
         )
     )
+    x, y = _time_major(train_set)
+    ids = [f"{fm.subject_id}/{fm.task_id}" for fm, _ in train_set]
+    if val_set is not None:
+        x_val, y_val = _time_major(val_set)
     n = len(train_set)
     best_val = np.inf
     best_theta = None
@@ -136,14 +190,17 @@ def train_model(
         order = rng.permutation(n)
         epoch_total = 0.0
         for start in range(0, n, config.batch_size):
-            batch = [train_set[i] for i in order[start : start + config.batch_size]]
-            epoch_total += train_step(model, batch, optimizer, rng) * len(batch)
+            idx = order[start : start + config.batch_size]
+            batch = x[:, idx].transpose(1, 0, 2)
+            loss = train_step(model, batch, y[idx], [ids[i] for i in idx], optimizer, rng)
+            epoch_total += loss * len(idx)
         result.epoch_losses.append(epoch_total / n)
         result.wall_clock_epoch_seconds.append(time.perf_counter() - started)
         result.epochs_run = epoch + 1
 
         if val_set is not None:
-            val_loss = mean_eval_loss(model, val_set, config.batch_size)
+            _, logits = _predict(model, x_val, config.batch_size)
+            val_loss = float(np.mean(bce_loss(logits, y_val)))
             result.val_losses.append(val_loss)
             if use_early_stop:
                 if val_loss < best_val:

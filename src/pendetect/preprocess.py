@@ -107,8 +107,7 @@ def fit_normalization(
             )
     stacked = np.concatenate([fm.values for fm in train], axis=0)
 
-    # both bounds from one partition of each column
-    low, high = np.percentile(stacked, [clip_low_pct, clip_high_pct], axis=0)
+    low, high = _clip_bounds(stacked, (clip_low_pct, clip_high_pct))
     if clip_low_pct == 0:
         low = np.full(len(names), -np.inf)
     if clip_high_pct == 100:
@@ -126,6 +125,30 @@ def fit_normalization(
         high_clip=high,
         fitted_on=len(train),
     )
+
+
+def _clip_bounds(stacked: np.ndarray, pcts: tuple[float, float]) -> np.ndarray:
+    """``np.percentile(stacked, pcts, axis=0)`` from one sort of each column.
+
+    np.percentile partitions each column at six positions, which costs
+    more than three times one sort. This takes numpy's linear method step for
+    step, so every bound equals np.percentile's to the bit: the virtual
+    index ``(n - 1) * q``, both neighbours moved to the last row where it
+    reaches n - 1, and numpy's lerp, which works from the upper neighbour
+    when the weight is at least 0.5.
+    """
+    n = len(stacked)
+    ordered = np.sort(stacked, axis=0)
+    virtual = (n - 1) * np.true_divide(pcts, 100)
+    prev = np.floor(virtual)
+    next_ = prev + 1
+    at_end = virtual >= n - 1
+    prev[at_end] = -1
+    next_[at_end] = -1
+    gamma = (virtual - prev)[:, None]
+    a, b = ordered[prev.astype(np.intp)], ordered[next_.astype(np.intp)]
+    diff = b - a
+    return np.where(gamma >= 0.5, b - diff * (1 - gamma), a + diff * gamma)
 
 
 def apply_normalization(fm: FeatureMatrix, stats: NormalizationStats) -> FeatureMatrix:
@@ -162,12 +185,14 @@ def save_stats(stats: NormalizationStats, path: str | Path) -> None:
         raise IoError(str(exc), path=str(path)) from exc
 
 
-def load_stats(path: str | Path) -> NormalizationStats:
-    """Read a stats file; any content fault is a ParseError naming it."""
+# the last stats file that parsed: (file bytes, stats)
+_last_decoded: tuple[bytes, NormalizationStats] | None = None
+
+
+def _decode_stats(raw: bytes, path: str | Path) -> NormalizationStats:
+    """Parse stats file bytes; any content fault is a ParseError naming `path`."""
     try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise IoError(str(exc), path=str(path)) from exc
+        lines = raw.decode("utf-8").splitlines()
     except UnicodeDecodeError as exc:
         raise ParseError(str(exc), path=str(path)) from exc
     if not lines or lines[0] != STATS_FILE_VERSION:
@@ -200,3 +225,32 @@ def load_stats(path: str | Path) -> NormalizationStats:
         )
     except ValueError as exc:
         raise ParseError(str(exc), path=str(path)) from exc
+
+
+def load_stats(path: str | Path) -> NormalizationStats:
+    """Read a stats file; any content fault is a ParseError naming it.
+
+    The file is read on every call, but the last file that parsed is
+    kept: when the bytes are equal, the parse is skipped. Every call
+    returns new stats with their own arrays, so changing one never
+    reaches the next load.
+    """
+    global _last_decoded
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as exc:
+        raise IoError(str(exc), path=str(path)) from exc
+    last = _last_decoded  # one read: another thread may replace the entry
+    if last is None or last[0] != raw:
+        stats = _decode_stats(raw, path)
+        _last_decoded = (raw, stats)
+    else:
+        stats = last[1]
+    return replace(
+        stats,
+        column_names=list(stats.column_names),
+        mean=stats.mean.copy(),
+        std=stats.std.copy(),
+        low_clip=stats.low_clip.copy(),
+        high_clip=stats.high_clip.copy(),
+    )

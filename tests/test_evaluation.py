@@ -22,7 +22,7 @@ from pendetect.evaluation import (
     run_experiment,
 )
 from pendetect.features import FeatureGroupSelection, assemble_features
-from pendetect.nn import TrainConfig
+from pendetect.nn import ModelSpec, TrainConfig
 from pendetect.signal_io import generate_synthetic
 
 
@@ -472,6 +472,38 @@ def test_ablation_grid_structure():
     for name in expected:
         assert name in table
 
+def test_ablation_grid_derives_features_and_splits_once(monkeypatch):
+    import pendetect.evaluation as evaluation
+
+    seqs = generate_synthetic(3, (30, 40), 1.0, seed=6)
+    sel = FeatureGroupSelection.of("pressure")
+    plan = SplitPlan.kfold(2, seed=4)
+    config = TrainConfig(epochs=1, batch_size=8, seed=0)
+    calls = {"assemble_features": 0, "make_splits": 0}
+    specs = []
+    for name in calls:
+        original = getattr(evaluation, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(evaluation, name, counting)
+    run_one = evaluation.run_experiment
+
+    def recording_run_experiment(dataset, feature_selection, model_spec, *args, **kwargs):
+        specs.append(model_spec)
+        return run_one(dataset, feature_selection, model_spec, *args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "run_experiment", recording_run_experiment)
+    report = run_ablation_grid(seqs, sel, config, plan)
+    assert calls == {"assemble_features": len(seqs), "make_splits": 1}
+    assert len(specs) == 6 and all(isinstance(spec, ModelSpec) for spec in specs)
+
+    # a shared cohort gives each cell the numbers of a run of its own
+    alone = run_one(seqs, sel, ModelSpec.reference(2, cell="lstm", with_conv=False), config, plan)
+    assert report.cells["lstm/without_conv"]["aggregate"] == alone.aggregate
+    assert report.cells["lstm/without_conv"]["pooled_auc"] == alone.pooled["auc"]
 
 
 def test_ablation_fingerprint_does_not_depend_on_the_clock(monkeypatch):

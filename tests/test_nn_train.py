@@ -1,4 +1,5 @@
 import math
+import platform
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from pendetect.nn import (
     TrainConfig,
     bce_loss,
     gradient_check,
+    predict,
     train_model,
     train_step,
 )
@@ -41,6 +43,13 @@ def _toy_set(n_per_class, t, m, seed, shift=2.0):
             values = rng.normal(size=(t, m)) + sign * shift
             data.append((_fm(values, subject=f"s{y}{i}"), y))
     return data
+
+
+def _batch(pairs):
+    """(B, T, m) values, (B,) targets and ids of pairs, stacked per batch."""
+    x = np.stack([fm.values for fm, _ in pairs])
+    y = np.array([y for _, y in pairs], dtype=np.float64)
+    return x, y, [f"{fm.subject_id}/{fm.task_id}" for fm, _ in pairs]
 
 
 def _small_model(seed=0, cell="gru", m=3):
@@ -161,15 +170,15 @@ def test_adam_lr_zero_is_identity():
 def test_train_step_returns_mean_loss_and_updates():
     model = _small_model(seed=2)
     opt = Adam(model.theta, learning_rate=0.01)
-    batch = _toy_set(2, 12, 3, seed=0)
+    batch = _batch(_toy_set(2, 12, 3, seed=0))
     before = {k: v.copy() for k, v in model.params().items()}
-    loss = train_step(model, batch, opt, np.random.default_rng(0))
+    loss = train_step(model, *batch, opt, np.random.default_rng(0))
     assert loss > 0
     assert any(
         not np.array_equal(before[k], v) for k, v in model.params().items()
     )
     with pytest.raises(ValueError):
-        train_step(model, [], opt, np.random.default_rng(0))
+        train_step(model, np.empty((0, 12, 3)), np.empty(0), [], opt, np.random.default_rng(0))
 
 
 def test_parameters_and_gradients_are_views_of_one_flat_store():
@@ -188,7 +197,7 @@ def test_parameters_and_gradients_are_views_of_one_flat_store():
     theta, grad = model.theta, model.grad
     opt = Adam(theta, learning_rate=0.01)
     before = theta.copy()
-    train_step(model, data, opt, np.random.default_rng(0))
+    train_step(model, *_batch(data), opt, np.random.default_rng(0))
     assert model.theta is theta and model.grad is grad
     assert not np.array_equal(theta, before)
     assert np.any(grad != 0.0)
@@ -232,9 +241,9 @@ def test_early_stopping_triggers_and_restores_best():
     assert len(result.val_losses) == result.epochs_run
     # restored parameters reproduce the best recorded validation loss
     best_val = min(result.val_losses)
-    from pendetect.nn import mean_eval_loss
-
-    assert mean_eval_loss(model, val_set) == pytest.approx(best_val, rel=1e-12)
+    _, logits = predict(model, val_set, config.batch_size)
+    val_loss = float(np.mean(bce_loss(logits, np.array([y for _, y in val_set]))))
+    assert val_loss == pytest.approx(best_val, rel=1e-12)
 
 
 def test_no_early_stop_without_validation_set():
@@ -250,12 +259,70 @@ def test_non_finite_gradient_diagnostics():
     model = _small_model(seed=10)
     model.recurrents[0].fwd.params["W"][0, 0] = np.nan
     opt = Adam(model.theta, learning_rate=0.01)
-    batch = _toy_set(2, 10, 3, seed=10)
+    x, y, ids = _batch(_toy_set(2, 10, 3, seed=10))
     with pytest.raises(NonFiniteGradient) as exc:
-        train_step(model, batch, opt, np.random.default_rng(0))
+        train_step(model, x, y, ids, opt, np.random.default_rng(0))
     assert exc.value.layer.startswith("rec")
     assert exc.value.block
     assert len(exc.value.batch_ids) == 4
+    assert exc.value.batch_ids == ["s00/t", "s01/t", "s10/t", "s11/t"]
+
+
+def test_training_from_the_fold_array_equals_per_batch_stacking():
+    # oracle: train_model's loop with every minibatch stacked from its pairs
+    # and every scoring chunk stacked on its own
+    train_set = _toy_set(11, 40, 4, seed=14, shift=0.5)
+    val_set = _toy_set(3, 40, 4, seed=15, shift=0.5)
+    config = TrainConfig(epochs=3, batch_size=8, seed=4, early_stop_patience=None)
+    model = SequenceClassifier(ModelSpec.reference(4), 4, np.random.default_rng(16))
+    oracle = SequenceClassifier(ModelSpec.reference(4), 4, np.random.default_rng(16))
+    result = train_model(model, train_set, config, val_set=val_set)
+
+    def chunked(pairs):
+        probs, logits = [], []
+        for start in range(0, len(pairs), config.batch_size):
+            chunk = pairs[start : start + config.batch_size]
+            probs.append(oracle.forward(np.stack([fm.values for fm, _ in chunk])))
+            logits.append(oracle.head.logits)
+        return np.concatenate(probs), np.concatenate(logits)
+
+    rng = np.random.default_rng([config.seed])
+    opt = Adam(oracle.theta, learning_rate=config.learning_rate)
+    val_y = np.array([y for _, y in val_set])
+    val_losses = []
+    for _ in range(config.epochs):
+        order = rng.permutation(len(train_set))
+        for start in range(0, len(train_set), config.batch_size):
+            batch = [train_set[i] for i in order[start : start + config.batch_size]]
+            train_step(oracle, *_batch(batch), opt, rng)
+        val_losses.append(float(np.mean(bce_loss(chunked(val_set)[1], val_y))))
+
+    np.testing.assert_array_equal(model.theta, oracle.theta)
+    assert result.val_losses == val_losses
+    scored = train_set + val_set
+    expected = chunked(scored)
+    for got, want in zip(predict(model, scored, config.batch_size), expected):
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc's malloc thresholds")
+def test_repeated_training_keeps_the_heap_resident():
+    # reference shapes: B = 16, T = 150, m = 17. With glibc's default
+    # thresholds the second run faults 2300-2600 trimmed heap pages back in
+    # (about 300 a step); with them fixed it takes 0-130 faults
+    import resource
+
+    data = _toy_set(16, 150, 17, seed=17)
+    config = TrainConfig(epochs=2, batch_size=16, seed=0, early_stop_patience=None)
+
+    def minor_faults_of_one_run():
+        model = SequenceClassifier(ModelSpec.reference(17), 17, np.random.default_rng(18))
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        train_model(model, data, config)
+        return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+    minor_faults_of_one_run()
+    assert minor_faults_of_one_run() < 500
 
 
 def test_label_mapping():

@@ -1,7 +1,10 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from pendetect.errors import ColumnMismatch, EmptyDataset, ParseError
 from pendetect.features import FeatureMatrix
@@ -15,6 +18,7 @@ from pendetect.preprocess import (
     load_stats,
     save_stats,
 )
+from pendetect.preprocess import _clip_bounds
 
 
 def _fm(values, label="PD", subject="s", task="t"):
@@ -146,6 +150,24 @@ def test_percentiles_match_oracle(pct_low, pct_high, seed):
         assert stats.high_clip[j] == pytest.approx(_percentile_oracle(s, pct_high), rel=1e-12)
 
 
+@given(
+    values=hnp.arrays(
+        np.float64,
+        hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=60),
+        elements=st.one_of(st.floats(-1e300, 1e300), st.sampled_from([-1.5, 0.0, 2.0])),
+    ),
+    pcts=st.lists(
+        st.one_of(st.sampled_from([0.0, 5.0, 90.0, 100.0]), st.floats(0, 100)),
+        min_size=2,
+        max_size=2,
+    ),
+)
+@settings(max_examples=300, deadline=None)
+def test_clip_bounds_equal_numpy_percentile(values, pcts):
+    # ties, one-row columns, magnitudes up to 1e300 and the bounds 0 and 100
+    assert np.array_equal(_clip_bounds(values, tuple(pcts)), np.percentile(values, pcts, axis=0))
+
+
 def test_zero_hundred_means_no_clipping():
     rng = np.random.default_rng(3)
     fms = _random_fms(rng, [10, 20])
@@ -271,3 +293,55 @@ def test_stats_file_rejects_unknown_version(tmp_path):
     path.write_text("something-else v9\nfitted_on 3\n")
     with pytest.raises(ParseError):
         load_stats(path)
+
+
+def _two_column_stats(mean0):
+    return NormalizationStats(
+        column_names=["a", "b"],
+        mean=[mean0, 0.5],
+        std=[1.0, 2.0],
+        low_clip=[-1.0, -2.0],
+        high_clip=[1.0, 2.0],
+        fitted_on=3,
+    )
+
+
+def test_stats_rewritten_in_place_are_read_again(tmp_path):
+    path = tmp_path / "norm.tsv"
+    save_stats(_two_column_stats(1.5), path)
+    stat = path.stat()
+    assert load_stats(path).mean[0] == 1.5
+    save_stats(_two_column_stats(2.5), path)
+    # same size and mtime: only the bytes tell the files apart
+    assert path.stat().st_size == stat.st_size
+    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    assert load_stats(path).mean[0] == 2.5
+
+
+def test_changing_loaded_stats_leaves_the_next_load_unchanged(tmp_path):
+    path = tmp_path / "norm.tsv"
+    save_stats(_two_column_stats(1.5), path)
+    first = load_stats(path)
+    first.column_names.append("c")
+    for arr in (first.mean, first.std, first.low_clip, first.high_clip):
+        arr[:] = 9.0
+    second = load_stats(path)
+    assert second.column_names == ["a", "b"]
+    assert second.mean.tolist() == [1.5, 0.5]
+    assert second.std.tolist() == [1.0, 2.0]
+    assert second.low_clip.tolist() == [-1.0, -2.0]
+    assert second.high_clip.tolist() == [1.0, 2.0]
+
+
+def test_corrupt_stats_after_a_good_load_raise_a_parse_error(tmp_path):
+    path = tmp_path / "norm.tsv"
+    save_stats(_two_column_stats(1.5), path)
+    good = path.read_bytes()
+    load_stats(path)
+    path.write_bytes(good.replace(b"fitted_on 3", b"fitted_on x"))
+    for _ in range(2):  # a file that failed to parse is never kept
+        with pytest.raises(ParseError) as exc:
+            load_stats(path)
+        assert exc.value.path == str(path)
+    path.write_bytes(good)
+    assert load_stats(path).mean.tolist() == [1.5, 0.5]
