@@ -100,6 +100,14 @@ def _require(condition: bool, message: str) -> None:
         raise ConfigError(message)
 
 
+def _flag(block: dict, key: str, default: bool, name: str) -> bool:
+    """A JSON boolean from `block`; a string such as "false" is rejected,
+    not read as true."""
+    value = block.get(key, default)
+    _require(isinstance(value, bool), f"{name} must be true or false, got {value!r}")
+    return value
+
+
 def load_config(
     path: str | Path,
     seed_override: int | None = None,
@@ -160,7 +168,9 @@ def load_config(
         f"feature groups must be a non-empty subset of {GROUPS}",
     )
     selection = FeatureGroupSelection(
-        groups, bool(feat.get("include_raw_pressure_in_derived", False))
+        groups,
+        _flag(feat, "include_raw_pressure_in_derived", False,
+              "features.include_raw_pressure_in_derived"),
     )
 
     model = raw.get("model", {})
@@ -171,7 +181,7 @@ def load_config(
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad model spec: {exc}") from exc
     cell = model.get("cell", "gru")
-    with_conv = bool(model.get("with_conv", True))
+    with_conv = _flag(model, "with_conv", True, "model.with_conv")
     _require(cell in CELLS, f"unknown cell {cell!r}")
 
     train_block = dict(raw.get("train", {}))
@@ -203,8 +213,12 @@ def load_config(
     _require(cutoff_scope in ("train", "all"), "cutoff_scope must be 'train' or 'all'")
     clip = raw.get("clip_pcts", [5.0, 90.0])
     _require(
-        isinstance(clip, (list, tuple)) and len(clip) == 2,
-        "clip_pcts must be a [low, high] pair",
+        isinstance(clip, list)
+        and len(clip) == 2
+        and all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in clip)
+        and 0 <= clip[0] < clip[1] <= 100,
+        f"clip_pcts must be a [low, high] pair of numbers with 0 <= low < high <= 100, "
+        f"got {clip!r}",
     )
 
     return ExperimentConfig(
@@ -218,7 +232,7 @@ def load_config(
         plan=plan,
         out_dir=Path(out_dir),
         cutoff_scope=cutoff_scope,
-        normalize=bool(raw.get("normalize", True)),
+        normalize=_flag(raw, "normalize", True, "normalize"),
         clip_pcts=(float(clip[0]), float(clip[1])),
     )
 

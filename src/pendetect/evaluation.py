@@ -7,6 +7,12 @@ boundary. An experiment run produces an :class:`ExperimentReport` that
 embeds the resolved configuration, per-fold raw numbers, and aggregate
 metrics; reports serialize to canonical JSON and a fixed-width table.
 
+Each fold is prepared once: its sequences are normalized, fitted to the
+fold's length cutoff and stacked into one time-major array in train,
+val, test row order, which training, early stopping and scoring all
+read. The ablation grid prepares its folds once and shares them between
+its six cells.
+
 Folds are independent of each other (any could run concurrently); they
 are executed sequentially here so that a report is reproducible down to
 the byte, with all timing recorded in ``wall_clock_*`` fields that are
@@ -18,6 +24,7 @@ from __future__ import annotations
 import json
 import math
 import time
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, asdict
 from itertools import groupby
 from pathlib import Path
@@ -27,6 +34,7 @@ import numpy as np
 from .errors import IoError, SingleClass, TooSmall, TrainingError
 from .features import FeatureGroupSelection, FeatureMatrix, assemble_features
 from .preprocess import (
+    LengthPolicy,
     NormalizationStats,
     apply_normalization,
     compute_cutoff,
@@ -120,6 +128,10 @@ class SplitIndices:
     train: tuple[int, ...]
     val: tuple[int, ...]
     test: tuple[int, ...]
+
+    def rows(self) -> list[tuple[str, int]]:
+        """(role, dataset index) of every sample, in train, val, test order."""
+        return [(role, i) for role in ("train", "val", "test") for i in getattr(self, role)]
 
 
 def _round_half_up(x: float) -> int:
@@ -439,86 +451,99 @@ def _carve_validation(
     return train, val
 
 
-def _run_fold(
-    fold_i: int,
-    split: SplitIndices,
+@dataclass(frozen=True)
+class _Fold:
+    """One split after any carve-out, its rows stacked time-major into `x`
+    (T, N, m) in ``split.rows()`` order; `y` holds the 0/1 targets as
+    trained (under shuffle_labels, train rows permuted)."""
+
+    index: int
+    split: SplitIndices
+    carved: bool
+    policy: LengthPolicy
+    stats: NormalizationStats | None
+    x: np.ndarray
+    y: np.ndarray
+
+
+def _prepare_folds(
     matrices: list[FeatureMatrix],
-    spec: ModelSpec,
-    train_config: TrainConfig,
     plan: SplitPlan,
-    cutoff_scope: str,
-    normalize: bool,
-    clip_pcts: tuple[float, float],
-    shuffle_labels: bool,
-    carved: bool,
+    train_config: TrainConfig,
+    cutoff_scope: str = "train",
+    normalize: bool = True,
+    clip_pcts: tuple[float, float] = (5.0, 90.0),
+    shuffle_labels: bool = False,
+) -> Iterator[_Fold]:
+    """Each split of `plan` as a `_Fold`, prepared when it is reached; the
+    flags are run_experiment's."""
+    if cutoff_scope not in ("train", "all"):
+        raise ValueError(f"cutoff_scope must be 'train' or 'all', got {cutoff_scope!r}")
+    for fold_i, split in enumerate(make_splits(matrices, plan)):
+        carved = False
+        if train_config.early_stop_patience is not None and not split.val:
+            train, val = _carve_validation(split.train, matrices, [plan.seed, 31, fold_i])
+            if val:
+                split, carved = SplitIndices(train=train, val=val, test=split.test), True
+        train_ms = [matrices[i] for i in split.train]
+        policy = compute_cutoff(train_ms if cutoff_scope == "train" else matrices)
+        stats = fit_normalization(train_ms, clip_pcts[0], clip_pcts[1]) if normalize else None
+        rows = []
+        for _, i in split.rows():
+            fm = matrices[i] if stats is None else apply_normalization(matrices[i], stats)
+            rows.append(fit_length(fm, policy).values)
+        y = np.array([LABEL_TO_Y[matrices[i].label] for _, i in split.rows()], dtype=np.float64)
+        if shuffle_labels:
+            n = len(split.train)
+            y[:n] = y[:n][np.random.default_rng([plan.seed, 7, fold_i]).permutation(n)]
+        yield _Fold(fold_i, split, carved, policy, stats, np.stack(rows, axis=1), y)
+
+
+def _run_fold(
+    fold: _Fold, matrices: list[FeatureMatrix], spec: ModelSpec, train_config: TrainConfig
 ) -> tuple[dict, dict]:
-    train_ms = [matrices[i] for i in split.train]
-    cutoff_src = train_ms if cutoff_scope == "train" else matrices
-    policy = compute_cutoff(cutoff_src)
-    stats: NormalizationStats | None = None
-    if normalize:
-        stats = fit_normalization(train_ms, clip_pcts[0], clip_pcts[1])
-
-    def prep(fm: FeatureMatrix) -> FeatureMatrix:
-        if stats is not None:
-            fm = apply_normalization(fm, stats)
-        return fit_length(fm, policy)
-
-    def pairs(idx):
-        return [(prep(matrices[i]), LABEL_TO_Y[matrices[i].label]) for i in idx]
-
-    train_pairs = pairs(split.train)
-    val_pairs = pairs(split.val)
-    test_pairs = pairs(split.test)
-
-    if shuffle_labels:
-        rng = np.random.default_rng([plan.seed, 7, fold_i])
-        ys = [y for _, y in train_pairs]
-        perm = rng.permutation(len(ys))
-        train_pairs = [(fm, ys[perm[j]]) for j, (fm, _) in enumerate(train_pairs)]
-
+    split = fold.split
+    n_train = len(split.train)
+    n_fit = n_train + len(split.val)
     model = SequenceClassifier(
-        spec, matrices[0].m, np.random.default_rng([train_config.seed, 101, fold_i])
+        spec, matrices[0].m, np.random.default_rng([train_config.seed, 101, fold.index])
     )
+    ids = [f"{matrices[i].subject_id}/{matrices[i].task_id}" for i in split.train]
+    val = (fold.x[:, n_train:n_fit], fold.y[n_train:n_fit]) if split.val else None
     t0 = time.perf_counter()
     try:
         result = train_model(
-            model, train_pairs, train_config, val_set=val_pairs or None
+            model, fold.x[:, :n_train], fold.y[:n_train], ids, train_config, val=val
         )
     except TrainingError as exc:
-        exc.fold_index = fold_i
+        exc.fold_index = fold.index
         raise
     train_seconds = time.perf_counter() - t0
 
-    # one scoring pass over every role, so the batch_size chunks span roles
-    scored = train_pairs + val_pairs + test_pairs
-    probs, _ = predict(model, scored, train_config.batch_size)
-    roles = ["train"] * len(train_pairs) + ["val"] * len(val_pairs) + ["test"] * len(test_pairs)
-    samples = []
-    for role, i, (_, y), p in zip(roles, split.train + split.val + split.test, scored,
-                                  probs.tolist()):
-        src = matrices[i]
-        samples.append(
-            {
-                "subject_id": src.subject_id,
-                "task_id": src.task_id,
-                "role": role,
-                "label": src.label,
-                "y": y,
-                "p": p,
-            }
-        )
+    # one scoring pass over the whole fold, so the batch_size chunks span roles
+    probs, _ = predict(model, fold.x, train_config.batch_size)
+    samples = [
+        {
+            "subject_id": matrices[i].subject_id,
+            "task_id": matrices[i].task_id,
+            "role": role,
+            "label": matrices[i].label,
+            "y": int(y),
+            "p": p,
+        }
+        for (role, i), y, p in zip(split.rows(), fold.y.tolist(), probs.tolist())
+    ]
 
     epoch_secs = result.wall_clock_epoch_seconds
     entry = {
-        "fold": fold_i,
+        "fold": fold.index,
         "sizes": {
-            "train": len(split.train),
+            "train": n_train,
             "val": len(split.val),
             "test": len(split.test),
         },
-        "cutoff": policy.cutoff,
-        "early_stop_carveout": carved,
+        "cutoff": fold.policy.cutoff,
+        "early_stop_carveout": fold.carved,
         "metrics": metrics_from_scores(_test_scores(samples)),
         "samples": samples,
         "training": {
@@ -531,21 +556,17 @@ def _run_fold(
         "wall_clock_train_seconds": train_seconds,
         "wall_clock_mean_epoch_seconds": float(np.mean(epoch_secs)),
     }
-    artifacts = {"policy": policy, "stats": stats, "model": model}
+    artifacts = {"policy": fold.policy, "stats": fold.stats, "model": model}
     return entry, artifacts
 
 
 @dataclass(frozen=True)
 class _Cohort:
-    """A dataset's feature matrices and its splits under one plan."""
+    """A dataset's feature matrices and its folds: a generator when each
+    fold is dropped after scoring, a tuple when the grid's cells share them."""
 
     matrices: list[FeatureMatrix]
-    splits: list[SplitIndices]
-
-
-def _derive_cohort(dataset, feature_selection: FeatureGroupSelection, plan: SplitPlan) -> _Cohort:
-    matrices = [assemble_features(seq, feature_selection) for seq in dataset]
-    return _Cohort(matrices, make_splits(matrices, plan))
+    folds: Iterable[_Fold]
 
 
 def _test_scores(samples: list[dict]) -> list[tuple[float, int]]:
@@ -567,14 +588,18 @@ def run_experiment(
     out_artifacts: dict | None = None,
 ) -> ExperimentReport:
     """Run one full protocol over `dataset` (a list of SignalSequence, or
-    the `_Cohort` that run_ablation_grid derived once for all its cells).
+    the `_Cohort` whose folds run_ablation_grid prepared for all its cells).
 
-    Per split: the length cutoff and normalization statistics are fitted
-    on the training side only (set ``cutoff_scope="all"`` to fit the
-    cutoff on the whole dataset; the choice is echoed in the report),
-    sequences are normalized and then padded or truncated, a fresh model
-    is trained, and the held-out side is scored. ``shuffle_labels``
-    permutes training labels only, as a leakage control.
+    Each split is prepared once: the length cutoff and normalization
+    statistics are fitted on the training side only (set
+    ``cutoff_scope="all"`` to fit the cutoff on the whole dataset; the
+    choice is echoed in the report), and the sequences are normalized,
+    padded or truncated, and stacked into one time-major array in train,
+    val, test row order. A fresh model trains on its train rows (the val
+    rows drive early stopping) and one pass scores every row. Given a
+    list of sequences, each fold is prepared when it is reached and
+    dropped after scoring. ``shuffle_labels`` permutes training labels
+    only, as a leakage control.
 
     When early stopping is configured and a split has no validation part
     (k-fold), 10% of the training subjects are carved out, stratified,
@@ -582,45 +607,26 @@ def run_experiment(
     fold's trained model, length policy, and normalization statistics
     are stored in it for checkpointing.
     """
-    if cutoff_scope not in ("train", "all"):
-        raise ValueError(f"cutoff_scope must be 'train' or 'all', got {cutoff_scope!r}")
     t_start = time.perf_counter()
-    cohort = (
-        dataset if isinstance(dataset, _Cohort) else _derive_cohort(dataset, feature_selection, plan)
-    )
+    if isinstance(dataset, _Cohort):
+        cohort = dataset
+    else:
+        matrices = [assemble_features(seq, feature_selection) for seq in dataset]
+        folds = _prepare_folds(
+            matrices, plan, train_config, cutoff_scope, normalize, clip_pcts, shuffle_labels
+        )
+        cohort = _Cohort(matrices, folds)
     matrices = cohort.matrices
     spec = model_spec if model_spec is not None else ModelSpec.reference(matrices[0].m)
 
     per_fold = []
     pooled_scores: list[tuple[float, int]] = []
-    any_carved = False
     last_artifacts: dict = {}
-    for fold_i, split in enumerate(cohort.splits):
-        carved = False
-        if train_config.early_stop_patience is not None and not split.val:
-            train_idx, val_idx = _carve_validation(
-                split.train, matrices, [plan.seed, 31, fold_i]
-            )
-            if val_idx:
-                split = SplitIndices(train=train_idx, val=val_idx, test=split.test)
-                carved = True
-                any_carved = True
-        entry, artifacts = _run_fold(
-            fold_i,
-            split,
-            matrices,
-            spec,
-            train_config,
-            plan,
-            cutoff_scope,
-            normalize,
-            clip_pcts,
-            shuffle_labels,
-            carved,
-        )
+    for fold in cohort.folds:
+        entry, last_artifacts = _run_fold(fold, matrices, spec, train_config)
         per_fold.append(entry)
         pooled_scores.extend(_test_scores(entry["samples"]))
-        last_artifacts = artifacts
+    any_carved = any(entry["early_stop_carveout"] for entry in per_fold)
 
     aggregate = {
         key: float(np.mean([f["metrics"][key] for f in per_fold]))
@@ -691,11 +697,16 @@ def run_ablation_grid(
     with the without_conv counterpart (logged, not asserted). Timings
     stay in the cells' ``wall_clock_*`` fields, out of the fingerprint;
     the table renders the per-cell speed comparison from them. The
-    features and splits are derived once and shared by every cell.
+    features are derived and the folds prepared once, and every cell
+    trains and scores on the same fold arrays. `experiment_kwargs` are
+    run_experiment's preprocessing flags.
     """
     t_start = time.perf_counter()
-    cohort = _derive_cohort(dataset, feature_selection, plan)
-    input_size = cohort.matrices[0].m
+    matrices = [assemble_features(seq, feature_selection) for seq in dataset]
+    cohort = _Cohort(
+        matrices, tuple(_prepare_folds(matrices, plan, train_config, **experiment_kwargs))
+    )
+    input_size = matrices[0].m
     probe = None
     grid: dict[str, dict] = {}
     for cell in CELLS:

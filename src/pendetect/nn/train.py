@@ -1,8 +1,8 @@
 """Mini-batch training loop: shuffling, Adam steps, early stopping.
 
-Every set of (matrix, label) pairs a call receives (the training set and
-the validation set of `train_model`, the pairs `predict` scores) is
-stacked once per call into one time-major ``(T, N, m)`` array. A
+`train_model` and `predict` take time-major ``(T, N, m)`` arrays with
+``(N,)`` 0/1 targets and know nothing of feature matrices; a caller
+stacks its sequences once and hands in the array or views of it. A
 minibatch is a gather ``x[:, idx]`` (a chunk ``x[:, start:stop]`` for
 scoring), handed to the model as its ``(B, T, m)`` transpose view, so the
 model's own time-major copy costs nothing for a gathered batch.
@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import NonFiniteGradient
-from ..features import FeatureMatrix
 from .losses import bce_logit_grad, bce_loss
 from .model import SequenceClassifier
 from .optim import Adam
@@ -94,12 +93,6 @@ def _keep_heap_resident() -> None:
     mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
 
 
-def _time_major(pairs: list[tuple[FeatureMatrix, int]]) -> tuple[np.ndarray, np.ndarray]:
-    """(T, N, m) values and (N,) 0/1 targets; the matrices must share T."""
-    x = np.stack([fm.values for fm, _ in pairs], axis=1)
-    return x, np.array([y for _, y in pairs], dtype=np.float64)
-
-
 def train_step(
     model: SequenceClassifier,
     x: np.ndarray,
@@ -125,8 +118,8 @@ def train_step(
     return float(bce_loss(model.head.logits, y).mean())
 
 
-def _predict(
-    model: SequenceClassifier, x: np.ndarray, batch_size: int
+def predict(
+    model: SequenceClassifier, x: np.ndarray, batch_size: int = TrainConfig.batch_size
 ) -> tuple[np.ndarray, np.ndarray]:
     """Eval-mode (probabilities, logits) of a (T, N, m) array, in chunks of
     batch_size: the head's GEMV makes a row's p depend on its chunk."""
@@ -139,22 +132,17 @@ def _predict(
     return probs, logits
 
 
-def predict(
-    model: SequenceClassifier,
-    data: list[tuple[FeatureMatrix, int]],
-    batch_size: int = TrainConfig.batch_size,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Eval-mode (probabilities, logits) of every pair, in chunks of batch_size."""
-    return _predict(model, _time_major(data)[0], batch_size)
-
-
 def train_model(
     model: SequenceClassifier,
-    train_set: list[tuple[FeatureMatrix, int]],
+    x: np.ndarray,
+    y: np.ndarray,
+    ids: list[str],
     config: TrainConfig,
-    val_set: list[tuple[FeatureMatrix, int]] | None = None,
+    val: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> TrainResult:
-    """Train in place. Early stopping engages only when a validation set exists.
+    """Train in place on a (T, N, m) array with (N,) 0/1 targets; `ids` name
+    the N sequences in a NonFiniteGradient. `val` is an (x_val, y_val) pair
+    of the same form, and early stopping engages only when it is given.
 
     All stochasticity (batch order, dropout masks) flows from one generator
     seeded with config.seed, so identical inputs give identical parameters.
@@ -168,7 +156,7 @@ def train_model(
         beta2=config.adam_beta2,
         eps=config.adam_eps,
     )
-    use_early_stop = val_set is not None and config.early_stop_patience is not None
+    use_early_stop = val is not None and config.early_stop_patience is not None
     result = TrainResult(
         stopping_rule=(
             f"early_stopping(patience={config.early_stop_patience})"
@@ -176,11 +164,7 @@ def train_model(
             else "fixed_epochs"
         )
     )
-    x, y = _time_major(train_set)
-    ids = [f"{fm.subject_id}/{fm.task_id}" for fm, _ in train_set]
-    if val_set is not None:
-        x_val, y_val = _time_major(val_set)
-    n = len(train_set)
+    n = x.shape[1]
     best_val = np.inf
     best_theta = None
     since_best = 0
@@ -198,9 +182,9 @@ def train_model(
         result.wall_clock_epoch_seconds.append(time.perf_counter() - started)
         result.epochs_run = epoch + 1
 
-        if val_set is not None:
-            _, logits = _predict(model, x_val, config.batch_size)
-            val_loss = float(np.mean(bce_loss(logits, y_val)))
+        if val is not None:
+            _, logits = predict(model, val[0], config.batch_size)
+            val_loss = float(np.mean(bce_loss(logits, val[1])))
             result.val_losses.append(val_loss)
             if use_early_stop:
                 if val_loss < best_val:

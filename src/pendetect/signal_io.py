@@ -372,26 +372,34 @@ def generate_synthetic(
 # manifests
 
 def load_manifest(path: str | Path, format: str) -> DatasetManifest:
-    """Read a ``path,subject_id,task_id,label`` CSV into a DatasetManifest."""
+    """Read a ``path,subject_id,task_id,label`` CSV into a DatasetManifest.
+
+    A file that cannot be read is an IoError, and one that is not UTF-8 a
+    ParseError; both name the manifest.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+    except OSError as exc:
+        raise IoError(str(exc), path=str(path)) from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(str(exc), path=str(path)) from exc
     entries: list[ManifestEntry] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            return DatasetManifest(entries=[], format=format)
-        if tuple(h.strip() for h in header) != MANIFEST_HEADER:
-            raise ParseError(
-                f"manifest header must be {','.join(MANIFEST_HEADER)}", path=str(path)
-            )
-        for row_no, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != 4:
-                raise MalformedLine(row_no, f"expected 4 columns, got {len(row)}", path=str(path))
-            file_path, subject_id, task_id, label = (c.strip() for c in row)
-            if label.upper() not in LABELS:
-                raise MalformedLine(row_no, f"label must be PD or HC, got {label!r}", path=str(path))
-            entries.append(ManifestEntry(file_path, subject_id, task_id, label.upper()))
+    if not rows:
+        return DatasetManifest(entries=entries, format=format)
+    if tuple(h.strip() for h in rows[0]) != MANIFEST_HEADER:
+        raise ParseError(
+            f"manifest header must be {','.join(MANIFEST_HEADER)}", path=str(path)
+        )
+    for row_no, row in enumerate(rows[1:], start=2):
+        if not row or all(not c.strip() for c in row):
+            continue
+        if len(row) != 4:
+            raise MalformedLine(row_no, f"expected 4 columns, got {len(row)}", path=str(path))
+        file_path, subject_id, task_id, label = (c.strip() for c in row)
+        if label.upper() not in LABELS:
+            raise MalformedLine(row_no, f"label must be PD or HC, got {label!r}", path=str(path))
+        entries.append(ManifestEntry(file_path, subject_id, task_id, label.upper()))
     return DatasetManifest(entries=entries, format=format)
 
 

@@ -528,3 +528,57 @@ def test_unwritable_report_is_an_io_error(tmp_path, capsys, command, report):
 def test_missing_config_flag_is_a_config_error(capsys):
     assert main(["train"]) == 1
     assert "config" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# config values checked before any work
+
+
+@pytest.mark.parametrize("clip", [[90, 5], ["a", "b"]])
+def test_bad_clip_pcts_is_a_config_error_before_any_work(tmp_path, capsys, clip):
+    cfg = _write_config(tmp_path / "c.json", clip_pcts=clip)
+    out = tmp_path / "o"
+    assert main(["train", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "clip_pcts" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "key, overrides",
+    [
+        ("normalize", {"normalize": "false"}),
+        ("model.with_conv", {"model": {"with_conv": "false"}}),
+        (
+            "features.include_raw_pressure_in_derived",
+            {"features": {"groups": ["derived"], "include_raw_pressure_in_derived": "false"}},
+        ),
+    ],
+)
+def test_config_booleans_must_be_json_booleans(tmp_path, key, overrides):
+    with pytest.raises(ConfigError, match=key):
+        load_config(_write_config(tmp_path / "c.json", **overrides), env={})
+
+
+def test_manifest_that_is_a_directory_is_an_io_error(tmp_path, capsys):
+    manifest = tmp_path / "manifest.csv"
+    manifest.mkdir()
+    cfg = _write_config(
+        tmp_path / "c.json",
+        source={"kind": "manifest", "path": "manifest.csv", "format": "tablet_svc"},
+    )
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert str(manifest.resolve()) in err and "Traceback" not in err
+
+
+def test_manifest_that_is_not_utf8_is_a_parse_error(tmp_path, capsys):
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_bytes(b"path,subject_id,task_id,label\na.svc,s1,spiral,PD\xff\n")
+    cfg = _write_config(
+        tmp_path / "c.json",
+        source={"kind": "manifest", "path": "manifest.csv", "format": "tablet_svc"},
+    )
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and str(manifest.resolve()) in err

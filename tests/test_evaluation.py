@@ -22,7 +22,7 @@ from pendetect.evaluation import (
     run_experiment,
 )
 from pendetect.features import FeatureGroupSelection, assemble_features
-from pendetect.nn import ModelSpec, TrainConfig
+from pendetect.nn import CELLS, ModelSpec, TrainConfig
 from pendetect.signal_io import generate_synthetic
 
 
@@ -479,7 +479,11 @@ def test_ablation_grid_derives_features_and_splits_once(monkeypatch):
     sel = FeatureGroupSelection.of("pressure")
     plan = SplitPlan.kfold(2, seed=4)
     config = TrainConfig(epochs=1, batch_size=8, seed=0)
-    calls = {"assemble_features": 0, "make_splits": 0}
+    calls = dict.fromkeys(
+        ("assemble_features", "make_splits", "fit_normalization", "apply_normalization",
+         "fit_length"),
+        0,
+    )
     specs = []
     for name in calls:
         original = getattr(evaluation, name)
@@ -497,13 +501,40 @@ def test_ablation_grid_derives_features_and_splits_once(monkeypatch):
 
     monkeypatch.setattr(evaluation, "run_experiment", recording_run_experiment)
     report = run_ablation_grid(seqs, sel, config, plan)
-    assert calls == {"assemble_features": len(seqs), "make_splits": 1}
+    # every fold is prepared once, for all six cells: each matrix is
+    # normalized and length-fitted once per fold
+    assert calls == {
+        "assemble_features": len(seqs),
+        "make_splits": 1,
+        "fit_normalization": 2,
+        "apply_normalization": 2 * len(seqs),
+        "fit_length": 2 * len(seqs),
+    }
     assert len(specs) == 6 and all(isinstance(spec, ModelSpec) for spec in specs)
 
     # a shared cohort gives each cell the numbers of a run of its own
     alone = run_one(seqs, sel, ModelSpec.reference(2, cell="lstm", with_conv=False), config, plan)
     assert report.cells["lstm/without_conv"]["aggregate"] == alone.aggregate
     assert report.cells["lstm/without_conv"]["pooled_auc"] == alone.pooled["auc"]
+
+
+def test_ablation_grid_shares_carved_out_folds():
+    # early stopping carves a validation set out of every k-fold split; the
+    # carve-out is part of the shared fold, and each cell still matches a
+    # run of its own
+    seqs = generate_synthetic(3, (30, 40), 1.0, seed=6)
+    sel = FeatureGroupSelection.of("pressure")
+    plan = SplitPlan.kfold(2, seed=4)
+    config = TrainConfig(epochs=2, batch_size=4, seed=0, early_stop_patience=1)
+    report = run_ablation_grid(seqs, sel, config, plan)
+    assert report.config["flags"]["early_stop_carveout"] is True
+    for cell in CELLS:
+        for with_conv in (True, False):
+            name = f"{cell}/{'with_conv' if with_conv else 'without_conv'}"
+            spec = ModelSpec.reference(2, cell=cell, with_conv=with_conv)
+            alone = run_experiment(seqs, sel, spec, config, plan)
+            assert report.cells[name]["aggregate"] == alone.aggregate, name
+            assert report.cells[name]["pooled_auc"] == alone.pooled["auc"], name
 
 
 def test_ablation_fingerprint_does_not_depend_on_the_clock(monkeypatch):

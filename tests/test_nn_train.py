@@ -52,6 +52,12 @@ def _batch(pairs):
     return x, y, [f"{fm.subject_id}/{fm.task_id}" for fm, _ in pairs]
 
 
+def _stack(pairs):
+    """(T, N, m) values, (N,) targets and ids of pairs, as train_model takes them."""
+    x, y, ids = _batch(pairs)
+    return np.ascontiguousarray(x.transpose(1, 0, 2)), y, ids
+
+
 def _small_model(seed=0, cell="gru", m=3):
     spec = ModelSpec(
         conv_layers=(),
@@ -212,7 +218,7 @@ def test_training_is_deterministic():
     results = []
     for _ in range(2):
         model = _small_model(seed=7)
-        train_model(model, data, config)
+        train_model(model, *_stack(data), config)
         results.append({k: v.copy() for k, v in model.params().items()})
     for key in results[0]:
         np.testing.assert_array_equal(results[0][key], results[1][key])
@@ -221,7 +227,7 @@ def test_training_is_deterministic():
 def test_loss_decreases_on_separable_toy_set():
     data = _toy_set(8, 30, 4, seed=4, shift=1.5)
     model = SequenceClassifier(ModelSpec.reference(4), 4, np.random.default_rng(5))
-    result = train_model(model, data, TrainConfig(epochs=20, batch_size=16, seed=0))
+    result = train_model(model, *_stack(data), TrainConfig(epochs=20, batch_size=16, seed=0))
     assert result.epoch_losses[19] < result.epoch_losses[0]
     assert result.stopping_rule == "fixed_epochs"
     assert len(result.wall_clock_epoch_seconds) == 20
@@ -233,7 +239,8 @@ def test_early_stopping_triggers_and_restores_best():
     val_set = [(fm, 1 - y) for fm, y in _toy_set(3, 14, 3, seed=7, shift=2.0)]
     model = _small_model(seed=8)
     config = TrainConfig(epochs=60, batch_size=6, seed=1, early_stop_patience=3)
-    result = train_model(model, train_set, config, val_set=val_set)
+    x_val, y_val, _ = _stack(val_set)
+    result = train_model(model, *_stack(train_set), config, val=(x_val, y_val))
     assert result.stopped_early
     assert result.epochs_run < 60
     assert result.best_epoch is not None
@@ -241,15 +248,15 @@ def test_early_stopping_triggers_and_restores_best():
     assert len(result.val_losses) == result.epochs_run
     # restored parameters reproduce the best recorded validation loss
     best_val = min(result.val_losses)
-    _, logits = predict(model, val_set, config.batch_size)
-    val_loss = float(np.mean(bce_loss(logits, np.array([y for _, y in val_set]))))
+    _, logits = predict(model, x_val, config.batch_size)
+    val_loss = float(np.mean(bce_loss(logits, y_val)))
     assert val_loss == pytest.approx(best_val, rel=1e-12)
 
 
 def test_no_early_stop_without_validation_set():
     data = _toy_set(3, 12, 3, seed=9)
     model = _small_model(seed=9)
-    result = train_model(model, data, TrainConfig(epochs=4, batch_size=4, seed=2))
+    result = train_model(model, *_stack(data), TrainConfig(epochs=4, batch_size=4, seed=2))
     assert not result.stopped_early
     assert result.epochs_run == 4
     assert result.val_losses == []
@@ -267,6 +274,13 @@ def test_non_finite_gradient_diagnostics():
     assert len(exc.value.batch_ids) == 4
     assert exc.value.batch_ids == ["s00/t", "s01/t", "s10/t", "s11/t"]
 
+    # train_model names the rows of the failing minibatch from its ids
+    x, y, ids = _stack(_toy_set(3, 10, 3, seed=10))
+    with pytest.raises(NonFiniteGradient) as exc:
+        train_model(model, x, y, ids, TrainConfig(epochs=1, batch_size=4, seed=0))
+    order = np.random.default_rng([0]).permutation(6)
+    assert exc.value.batch_ids == [ids[i] for i in order[:4]]
+
 
 def test_training_from_the_fold_array_equals_per_batch_stacking():
     # oracle: train_model's loop with every minibatch stacked from its pairs
@@ -276,7 +290,7 @@ def test_training_from_the_fold_array_equals_per_batch_stacking():
     config = TrainConfig(epochs=3, batch_size=8, seed=4, early_stop_patience=None)
     model = SequenceClassifier(ModelSpec.reference(4), 4, np.random.default_rng(16))
     oracle = SequenceClassifier(ModelSpec.reference(4), 4, np.random.default_rng(16))
-    result = train_model(model, train_set, config, val_set=val_set)
+    result = train_model(model, *_stack(train_set), config, val=_stack(val_set)[:2])
 
     def chunked(pairs):
         probs, logits = [], []
@@ -301,7 +315,7 @@ def test_training_from_the_fold_array_equals_per_batch_stacking():
     assert result.val_losses == val_losses
     scored = train_set + val_set
     expected = chunked(scored)
-    for got, want in zip(predict(model, scored, config.batch_size), expected):
+    for got, want in zip(predict(model, _stack(scored)[0], config.batch_size), expected):
         np.testing.assert_array_equal(got, want)
 
 
@@ -318,7 +332,7 @@ def test_repeated_training_keeps_the_heap_resident():
     def minor_faults_of_one_run():
         model = SequenceClassifier(ModelSpec.reference(17), 17, np.random.default_rng(18))
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        train_model(model, data, config)
+        train_model(model, *_stack(data), config)
         return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
 
     minor_faults_of_one_run()
