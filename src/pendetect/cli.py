@@ -17,10 +17,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 
@@ -44,10 +45,17 @@ from .evaluation import (
     run_ablation_grid,
     run_experiment,
 )
-from .features import GROUPS, FeatureGroupSelection, assemble_features, dump_csv
+from .features import (
+    GROUPS,
+    MIN_LENGTH,
+    FeatureGroupSelection,
+    assemble_features,
+    dump_csv,
+)
 from .nn import CELLS, ModelSpec, TrainConfig, load_checkpoint
 from .preprocess import LengthPolicy, apply_normalization, fit_length, load_stats, save_stats
 from .signal_io import (
+    MANIFEST_FORMATS,
     DatasetManifest,
     ManifestEntry,
     generate_synthetic,
@@ -137,6 +145,9 @@ def load_config(
 
     unknown = set(raw) - _TOP_KEYS
     _require(not unknown, f"unknown config keys {sorted(unknown)}")
+    for key in ("features", "model", "train", "split"):
+        block = raw.get(key, {})
+        _require(isinstance(block, dict), f"{key} must be a JSON object, got {block!r}")
 
     seed = raw.get("seed")
     if "PENDETECT_SEED" in env:
@@ -420,22 +431,75 @@ def cmd_ablate(args) -> int:
     return 0
 
 
+def _replayed_preprocessing(meta: dict, checkpoint: str | Path) -> dict:
+    """The checkpoint's preprocessing block, absent entries at their
+    defaults; a wrongly typed or unknown value is a ParseError naming the
+    checkpoint."""
+    pre = {
+        "cutoff": None,
+        "feature_groups": ["derived"],
+        "include_raw_pressure_in_derived": False,
+        "format": "tablet_svc",
+        "sample_rate_hz": None,
+        **(meta.get("preprocessing") or {}),
+    }
+
+    def bad(message: str) -> ParseError:
+        return ParseError(f"malformed checkpoint: preprocessing.{message}", path=str(checkpoint))
+
+    cutoff, groups, rate = pre["cutoff"], pre["feature_groups"], pre["sample_rate_hz"]
+    if not (
+        cutoff is None or (isinstance(cutoff, int) and not isinstance(cutoff, bool) and cutoff >= 1)
+    ):
+        raise bad(f"cutoff must be null or an integer >= 1, got {cutoff!r}")
+    if not (
+        isinstance(groups, list) and groups and all(isinstance(g, str) and g in GROUPS for g in groups)
+    ):
+        raise bad(f"feature_groups must be a non-empty list of {GROUPS}, got {groups!r}")
+    if not isinstance(pre["include_raw_pressure_in_derived"], bool):
+        raise bad(
+            "include_raw_pressure_in_derived must be true or false, "
+            f"got {pre['include_raw_pressure_in_derived']!r}"
+        )
+    if not (isinstance(pre["format"], str) and pre["format"] in MANIFEST_FORMATS):
+        raise bad(f"format must be one of {MANIFEST_FORMATS}, got {pre['format']!r}")
+    if not (
+        rate is None
+        or (isinstance(rate, (int, float)) and not isinstance(rate, bool) and 0 < rate < math.inf)
+    ):
+        raise bad(f"sample_rate_hz must be null or a positive number, got {rate!r}")
+    return pre
+
+
 def score_file(checkpoint: str | Path, input_path: str | Path) -> float:
     """Score one recording, replaying the checkpoint's training-time
-    preprocessing (feature groups, normalization statistics, cutoff)."""
+    preprocessing (feature groups, normalization statistics, cutoff).
+
+    The whole recording is parsed and validated, but features are derived
+    only for its first ``cutoff`` rows (at least MIN_LENGTH), the rows the
+    model reads. Every derived column at row t depends on rows up to t
+    alone and normalization works row by row, so p is the same as from
+    features of the whole recording. One consequence: a derived value past
+    the cutoff that is not finite, such as an overflow of finite inputs
+    near 1e308, no longer fails the call.
+    """
     model, meta = load_checkpoint(checkpoint)
-    pre = meta.get("preprocessing") or {}
-    seq = parse_recording(input_path, pre.get("format", "tablet_svc"), pre.get("sample_rate_hz"))
+    pre = _replayed_preprocessing(meta, checkpoint)
+    seq = parse_recording(input_path, pre["format"], pre["sample_rate_hz"])
+    cutoff = pre["cutoff"]
+    # at least MIN_LENGTH rows, so that a recording fit for features stays fit
+    rows = None if cutoff is None else max(cutoff, MIN_LENGTH)
+    if rows is not None and seq.length > rows:
+        seq = replace(seq, channels={name: c[:rows] for name, c in seq.channels.items()})
     selection = FeatureGroupSelection(
-        tuple(pre.get("feature_groups", ["derived"])),
-        pre.get("include_raw_pressure_in_derived", False),
+        tuple(pre["feature_groups"]), pre["include_raw_pressure_in_derived"]
     )
     fm = assemble_features(seq, selection)
     if meta.get("normalization_ref"):
         stats = load_stats(Path(checkpoint).parent / meta["normalization_ref"])
         fm = apply_normalization(fm, stats)
-    if pre.get("cutoff"):
-        fm = fit_length(fm, LengthPolicy(cutoff=int(pre["cutoff"])))
+    if cutoff is not None:
+        fm = fit_length(fm, LengthPolicy(cutoff=cutoff))
     return model.forward(fm.values)
 
 

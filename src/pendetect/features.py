@@ -56,6 +56,9 @@ KINEMATIC_COLUMNS = (
 )
 DERIVED_COLUMNS = KINEMATIC_COLUMNS + ("pressure_derivative",)
 
+#: the fewest time-steps that every selection accepts: jerk needs four
+MIN_LENGTH = 4
+
 _GROUP_COLUMNS = {
     "raw": RAW_COLUMNS,
     "inclination": INCLINATION_COLUMNS,
@@ -257,8 +260,8 @@ def assemble_features(seq: SignalSequence, selection: FeatureGroupSelection) -> 
 
     if seq.length < 2:
         raise TooShort(f"need at least 2 time-steps, got {seq.length}")
-    if any(n.endswith("jerk") for n in names) and seq.length < 4:
-        raise TooShort(f"jerk needs at least 4 time-steps, got {seq.length}")
+    if any(n.endswith("jerk") for n in names) and seq.length < MIN_LENGTH:
+        raise TooShort(f"jerk needs at least {MIN_LENGTH} time-steps, got {seq.length}")
 
     cols = seq.channels if selection.groups == ("raw",) else _tablet_columns(seq)
     values = np.column_stack([cols[name] for name in names])

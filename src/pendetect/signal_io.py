@@ -10,12 +10,18 @@ Two on-disk formats are supported:
 
 Parsing is format-only: a parsed sequence may be as short as one sample;
 length requirements are enforced downstream by the feature stage.
+
+A parser reads and validates the whole file, however long. ``score``
+parses and validates the whole recording too, but derives features only
+for the first ``cutoff`` rows that its model reads (see cli.score_file).
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -120,34 +126,95 @@ class DatasetManifest:
 # ---------------------------------------------------------------------------
 # parsing
 
-def _read_lines(path: str | Path) -> list[str]:
+def _read_text(path: str | Path) -> str:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(str(exc), path=str(path)) from exc
-    return text.splitlines()
 
 
-def _parse_numeric_lines(path: str | Path, arity: int) -> tuple[np.ndarray, list[int]]:
+#: characters str.splitlines breaks a line at but numpy's C reader takes for
+#: field separators; reading through either must see the same lines
+_SPLITLINES_ONLY_BREAKS = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e")
+
+
+def _parse_numeric_lines(
+    path: str | Path, arity: int
+) -> tuple[np.ndarray, Callable[[], list[int]]]:
     """Parse whitespace-separated numeric lines of fixed arity.
 
-    Returns the value matrix and the 1-based physical line number of each data
-    row. A first line that does not match the arity is treated as a header and
-    skipped with a warning; blank lines are ignored. A nan or infinite value
-    is a MalformedLine naming its line.
+    Returns the value matrix and a function giving the 1-based physical
+    line number of each data row. A first line that does not match the arity
+    is treated as a header and skipped with a warning; blank lines are
+    ignored. A nan or infinite value is a MalformedLine naming its line.
+
+    numpy's C reader reads a clean file: ASCII text with one arity on every
+    non-blank line and only finite values, which it converts with the same
+    routine as float(). Every other file goes to _parse_split_lines, which
+    gives the values, warnings and errors with their line numbers. Line
+    numbers of a clean file are worked out only when asked for.
+    """
+    text = _read_text(path)
+    values = _read_clean(text, arity)
+    if values is None:
+        values, line_nos = _parse_split_lines(text.splitlines(), arity, path)
+        return values, lambda: line_nos
+    return values, lambda: _data_line_numbers(text)
+
+
+def _read_clean(text: str, arity: int) -> np.ndarray | None:
+    """The values of `text` read by numpy's C reader, or None where that
+    reading is refused or could differ from _parse_split_lines'.
+
+    Text that is not ASCII may hold line breaks of str.splitlines (U+0085,
+    U+2028) that the C reader takes for field separators, or digits
+    (U+0661) that float() takes and the C reader refuses; ASCII text may
+    hold the line breaks of _SPLITLINES_ONLY_BREAKS. Such text is not read
+    here, and neither is an empty or blank file, which the C reader would
+    read as no data with a warning. The C reader refuses a wrong arity on
+    any line (a header among them) and tokens such as 1_000 that float()
+    takes. `text` comes from a universal-newlines read, so it holds no
+    carriage return that the two readers could split differently.
+    """
+    if (
+        not text.isascii()
+        or not text
+        or text.isspace()
+        or any(c in text for c in _SPLITLINES_ONLY_BREAKS)
+    ):
+        return None
+    try:
+        values = np.loadtxt(io.StringIO(text), dtype=np.float64, comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if values.shape[1] != arity or not np.isfinite(values).all():
+        return None
+    return values
+
+
+def _data_line_numbers(text: str) -> list[int]:
+    """The 1-based line number of each non-blank line of a clean file."""
+    return [n for n, line in enumerate(text.splitlines(), start=1) if line.split()]
+
+
+def _parse_split_lines(
+    lines: list[str], arity: int, path: str | Path
+) -> tuple[np.ndarray, list[int]]:
+    """_parse_numeric_lines for any file: the value matrix and the line
+    number of each data row.
 
     Every token goes through float() in one pass over the whole file; only
     when a line has the wrong arity or a token does not convert does a
     line-by-line scan run, to name the first faulty line.
     """
-    split = list(map(str.split, _read_lines(path)))
+    split = list(map(str.split, lines))
     counts = np.fromiter(map(len, split), dtype=np.intp, count=len(split))
     start = 0
     if split and int(counts[0]) not in (0, arity):
         warnings.warn(
             f"{path}: skipping line 1 ({counts[0]} fields, expected {arity}); "
             "assumed to be a header",
-            stacklevel=3,
+            stacklevel=4,
         )
         counts[0] = 0
         start = 1
@@ -205,16 +272,16 @@ def parse_tablet_file(
     bad_button = np.nonzero(~np.isin(channels["button"], (0.0, 1.0)))[0]
     if bad_button.size:
         i = int(bad_button[0])
-        raise MalformedLine(line_nos[i], "button must be 0 or 1", path=str(path))
+        raise MalformedLine(line_nos()[i], "button must be 0 or 1", path=str(path))
     bad_pressure = np.nonzero(channels["pressure"] < 0)[0]
     if bad_pressure.size:
         i = int(bad_pressure[0])
-        raise MalformedLine(line_nos[i], "pressure must be >= 0", path=str(path))
+        raise MalformedLine(line_nos()[i], "pressure must be >= 0", path=str(path))
     ts = channels["timestamp"]
     decreasing = np.nonzero(ts[1:] < ts[:-1])[0]
     if decreasing.size:
         i = int(decreasing[0]) + 1
-        raise NonMonotonicTime(line_nos[i], path=str(path))
+        raise NonMonotonicTime(line_nos()[i], path=str(path))
 
     return SignalSequence(
         subject_id=subject_id or Path(path).stem,

@@ -12,12 +12,24 @@ from pendetect.cli import (
     resolve_config_path,
     score_file,
 )
-from pendetect.errors import ConfigError, TrainingError
+from pendetect.errors import ConfigError, MalformedLine, NonMonotonicTime, TrainingError
 from pendetect.evaluation import strip_wall_clock
 from pendetect.features import KINEMATIC_COLUMNS, FeatureGroupSelection, assemble_features
-from pendetect.nn import ModelSpec, SequenceClassifier
-from pendetect.preprocess import LengthPolicy, fit_length
-from pendetect.signal_io import SMARTPEN_CHANNELS, parse_recording
+from pendetect.nn import ModelSpec, SequenceClassifier, load_checkpoint
+from pendetect.preprocess import (
+    LengthPolicy,
+    apply_normalization,
+    fit_length,
+    fit_normalization,
+    load_stats,
+    save_stats,
+)
+from pendetect.signal_io import (
+    SMARTPEN_CHANNELS,
+    generate_synthetic,
+    parse_recording,
+    write_tablet_file,
+)
 
 
 def _write_config(path: Path, **overrides) -> Path:
@@ -345,6 +357,75 @@ def test_score_smartpen_checkpoint_matches_forward(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == f"{expected:.4f} {label}"
 
 
+def _score_fixture(tmp_path, fmt, cutoff, with_conv):
+    """A checkpoint with a normalization sidecar, the lines of a recording 20
+    times the cutoff, and the feature selection the checkpoint replays."""
+    if fmt == "tablet_svc":
+        selection = FeatureGroupSelection(("derived",))
+        seq = generate_synthetic(1, (20 * cutoff, 20 * cutoff), 0.5, seed=8)[1]
+        write_tablet_file(seq, tmp_path / "full.svc")
+        lines = (tmp_path / "full.svc").read_text().splitlines()
+    else:
+        selection = FeatureGroupSelection(("raw",))
+        values = np.random.default_rng(8).normal(0.0, 1.0, (20 * cutoff, len(SMARTPEN_CHANNELS)))
+        lines = [" ".join(map(repr, row)) for row in values.tolist()]
+    (tmp_path / "fit.txt").write_text("\n".join(lines) + "\n")
+    fm = assemble_features(parse_recording(tmp_path / "fit.txt", fmt), selection)
+    save_stats(fit_normalization([fm]), tmp_path / "normalization.tsv")
+    model = SequenceClassifier(
+        ModelSpec.reference(fm.m, with_conv=with_conv), fm.m, np.random.default_rng(2)
+    )
+    model.save_checkpoint(
+        tmp_path / "m.ckpt",
+        normalization_ref="normalization.tsv",
+        preprocessing={"cutoff": cutoff, "feature_groups": list(selection.groups),
+                       "format": fmt},
+    )
+    return tmp_path / "m.ckpt", lines, selection
+
+
+def _uncut_score(ckpt, recording, fmt, selection, cutoff):
+    model, meta = load_checkpoint(ckpt)
+    fm = assemble_features(parse_recording(recording, fmt), selection)
+    fm = apply_normalization(fm, load_stats(ckpt.parent / meta["normalization_ref"]))
+    return model.forward(fit_length(fm, LengthPolicy(cutoff=cutoff)).values)
+
+
+@pytest.mark.parametrize("fmt", ["tablet_svc", "smartpen_channels"])
+@pytest.mark.parametrize(
+    "cutoff, with_conv, lengths",
+    # a cutoff below MIN_LENGTH still leaves MIN_LENGTH rows for the features
+    [(30, True, [25, 30, 600]), (3, False, [4, 5, 60])],
+)
+def test_score_equals_the_uncut_pipeline(tmp_path, fmt, cutoff, with_conv, lengths):
+    ckpt, lines, selection = _score_fixture(tmp_path, fmt, cutoff, with_conv)
+    for n in lengths:
+        recording = tmp_path / f"rec{n}.txt"
+        recording.write_text("\n".join(lines[:n]) + "\n")
+        assert score_file(ckpt, recording) == _uncut_score(ckpt, recording, fmt, selection, cutoff)
+
+
+@pytest.mark.parametrize(
+    "fault, error, message",
+    [
+        (lambda fields: ["a"] * 7, MalformedLine, "line 502: non-numeric field"),
+        (lambda fields: fields[:6] + ["-1"], MalformedLine, "line 502: pressure must be >= 0"),
+        (lambda fields: fields[:2] + ["0"] + fields[3:], NonMonotonicTime,
+         "line 502: timestamp decreases"),
+    ],
+    ids=["malformed", "negative-pressure", "decreasing-time"],
+)
+def test_score_validates_the_rows_past_the_cutoff(tmp_path, fault, error, message):
+    ckpt, lines, _ = _score_fixture(tmp_path, "tablet_svc", 30, True)
+    lines[10:10] = ["", "  "]  # blank lines move every later line number
+    lines[501] = " ".join(fault(lines[501].split()))
+    recording = tmp_path / "rec.svc"
+    recording.write_text("\n".join(lines) + "\n")
+    with pytest.raises(error) as exc:
+        score_file(ckpt, recording)
+    assert exc.value.line_no == 502 and message in str(exc.value)
+
+
 def test_score_too_short_input_is_a_data_error(tmp_path, capsys):
     model = SequenceClassifier(ModelSpec.reference(16), 16, np.random.default_rng(0))
     ckpt = tmp_path / "m.ckpt"
@@ -381,6 +462,22 @@ def test_score_reads_a_checkpoint_rewritten_in_place(tmp_path):
     assert scores[0] != scores[1]
 
 
+_BAD_PREPROCESSING = {
+    "cutoff-list": {"cutoff": [1]},
+    "cutoff-string": {"cutoff": "abc"},
+    "cutoff-float": {"cutoff": 2.5},
+    "cutoff-bool": {"cutoff": True},
+    "cutoff-zero": {"cutoff": 0},
+    "groups-empty": {"feature_groups": []},
+    "groups-unknown": {"feature_groups": ["tremor"]},
+    "groups-string": {"feature_groups": "derived"},
+    "raw-pressure-string": {"include_raw_pressure_in_derived": "false"},
+    "format-unknown": {"format": "csv"},
+    "rate-negative": {"sample_rate_hz": -200},
+    "rate-string": {"sample_rate_hz": "200"},
+}
+
+
 def _corrupt_checkpoint(path: Path, kind: str) -> None:
     model = SequenceClassifier(ModelSpec.reference(16), 16, np.random.default_rng(0))
     model.save_checkpoint(path)
@@ -399,12 +496,15 @@ def _corrupt_checkpoint(path: Path, kind: str) -> None:
             doc["params"]["head/b"]["data"] = "AAAA"
         elif kind == "list-preprocessing":
             doc["preprocessing"] = [40]
+        elif kind in _BAD_PREPROCESSING:
+            doc["preprocessing"] = _BAD_PREPROCESSING[kind]
         path.write_text(json.dumps(doc))
 
 
 @pytest.mark.parametrize(
     "kind",
-    ["no-spec", "truncated", "not-utf-8", "list-spec", "short-block", "list-preprocessing"],
+    ["no-spec", "truncated", "not-utf-8", "list-spec", "short-block", "list-preprocessing",
+     *_BAD_PREPROCESSING],
 )
 def test_corrupt_checkpoint_is_a_data_error_naming_the_file(tmp_path, capsys, kind):
     svc = tmp_path / "rec.svc"
@@ -558,6 +658,25 @@ def test_bad_clip_pcts_is_a_config_error_before_any_work(tmp_path, capsys, clip)
 def test_config_booleans_must_be_json_booleans(tmp_path, key, overrides):
     with pytest.raises(ConfigError, match=key):
         load_config(_write_config(tmp_path / "c.json", **overrides), env={})
+
+
+@pytest.mark.parametrize(
+    "key, value", [("model", 5), ("features", ["derived"]), ("train", [1]), ("split", "kfold")]
+)
+def test_config_blocks_must_be_json_objects(tmp_path, capsys, key, value):
+    # the manifest names a recording that does not exist, so reading it
+    # before the config check would be a data error (exit 2)
+    (tmp_path / "manifest.csv").write_text("path,subject_id,task_id,label\nmissing.svc,s1,t,PD\n")
+    cfg = _write_config(
+        tmp_path / "c.json",
+        source={"kind": "manifest", "path": "manifest.csv", "format": "tablet_svc"},
+        **{key: value},
+    )
+    out = tmp_path / "o"
+    assert main(["train", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {key} must be a JSON object") and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_manifest_that_is_a_directory_is_an_io_error(tmp_path, capsys):

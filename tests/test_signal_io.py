@@ -506,19 +506,31 @@ _NUMBER = st.one_of(
     st.integers(-(10**9), 10**9).map(str),
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
 )
-_ODD = st.sampled_from(["1_000", "0x10", "nan", "-inf", "1e999", "abc", "1,5", "--1"])
+# tokens float() takes but numpy's C reader refuses (1_000, Arabic-Indic
+# digits), tokens float() also refuses, and non-finite values
+_ODD = st.sampled_from(
+    ["1_000", "\u0661\u0662", "0x10", "nan", "-inf", "1e999", "abc", "1,5", "--1"]
+)
 _BLANK = st.sampled_from(["", " ", "\t", "  \t "])
+# characters str.split or str.splitlines treat otherwise than a space or
+# "\n"; the file is read with universal newlines, so "\r" becomes "\n"
+_ODD_SPACE = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0", "\u2028"]
+_SEPARATORS = [" ", "\t"]
+_LINE_ENDS = ["\n", "\r\n", "\r"]
 
 
 @st.composite
 def _recording(draw):
     arity = draw(st.sampled_from([6, 7]))
+    odd = draw(st.booleans())
+    sep = st.sampled_from(_SEPARATORS + _ODD_SPACE if odd else _SEPARATORS)
+    end = st.sampled_from(_LINE_ENDS + _ODD_SPACE if odd else _LINE_ENDS)
 
     def row(n):
         tokens = draw(st.lists(_NUMBER, min_size=n, max_size=n))
         if tokens and draw(st.integers(0, 5)) == 0:
             tokens[draw(st.integers(0, n - 1))] = draw(_ODD)
-        return " ".join(tokens)
+        return draw(sep).join(tokens)
 
     lines = []
     if draw(st.booleans()):  # a wrong-arity line 1
@@ -530,9 +542,32 @@ def _recording(draw):
             lines.append(draw(_BLANK))
         else:
             lines.append(row(draw(st.integers(1, arity + 2).filter(lambda k: k != arity))))
-    ends = draw(st.lists(st.sampled_from(["\n", "\r\n"]), min_size=len(lines),
-                         max_size=len(lines)))
-    return arity, "".join(line + end for line, end in zip(lines, ends))
+    lines = [line + draw(end) for line in lines]
+    if draw(st.integers(0, 3)) == 0:  # a few thousand clean rows among them
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        n = draw(st.integers(1000, 4000))
+        if draw(st.booleans()):
+            block = rng.integers(-(10**6), 10**6, (n, arity)).tolist()
+        else:
+            block = (rng.normal(0.0, 1.0, (n, arity)) * 10.0 ** rng.integers(-5, 6, (n, 1))).tolist()
+        ending = draw(st.sampled_from(_LINE_ENDS))
+        at = draw(st.integers(0, len(lines)))
+        lines[at:at] = [" ".join(map(repr, values)) + ending for values in block]
+    return arity, "".join(lines)
+
+
+def _assert_parsers_agree(path, arity):
+    got, got_warnings = _outcome(_parse_numeric_lines, path, arity)
+    want, want_warnings = _outcome(_parse_line_by_line, path, arity)
+    assert got_warnings == want_warnings
+    if isinstance(want[0], np.ndarray):
+        assert isinstance(got[0], np.ndarray)
+        assert np.array_equal(got[0], want[0])
+        assert got[0].tobytes() == want[0].tobytes()
+        # the row-to-line mapping is lazy: force it
+        assert got[1]() == want[1]
+    else:
+        assert got == want
 
 
 @given(_recording())
@@ -541,13 +576,14 @@ def test_bulk_parser_matches_line_by_line(tmp_path_factory, recording):
     arity, text = recording
     path = tmp_path_factory.mktemp("bulk") / "rec.txt"
     path.write_bytes(text.encode("utf-8"))
-    got, got_warnings = _outcome(_parse_numeric_lines, path, arity)
-    want, want_warnings = _outcome(_parse_line_by_line, path, arity)
-    assert got_warnings == want_warnings
-    if isinstance(want[0], np.ndarray):
-        assert isinstance(got[0], np.ndarray)
-        assert np.array_equal(got[0], want[0])
-        assert got[0].tobytes() == want[0].tobytes()
-        assert got[1] == want[1]
-    else:
-        assert got == want
+    _assert_parsers_agree(path, arity)
+
+
+@pytest.mark.parametrize("sep", _ODD_SPACE)
+@pytest.mark.parametrize("rows", [["1 2 3", "4 5 6 7"], ["1 2 3 4 5 6 7", "1 2 3 4 5 6 7"]])
+def test_bulk_parser_splits_lines_as_splitlines_does(tmp_path, sep, rows):
+    # numpy's C reader and str.split take each of these characters for a
+    # field separator; str.splitlines breaks a line at most of them
+    path = tmp_path / "rec.txt"
+    path.write_text("0 0 0 1 0 0 100\n" + sep.join(rows) + "\n", encoding="utf-8")
+    _assert_parsers_agree(path, 7)
