@@ -5,7 +5,7 @@ dumps feature matrices as CSV, ``train`` runs one evaluation protocol
 end to end, ``ablate`` runs the cell-by-convolution grid, and ``score``
 applies a saved checkpoint to a single recording.
 
-Experiments are driven by a JSON config file (see ExperimentConfig).
+Experiments are driven by a JSON config file (see CONFIG_FIELDS).
 A handful of settings can be overridden without editing the file, with
 flag beating environment variable beating file: ``--seed`` /
 PENDETECT_SEED, ``--out`` / PENDETECT_OUT, and PENDETECT_EPOCHS.
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from collections import Counter
@@ -56,6 +55,8 @@ from .nn import CELLS, ModelSpec, TrainConfig, load_checkpoint
 from .preprocess import LengthPolicy, apply_normalization, fit_length, load_stats, save_stats
 from .signal_io import (
     MANIFEST_FORMATS,
+    MAX_SYNTHETIC_LENGTH,
+    MIN_SYNTHETIC_LENGTH,
     DatasetManifest,
     ManifestEntry,
     generate_synthetic,
@@ -68,26 +69,163 @@ from .signal_io import (
 
 PRESETS = {"synthetic-quick": "synthetic_quick.json"}
 
-_TOP_KEYS = {
-    "seed",
-    "source",
-    "features",
-    "model",
-    "train",
-    "split",
-    "out_dir",
-    "cutoff_scope",
-    "normalize",
-    "clip_pcts",
-}
+_REQUIRED = object()
+_BAD = object()
+
+
+@dataclass(frozen=True)
+class Field:
+    """One JSON field: its dotted key path, type, default and allowed values.
+
+    `type` is int, float (an integer is taken as a float), bool, str, dict
+    (kept as given) or list; a bool is never a number. `allowed` is an
+    interval such as "[0, 1)" or a vocabulary; a list's items have type
+    `item` and must each be allowed. A list is non-empty, with `pair`
+    ("<" or "<=") two items in that order, and is checked into a tuple.
+    `null` lets JSON null through; a row with `kind` exists only where its
+    block's "kind" has that value. A default is in checked form.
+    """
+
+    path: str
+    type: type
+    default: object = _REQUIRED
+    allowed: str | tuple[str, ...] = ""
+    item: type | None = None
+    pair: str = ""
+    null: bool = False
+    kind: str = ""
+
+
+_TRAIN = TrainConfig()
+
+CONFIG_FIELDS = (
+    Field("seed", int, allowed="[0, inf)"),
+    Field("source.kind", str, allowed=("manifest", "synthetic")),
+    Field("source.path", str, kind="manifest"),
+    Field("source.format", str, allowed=MANIFEST_FORMATS, kind="manifest"),
+    Field("source.sample_rate_hz", float, None, "(0, inf)", null=True, kind="manifest"),
+    Field("source.n_per_class", int, allowed="[1, inf)", kind="synthetic"),
+    Field("source.length_range", list, allowed=f"[{MIN_SYNTHETIC_LENGTH}, {MAX_SYNTHETIC_LENGTH}]",
+          item=int, pair="<=", kind="synthetic"),
+    Field("source.class_separation", float, allowed="[0, 1]", kind="synthetic"),
+    Field("source.seed", int, None, "[0, inf)", null=True, kind="synthetic"),
+    Field("features.groups", list, ("derived",), GROUPS, item=str),
+    Field("features.include_raw_pressure_in_derived", bool, False),
+    Field("model.spec", dict, None),
+    Field("model.cell", str, "gru", CELLS),
+    Field("model.with_conv", bool, True),
+    Field("train.learning_rate", float, _TRAIN.learning_rate, "[0, inf)"),
+    Field("train.batch_size", int, _TRAIN.batch_size, "[1, inf)"),
+    Field("train.epochs", int, _TRAIN.epochs, "[1, inf)"),
+    Field("train.adam_beta1", float, _TRAIN.adam_beta1, "[0, 1)"),
+    Field("train.adam_beta2", float, _TRAIN.adam_beta2, "[0, 1)"),
+    Field("train.adam_eps", float, _TRAIN.adam_eps, "(0, inf)"),
+    Field("train.early_stop_patience", int, _TRAIN.early_stop_patience, "[1, inf)", null=True),
+    Field("split.kind", str, "kfold", ("kfold", "holdout")),
+    Field("split.k", int, 10, "[2, inf)", kind="kfold"),
+    Field("split.train_frac", float, allowed="[0, 1]", kind="holdout"),
+    Field("split.val_frac", float, allowed="[0, 1]", kind="holdout"),
+    Field("split.test_frac", float, allowed="[0, 1]", kind="holdout"),
+    Field("split.n_runs", int, allowed="[1, inf)", kind="holdout"),
+    Field("out_dir", str, "pendetect-out"),
+    Field("cutoff_scope", str, "train", ("train", "all")),
+    Field("normalize", bool, True),
+    Field("clip_pcts", list, (5.0, 90.0), "[0, 100]", item=float, pair="<"),
+)
+
+#: what `train` records in model.ckpt and `score` replays; absent keys
+#: (checkpoints written before a key existed) take these defaults
+PREPROCESSING_FIELDS = (
+    Field("preprocessing.cutoff", int, None, "[1, inf)", null=True),
+    Field("preprocessing.feature_groups", list, ("derived",), GROUPS, item=str),
+    Field("preprocessing.include_raw_pressure_in_derived", bool, False),
+    Field("preprocessing.format", str, "tablet_svc", MANIFEST_FORMATS),
+    Field("preprocessing.sample_rate_hz", float, None, "(0, inf)", null=True),
+)
+
+_TYPE_NAMES = {int: "an integer", float: "a number", bool: "true or false", str: "a string",
+               dict: "a JSON object"}
+
+
+def _item(v, type_: type, allowed):
+    """`v` as `type_` if it is one and is allowed, else _BAD."""
+    if type_ is float and type(v) is int and abs(v) <= sys.float_info.max:
+        v = float(v)
+    if type(v) is not type_ or (isinstance(allowed, tuple) and v not in allowed):
+        return _BAD
+    if isinstance(allowed, str) and allowed:
+        lo, hi = map(float, allowed[1:-1].split(","))
+        above = lo <= v if allowed[0] == "[" else lo < v
+        if not (above and (v <= hi if allowed[-1] == "]" else v < hi)):
+            return _BAD
+    return v
+
+
+def _describe(f: Field) -> str:
+    what = _TYPE_NAMES[f.item or f.type]
+    if isinstance(f.allowed, tuple):
+        what = f"one of {', '.join(f.allowed)}"
+    elif f.allowed:
+        what += f" in {f.allowed}"
+    if f.pair:
+        what = f"a pair [low, high] with low {f.pair} high, each {what}"
+    elif f.type is list:
+        what = f"a non-empty list, each item {what}"
+    return what + (" or null" if f.null else "")
+
+
+def _value(f: Field, value, fault):
+    if value is None and f.null:
+        return None
+    if f.type is not list:
+        checked = _item(value, f.type, f.allowed)
+    elif type(value) is list and value and not (f.pair and len(value) != 2):
+        checked = tuple(_item(v, f.item, f.allowed) for v in value)
+        lo, hi = checked[0], checked[-1]
+        if _BAD in checked or (f.pair == "<" and lo >= hi) or (f.pair == "<=" and lo > hi):
+            checked = _BAD
+    else:
+        checked = _BAD
+    if checked is _BAD:
+        raise fault(f"{f.path} must be {_describe(f)}, got {json.dumps(value)}")
+    return checked
+
+
+def _checked(doc, path: str, fields: tuple[Field, ...], fault, overrides=None) -> dict:
+    """The JSON object `doc` at key path `path` checked against the rows
+    of `fields` under it, nested blocks included: every key known, every
+    value allowed, absent keys at their defaults. `overrides` maps a row's
+    path to a value, checked too, that replaces the document's. A fault
+    is `fault(message)`, and the message starts with the key path."""
+    if type(doc) is not dict:
+        raise fault(f"{path or 'config'} must be a JSON object, got {json.dumps(doc)}")
+    overrides = overrides or {}
+    prefix = f"{path}." if path else ""
+    out: dict = {}
+    for f in fields:
+        key, _, rest = f.path.removeprefix(prefix).partition(".")
+        if not f.path.startswith(prefix) or (f.kind and not rest and f.kind != out.get("kind")):
+            continue
+        if rest:
+            if key not in out:
+                out[key] = _checked(doc.get(key, {}), prefix + key, fields, fault, overrides)
+        elif key in doc or f.path in overrides:
+            out[key] = _value(f, doc[key], fault) if key in doc else None
+            if f.path in overrides:
+                out[key] = _value(f, overrides[f.path], fault)
+        elif f.default is _REQUIRED:
+            raise fault(f"{f.path} is required")
+        else:
+            out[key] = f.default
+    unknown = sorted(set(doc) - set(out))
+    if unknown:
+        raise fault(f"{prefix}{unknown[0]} is not a known key; known: {', '.join(out)}")
+    return out
 
 
 @dataclass
 class ExperimentConfig:
-    """Resolved experiment settings; see load_config for the file format.
-
-    A manifest source's "path" holds the resolved manifest path.
-    """
+    """Checked experiment settings; a manifest source's "path" is resolved."""
 
     seed: int
     source: dict
@@ -103,17 +241,20 @@ class ExperimentConfig:
     clip_pcts: tuple[float, float]
 
 
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise ConfigError(message)
+def _env_int(env, name: str) -> int:
+    try:
+        return int(env[name])
+    except ValueError as exc:
+        raise ConfigError(f"{name} is not an integer: {env[name]!r}") from exc
 
 
-def _flag(block: dict, key: str, default: bool, name: str) -> bool:
-    """A JSON boolean from `block`; a string such as "false" is rejected,
-    not read as true."""
-    value = block.get(key, default)
-    _require(isinstance(value, bool), f"{name} must be true or false, got {value!r}")
-    return value
+def _built(path: str, build, *args, **kwargs):
+    """build(*args, **kwargs), for the cross-field rules CONFIG_FIELDS
+    cannot state (a spec's conv chain, holdout fractions summing to 1)."""
+    try:
+        return build(*args, **kwargs)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{path} is invalid: {exc}") from exc
 
 
 def load_config(
@@ -122,157 +263,71 @@ def load_config(
     out_override: str | None = None,
     env: dict | None = None,
 ) -> ExperimentConfig:
-    """Load and validate an experiment config file.
+    """Load an experiment config file and check it against CONFIG_FIELDS:
+    any fault is a ConfigError naming the key path.
 
-    The file is JSON with a mandatory top-level "seed" and a "source"
-    block naming either a dataset manifest or synthetic-generation
-    parameters. Optional blocks: "features" (groups), "model" (reference
-    variant via "cell"/"with_conv", or a full "spec"), "train", "split",
-    plus the flat preprocessing flags "cutoff_scope", "normalize",
-    "clip_pcts", and "out_dir". Every omitted training field keeps its
-    default (lr 0.001, batch 16, conv 8k5s5/16k3s3, BiGRU 32x2, dropout
-    0.1 on the second recurrent layer).
+    ``seed_override`` or PENDETECT_SEED replaces "seed", ``out_override``
+    or PENDETECT_OUT "out_dir", and PENDETECT_EPOCHS "train.epochs"; an
+    argument beats the environment, and a replacement is checked like the
+    file's value.
     """
     env = dict(os.environ if env is None else env)
     path = Path(path)
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, not JSON
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    _require(isinstance(raw, dict), f"config {path} must be a JSON object")
+    overrides = {key: _env_int(env, name) for key, name in
+                 (("seed", "PENDETECT_SEED"), ("train.epochs", "PENDETECT_EPOCHS")) if name in env}
+    for key, value in (("out_dir", env.get("PENDETECT_OUT")), ("seed", seed_override),
+                       ("out_dir", out_override)):
+        if value is not None:
+            overrides[key] = value
+    cfg = _checked(raw, "", CONFIG_FIELDS, ConfigError, overrides)
 
-    unknown = set(raw) - _TOP_KEYS
-    _require(not unknown, f"unknown config keys {sorted(unknown)}")
-    for key in ("features", "model", "train", "split"):
-        block = raw.get(key, {})
-        _require(isinstance(block, dict), f"{key} must be a JSON object, got {block!r}")
-
-    seed = raw.get("seed")
-    if "PENDETECT_SEED" in env:
-        try:
-            seed = int(env["PENDETECT_SEED"])
-        except ValueError as exc:
-            raise ConfigError(f"PENDETECT_SEED is not an integer: {env['PENDETECT_SEED']!r}") from exc
-    if seed_override is not None:
-        seed = seed_override
-    _require(isinstance(seed, int) and not isinstance(seed, bool), "config needs an integer seed")
-
-    source = raw.get("source")
-    _require(isinstance(source, dict) and "kind" in source, "config needs a source block with a kind")
+    seed, source, model = cfg["seed"], cfg["source"], cfg["model"]
+    spec = model["spec"]
     if source["kind"] == "manifest":
-        _require("path" in source and "format" in source, "manifest source needs path and format")
-        manifest_path = (path.parent / source["path"]).resolve()
-        _require(manifest_path.exists(), f"manifest {manifest_path} does not exist")
-        source = {**source, "path": manifest_path}
-    elif source["kind"] == "synthetic":
-        for key in ("n_per_class", "length_range", "class_separation"):
-            _require(key in source, f"synthetic source needs {key}")
-    else:
-        raise ConfigError(f"unknown source kind {source['kind']!r}")
-
-    feat = raw.get("features", {})
-    groups = tuple(feat.get("groups", ["derived"]))
-    _require(
-        all(g in GROUPS for g in groups) and len(groups) > 0,
-        f"feature groups must be a non-empty subset of {GROUPS}",
-    )
-    selection = FeatureGroupSelection(
-        groups,
-        _flag(feat, "include_raw_pressure_in_derived", False,
-              "features.include_raw_pressure_in_derived"),
-    )
-
-    model = raw.get("model", {})
-    model_spec = None
-    if "spec" in model:
-        try:
-            model_spec = ModelSpec.from_dict(model["spec"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad model spec: {exc}") from exc
-    cell = model.get("cell", "gru")
-    with_conv = _flag(model, "with_conv", True, "model.with_conv")
-    _require(cell in CELLS, f"unknown cell {cell!r}")
-
-    train_block = dict(raw.get("train", {}))
-    if "PENDETECT_EPOCHS" in env:
-        try:
-            train_block["epochs"] = int(env["PENDETECT_EPOCHS"])
-        except ValueError as exc:
-            raise ConfigError(f"PENDETECT_EPOCHS is not an integer: {env['PENDETECT_EPOCHS']!r}") from exc
-    _require("seed" not in train_block, "set the seed at the top level, not in train")
-    try:
-        train = TrainConfig(seed=seed, **train_block)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad train block: {exc}") from exc
-
-    split = dict(raw.get("split", {"kind": "kfold", "k": 10}))
-    _require("seed" not in split, "set the seed at the top level, not in split")
-    try:
-        plan = SplitPlan(seed=seed, **split)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad split block: {exc}") from exc
-
-    out_dir = raw.get("out_dir", "pendetect-out")
-    if "PENDETECT_OUT" in env:
-        out_dir = env["PENDETECT_OUT"]
-    if out_override is not None:
-        out_dir = out_override
-
-    cutoff_scope = raw.get("cutoff_scope", "train")
-    _require(cutoff_scope in ("train", "all"), "cutoff_scope must be 'train' or 'all'")
-    clip = raw.get("clip_pcts", [5.0, 90.0])
-    _require(
-        isinstance(clip, list)
-        and len(clip) == 2
-        and all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in clip)
-        and 0 <= clip[0] < clip[1] <= 100,
-        f"clip_pcts must be a [low, high] pair of numbers with 0 <= low < high <= 100, "
-        f"got {clip!r}",
-    )
-
+        manifest = path.parent / source["path"]
+        if not manifest.exists():
+            raise ConfigError(f"source.path: manifest {manifest} does not exist")
+        source["path"] = manifest.resolve()
     return ExperimentConfig(
         seed=seed,
         source=source,
-        features=selection,
-        model_spec=model_spec,
-        model_cell=cell,
-        model_with_conv=with_conv,
-        train=train,
-        plan=plan,
-        out_dir=Path(out_dir),
-        cutoff_scope=cutoff_scope,
-        normalize=_flag(raw, "normalize", True, "normalize"),
-        clip_pcts=(float(clip[0]), float(clip[1])),
+        features=FeatureGroupSelection(**cfg["features"]),
+        model_spec=spec if spec is None else _built("model.spec", ModelSpec.from_dict, spec),
+        model_cell=model["cell"],
+        model_with_conv=model["with_conv"],
+        train=TrainConfig(seed=seed, **cfg["train"]),
+        plan=_built("split", SplitPlan, seed=seed, **cfg["split"]),
+        out_dir=Path(cfg["out_dir"]),
+        cutoff_scope=cfg["cutoff_scope"],
+        normalize=cfg["normalize"],
+        clip_pcts=cfg["clip_pcts"],
     )
 
 
 def resolve_config_path(args) -> Path:
     if getattr(args, "preset", None):
         name = args.preset
-        _require(name in PRESETS, f"unknown preset {name!r}; available: {sorted(PRESETS)}")
+        if name not in PRESETS:
+            raise ConfigError(f"unknown preset {name!r}; available: {sorted(PRESETS)}")
         return Path(str(resources.files("pendetect") / "presets" / PRESETS[name]))
-    _require(args.config is not None, "either --config or --preset is required")
+    if args.config is None:
+        raise ConfigError("either --config or --preset is required")
     return Path(args.config)
 
 
 def load_sequences(config: ExperimentConfig) -> list:
     src = config.source
     if src["kind"] == "synthetic":
-        lo, hi = src["length_range"]
+        seed = config.seed if src["seed"] is None else src["seed"]
         return generate_synthetic(
-            int(src["n_per_class"]),
-            (int(lo), int(hi)),
-            float(src["class_separation"]),
-            seed=int(src.get("seed", config.seed)),
+            src["n_per_class"], src["length_range"], src["class_separation"], seed=seed
         )
     manifest = load_manifest(src["path"], format=src["format"])
-    return load_dataset(
-        manifest,
-        base_dir=src["path"].parent,
-        sample_rate_hz=src.get("sample_rate_hz"),
-    )
+    return load_dataset(manifest, base_dir=src["path"].parent, sample_rate_hz=src["sample_rate_hz"])
 
 
 def load_training_sequences(config: ExperimentConfig) -> list:
@@ -287,7 +342,7 @@ def load_training_sequences(config: ExperimentConfig) -> list:
 def _make_out_dir(path: Path) -> Path:
     try:
         path.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the name
         raise IoError(str(exc), path=str(path)) from exc
     return path
 
@@ -297,14 +352,6 @@ def _write_text(path: Path, text: str) -> None:
         path.write_text(text, encoding="utf-8")
     except OSError as exc:
         raise IoError(str(exc), path=str(path)) from exc
-
-
-def _model_spec(config: ExperimentConfig, input_size: int) -> ModelSpec:
-    if config.model_spec is not None:
-        return config.model_spec
-    return ModelSpec.reference(
-        input_size, cell=config.model_cell, with_conv=config.model_with_conv
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -319,17 +366,11 @@ def cmd_synth(args) -> int:
         args.separation,
         seed=args.seed,
     )
-    entries = []
-    for seq in sequences:
-        name = f"{seq.subject_id}.svc"
-        write_tablet_file(seq, out / name)
-        entries.append(
-            ManifestEntry(
-                path=name, subject_id=seq.subject_id, task_id=seq.task_id, label=seq.label
-            )
-        )
-    manifest = DatasetManifest(entries=entries, format="synthetic")
-    write_manifest(manifest, out / "manifest.csv")
+    entries = [ManifestEntry(f"{s.subject_id}.svc", s.subject_id, s.task_id, s.label)
+               for s in sequences]
+    for seq, entry in zip(sequences, entries):
+        write_tablet_file(seq, out / entry.path)
+    write_manifest(DatasetManifest(entries=entries, format="synthetic"), out / "manifest.csv")
     print(f"wrote {len(sequences)} sequences and manifest.csv to {out}")
     return 0
 
@@ -346,7 +387,7 @@ def cmd_features(args) -> int:
     owners: dict[str, tuple[str, str]] = {}
     for seq, name in zip(sequences, names):
         key = (seq.subject_id, seq.task_id)
-        if Path(name).name != name:
+        if Path(name).name != name or "\0" in name:
             raise DataError(f"recording {key} gives {name!r}, which is not a plain file name")
         if name in owners:
             raise DuplicateEntry(f"recordings {owners[name]} and {key} both give {name}")
@@ -369,18 +410,15 @@ def cmd_train(args) -> int:
     config = load_config(resolve_config_path(args), args.seed, args.out)
     sequences = load_training_sequences(config)
     out = _make_out_dir(config.out_dir)
-    probe = assemble_features(sequences[0], config.features)
+    spec = config.model_spec or ModelSpec.reference(
+        assemble_features(sequences[0], config.features).m,
+        cell=config.model_cell, with_conv=config.model_with_conv,
+    )
     artifacts: dict = {}
     report = run_experiment(
-        sequences,
-        config.features,
-        _model_spec(config, probe.m),
-        config.train,
-        config.plan,
-        cutoff_scope=config.cutoff_scope,
-        normalize=config.normalize,
-        clip_pcts=config.clip_pcts,
-        out_artifacts=artifacts,
+        sequences, config.features, spec, config.train, config.plan,
+        cutoff_scope=config.cutoff_scope, normalize=config.normalize,
+        clip_pcts=config.clip_pcts, out_artifacts=artifacts,
     )
 
     _write_text(out / "report.json", report.to_json() + "\n")
@@ -391,13 +429,17 @@ def cmd_train(args) -> int:
     if artifacts.get("stats") is not None:
         norm_ref = "normalization.tsv"
         save_stats(artifacts["stats"], out / norm_ref)
-    preprocessing = {
-        "cutoff": artifacts["policy"].cutoff,
-        "feature_groups": list(config.features.groups),
-        "include_raw_pressure_in_derived": config.features.include_raw_pressure_in_derived,
-        "format": config.source.get("format", "synthetic"),
-        "sample_rate_hz": config.source.get("sample_rate_hz"),
-    }
+    # checked against the rows that score_file reads it with
+    preprocessing = _checked(
+        {
+            "cutoff": artifacts["policy"].cutoff,
+            "feature_groups": list(config.features.groups),
+            "include_raw_pressure_in_derived": config.features.include_raw_pressure_in_derived,
+            "format": config.source.get("format", "synthetic"),
+            "sample_rate_hz": config.source.get("sample_rate_hz"),
+        },
+        "preprocessing", PREPROCESSING_FIELDS, ConfigError,
+    )
     artifacts["model"].save_checkpoint(
         out / "model.ckpt", normalization_ref=norm_ref, preprocessing=preprocessing
     )
@@ -416,13 +458,8 @@ def cmd_ablate(args) -> int:
     sequences = load_training_sequences(config)
     out = _make_out_dir(config.out_dir)
     report = run_ablation_grid(
-        sequences,
-        config.features,
-        config.train,
-        config.plan,
-        cutoff_scope=config.cutoff_scope,
-        normalize=config.normalize,
-        clip_pcts=config.clip_pcts,
+        sequences, config.features, config.train, config.plan,
+        cutoff_scope=config.cutoff_scope, normalize=config.normalize, clip_pcts=config.clip_pcts,
     )
     _write_text(out / "ablation.json", report.to_json() + "\n")
     _write_text(out / "ablation.txt", report.to_table())
@@ -432,43 +469,14 @@ def cmd_ablate(args) -> int:
 
 
 def _replayed_preprocessing(meta: dict, checkpoint: str | Path) -> dict:
-    """The checkpoint's preprocessing block, absent entries at their
-    defaults; a wrongly typed or unknown value is a ParseError naming the
-    checkpoint."""
-    pre = {
-        "cutoff": None,
-        "feature_groups": ["derived"],
-        "include_raw_pressure_in_derived": False,
-        "format": "tablet_svc",
-        "sample_rate_hz": None,
-        **(meta.get("preprocessing") or {}),
-    }
+    """The checkpoint's preprocessing block checked against
+    PREPROCESSING_FIELDS, absent keys at their defaults; a fault is a
+    ParseError naming the checkpoint."""
 
-    def bad(message: str) -> ParseError:
-        return ParseError(f"malformed checkpoint: preprocessing.{message}", path=str(checkpoint))
+    def fault(message: str) -> ParseError:
+        return ParseError(f"malformed checkpoint: {message}", path=str(checkpoint))
 
-    cutoff, groups, rate = pre["cutoff"], pre["feature_groups"], pre["sample_rate_hz"]
-    if not (
-        cutoff is None or (isinstance(cutoff, int) and not isinstance(cutoff, bool) and cutoff >= 1)
-    ):
-        raise bad(f"cutoff must be null or an integer >= 1, got {cutoff!r}")
-    if not (
-        isinstance(groups, list) and groups and all(isinstance(g, str) and g in GROUPS for g in groups)
-    ):
-        raise bad(f"feature_groups must be a non-empty list of {GROUPS}, got {groups!r}")
-    if not isinstance(pre["include_raw_pressure_in_derived"], bool):
-        raise bad(
-            "include_raw_pressure_in_derived must be true or false, "
-            f"got {pre['include_raw_pressure_in_derived']!r}"
-        )
-    if not (isinstance(pre["format"], str) and pre["format"] in MANIFEST_FORMATS):
-        raise bad(f"format must be one of {MANIFEST_FORMATS}, got {pre['format']!r}")
-    if not (
-        rate is None
-        or (isinstance(rate, (int, float)) and not isinstance(rate, bool) and 0 < rate < math.inf)
-    ):
-        raise bad(f"sample_rate_hz must be null or a positive number, got {rate!r}")
-    return pre
+    return _checked(meta["preprocessing"] or {}, "preprocessing", PREPROCESSING_FIELDS, fault)
 
 
 def score_file(checkpoint: str | Path, input_path: str | Path) -> float:
@@ -491,9 +499,7 @@ def score_file(checkpoint: str | Path, input_path: str | Path) -> float:
     rows = None if cutoff is None else max(cutoff, MIN_LENGTH)
     if rows is not None and seq.length > rows:
         seq = replace(seq, channels={name: c[:rows] for name, c in seq.channels.items()})
-    selection = FeatureGroupSelection(
-        tuple(pre["feature_groups"]), pre["include_raw_pressure_in_derived"]
-    )
+    selection = FeatureGroupSelection(pre["feature_groups"], pre["include_raw_pressure_in_derived"])
     fm = assemble_features(seq, selection)
     if meta.get("normalization_ref"):
         stats = load_stats(Path(checkpoint).parent / meta["normalization_ref"])
@@ -521,15 +527,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"pendetect {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def config_flags(p):
-        p.add_argument("--config", help="path to an experiment config JSON file")
-        p.add_argument(
-            "--preset",
-            help=f"name of a bundled config: {', '.join(sorted(PRESETS))}",
-        )
-        p.add_argument("--seed", type=int, help="override the config seed")
-        p.add_argument("--out", help="override the config output directory")
-
     p = sub.add_parser("synth", help="generate a synthetic dataset on disk")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--n-per-class", type=int, default=20)
@@ -539,17 +536,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(handler=cmd_synth)
 
-    p = sub.add_parser("features", help="dump per-sample feature CSVs")
-    config_flags(p)
-    p.set_defaults(handler=cmd_features)
-
-    p = sub.add_parser("train", help="run one evaluation protocol end to end")
-    config_flags(p)
-    p.set_defaults(handler=cmd_train)
-
-    p = sub.add_parser("ablate", help="run the recurrent-cell x convolution grid")
-    config_flags(p)
-    p.set_defaults(handler=cmd_ablate)
+    for name, handler, description in (
+        ("features", cmd_features, "dump per-sample feature CSVs"),
+        ("train", cmd_train, "run one evaluation protocol end to end"),
+        ("ablate", cmd_ablate, "run the recurrent-cell x convolution grid"),
+    ):
+        p = sub.add_parser(name, help=description)
+        p.add_argument("--config", help="path to an experiment config JSON file")
+        p.add_argument("--preset", help=f"name of a bundled config: {', '.join(sorted(PRESETS))}")
+        p.add_argument("--seed", type=int, help="override the config seed")
+        p.add_argument("--out", help="override the config output directory")
+        p.set_defaults(handler=handler)
 
     p = sub.add_parser("score", help="score one recording with a checkpoint")
     p.add_argument("--checkpoint", required=True)
@@ -566,7 +563,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (ParseError, DataError, ShapeError, SpecMismatch, ValueError) as exc:
+    except (ParseError, DataError, ShapeError, SpecMismatch) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except TrainingError as exc:

@@ -55,6 +55,10 @@ class EmptyDataset(DataError):
     pass
 
 
+class NonFiniteFeatures(DataError):
+    """A recording's features hold inf or nan; the message names the recording."""
+
+
 class SingleClass(DataError):
     pass
 

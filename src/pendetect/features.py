@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IoError, LengthMismatch, MissingChannel, TooShort
+from .errors import IoError, LengthMismatch, MissingChannel, NonFiniteFeatures, TooShort
 from .signal_io import SMARTPEN_CHANNELS, SignalSequence
 
 GROUPS = ("raw", "inclination", "pressure", "kinematic", "derived")
@@ -119,7 +119,9 @@ class FeatureMatrix:
                 self.column_names[j]
                 for j in np.nonzero(~np.isfinite(self.values).all(axis=0))[0]
             ]
-            raise ValueError(f"non-finite values in columns {bad}")
+            raise NonFiniteFeatures(
+                f"recording {(self.subject_id, self.task_id)}: non-finite values in columns {bad}"
+            )
 
     @property
     def length(self) -> int:
@@ -263,7 +265,8 @@ def assemble_features(seq: SignalSequence, selection: FeatureGroupSelection) -> 
     if any(n.endswith("jerk") for n in names) and seq.length < MIN_LENGTH:
         raise TooShort(f"jerk needs at least {MIN_LENGTH} time-steps, got {seq.length}")
 
-    cols = seq.channels if selection.groups == ("raw",) else _tablet_columns(seq)
+    with np.errstate(all="ignore"):  # FeatureMatrix names the inf or nan of an overflow
+        cols = seq.channels if selection.groups == ("raw",) else _tablet_columns(seq)
     values = np.column_stack([cols[name] for name in names])
     return FeatureMatrix(
         values=values,

@@ -1,4 +1,7 @@
-"""From-scratch numpy neural network: conv, recurrent cells, Adam, gradcheck."""
+"""From-scratch numpy neural network: conv, recurrent cells, Adam, gradcheck.
+
+The names imported here are the package's public interface.
+"""
 
 from .gradcheck import gradient_check
 from .layers import CELLS, Conv1d, DenseSigmoid, Recurrent, sigmoid
@@ -20,27 +23,3 @@ from .train import (
     train_model,
     train_step,
 )
-
-__all__ = [
-    "CELLS",
-    "Conv1d",
-    "DenseSigmoid",
-    "Recurrent",
-    "sigmoid",
-    "bce_logit_grad",
-    "bce_loss",
-    "Conv1dSpec",
-    "ModelSpec",
-    "RecurrentSpec",
-    "SequenceClassifier",
-    "closed_form_parameter_count",
-    "load_checkpoint",
-    "spec_hash",
-    "Adam",
-    "TrainConfig",
-    "TrainResult",
-    "predict",
-    "train_model",
-    "train_step",
-    "gradient_check",
-]

@@ -302,9 +302,9 @@ class SequenceClassifier:
     ) -> None:
         """Write a self-describing JSON checkpoint.
 
-        `preprocessing` is an optional free-form JSON object recording how
-        inputs were prepared at training time (length cutoff, feature groups
-        and so on) so that scoring can replay the exact same pipeline.
+        `preprocessing` is an optional JSON object recording how inputs were
+        prepared at training time, so that scoring can replay the same
+        pipeline; its keys are the rows of cli.PREPROCESSING_FIELDS.
         """
         blocks = {
             key: {

@@ -238,7 +238,7 @@ def load_stats(path: str | Path) -> NormalizationStats:
     global _last_decoded
     try:
         raw = Path(path).read_bytes()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the name
         raise IoError(str(exc), path=str(path)) from exc
     last = _last_decoded  # one read: another thread may replace the entry
     if last is None or last[0] != raw:

@@ -65,6 +65,10 @@ SMARTPEN_CHANNELS = (
 MANIFEST_HEADER = ("path", "subject_id", "task_id", "label")
 MANIFEST_FORMATS = ("tablet_svc", "smartpen_channels", "synthetic")
 
+#: the range of generate_synthetic's sequence lengths
+MIN_SYNTHETIC_LENGTH = 8
+MAX_SYNTHETIC_LENGTH = 1_000_000
+
 
 @dataclass
 class SignalSequence:
@@ -129,7 +133,7 @@ class DatasetManifest:
 def _read_text(path: str | Path) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, a NUL in the name
         raise ParseError(str(exc), path=str(path)) from exc
 
 
@@ -363,17 +367,21 @@ def generate_synthetic(
     fluctuation (an oscillatory tremor plus noise) whose magnitude scales with
     ``class_separation``. At 0 the two classes share one generating
     distribution; at 1 a threshold on mean absolute velocity change separates
-    them almost perfectly. Deterministic for a fixed seed.
+    them almost perfectly. Deterministic for a fixed seed. An argument
+    out of range is an InvalidRange.
     """
     lo, hi = length_range
-    if lo > hi:
-        raise InvalidRange(f"length_range min {lo} > max {hi}")
-    if lo < 8:
-        raise InvalidRange(f"length_range min must be >= 8, got {lo}")
+    if not MIN_SYNTHETIC_LENGTH <= lo <= hi <= MAX_SYNTHETIC_LENGTH:
+        raise InvalidRange(
+            f"length_range must be min <= max within [{MIN_SYNTHETIC_LENGTH}, "
+            f"{MAX_SYNTHETIC_LENGTH}], got {tuple(length_range)}"
+        )
     if not 0.0 <= class_separation <= 1.0:
-        raise ValueError(f"class_separation must be in [0, 1], got {class_separation}")
+        raise InvalidRange(f"class_separation must be in [0, 1], got {class_separation}")
     if n_subjects_per_class < 1:
-        raise ValueError("n_subjects_per_class must be >= 1")
+        raise InvalidRange("n_subjects_per_class must be >= 1")
+    if seed < 0:
+        raise InvalidRange(f"seed must be >= 0, got {seed}")
 
     rng = np.random.default_rng(seed)
     sequences: list[SignalSequence] = []

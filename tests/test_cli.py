@@ -1,18 +1,34 @@
+import contextlib
+import copy
+import io
 import json
+import math
 import os
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pendetect.cli import (
+    CONFIG_FIELDS,
+    PREPROCESSING_FIELDS,
     ExperimentConfig,
+    _replayed_preprocessing,
     load_config,
     main,
     resolve_config_path,
     score_file,
 )
-from pendetect.errors import ConfigError, MalformedLine, NonMonotonicTime, TrainingError
+from pendetect.errors import (
+    ConfigError,
+    MalformedLine,
+    NonMonotonicTime,
+    ParseError,
+    TrainingError,
+)
 from pendetect.evaluation import strip_wall_clock
 from pendetect.features import KINEMATIC_COLUMNS, FeatureGroupSelection, assemble_features
 from pendetect.nn import ModelSpec, SequenceClassifier, load_checkpoint
@@ -65,6 +81,14 @@ def test_load_config_minimal(tmp_path):
     assert cfg.clip_pcts == (5.0, 90.0)
 
 
+def test_load_config_takes_an_integer_number_as_a_float(tmp_path):
+    source = {**_SYNTHETIC_SOURCE, "class_separation": 1}
+    path = _write_config(tmp_path / "c.json", source=source, clip_pcts=[5, 90])
+    cfg = load_config(path, env={})
+    assert type(cfg.source["class_separation"]) is float
+    assert [type(c) for c in cfg.clip_pcts] == [float, float]
+
+
 def test_load_config_requires_seed(tmp_path):
     path = tmp_path / "c.json"
     doc = json.loads(_write_config(tmp_path / "tmp.json").read_text())
@@ -108,6 +132,8 @@ def test_seed_precedence_flag_env_file(tmp_path):
     assert load_config(path, seed_override=7, env={"PENDETECT_SEED": "44"}).seed == 7
     with pytest.raises(ConfigError):
         load_config(path, env={"PENDETECT_SEED": "not-a-number"})
+    with pytest.raises(ConfigError, match="^seed must be an integer in"):
+        load_config(path, seed_override=-1, env={})
 
 
 def test_env_overrides_epochs_and_out(tmp_path):
@@ -117,6 +143,8 @@ def test_env_overrides_epochs_and_out(tmp_path):
     assert cfg.out_dir == Path("from-env")
     cfg = load_config(path, out_override="from-flag", env={"PENDETECT_OUT": "from-env"})
     assert cfg.out_dir == Path("from-flag")
+    with pytest.raises(ConfigError, match="^train.epochs must be an integer in"):
+        load_config(path, env={"PENDETECT_EPOCHS": "0"})
 
 
 def test_full_model_spec_in_config(tmp_path):
@@ -475,6 +503,9 @@ _BAD_PREPROCESSING = {
     "format-unknown": {"format": "csv"},
     "rate-negative": {"sample_rate_hz": -200},
     "rate-string": {"sample_rate_hz": "200"},
+    "rate-bool": {"sample_rate_hz": True},
+    "rate-infinite": {"sample_rate_hz": float("inf")},
+    "unknown-key": {"cutoff": 40, "cut_off": 40},
 }
 
 
@@ -660,22 +691,67 @@ def test_config_booleans_must_be_json_booleans(tmp_path, key, overrides):
         load_config(_write_config(tmp_path / "c.json", **overrides), env={})
 
 
+_MANIFEST_SOURCE = {"kind": "manifest", "path": "manifest.csv", "format": "tablet_svc"}
+_SYNTHETIC_SOURCE = {
+    "kind": "synthetic", "n_per_class": 4, "length_range": [30, 45], "class_separation": 1.0
+}
+
+
+def _fault(block: str, field: str | None, value, id: str):
+    """A config fault, `field` of `block` set to `value` (None: the block
+    itself is `value`), and the start of its error, which names the key path."""
+    if field is None:
+        return pytest.param({block: value}, f"{block} must be a JSON object", id=id)
+    base = {"source": _MANIFEST_SOURCE if field in ("path", "format", "sample_rate_hz")
+            else _SYNTHETIC_SOURCE}.get(block, {})
+    return pytest.param({block: {**base, field: value}}, f"{block}.{field} ", id=id)
+
+
 @pytest.mark.parametrize(
-    "key, value", [("model", 5), ("features", ["derived"]), ("train", [1]), ("split", "kfold")]
+    "overrides, message",
+    [
+        _fault("model", None, 5, "model-5"),
+        _fault("features", None, ["derived"], "features-value1"),
+        _fault("train", None, [1], "train-value2"),
+        _fault("split", None, "kfold", "split-kfold"),
+        _fault("source", "length_range", 5, "length-range-int"),
+        _fault("source", "path", 5, "manifest-path-int"),
+        _fault("source", "sample_rate_hz", "x", "rate-string"),
+        _fault("features", "groups", 5, "groups-int"),
+        _fault("train", "epochs", 2.5, "epochs-float"),
+        _fault("split", "k", 2.5, "k-float"),
+        _fault("source", "n_per_class", "x", "n-per-class-string"),
+        _fault("source", "class_separation", "x", "separation-string"),
+        _fault("source", "seed", "x", "source-seed-string"),
+        _fault("source", "format", "bogus", "format-unknown"),
+        _fault("source", "class_separation", 2, "separation-above-1"),
+        _fault("source", "n_per_class", 0, "n-per-class-zero"),
+        _fault("source", "sample_rate_hz", -1, "rate-negative"),
+        _fault("source", "length_range", [5, 3], "length-range-reversed"),
+        _fault("source", "length_range", [0, 3], "length-range-below-8"),
+        _fault("source", "length_range", [45, 30], "length-range-descending"),
+        _fault("source", "n_per_class", 2.5, "n-per-class-float"),
+        _fault("train", "batch_size", True, "batch-size-bool"),
+        _fault("train", "early_stop_patience", 1.5, "patience-float"),
+        pytest.param({"out_dir": 5}, "out_dir ", id="out-dir-int"),
+        pytest.param({"seed": -1}, "seed ", id="seed-negative"),
+        _fault("source", "typo", 1, "source-unknown-key"),
+        _fault("features", "include_raw_presure_in_derived", True, "features-unknown-key"),
+        _fault("model", "typo", 1, "model-unknown-key"),
+        _fault("train", "seed", 9, "train-unknown-key"),
+        _fault("split", "typo", 1, "split-unknown-key"),
+        pytest.param({"typo": 1}, "typo ", id="top-level-unknown-key"),
+    ],
 )
-def test_config_blocks_must_be_json_objects(tmp_path, capsys, key, value):
+def test_config_blocks_must_be_json_objects(tmp_path, capsys, overrides, message):
     # the manifest names a recording that does not exist, so reading it
     # before the config check would be a data error (exit 2)
     (tmp_path / "manifest.csv").write_text("path,subject_id,task_id,label\nmissing.svc,s1,t,PD\n")
-    cfg = _write_config(
-        tmp_path / "c.json",
-        source={"kind": "manifest", "path": "manifest.csv", "format": "tablet_svc"},
-        **{key: value},
-    )
+    cfg = _write_config(tmp_path / "c.json", **{"source": _MANIFEST_SOURCE, **overrides})
     out = tmp_path / "o"
     assert main(["train", "--config", str(cfg), "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"config error: {key} must be a JSON object") and "Traceback" not in err
+    assert err.startswith(f"config error: {message}") and "Traceback" not in err
     assert not out.exists()
 
 
@@ -701,3 +777,147 @@ def test_manifest_that_is_not_utf8_is_a_parse_error(tmp_path, capsys):
     assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("data error:") and str(manifest.resolve()) in err
+
+
+def test_features_non_finite_derived_value_is_a_data_error_naming_the_recording(
+    tmp_path, capsys
+):
+    # x alternates between +-1e308, so each step's displacement overflows;
+    # a RuntimeWarning on the way would fail the test (pyproject's filterwarnings)
+    rows = [f"{(-1) ** t * 1e308!r} 0 {t} 1 0 0 100\n" for t in range(20)]
+    (tmp_path / "rec.svc").write_text("".join(rows))
+    (tmp_path / "manifest.csv").write_text("path,subject_id,task_id,label\nrec.svc,s1,spiral,PD\n")
+    cfg = _write_config(tmp_path / "c.json", source=_MANIFEST_SOURCE)
+    assert main(["features", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: recording ('s1', 'spiral'): non-finite values in columns")
+
+
+# ---------------------------------------------------------------------------
+# the field table
+
+_PRESET = json.loads(
+    resolve_config_path(SimpleNamespace(preset="synthetic-quick", config=None)).read_text()
+)
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                 max_size=2),
+    max_leaves=4,
+)
+_OUT_OF_RANGE = st.sampled_from(
+    [-1, 0, 1, 2, 7, 8, 100, 101, 10**6 + 1, 2**63, 10**400, -0.5, 0.5, 1.5, 100.5, 1e308,
+     math.inf, -math.inf, math.nan]
+) | st.lists(st.integers(-10, 10**7) | st.floats(), max_size=3)
+
+
+def _main(argv: list[str]) -> tuple[int, str]:
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def _assert_typed(field, value) -> None:
+    """`value`, loaded for `field`, has exactly the field's type."""
+    if value is None:
+        assert field.null or field.default is None
+    elif field.type is list:
+        assert type(value) is tuple and all(type(v) is field.item for v in value)
+    elif field.path == "model.spec":
+        assert type(value) is ModelSpec
+    elif field.path == "out_dir":
+        assert isinstance(value, Path)
+    else:
+        assert type(value) is field.type
+
+
+def _loaded(cfg: ExperimentConfig, path: str):
+    block, _, key = path.rpartition(".")
+    if block in ("source", "train", "split"):
+        return {"source": cfg.source, "train": vars(cfg.train), "split": vars(cfg.plan)}[block][key]
+    return {
+        "seed": cfg.seed,
+        "features.groups": cfg.features.groups,
+        "features.include_raw_pressure_in_derived": cfg.features.include_raw_pressure_in_derived,
+        "model.spec": cfg.model_spec,
+        "model.cell": cfg.model_cell,
+        "model.with_conv": cfg.model_with_conv,
+        "out_dir": cfg.out_dir,
+        "cutoff_scope": cfg.cutoff_scope,
+        "normalize": cfg.normalize,
+        "clip_pcts": cfg.clip_pcts,
+    }[path]
+
+
+@given(
+    path=st.sampled_from(
+        ["source", "features", "model", "train", "split"] + [f.path for f in CONFIG_FIELDS]
+    ),
+    value=_JSON_VALUES | _OUT_OF_RANGE,
+)
+@settings(max_examples=300, deadline=None)
+def test_every_config_field_loads_typed_or_is_a_config_error(tmp_path_factory, path, value):
+    doc = copy.deepcopy(_PRESET)
+    *blocks, key = path.split(".")
+    block = doc
+    for name in blocks:
+        block = block[name]
+    block[key] = value
+    cfg_path = tmp_path_factory.getbasetemp() / "fields.json"
+    cfg_path.write_text(json.dumps(doc))
+    try:
+        cfg = load_config(cfg_path, env={})
+    except ConfigError as exc:
+        assert str(exc).startswith(path.split(".")[0])
+        code, err = _main(["features", "--config", str(cfg_path)])
+        assert code == 1 and err.startswith("config error: ") and "Traceback" not in err
+        return
+    for field in CONFIG_FIELDS:
+        if not field.kind or field.kind in (cfg.source["kind"], cfg.plan.kind):
+            _assert_typed(field, _loaded(cfg, field.path))
+
+
+@given(
+    key=st.sampled_from([None] + [f.path.split(".")[1] for f in PREPROCESSING_FIELDS]),
+    value=_JSON_VALUES | _OUT_OF_RANGE,
+)
+@settings(max_examples=150, deadline=None)
+def test_every_preprocessing_field_loads_typed_or_is_a_data_error(tmp_path_factory, key, value):
+    work = tmp_path_factory.getbasetemp()
+    svc, ckpt = work / "fields.svc", work / "fields.ckpt"
+    svc.write_text("0 0 0 1 0 0 100\n" * 40)
+    block = value if key is None else {"cutoff": 40, "feature_groups": ["kinematic"], key: value}
+    SequenceClassifier(ModelSpec.reference(16), 16, np.random.default_rng(1)).save_checkpoint(
+        ckpt, preprocessing=block
+    )
+    try:
+        pre = _replayed_preprocessing(load_checkpoint(ckpt)[1], ckpt)
+    except ParseError as exc:
+        assert str(ckpt) in str(exc)
+        code, err = _main(["score", "--checkpoint", str(ckpt), "--input", str(svc)])
+        assert code == 2 and err.startswith("data error: ") and str(ckpt) in err
+        return
+    for field in PREPROCESSING_FIELDS:
+        _assert_typed(field, pre[field.path.split(".")[1]])
+
+
+def _readme() -> str:
+    return (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+
+
+def test_readme_example_config_loads(tmp_path):
+    example = _readme().split("For real data", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+    doc = json.loads(example)
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("path,subject_id,task_id,label\n")
+    doc["source"]["path"] = str(manifest)
+    (tmp_path / "experiment.json").write_text(json.dumps(doc))
+    cfg = load_config(tmp_path / "experiment.json", env={})
+    assert cfg.source["path"] == manifest.resolve()
+
+
+def test_readme_lists_every_field():
+    readme = _readme()
+    for field in CONFIG_FIELDS + PREPROCESSING_FIELDS:
+        assert f"`{field.path}`" in readme

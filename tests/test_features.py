@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pendetect.errors import LengthMismatch, MissingChannel, TooShort
+from pendetect.errors import LengthMismatch, MissingChannel, NonFiniteFeatures, TooShort
 from pendetect.features import (
     DERIVED_COLUMNS,
     GROUPS,
@@ -389,7 +389,7 @@ def test_assembled_columns_equal_column_by_column_oracles(n, rate, data):
 def test_feature_matrix_validates_shapes():
     with pytest.raises(LengthMismatch):
         FeatureMatrix(np.zeros((3, 2)), ["a"], ["raw"], None, "s", "t")
-    with pytest.raises(ValueError):
+    with pytest.raises(NonFiniteFeatures, match=r"\('s', 't'\).*\['a'\]"):
         FeatureMatrix(np.array([[np.nan, 0.0]]), ["a", "b"], ["raw", "raw"], None, "s", "t")
 
 

@@ -277,6 +277,14 @@ def test_generate_synthetic_invalid_range():
         generate_synthetic(2, (50, 40), 0.5, seed=0)
     with pytest.raises(InvalidRange):
         generate_synthetic(2, (4, 40), 0.5, seed=0)
+    for args, seed in (
+        ((2, (8, 1_000_001), 0.5), 0),
+        ((2, (20, 40), 1.5), 0),
+        ((0, (20, 40), 0.5), 0),
+        ((2, (20, 40), 0.5), -1),
+    ):
+        with pytest.raises(InvalidRange):
+            generate_synthetic(*args, seed=seed)
 
 
 def test_generate_synthetic_valid_tablet_channels():
