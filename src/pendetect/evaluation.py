@@ -7,11 +7,14 @@ boundary. An experiment run produces an :class:`ExperimentReport` that
 embeds the resolved configuration, per-fold raw numbers, and aggregate
 metrics; reports serialize to canonical JSON and a fixed-width table.
 
-Each fold is prepared once: its sequences are normalized, fitted to the
-fold's length cutoff and stacked into one time-major array in train,
-val, test row order, which training, early stopping and scoring all
-read. The ablation grid prepares its folds once and shares them between
-its six cells.
+Each fold is prepared once, in one pass over its rows in train, val,
+test order: every sequence is cut to the fold's length cutoff, the cut
+rows of all of them are normalized in one apply_normalization call, and
+one fit_length call pads them and stacks them into one time-major
+(cutoff, N, m) array, which training, early stopping and scoring all
+read. Rows past the cutoff are never normalized, so a value there that
+would overflow once z-scored does not fail the fold. The ablation grid
+prepares its folds once and shares them between its six cells.
 
 Folds are independent of each other (any could run concurrently); they
 are executed sequentially here so that a report is reproducible down to
@@ -32,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import IoError, SingleClass, TooSmall, TrainingError
-from .features import FeatureGroupSelection, FeatureMatrix, assemble_features
+from .features import FeatureGroupSelection, FeatureMatrix, assemble_features, check_finite
 from .preprocess import (
     LengthPolicy,
     NormalizationStats,
@@ -488,15 +491,28 @@ def _prepare_folds(
         train_ms = [matrices[i] for i in split.train]
         policy = compute_cutoff(train_ms if cutoff_scope == "train" else matrices)
         stats = fit_normalization(train_ms, clip_pcts[0], clip_pcts[1]) if normalize else None
-        rows = []
-        for _, i in split.rows():
-            fm = matrices[i] if stats is None else apply_normalization(matrices[i], stats)
-            rows.append(fit_length(fm, policy).values)
-        y = np.array([LABEL_TO_Y[matrices[i].label] for _, i in split.rows()], dtype=np.float64)
+        fold_ms = [matrices[i] for _, i in split.rows()]
+        rows = [fm.values[: policy.cutoff] for fm in fold_ms]  # the rows the model reads
+        if stats is not None:
+            rows = _normalized_rows(rows, fold_ms, stats)
+        y = np.array([LABEL_TO_Y[fm.label] for fm in fold_ms], dtype=np.float64)
         if shuffle_labels:
             n = len(split.train)
             y[:n] = y[:n][np.random.default_rng([plan.seed, 7, fold_i]).permutation(n)]
-        yield _Fold(fold_i, split, carved, policy, stats, np.stack(rows, axis=1), y)
+        yield _Fold(fold_i, split, carved, policy, stats, fit_length(rows, policy), y)
+
+
+def _normalized_rows(
+    rows: list[np.ndarray], owners: list[FeatureMatrix], stats: NormalizationStats
+) -> list[np.ndarray]:
+    """`rows` normalized in one apply_normalization call over all of them;
+    a non-finite result is a NonFiniteFeatures naming its owner's recording."""
+    flat = apply_normalization(np.concatenate(rows), stats)
+    out = np.split(flat, np.cumsum([len(r) for r in rows[:-1]]))
+    if not np.isfinite(flat).all():
+        for values, fm in zip(out, owners):
+            check_finite(values, fm.column_names, fm.subject_id, fm.task_id)
+    return out
 
 
 def _run_fold(
@@ -593,13 +609,13 @@ def run_experiment(
     Each split is prepared once: the length cutoff and normalization
     statistics are fitted on the training side only (set
     ``cutoff_scope="all"`` to fit the cutoff on the whole dataset; the
-    choice is echoed in the report), and the sequences are normalized,
-    padded or truncated, and stacked into one time-major array in train,
-    val, test row order. A fresh model trains on its train rows (the val
-    rows drive early stopping) and one pass scores every row. Given a
-    list of sequences, each fold is prepared when it is reached and
-    dropped after scoring. ``shuffle_labels`` permutes training labels
-    only, as a leakage control.
+    choice is echoed in the report), and the sequences are cut to the
+    cutoff, normalized, padded and stacked into one time-major array in
+    train, val, test row order. A fresh model trains on its train rows
+    (the val rows drive early stopping) and one pass scores every row.
+    Given a list of sequences, each fold is prepared when it is reached
+    and dropped after scoring. ``shuffle_labels`` permutes training
+    labels only, as a leakage control.
 
     When early stopping is configured and a split has no validation part
     (k-fold), 10% of the training subjects are carved out, stratified,

@@ -114,14 +114,7 @@ class FeatureMatrix:
                 f"{m} columns but {len(self.column_names)} names, "
                 f"{len(self.column_groups)} group tags"
             )
-        if not np.isfinite(self.values).all():
-            bad = [
-                self.column_names[j]
-                for j in np.nonzero(~np.isfinite(self.values).all(axis=0))[0]
-            ]
-            raise NonFiniteFeatures(
-                f"recording {(self.subject_id, self.task_id)}: non-finite values in columns {bad}"
-            )
+        check_finite(self.values, self.column_names, self.subject_id, self.task_id)
 
     @property
     def length(self) -> int:
@@ -133,6 +126,16 @@ class FeatureMatrix:
 
     def column(self, name: str) -> np.ndarray:
         return self.values[:, self.column_names.index(name)]
+
+
+def check_finite(values: np.ndarray, column_names, subject_id: str, task_id: str) -> None:
+    """Raise NonFiniteFeatures naming the recording and the columns where
+    its (T, m) `values` hold inf or nan."""
+    if not np.isfinite(values).all():
+        bad = [column_names[j] for j in np.nonzero(~np.isfinite(values).all(axis=0))[0]]
+        raise NonFiniteFeatures(
+            f"recording {(subject_id, task_id)}: non-finite values in columns {bad}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -175,10 +178,21 @@ def time_derivative(s: np.ndarray, timestamps: np.ndarray, tick_seconds: float) 
         )
     if tick_seconds <= 0:
         raise ValueError("tick_seconds must be positive")
-    out = np.zeros_like(s)
-    if len(s) > 1:
-        dt = np.maximum(np.diff(timestamps) * tick_seconds, tick_seconds)
-        out[1:] = np.diff(s) / dt
+    return _rate(s, _gaps(timestamps, tick_seconds))
+
+
+def _gaps(timestamps: np.ndarray, tick_seconds: float) -> np.ndarray:
+    """Each timestamp gap in seconds, floored at one tick."""
+    return np.maximum((timestamps[1:] - timestamps[:-1]) * tick_seconds, tick_seconds)
+
+
+def _rate(s: np.ndarray, gaps: np.ndarray) -> np.ndarray:
+    """time_derivative of the float64 series `s` over the `gaps` of its
+    timestamps (np.diff's subtraction, without its per-call overhead)."""
+    out = np.empty_like(s)
+    out[:1] = 0.0
+    np.subtract(s[1:], s[:-1], out=out[1:])
+    out[1:] /= gaps
     return out
 
 
@@ -188,11 +202,10 @@ def time_derivative(s: np.ndarray, timestamps: np.ndarray, tick_seconds: float) 
 def _tablet_columns(seq: SignalSequence) -> dict[str, np.ndarray]:
     """Every tablet column by name: the channels, the pressure derivative and
     the four kinematic ladders."""
-    ts = seq.channels["timestamp"]
-    tick_seconds = 1.0 / seq.sample_rate_hz
+    gaps = _gaps(seq.channels["timestamp"], 1.0 / seq.sample_rate_hz)
     x, y = seq.channels["x"], seq.channels["y"]
     cols = dict(seq.channels)
-    cols["pressure_derivative"] = time_derivative(cols["pressure"], ts, tick_seconds)
+    cols["pressure_derivative"] = _rate(cols["pressure"], gaps)
     ladders = {
         "": displacement(x, y),
         "horizontal_": directional_displacement(x),
@@ -201,7 +214,7 @@ def _tablet_columns(seq: SignalSequence) -> dict[str, np.ndarray]:
     for prefix, series in ladders.items():
         cols[prefix + "displacement"] = series
         for quantity in ("velocity", "acceleration", "jerk"):
-            series = time_derivative(series, ts, tick_seconds)
+            series = _rate(series, gaps)
             cols[prefix + quantity] = series
     for quantity in ("displacement", "velocity", "acceleration", "jerk"):
         cols["resultant_" + quantity] = np.hypot(

@@ -36,6 +36,16 @@ from .layers import CELLS, GATES, Conv1d, DenseSigmoid, Recurrent
 CHECKPOINT_VERSION = "pendetect-checkpoint v1"
 
 
+def _require(spec, what: str, names: tuple[str, ...]) -> None:
+    """TypeError unless each field in `names` of `spec` is `what`: "an
+    integer", "a number" or "a bool". A bool is never a number."""
+    types = {"an integer": int, "a number": (int, float), "a bool": bool}[what]
+    for name in names:
+        value = getattr(spec, name)
+        if not isinstance(value, types) or (what != "a bool" and isinstance(value, bool)):
+            raise TypeError(f"{name} must be {what}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Conv1dSpec:
     in_channels: int
@@ -45,6 +55,7 @@ class Conv1dSpec:
     activation: str = "relu"
 
     def __post_init__(self):
+        _require(self, "an integer", ("in_channels", "out_channels", "kernel", "stride"))
         if self.kernel < 1 or self.stride < 1:
             raise ValueError("kernel and stride must be >= 1")
         if self.in_channels < 1 or self.out_channels < 1:
@@ -62,6 +73,9 @@ class RecurrentSpec:
     recurrent_dropout_rate: float = 0.0
 
     def __post_init__(self):
+        _require(self, "an integer", ("hidden_units",))
+        _require(self, "a bool", ("bidirectional",))
+        _require(self, "a number", ("dropout_rate", "recurrent_dropout_rate"))
         if self.cell not in CELLS:
             raise ValueError(f"cell must be one of {CELLS}, got {self.cell!r}")
         if self.hidden_units < 1:

@@ -6,14 +6,21 @@ longer ones lose their tail. Normalization clips each column to fitted
 percentile bounds and then z-scores it; statistics always come from the
 training split alone and travel to the other splits as an explicit
 NormalizationStats value, so there is no way to leak test data into the
-fit. Callers normalize first and fit the length afterwards, so padding
-rows are appended after normalization: they are exact zeros in
-normalized space (each column at its clipped training mean) and never
-pass through the clip or the z-score.
+fit.
+
+Per fold, each sequence is cut to the cutoff, normalized, then padded:
+only the rows the model reads pass through the clip and the z-score,
+and padding rows are appended after normalization, so they are exact
+zeros in normalized space (each column at its clipped training mean).
+``apply_normalization`` and ``fit_length`` take one FeatureMatrix, as
+``score`` does, or a fold's arrays: the cut rows of all its sequences
+as one (rows, m) array, and the normalized pieces to pad and stack into
+one time-major (cutoff, N, m) array.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -69,17 +76,22 @@ def compute_cutoff(train: list[FeatureMatrix]) -> LengthPolicy:
     return LengthPolicy(cutoff=int(np.floor(mean + 0.5)))
 
 
-def fit_length(fm: FeatureMatrix, policy: LengthPolicy) -> FeatureMatrix:
-    """Pad with zero rows or cut the tail so the output has cutoff rows."""
-    t = fm.length
-    if t == policy.cutoff:
-        values = fm.values.copy()
-    elif t > policy.cutoff:
-        values = fm.values[: policy.cutoff].copy()
-    else:
-        values = np.zeros((policy.cutoff, fm.m), dtype=np.float64)
-        values[:t] = fm.values
-    return replace(fm, values=values)
+def fit_length(
+    fm: FeatureMatrix | Sequence[np.ndarray], policy: LengthPolicy
+) -> FeatureMatrix | np.ndarray:
+    """Pad with zero rows or cut the tail so the output has cutoff rows.
+
+    `fm` is a FeatureMatrix, which comes back as one, or a non-empty
+    sequence of N 2-d arrays with m columns each, which come back stacked
+    time-major as one (cutoff, N, m) array.
+    """
+    if isinstance(fm, FeatureMatrix):
+        return replace(fm, values=fit_length([fm.values], policy)[:, 0])
+    out = np.zeros((policy.cutoff, len(fm), fm[0].shape[1]))
+    for j, values in enumerate(fm):
+        rows = values[: policy.cutoff]
+        out[: len(rows), j] = rows
+    return out
 
 
 def fit_normalization(
@@ -151,14 +163,37 @@ def _clip_bounds(stacked: np.ndarray, pcts: tuple[float, float]) -> np.ndarray:
     return np.where(gamma >= 0.5, b - diff * (1 - gamma), a + diff * gamma)
 
 
-def apply_normalization(fm: FeatureMatrix, stats: NormalizationStats) -> FeatureMatrix:
+def apply_normalization(
+    fm: FeatureMatrix | np.ndarray, stats: NormalizationStats
+) -> FeatureMatrix | np.ndarray:
+    """Clip each column to the fitted bounds, then z-score it.
+
+    `fm` is a FeatureMatrix, whose columns must be the fitted ones and
+    which comes back as one, or an array whose last axis holds the fitted
+    columns, which comes back as an array. An overflow leaves a non-finite
+    value without a warning: a FeatureMatrix raises NonFiniteFeatures
+    naming its recording, and a caller passing an array checks it.
+    """
+    if not isinstance(fm, FeatureMatrix):
+        if fm.shape[-1] != len(stats.column_names):
+            raise ColumnMismatch(
+                f"array has {fm.shape[-1]} columns, fitted on {len(stats.column_names)}"
+            )
+        return _normalized(fm, stats)
     if list(fm.column_names) != list(stats.column_names):
         raise ColumnMismatch(
             f"matrix columns {fm.column_names} do not match fitted columns "
             f"{stats.column_names}"
         )
-    values = (np.clip(fm.values, stats.low_clip, stats.high_clip) - stats.mean) / stats.std
-    return replace(fm, values=values)
+    return replace(fm, values=_normalized(fm.values, stats))
+
+
+def _normalized(values: np.ndarray, stats: NormalizationStats) -> np.ndarray:
+    out = np.clip(values, stats.low_clip, stats.high_clip)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out -= stats.mean
+        out /= stats.std
+    return out
 
 
 # ---------------------------------------------------------------------------

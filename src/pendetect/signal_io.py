@@ -153,47 +153,66 @@ def _parse_numeric_lines(
     ignored. A nan or infinite value is a MalformedLine naming its line.
 
     numpy's C reader reads a clean file: ASCII text with one arity on every
-    non-blank line and only finite values, which it converts with the same
-    routine as float(). Every other file goes to _parse_split_lines, which
-    gives the values, warnings and errors with their line numbers. Line
-    numbers of a clean file are worked out only when asked for.
+    non-blank line after any header and only finite values, which it
+    converts with the same routine as float(). Every other file goes to
+    _parse_split_lines, which gives the values, warnings and errors with
+    their line numbers. Line numbers of a clean file are worked out only
+    when asked for.
     """
     text = _read_text(path)
-    values = _read_clean(text, arity)
-    if values is None:
+    clean = _read_clean(text, arity, path)
+    if clean is None:
         values, line_nos = _parse_split_lines(text.splitlines(), arity, path)
         return values, lambda: line_nos
-    return values, lambda: _data_line_numbers(text)
+    values, skipped = clean
+    return values, lambda: _data_line_numbers(text)[skipped:]
 
 
-def _read_clean(text: str, arity: int) -> np.ndarray | None:
-    """The values of `text` read by numpy's C reader, or None where that
-    reading is refused or could differ from _parse_split_lines'.
+def _read_clean(text: str, arity: int, path) -> tuple[np.ndarray, int] | None:
+    """The values of `text` read by numpy's C reader and the number of
+    header lines skipped (0 or 1), or None where that reading is refused
+    or could differ from _parse_split_lines'.
+
+    A header is line 1 as _parse_split_lines finds it: not blank and of
+    another arity. It is skipped with the same warning, and the C reader
+    reads the lines after it.
 
     Text that is not ASCII may hold line breaks of str.splitlines (U+0085,
     U+2028) that the C reader takes for field separators, or digits
     (U+0661) that float() takes and the C reader refuses; ASCII text may
     hold the line breaks of _SPLITLINES_ONLY_BREAKS. Such text is not read
-    here, and neither is an empty or blank file, which the C reader would
+    here, and neither is an empty or blank body, which the C reader would
     read as no data with a warning. The C reader refuses a wrong arity on
-    any line (a header among them) and tokens such as 1_000 that float()
-    takes. `text` comes from a universal-newlines read, so it holds no
-    carriage return that the two readers could split differently.
+    any line and tokens such as 1_000 that float() takes. `text` comes
+    from a universal-newlines read, so it holds no carriage return that
+    the two readers could split differently.
     """
-    if (
-        not text.isascii()
-        or not text
-        or text.isspace()
-        or any(c in text for c in _SPLITLINES_ONLY_BREAKS)
-    ):
+    if not text.isascii() or any(c in text for c in _SPLITLINES_ONLY_BREAKS):
+        return None
+    newline = text.find("\n")
+    line_1 = text if newline < 0 else text[:newline]
+    fields = len(line_1.split())
+    skipped = int(fields not in (0, arity))
+    body = text[len(line_1) + 1 :] if skipped else text
+    if not body or body.isspace():
         return None
     try:
-        values = np.loadtxt(io.StringIO(text), dtype=np.float64, comments=None, ndmin=2)
+        values = np.loadtxt(io.StringIO(body), dtype=np.float64, comments=None, ndmin=2)
     except ValueError:
         return None
     if values.shape[1] != arity or not np.isfinite(values).all():
         return None
-    return values
+    if skipped:
+        _warn_header(path, fields, arity)
+    return values, skipped
+
+
+def _warn_header(path, fields: int, arity: int) -> None:
+    """Warn, at the parser's caller, that line 1 is skipped as a header."""
+    warnings.warn(
+        f"{path}: skipping line 1 ({fields} fields, expected {arity}); assumed to be a header",
+        stacklevel=5,
+    )
 
 
 def _data_line_numbers(text: str) -> list[int]:
@@ -215,11 +234,7 @@ def _parse_split_lines(
     counts = np.fromiter(map(len, split), dtype=np.intp, count=len(split))
     start = 0
     if split and int(counts[0]) not in (0, arity):
-        warnings.warn(
-            f"{path}: skipping line 1 ({counts[0]} fields, expected {arity}); "
-            "assumed to be a header",
-            stacklevel=4,
-        )
+        _warn_header(path, int(counts[0]), arity)
         counts[0] = 0
         start = 1
     rows = np.flatnonzero(counts)

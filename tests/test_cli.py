@@ -525,6 +525,10 @@ def _corrupt_checkpoint(path: Path, kind: str) -> None:
             doc["spec"] = ["gru"]
         elif kind == "short-block":
             doc["params"]["head/b"]["data"] = "AAAA"
+        elif kind == "spec-kernel-float":
+            doc["spec"]["conv_layers"][0]["kernel"] = 2.5
+        elif kind == "spec-hidden-units-bool":
+            doc["spec"]["recurrent_layers"][0]["hidden_units"] = True
         elif kind == "list-preprocessing":
             doc["preprocessing"] = [40]
         elif kind in _BAD_PREPROCESSING:
@@ -535,7 +539,7 @@ def _corrupt_checkpoint(path: Path, kind: str) -> None:
 @pytest.mark.parametrize(
     "kind",
     ["no-spec", "truncated", "not-utf-8", "list-spec", "short-block", "list-preprocessing",
-     *_BAD_PREPROCESSING],
+     "spec-kernel-float", "spec-hidden-units-bool", *_BAD_PREPROCESSING],
 )
 def test_corrupt_checkpoint_is_a_data_error_naming_the_file(tmp_path, capsys, kind):
     svc = tmp_path / "rec.svc"
@@ -697,6 +701,13 @@ _SYNTHETIC_SOURCE = {
 }
 
 
+def _spec_doc(layers: str, field: str, value) -> dict:
+    """The reference spec as JSON, with `field` of the first of `layers` set to `value`."""
+    doc = ModelSpec.reference(17).to_dict()
+    doc[layers][0][field] = value
+    return doc
+
+
 def _fault(block: str, field: str | None, value, id: str):
     """A config fault, `field` of `block` set to `value` (None: the block
     itself is `value`), and the start of its error, which names the key path."""
@@ -741,6 +752,9 @@ def _fault(block: str, field: str | None, value, id: str):
         _fault("train", "seed", 9, "train-unknown-key"),
         _fault("split", "typo", 1, "split-unknown-key"),
         pytest.param({"typo": 1}, "typo ", id="top-level-unknown-key"),
+        _fault("model", "spec", _spec_doc("conv_layers", "kernel", 2.5), "spec-kernel-float"),
+        _fault("model", "spec", _spec_doc("recurrent_layers", "hidden_units", True),
+               "spec-hidden-units-bool"),
     ],
 )
 def test_config_blocks_must_be_json_objects(tmp_path, capsys, overrides, message):

@@ -8,11 +8,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from pendetect.errors import IoError, SingleClass, TooSmall, TrainingError
+from pendetect.errors import IoError, NonFiniteFeatures, SingleClass, TooSmall, TrainingError
 from pendetect.evaluation import (
     ROC_FILE_VERSION,
     ExperimentReport,
     SplitPlan,
+    _Cohort,
+    _prepare_folds,
     compute_roc,
     emit_roc,
     make_splits,
@@ -21,8 +23,9 @@ from pendetect.evaluation import (
     run_ablation_grid,
     run_experiment,
 )
-from pendetect.features import FeatureGroupSelection, assemble_features
+from pendetect.features import FeatureGroupSelection, FeatureMatrix, assemble_features
 from pendetect.nn import CELLS, ModelSpec, TrainConfig
+from pendetect.preprocess import apply_normalization, fit_length
 from pendetect.signal_io import generate_synthetic
 
 
@@ -434,6 +437,89 @@ def test_fold_scores_every_role_in_one_pass(monkeypatch):
     assert len(chunks) == sum(math.ceil(total / 8) for total in totals)
     assert sum(chunks) == sum(totals)
 
+def _matrices(lengths, seed=0, m=3):
+    """Hand-made feature matrices, labels alternating, one recording per subject."""
+    rng = np.random.default_rng(seed)
+    return [
+        FeatureMatrix(
+            values=rng.random((t, m)), column_names=[f"c{j}" for j in range(m)],
+            column_groups=["raw"] * m, label=("PD", "HC")[i % 2],
+            subject_id=f"s{i:02d}", task_id="spiral",
+        )
+        for i, t in enumerate(lengths)
+    ]
+
+
+@pytest.mark.parametrize(
+    "config, flags",
+    [
+        (_quick_config(), {}),
+        (_quick_config(), {"normalize": False}),
+        (_quick_config(), {"cutoff_scope": "all"}),
+        (_quick_config(), {"shuffle_labels": True}),
+        (_quick_config(), {"clip_pcts": (0.0, 100.0)}),
+        (_quick_config(early_stop_patience=2), {}),
+    ],
+    ids=["default", "normalize-off", "cutoff-all", "shuffle-labels", "no-clip", "carve-out"],
+)
+def test_fold_array_equals_the_per_recording_pipeline(config, flags):
+    # every length from 20 to 40: a fold's cutoff, near 30, meets shorter,
+    # equal and longer recordings
+    matrices = _matrices(list(range(20, 41)) + [30, 30, 30])
+    plan = SplitPlan.kfold(3, seed=1)
+    folds = list(_prepare_folds(matrices, plan, config, **flags))
+    seen = set()
+    for fold in folds:
+        assert fold.carved == (config.early_stop_patience is not None)
+        rows = [matrices[i] for _, i in fold.split.rows()]
+        expected = np.stack([
+            fit_length(fm if fold.stats is None else apply_normalization(fm, fold.stats),
+                       fold.policy).values
+            for fm in rows
+        ], axis=1)
+        assert fold.x.shape == (fold.policy.cutoff, len(rows), 3)
+        assert np.array_equal(fold.x, expected)
+        assert fold.x.tobytes() == expected.tobytes()  # signed zeros too
+        seen.update(np.sign([fm.length - fold.policy.cutoff for fm in rows]).tolist())
+    assert seen == {-1, 0, 1}
+
+
+_HOLDOUT = SplitPlan.holdout(0.5, 0.0, 0.5, n_runs=1, seed=3)
+
+
+def _overflowing_test_recording(length: int, row: int):
+    """Twelve 40-row matrices with values in [0, 1), and the index of one
+    that the holdout split tests on, now `length` rows long with 1e308 at
+    `row`: finite, but past the float range once z-scored. Training never
+    sees it, so the fitted stats stay finite."""
+    matrices = _matrices([40] * 12)
+    (split,) = make_splits(matrices, _HOLDOUT)
+    i = split.test[0]
+    values = np.random.default_rng(1).random((length, 3))
+    values[row, 1] = 1e308
+    matrices[i] = dataclasses.replace(matrices[i], values=values)
+    return matrices, i
+
+
+def test_normalized_overflow_inside_the_cutoff_names_the_recording():
+    matrices, i = _overflowing_test_recording(40, row=5)
+    with pytest.raises(NonFiniteFeatures, match=rf"\('{matrices[i].subject_id}', 'spiral'\).*\['c1'\]"):
+        list(_prepare_folds(matrices, _HOLDOUT, _quick_config(), clip_pcts=(0.0, 100.0)))
+
+
+def test_normalized_overflow_past_the_cutoff_trains():
+    # only the rows the model reads are normalized: a value past the cutoff
+    # that would overflow is never z-scored (it used to fail the fold)
+    matrices, i = _overflowing_test_recording(60, row=50)
+    config = _quick_config(epochs=1)
+    folds = _prepare_folds(matrices, _HOLDOUT, config, clip_pcts=(0.0, 100.0))
+    report = run_experiment(_Cohort(matrices, folds), FeatureGroupSelection.of("raw"),
+                            None, config, _HOLDOUT, clip_pcts=(0.0, 100.0))
+    (fold,) = report.per_fold
+    assert fold["cutoff"] < matrices[i].length
+    assert all(math.isfinite(s["p"]) for s in fold["samples"])
+
+
 def test_training_error_carries_fold_index(monkeypatch):
     seqs = _quick_dataset()
     sel = FeatureGroupSelection.of("raw")
@@ -501,14 +587,14 @@ def test_ablation_grid_derives_features_and_splits_once(monkeypatch):
 
     monkeypatch.setattr(evaluation, "run_experiment", recording_run_experiment)
     report = run_ablation_grid(seqs, sel, config, plan)
-    # every fold is prepared once, for all six cells: each matrix is
-    # normalized and length-fitted once per fold
+    # every fold is prepared once, for all six cells: its rows are
+    # normalized in one call and length-fitted in one call
     assert calls == {
         "assemble_features": len(seqs),
         "make_splits": 1,
         "fit_normalization": 2,
-        "apply_normalization": 2 * len(seqs),
-        "fit_length": 2 * len(seqs),
+        "apply_normalization": 2,
+        "fit_length": 2,
     }
     assert len(specs) == 6 and all(isinstance(spec, ModelSpec) for spec in specs)
 

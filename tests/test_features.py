@@ -382,6 +382,16 @@ def test_assembled_columns_equal_column_by_column_oracles(n, rate, data):
     for name, expected in oracle.items():
         np.testing.assert_array_equal(fm.column(name), expected, err_msg=name)
 
+    # each rate column is the public time_derivative of the column it is
+    # the rate of, to the bit, repeated timestamps included
+    ladder = ("displacement", "velocity", "acceleration", "jerk")
+    sources = {"pressure_derivative": "pressure"}
+    for prefix in ("", "horizontal_", "vertical_"):
+        sources.update((prefix + b, prefix + a) for a, b in zip(ladder, ladder[1:]))
+    for name, source in sources.items():
+        rate = time_derivative(fm.column(source), ts, tick)
+        assert fm.column(name).tobytes() == rate.tobytes(), name
+
 
 # ---------------------------------------------------------------------------
 # feature matrix and CSV dump

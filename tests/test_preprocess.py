@@ -245,6 +245,8 @@ def test_apply_column_mismatch():
     stats = fit_normalization([_fm(np.random.default_rng(0).normal(size=(5, 3)))], 5, 90)
     with pytest.raises(ColumnMismatch):
         apply_normalization(fm, stats)
+    with pytest.raises(ColumnMismatch):
+        apply_normalization(fm.values, stats)
 
 
 @given(seed=st.integers(0, 300), low=st.floats(1, 30), high=st.floats(70, 99))

@@ -30,7 +30,7 @@ from pendetect.signal_io import (
     write_manifest,
     write_tablet_file,
 )
-from pendetect.signal_io import _parse_numeric_lines
+from pendetect.signal_io import _parse_numeric_lines, _read_clean
 
 
 # ---------------------------------------------------------------------------
@@ -541,8 +541,10 @@ def _recording(draw):
         return draw(sep).join(tokens)
 
     lines = []
-    if draw(st.booleans()):  # a wrong-arity line 1
-        lines.append(row(draw(st.integers(1, arity + 2).filter(lambda k: k != arity))))
+    header = draw(st.booleans())
+    if header:  # a wrong-arity line 1, such as the one-field sample count of PaHaW's files
+        fields = draw(st.one_of(st.just(1), st.integers(1, arity + 2).filter(lambda k: k != arity)))
+        lines.append(row(fields))
     for kind in draw(st.lists(st.sampled_from("vvvvvvbw"), max_size=12)):
         if kind == "v":
             lines.append(row(arity))
@@ -559,7 +561,8 @@ def _recording(draw):
         else:
             block = (rng.normal(0.0, 1.0, (n, arity)) * 10.0 ** rng.integers(-5, 6, (n, 1))).tolist()
         ending = draw(st.sampled_from(_LINE_ENDS))
-        at = draw(st.integers(0, len(lines)))
+        # often right after a header, so that only the header keeps the file from being clean
+        at = draw(st.integers(1 if header and draw(st.booleans()) else 0, len(lines)))
         lines[at:at] = [" ".join(map(repr, values)) + ending for values in block]
     return arity, "".join(lines)
 
@@ -585,6 +588,18 @@ def test_bulk_parser_matches_line_by_line(tmp_path_factory, recording):
     path = tmp_path_factory.mktemp("bulk") / "rec.txt"
     path.write_bytes(text.encode("utf-8"))
     _assert_parsers_agree(path, arity)
+
+
+@pytest.mark.parametrize("blank", ["", "\n", " \n"])
+@pytest.mark.parametrize("header", ["744", "744 samples", "x y t b tx ty p q", "\t1"])
+def test_header_line_file_is_read_by_the_c_reader(tmp_path, header, blank):
+    rows = np.random.default_rng(3).integers(0, 10**5, (744, 7))
+    path = tmp_path / "rec.svc"
+    path.write_text(header + "\n" + blank + "".join(" ".join(map(str, r)) + "\n" for r in rows))
+    _assert_parsers_agree(path, 7)
+    with pytest.warns(UserWarning, match="header"):
+        values, skipped = _read_clean(path.read_text(), 7, path)
+    assert skipped == 1 and np.array_equal(values, rows)
 
 
 @pytest.mark.parametrize("sep", _ODD_SPACE)

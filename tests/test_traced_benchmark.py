@@ -1,0 +1,32 @@
+"""The benchmark's traced runs of the training workloads stay clean.
+
+A traced run fails when a span that serves its workload records no call,
+so these runs catch a training path that stops going through a traced
+function. They take about two seconds each.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("workload", ["cv-gru-conv", "ablation-grid"])
+def test_traced_training_run_is_correct(workload):
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "3",
+         "--seconds", "0.5", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0, proc.stdout[-2000:]
+    calls = {name: result["metrics"][f"preprocess.{name}.calls"]["value"]
+             for name in ("fit_normalization", "apply_normalization", "fit_length")}
+    # each fold fits its normalization once, and normalizes and length-fits
+    # all of its rows in one call each
+    assert 0 < calls["apply_normalization"] == calls["fit_length"] == calls["fit_normalization"]
