@@ -503,13 +503,14 @@ def _overflowing_test_recording(length: int, row: int):
 
 def test_normalized_overflow_inside_the_cutoff_names_the_recording():
     matrices, i = _overflowing_test_recording(40, row=5)
-    with pytest.raises(NonFiniteFeatures, match=rf"\('{matrices[i].subject_id}', 'spiral'\).*\['c1'\]"):
+    named = rf"\('{matrices[i].subject_id}', 'spiral'\).*\['c1'\]"
+    with pytest.raises(NonFiniteFeatures, match=named):
         list(_prepare_folds(matrices, _HOLDOUT, _quick_config(), clip_pcts=(0.0, 100.0)))
 
 
 def test_normalized_overflow_past_the_cutoff_trains():
     # only the rows the model reads are normalized: a value past the cutoff
-    # that would overflow is never z-scored (it used to fail the fold)
+    # that would overflow is never z-scored
     matrices, i = _overflowing_test_recording(60, row=50)
     config = _quick_config(epochs=1)
     folds = _prepare_folds(matrices, _HOLDOUT, config, clip_pcts=(0.0, 100.0))
