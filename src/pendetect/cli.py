@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 
-from . import __version__
+from . import __version__, preprocess
 from .errors import (
     ConfigError,
     DataError,
@@ -128,9 +128,9 @@ CONFIG_FIELDS = (
     Field("split.test_frac", float, allowed="[0, 1]", kind="holdout"),
     Field("split.n_runs", int, allowed="[1, inf)", kind="holdout"),
     Field("out_dir", str, "pendetect-out"),
-    Field("cutoff_scope", str, "train", ("train", "all")),
-    Field("normalize", bool, True),
-    Field("clip_pcts", list, (5.0, 90.0), "[0, 100]", item=float, pair="<"),
+    Field("cutoff_scope", str, preprocess.DEFAULT_CUTOFF_SCOPE, preprocess.CUTOFF_SCOPES),
+    Field("normalize", bool, preprocess.DEFAULT_NORMALIZE),
+    Field("clip_pcts", list, preprocess.DEFAULT_CLIP_PCTS, "[0, 100]", item=float, pair="<"),
 )
 
 #: what `train` records in model.ckpt and `score` replays; absent keys
@@ -264,7 +264,8 @@ def load_config(
     env: dict | None = None,
 ) -> ExperimentConfig:
     """Load an experiment config file and check it against CONFIG_FIELDS:
-    any fault is a ConfigError naming the key path.
+    any fault is a ConfigError naming the key path. A leading UTF-8 byte
+    order mark is dropped.
 
     ``seed_override`` or PENDETECT_SEED replaces "seed", ``out_override``
     or PENDETECT_OUT "out_dir", and PENDETECT_EPOCHS "train.epochs"; an
@@ -274,7 +275,7 @@ def load_config(
     env = dict(os.environ if env is None else env)
     path = Path(path)
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
+        raw = json.loads(path.read_text(encoding="utf-8-sig"))
     except (OSError, ValueError) as exc:  # ValueError: not UTF-8, not JSON
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     overrides = {key: _env_int(env, name) for key, name in

@@ -37,12 +37,17 @@ import numpy as np
 from .errors import IoError, SingleClass, TooSmall, TrainingError
 from .features import FeatureGroupSelection, FeatureMatrix, assemble_features, check_finite
 from .preprocess import (
+    CUTOFF_SCOPES,
+    DEFAULT_CLIP_PCTS,
+    DEFAULT_CUTOFF_SCOPE,
+    DEFAULT_NORMALIZE,
     LengthPolicy,
     NormalizationStats,
     apply_normalization,
     compute_cutoff,
     fit_length,
     fit_normalization,
+    round_half_up,
 )
 from .nn import CELLS, ModelSpec, SequenceClassifier, TrainConfig, predict, train_model
 from .signal_io import LABEL_TO_Y
@@ -137,10 +142,6 @@ class SplitIndices:
         return [(role, i) for role in ("train", "val", "test") for i in getattr(self, role)]
 
 
-def _round_half_up(x: float) -> int:
-    return int(math.floor(x + 0.5))
-
-
 def _subjects_by_class(dataset) -> tuple[dict[str, list[int]], dict[str, list[str]]]:
     """Group sample indices by subject, then subjects by label.
 
@@ -230,7 +231,7 @@ def make_splits(dataset, plan: SplitPlan) -> list[SplitIndices]:
             pool = by_class[label]
             order = [pool[j] for j in rng.permutation(len(pool))]
             n_c = len(pool)
-            n_train = _round_half_up(plan.train_frac * n_c)
+            n_train = round_half_up(plan.train_frac * n_c)
             n_val = int(math.floor(plan.val_frac * n_c))
             n_test = n_c - n_train - n_val
             if n_train < 1 or n_test < 1:
@@ -473,15 +474,15 @@ def _prepare_folds(
     matrices: list[FeatureMatrix],
     plan: SplitPlan,
     train_config: TrainConfig,
-    cutoff_scope: str = "train",
-    normalize: bool = True,
-    clip_pcts: tuple[float, float] = (5.0, 90.0),
+    cutoff_scope: str = DEFAULT_CUTOFF_SCOPE,
+    normalize: bool = DEFAULT_NORMALIZE,
+    clip_pcts: tuple[float, float] = DEFAULT_CLIP_PCTS,
     shuffle_labels: bool = False,
 ) -> Iterator[_Fold]:
     """Each split of `plan` as a `_Fold`, prepared when it is reached; the
     flags are run_experiment's."""
-    if cutoff_scope not in ("train", "all"):
-        raise ValueError(f"cutoff_scope must be 'train' or 'all', got {cutoff_scope!r}")
+    if cutoff_scope not in CUTOFF_SCOPES:
+        raise ValueError(f"cutoff_scope must be one of {CUTOFF_SCOPES}, got {cutoff_scope!r}")
     for fold_i, split in enumerate(make_splits(matrices, plan)):
         carved = False
         if train_config.early_stop_patience is not None and not split.val:
@@ -597,9 +598,9 @@ def run_experiment(
     train_config: TrainConfig,
     plan: SplitPlan,
     *,
-    cutoff_scope: str = "train",
-    normalize: bool = True,
-    clip_pcts: tuple[float, float] = (5.0, 90.0),
+    cutoff_scope: str = DEFAULT_CUTOFF_SCOPE,
+    normalize: bool = DEFAULT_NORMALIZE,
+    clip_pcts: tuple[float, float] = DEFAULT_CLIP_PCTS,
     shuffle_labels: bool = False,
     out_artifacts: dict | None = None,
 ) -> ExperimentReport:

@@ -76,8 +76,8 @@ def _keep_heap_resident() -> None:
     A step frees a few MB of activations and gradients at the top of the
     heap. glibc returns that top to the kernel once it exceeds the trim
     threshold (128 KiB by default), and the next step faults every page
-    back in: about 300 minor faults a step at the reference shapes (B = 16,
-    T = 150, m = 17). This fixes the mmap threshold
+    back in: about 375 minor faults a step at the reference shapes (B = 16,
+    T = 150, m = 17, one BLAS thread). This fixes the mmap threshold
     at 32 MiB and the trim threshold at 64 MiB, the caps of glibc's own
     dynamic rule, so up to 64 MiB of freed heap stays mapped. Both are
     set: fixing the trim threshold alone freezes the mmap threshold at

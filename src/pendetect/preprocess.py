@@ -32,6 +32,13 @@ from .features import FeatureMatrix
 STD_FLOOR = 1e-8
 STATS_FILE_VERSION = "pendetect-normalization v1"
 
+#: what a fold's length cutoff is fitted on: its training split or the whole dataset
+CUTOFF_SCOPES = ("train", "all")
+#: the preprocessing that a config or a run_experiment call leaves unset
+DEFAULT_CUTOFF_SCOPE = "train"
+DEFAULT_NORMALIZE = True
+DEFAULT_CLIP_PCTS = (5.0, 90.0)
+
 
 @dataclass(frozen=True)
 class LengthPolicy:
@@ -68,12 +75,17 @@ class NormalizationStats:
             raise ValueError("low_clip must not exceed high_clip")
 
 
+def round_half_up(x: float) -> int:
+    """`x` rounded to the nearest integer, a half upwards (2.5 to 3, -2.5 to -2)."""
+    return int(np.floor(x + 0.5))
+
+
 def compute_cutoff(train: list[FeatureMatrix]) -> LengthPolicy:
     """Cutoff = round-half-up mean of the training sequence lengths."""
     if not train:
         raise EmptyDataset("cannot compute a cutoff from zero sequences")
     mean = sum(fm.length for fm in train) / len(train)
-    return LengthPolicy(cutoff=int(np.floor(mean + 0.5)))
+    return LengthPolicy(cutoff=round_half_up(mean))
 
 
 def fit_length(
@@ -96,8 +108,8 @@ def fit_length(
 
 def fit_normalization(
     train: list[FeatureMatrix],
-    clip_low_pct: float = 5.0,
-    clip_high_pct: float = 90.0,
+    clip_low_pct: float = DEFAULT_CLIP_PCTS[0],
+    clip_high_pct: float = DEFAULT_CLIP_PCTS[1],
 ) -> NormalizationStats:
     """Fit per-column clip bounds and post-clip z-score statistics.
 

@@ -11,6 +11,13 @@ Two on-disk formats are supported:
 Parsing is format-only: a parsed sequence may be as short as one sample;
 length requirements are enforced downstream by the feature stage.
 
+Both formats go through one of two readers, with the same values,
+warnings and errors on every file. numpy's C reader (_read_clean), which
+converts a token as float() does, reads a clean file: ASCII text, one
+arity on every non-blank line after any header, finite values. Every
+other file (non-ASCII text, a token such as 1_000, a malformed line) is
+read one line at a time with float() (_parse_split_lines).
+
 A parser reads and validates the whole file, however long. ``score``
 parses and validates the whole recording too, but derives features only
 for the first ``cutoff`` rows that its model reads (see cli.score_file).
@@ -23,7 +30,6 @@ import io
 import warnings
 from collections.abc import Callable
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -148,16 +154,12 @@ def _parse_numeric_lines(
     """Parse whitespace-separated numeric lines of fixed arity.
 
     Returns the value matrix and a function giving the 1-based physical
-    line number of each data row. A first line that does not match the arity
-    is treated as a header and skipped with a warning; blank lines are
-    ignored. A nan or infinite value is a MalformedLine naming its line.
-
-    numpy's C reader reads a clean file: ASCII text with one arity on every
-    non-blank line after any header and only finite values, which it
-    converts with the same routine as float(). Every other file goes to
-    _parse_split_lines, which gives the values, warnings and errors with
-    their line numbers. Line numbers of a clean file are worked out only
-    when asked for.
+    line number of each data row, worked out for a clean file only when
+    asked for. A first line that does not match the arity is treated as a
+    header and skipped with a warning; blank lines are ignored. Of a file's
+    faults, a line of the wrong arity or with a token float() rejects comes
+    first, then an EmptyFile, then a nan or infinite value, a MalformedLine
+    naming its line.
     """
     text = _read_text(path)
     clean = _read_clean(text, arity, path)
@@ -223,34 +225,29 @@ def _data_line_numbers(text: str) -> list[int]:
 def _parse_split_lines(
     lines: list[str], arity: int, path: str | Path
 ) -> tuple[np.ndarray, list[int]]:
-    """_parse_numeric_lines for any file: the value matrix and the line
-    number of each data row.
-
-    Every token goes through float() in one pass over the whole file; only
-    when a line has the wrong arity or a token does not convert does a
-    line-by-line scan run, to name the first faulty line.
-    """
-    split = list(map(str.split, lines))
-    counts = np.fromiter(map(len, split), dtype=np.intp, count=len(split))
-    start = 0
-    if split and int(counts[0]) not in (0, arity):
-        _warn_header(path, int(counts[0]), arity)
-        counts[0] = 0
-        start = 1
-    rows = np.flatnonzero(counts)
-    if np.any(counts[rows] != arity):
-        _raise_first_fault(split, arity, start, path)
-    try:
-        flat = np.fromiter(
-            map(float, chain.from_iterable(split[start:])), dtype=np.float64,
-            count=rows.size * arity,
-        )
-    except ValueError:
-        _raise_first_fault(split, arity, start, path)
-    if not rows.size:
+    """_parse_numeric_lines for any file, one line at a time: the value
+    matrix and the line number of each data row."""
+    flat: list[float] = []
+    line_nos: list[int] = []
+    for line_no, line in enumerate(lines, start=1):
+        tokens = line.split()
+        if not tokens:
+            continue
+        if len(tokens) != arity:
+            if line_no == 1:
+                _warn_header(path, len(tokens), arity)
+                continue
+            raise MalformedLine(
+                line_no, f"expected {arity} fields, got {len(tokens)}", path=str(path)
+            )
+        try:
+            flat.extend(map(float, tokens))
+        except ValueError as exc:
+            raise MalformedLine(line_no, f"non-numeric field: {exc}", path=str(path)) from exc
+        line_nos.append(line_no)
+    if not line_nos:
         raise EmptyFile(path=str(path))
-    values = flat.reshape(-1, arity)
-    line_nos = (rows + 1).tolist()
+    values = np.array(flat, dtype=np.float64).reshape(-1, arity)
     # float() also reads nan, inf and out-of-range numbers such as 1e999
     bad = np.argwhere(~np.isfinite(values))
     if bad.size:
@@ -261,19 +258,16 @@ def _parse_split_lines(
     return values, line_nos
 
 
-def _raise_first_fault(split: list[list[str]], arity: int, start: int, path) -> None:
-    """Raise the MalformedLine of the first line from index `start` on, in
-    file order, that has the wrong arity or a token float() rejects."""
-    for line_no, tokens in enumerate(split[start:], start=start + 1):
-        if tokens and len(tokens) != arity:
-            raise MalformedLine(
-                line_no, f"expected {arity} fields, got {len(tokens)}", path=str(path)
-            )
-        try:
-            [float(t) for t in tokens]
-        except ValueError as exc:
-            raise MalformedLine(line_no, f"non-numeric field: {exc}", path=str(path)) from exc
-    raise AssertionError("no faulty line found")
+def _sequence(path, names, values, sample_rate_hz, subject_id, task_id, label) -> SignalSequence:
+    """The SignalSequence of a parsed file: column i of `values` copied into
+    channel names[i], the ids defaulting to the file stem and "unknown"."""
+    return SignalSequence(
+        subject_id=subject_id or Path(path).stem,
+        task_id=task_id or "unknown",
+        label=label,
+        channels={name: values[:, i].copy() for i, name in enumerate(names)},
+        sample_rate_hz=sample_rate_hz,
+    )
 
 
 def parse_tablet_file(
@@ -286,28 +280,24 @@ def parse_tablet_file(
     """Parse a 7-column tablet recording, columns in DEFAULT_TABLET_COLUMNS
     order, into a SignalSequence."""
     values, line_nos = _parse_numeric_lines(path, arity=7)
-    channels = {name: values[:, i].copy() for i, name in enumerate(DEFAULT_TABLET_COLUMNS)}
+    columns = dict(zip(DEFAULT_TABLET_COLUMNS, values.T))
 
-    bad_button = np.nonzero(~np.isin(channels["button"], (0.0, 1.0)))[0]
+    bad_button = np.nonzero(~np.isin(columns["button"], (0.0, 1.0)))[0]
     if bad_button.size:
         i = int(bad_button[0])
         raise MalformedLine(line_nos()[i], "button must be 0 or 1", path=str(path))
-    bad_pressure = np.nonzero(channels["pressure"] < 0)[0]
+    bad_pressure = np.nonzero(columns["pressure"] < 0)[0]
     if bad_pressure.size:
         i = int(bad_pressure[0])
         raise MalformedLine(line_nos()[i], "pressure must be >= 0", path=str(path))
-    ts = channels["timestamp"]
+    ts = columns["timestamp"]
     decreasing = np.nonzero(ts[1:] < ts[:-1])[0]
     if decreasing.size:
         i = int(decreasing[0]) + 1
         raise NonMonotonicTime(line_nos()[i], path=str(path))
 
-    return SignalSequence(
-        subject_id=subject_id or Path(path).stem,
-        task_id=task_id or "unknown",
-        label=label,
-        channels=channels,
-        sample_rate_hz=sample_rate_hz,
+    return _sequence(
+        path, DEFAULT_TABLET_COLUMNS, values, sample_rate_hz, subject_id, task_id, label
     )
 
 
@@ -325,14 +315,7 @@ def parse_smartpen_file(
     kinematic derivation is possible from them.
     """
     values, _ = _parse_numeric_lines(path, arity=6)
-    channels = {name: values[:, i].copy() for i, name in enumerate(SMARTPEN_CHANNELS)}
-    return SignalSequence(
-        subject_id=subject_id or Path(path).stem,
-        task_id=task_id or "unknown",
-        label=label,
-        channels=channels,
-        sample_rate_hz=sample_rate_hz,
-    )
+    return _sequence(path, SMARTPEN_CHANNELS, values, sample_rate_hz, subject_id, task_id, label)
 
 
 def parse_recording(
@@ -465,10 +448,10 @@ def load_manifest(path: str | Path, format: str) -> DatasetManifest:
     """Read a ``path,subject_id,task_id,label`` CSV into a DatasetManifest.
 
     A file that cannot be read is an IoError, and one that is not UTF-8 a
-    ParseError; both name the manifest.
+    ParseError; both name the manifest. A UTF-8 byte order mark is dropped.
     """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             rows = list(csv.reader(fh))
     except OSError as exc:
         raise IoError(str(exc), path=str(path)) from exc

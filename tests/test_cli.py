@@ -79,6 +79,10 @@ def test_load_config_minimal(tmp_path):
     assert cfg.cutoff_scope == "train"
     assert cfg.normalize is True
     assert cfg.clip_pcts == (5.0, 90.0)
+    # a byte order mark, as Notepad writes one, is not part of the JSON
+    bom = tmp_path / "bom.json"
+    bom.write_bytes(b"\xef\xbb\xbf" + (tmp_path / "c.json").read_bytes())
+    assert load_config(bom, env={}) == cfg
 
 
 def test_load_config_takes_an_integer_number_as_a_float(tmp_path):

@@ -1,4 +1,7 @@
+import ast
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -338,3 +341,31 @@ def test_first_conv_skips_input_gradient_with_equal_weight_gradients():
     assert dx.shape == (60, 3, 5)
     assert model.grads()["conv0/W"].tobytes() == ref.grads["W"].tobytes()
     assert model.grads()["conv0/b"].tobytes() == ref.grads["b"].tobytes()
+
+
+# ---------------------------------------------------------------------------
+# dependencies
+
+def test_nn_imports_only_the_standard_library_numpy_errors_and_itself():
+    # nn depends on numpy and pendetect.errors alone: it knows nothing of
+    # recordings, features, evaluation or the CLI
+    nn_dir = Path(model_module.__file__).parent
+    own = {path.stem for path in nn_dir.glob("*.py")}
+    outside = []
+    for path in sorted(nn_dir.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported = [(0, alias.name) for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                imported = [(node.level, node.module or alias.name) for alias in node.names]
+            else:
+                continue
+            for level, name in imported:
+                top = name.partition(".")[0]
+                if not (
+                    (level == 0 and (top in sys.stdlib_module_names or top == "numpy"))
+                    or (level == 1 and top in own)
+                    or (level == 2 and name == "errors")
+                ):
+                    outside.append(f"{path.name}: {'.' * level}{name}")
+    assert outside == []

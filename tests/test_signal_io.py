@@ -350,9 +350,12 @@ def test_manifest_duplicate_entry():
 
 def test_manifest_label_case_insensitive(tmp_path):
     m = tmp_path / "m.csv"
-    m.write_text("path,subject_id,task_id,label\na.svc,s1,spiral,pd\nb.svc,s2,spiral,Hc\n")
-    manifest = load_manifest(m, format="tablet_svc")
-    assert [e.label for e in manifest.entries] == ["PD", "HC"]
+    # the second time with the byte order mark of Excel's "CSV UTF-8"
+    for bom in ("", "\ufeff"):
+        rows = "path,subject_id,task_id,label\na.svc,s1,spiral,pd\nb.svc,s2,spiral,Hc\n"
+        m.write_text(bom + rows, encoding="utf-8")
+        manifest = load_manifest(m, format="tablet_svc")
+        assert [e.label for e in manifest.entries] == ["PD", "HC"]
 
 
 def test_manifest_bad_header_rejected(tmp_path):
@@ -590,16 +593,40 @@ def test_bulk_parser_matches_line_by_line(tmp_path_factory, recording):
     _assert_parsers_agree(path, arity)
 
 
-@pytest.mark.parametrize("blank", ["", "\n", " \n"])
-@pytest.mark.parametrize("header", ["744", "744 samples", "x y t b tx ty p q", "\t1"])
-def test_header_line_file_is_read_by_the_c_reader(tmp_path, header, blank):
-    rows = np.random.default_rng(3).integers(0, 10**5, (744, 7))
+# a header line and blank lines before a tablet file's rows, header-less
+# files with either line end, and a smart-pen file of reals
+@pytest.mark.parametrize(
+    "head, newline, arity",
+    [
+        pytest.param(f"{h}\n{b}", "\n", 7, id=f"{h}-{b}")
+        for h in ("744", "744 samples", "x y t b tx ty p q", "\t1")
+        for b in ("", "\n", " \n")
+    ]
+    + [
+        pytest.param("", "\n", 7, id="tablet"),
+        pytest.param("", "\r\n", 7, id="tablet-crlf"),
+        pytest.param("", "\n", 6, id="smartpen-reals"),
+    ],
+)
+def test_header_line_file_is_read_by_the_c_reader(tmp_path, head, newline, arity):
+    rng = np.random.default_rng(3)
+    if arity == 7:
+        rows = rng.integers(0, 10**5, (744, 7))
+        names, write = DEFAULT_TABLET_COLUMNS, write_tablet_file
+    else:
+        rows = rng.normal(0.0, 1.0, (744, 6)) * 10.0 ** rng.integers(-5, 6, (744, 1))
+        names, write = SMARTPEN_CHANNELS, _write_smartpen
     path = tmp_path / "rec.svc"
-    path.write_text(header + "\n" + blank + "".join(" ".join(map(str, r)) + "\n" for r in rows))
-    _assert_parsers_agree(path, 7)
-    with pytest.warns(UserWarning, match="header"):
-        values, skipped = _read_clean(path.read_text(), 7, path)
-    assert skipped == 1 and np.array_equal(values, rows)
+    write(SignalSequence("s", "t", None, dict(zip(names, rows.T))), path)
+    path.write_bytes((head + path.read_text()).replace("\n", newline).encode())
+    _assert_parsers_agree(path, arity)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        clean = _read_clean(path.read_text(), arity, path)
+    assert clean is not None, "the C reader refused the file"
+    values, skipped = clean
+    assert skipped == len(caught) == (head != "") and np.array_equal(values, rows)
+    assert all("header" in str(w.message) for w in caught)
 
 
 @pytest.mark.parametrize("sep", _ODD_SPACE)
