@@ -483,7 +483,15 @@ def _prepare_folds(
     flags are run_experiment's."""
     if cutoff_scope not in CUTOFF_SCOPES:
         raise ValueError(f"cutoff_scope must be one of {CUTOFF_SCOPES}, got {cutoff_scope!r}")
-    for fold_i, split in enumerate(make_splits(matrices, plan)):
+    splits = make_splits(matrices, plan)
+    # refused before any fold trains: a test part of one class has no ROC
+    labels = {fm.label for fm in matrices}
+    for fold_i, split in enumerate(splits):
+        missing = sorted(labels - {matrices[i].label for i in split.test})
+        if missing:
+            raise TooSmall(f"fold {fold_i} tests no {missing[0]} subject: with k = {plan.k}, "
+                           f"each class needs at least {plan.k} subjects")
+    for fold_i, split in enumerate(splits):
         carved = False
         if train_config.early_stop_patience is not None and not split.val:
             train, val = _carve_validation(split.train, matrices, [plan.seed, 31, fold_i])

@@ -27,30 +27,26 @@ The recurrent state update for the GRU is
 with the reset gate applied to h before the U_h product.
 
 A recurrent layer runs all D of its directions (1, or 2 when
-bidirectional) in one loop over t, on a (B, D*H) state:
+bidirectional) in one loop over t, on a (D, B, H) state:
 
 * Reading order. Row t of a direction's arrays holds the time step it
   reads t-th: time t for fwd, time T-1-t for bwd. The sweep always reads
   rows 0..T-1; the bwd input projection is time-reversed once when it is
-  packed, and its states once when they are unpacked into the output.
-* Column layout. The gate buffers order their columns (gate, direction,
-  unit), so each gate of all directions is one contiguous D*H block and
-  the state is [h_fwd | h_bwd].
-* Recurrent weights. Each forward builds a (D*H, gates*D*H) block-diagonal
-  U from the directions' U blocks, so one (B, D*H) product per step (two
-  for the GRU) serves every direction. The off-diagonal zeros add exact
-  zeros, but BLAS may group the longer sums differently: at some widths a
-  direction's numbers then move by a few ulp against a one-direction layer
-  (at the reference width, H = 32, they match bit for bit on OpenBLAS).
+  packed, and its states once when they are joined into the output.
+* Direction axis. Gate buffers are (T, D, B, gates*H), states
+  (T + 1, D, B, H) and U the (D, H, gates*H) stack of the directions' U
+  blocks, so one stacked product per step (two for the GRU) serves every
+  direction, each with its own U: a direction's numbers are those of a
+  one-direction layer, bit for bit.
 
 X @ W + b is one (T*B, C) product per direction and gate group, before the
 loop; after the backward sweep, each direction's dW, dU, db and dx are one
-product over all T*B rows of its own columns, back in time order, as is
-each conv tap. Recurrent.forward draws dropout once per minibatch, in
-train mode with a generator: an inverted (T, B, C) input mask, then a
-(B, H) recurrent mask per direction, fwd first (all ones otherwise),
-applied to h wherever it enters a U product, never to the (1 - z) * h
-carry term: variational, one mask per sequence and direction.
+product over all T*B rows of its own, back in time order, as is each
+conv tap. Recurrent.forward draws dropout once per minibatch, in train
+mode with a generator: an inverted (T, B, C) input mask, then a (D, B, H)
+recurrent mask, fwd first (all ones otherwise), applied to h wherever it
+enters a U product, never to the (1 - z) * h carry term: variational,
+one mask per sequence and direction.
 Train mode keeps what backward needs; eval mode keeps nothing.
 """
 
@@ -164,8 +160,9 @@ class Conv1d(Layer):
 
 # ---------------------------------------------------------------------------
 # recurrent sweeps, a forward/backward pair per cell, reading rows t = 0..T-1
-# of arrays held in reading order. `acts` holds a (T, B, k) buffer per gate
-# group activated at once, X @ W + b on entry and the gates on return.
+# of arrays held in reading order, with the direction axis ahead of the batch.
+# `acts` holds a (T, D, B, k) buffer per gate group activated at once,
+# X @ W + b on entry and the gates on return. `u` is (D, H, gates*H).
 # Backward scales `dacts`, which arrives holding each gate's activation
 # derivative, in place. `states` (and the LSTM's `cells`) has T + 1 rows:
 # row 0 stays zero and the forward sweep writes step t's state to row t + 1,
@@ -173,39 +170,39 @@ class Conv1d(Layer):
 # `hm` is hprev * rmask.
 
 def _gru_forward(acts, u, rmask, states):
-    hidden = states.shape[2]
-    u_zr, u_c = u[:, : 2 * hidden], u[:, 2 * hidden :]
+    hidden = states.shape[-1]
+    u_zr, u_c = u[..., : 2 * hidden], u[..., 2 * hidden :]
     h = np.zeros(states.shape[1:])
     for t in range(len(states) - 1):
         hm = h * rmask
         zr, c = acts[0][t], acts[1][t]
         zr += hm @ u_zr
         sigmoid(zr, out=zr)
-        c += (zr[:, hidden:] * hm) @ u_c
+        c += (zr[..., hidden:] * hm) @ u_c
         np.tanh(c, out=c)
-        h = h + zr[:, :hidden] * (c - h)
+        h = h + zr[..., :hidden] * (c - h)
         states[t + 1] = h
 
 
 def _gru_backward(acts, u, rmask, dstates, dacts, hprev, hm, cells):
-    hidden = hprev.shape[2]
-    u_zr, u_c = u[:, : 2 * hidden], u[:, 2 * hidden :]
+    hidden = hprev.shape[-1]
+    u_zr, u_c = u[..., : 2 * hidden], u[..., 2 * hidden :]
     dh = 0.0
     for t in range(hprev.shape[0] - 1, -1, -1):
         dh = dh + dstates[t]
-        z, r = acts[0][t, :, :hidden], acts[0][t, :, hidden:]
+        z, r = acts[0][t, ..., :hidden], acts[0][t, ..., hidden:]
         d = dacts[t]
         dhz = dh * z
-        d[:, 2 * hidden :] *= dhz
-        drhm = d[:, 2 * hidden :] @ u_c.T
-        d[:, :hidden] *= dh * (acts[1][t] - hprev[t])
-        d[:, hidden : 2 * hidden] *= drhm * hm[t]
-        dhm = drhm * r + d[:, : 2 * hidden] @ u_zr.T
+        d[..., 2 * hidden :] *= dhz
+        drhm = d[..., 2 * hidden :] @ u_c.swapaxes(1, 2)
+        d[..., :hidden] *= dh * (acts[1][t] - hprev[t])
+        d[..., hidden : 2 * hidden] *= drhm * hm[t]
+        dhm = drhm * r + d[..., : 2 * hidden] @ u_zr.swapaxes(1, 2)
         dh = dh - dhz + dhm * rmask
 
 
 def _lstm_forward(acts, u, rmask, states):
-    hidden = states.shape[2]
+    hidden = states.shape[-1]
     # sigmoid(a) = 0.5 * tanh(0.5 a) + 0.5 on i, f, o and tanh(a) on g: one
     # chain of four ufuncs over the whole row
     scale = 0.5 + 0.5 * np.repeat(_TANH_BLOCKS["lstm"], hidden)
@@ -219,29 +216,29 @@ def _lstm_forward(acts, u, rmask, states):
         np.tanh(a, out=a)
         a *= scale
         a += shift
-        c = a[:, hidden : 2 * hidden] * c + a[:, :hidden] * a[:, 2 * hidden : 3 * hidden]
+        c = a[..., hidden : 2 * hidden] * c + a[..., :hidden] * a[..., 2 * hidden : 3 * hidden]
         cells[t + 1] = c
-        h = a[:, 3 * hidden :] * np.tanh(c)
+        h = a[..., 3 * hidden :] * np.tanh(c)
         states[t + 1] = h
     return cells
 
 
 def _lstm_backward(acts, u, rmask, dstates, dacts, hprev, hm, cells):
-    hidden = hprev.shape[2]
+    hidden = hprev.shape[-1]
     tcs, cprev = np.tanh(cells[1:]), cells[:-1]
     dh, dc = 0.0, 0.0
     for t in range(hprev.shape[0] - 1, -1, -1):
         dh = dh + dstates[t]
-        i, f = acts[0][t, :, :hidden], acts[0][t, :, hidden : 2 * hidden]
-        g, o = acts[0][t, :, 2 * hidden : 3 * hidden], acts[0][t, :, 3 * hidden :]
+        i, f = acts[0][t, ..., :hidden], acts[0][t, ..., hidden : 2 * hidden]
+        g, o = acts[0][t, ..., 2 * hidden : 3 * hidden], acts[0][t, ..., 3 * hidden :]
         d, tc = dacts[t], tcs[t]
         dc = dc + dh * o * (1.0 - tc * tc)
-        d[:, :hidden] *= dc * g
-        d[:, hidden : 2 * hidden] *= dc * cprev[t]
-        d[:, 2 * hidden : 3 * hidden] *= dc * i
-        d[:, 3 * hidden :] *= dh * tc
+        d[..., :hidden] *= dc * g
+        d[..., hidden : 2 * hidden] *= dc * cprev[t]
+        d[..., 2 * hidden : 3 * hidden] *= dc * i
+        d[..., 3 * hidden :] *= dh * tc
         dc = dc * f
-        dh = (d @ u.T) * rmask
+        dh = (d @ u.swapaxes(1, 2)) * rmask
 
 
 def _rnn_forward(acts, u, rmask, states):
@@ -258,7 +255,7 @@ def _rnn_backward(acts, u, rmask, dstates, dacts, hprev, hm, cells):
     for t in range(hprev.shape[0] - 1, -1, -1):
         d = dacts[t]
         d *= dh + dstates[t]
-        dh = (d @ u.T) * rmask
+        dh = (d @ u.swapaxes(1, 2)) * rmask
 
 
 _SWEEPS = {
@@ -291,9 +288,9 @@ class Recurrent:
     to the ``fwd`` and ``bwd`` directions; ``steps`` is the last forward's T.
 
     Every direction runs in the same loop over t: the sweep holds its gate
-    buffers and states in reading order (bwd rows time-reversed), with
-    columns ordered (gate, direction, unit), and multiplies the (B, D*H)
-    state by a block-diagonal U built from the directions' U blocks. A
+    buffers and states in reading order (bwd rows time-reversed), with the
+    direction as the axis ahead of the batch, and multiplies the (D, B, H)
+    state by the (D, H, gates*H) stack of the directions' U blocks. A
     unidirectional layer is the case D = 1 of the same code.
     """
 
@@ -317,30 +314,12 @@ class Recurrent:
         # gate groups activated at once, as gate index ranges: the GRU
         # activates its candidate after r, so it keeps two
         self._groups = ((0, 2), (2, 3)) if cell == "gru" else ((0, GATES[cell]),)
-        self._tanh_cols = np.repeat(np.array(_TANH_BLOCKS[cell], dtype=np.float64),
-                                    self.output_size)
+        self._tanh_cols = np.repeat(np.array(_TANH_BLOCKS[cell], dtype=np.float64), hidden_units)
         self._cache = None
 
     @property
     def output_size(self) -> int:
         return self.hidden * len(self.directions)
-
-    def _block_u(self) -> np.ndarray:
-        """The directions' U blocks on the diagonal of a (D*H, gates*D*H) matrix."""
-        h, n = self.hidden, len(self.directions)
-        u = np.zeros((n, h, GATES[self.cell], n, h))
-        for d, direction in enumerate(self.directions):
-            u[d, :, :, d] = direction.params["U"].reshape(h, -1, h)
-        return u.reshape(n * h, -1)
-
-    def _reorder(self, seq: np.ndarray) -> np.ndarray:
-        """(T, B, D*H) with each direction's columns moved between time order
-        and its reading order (the map is its own inverse)."""
-        h = self.hidden
-        out = np.empty_like(seq)
-        for d, order in enumerate(_ORDERS[: len(self.directions)]):
-            out[:, :, d * h : (d + 1) * h] = seq[order, :, d * h : (d + 1) * h]
-        return out
 
     def forward(self, x: np.ndarray, train: bool = False, rng=None) -> np.ndarray:
         t, batch, c = x.shape
@@ -355,54 +334,55 @@ class Recurrent:
             keep = 1.0 - self.dropout_rate
             in_mask = (rng.random(x.shape) < keep) / keep
             x = x * in_mask
-        rmask = np.ones((batch, n * h))
+        rmask = np.ones((n, batch, h))
         if draw and self.recurrent_dropout_rate > 0:
             keep = 1.0 - self.recurrent_dropout_rate
-            rmask = np.concatenate([rng.random((batch, h)) < keep for _ in self.directions],
-                                   axis=1) / keep
+            rmask = (rng.random((n, batch, h)) < keep) / keep
         # X @ W + b per direction and group, packed in reading order
         rows = x.reshape(-1, c)
         acts = []
         for g0, g1 in self._groups:
-            group = np.empty((t, batch, g1 - g0, n, h))
+            k = slice(g0 * h, g1 * h)
+            group = np.empty((t, n, batch, (g1 - g0) * h))
             for d, (direction, order) in enumerate(zip(self.directions, _ORDERS)):
-                k = slice(g0 * h, g1 * h)
                 proj = rows @ direction.params["W"][:, k] + direction.params["b"][k]
-                group[:, :, :, d] = proj.reshape(t, batch, g1 - g0, h)[order]
-            acts.append(group.reshape(t, batch, -1))
-        u = self._block_u()
-        states = np.zeros((t + 1, batch, n * h))
+                group[:, d] = proj.reshape(t, batch, -1)[order]
+            acts.append(group)
+        u = np.array([direction.params["U"] for direction in self.directions])
+        states = np.zeros((t + 1, n, batch, h))
         cells = _SWEEPS[self.cell][0](acts, u, rmask, states)
         self.steps = t
         self._cache = (x, in_mask, acts, u, rmask, states, cells) if train else None
-        return self._reorder(states[1:])
+        return np.concatenate([states[1:][order, d] for d, order in enumerate(_ORDERS[:n])],
+                              axis=2)
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
         x, in_mask, acts, u, rmask, states, cells = self._cache
         self._cache = None
         t, batch, c = x.shape
-        h, gates, width = self.hidden, GATES[self.cell], self.output_size
+        h, n, gates = self.hidden, len(self.directions), GATES[self.cell]
         hprev = states[:-1]
         hm = hprev * rmask
         # sigmoid' = (1 - a) * a and tanh' = (1 - a) * (1 + a)
-        dacts = np.empty((t, batch, gates * width))
+        dacts = np.empty((t, n, batch, gates * h))
         for (g0, g1), a in zip(self._groups, acts):
-            k = slice(g0 * width, g1 * width)
-            np.add(a, self._tanh_cols[k], out=dacts[:, :, k])
-            dacts[:, :, k] *= 1.0 - a
-        _SWEEPS[self.cell][1](acts, u, rmask, self._reorder(dout), dacts, hprev, hm, cells)
-        # each direction's dW, dU, db and dx from its own columns, in time order
-        per_gate = dacts.reshape(t, batch, gates, -1, h)
+            k = slice(g0 * h, g1 * h)
+            np.add(a, self._tanh_cols[k], out=dacts[..., k])
+            dacts[..., k] *= 1.0 - a
+        dstates = np.stack([dout[order, :, d * h : (d + 1) * h]
+                            for d, order in enumerate(_ORDERS[:n])], axis=1)
+        _SWEEPS[self.cell][1](acts, u, rmask, dstates, dacts, hprev, hm, cells)
+        # each direction's dW, dU, db and dx from its own rows, in time order
         x_rows = x.reshape(-1, c)
         dx = 0.0
         for d, (direction, order) in enumerate(zip(self.directions, _ORDERS)):
-            rows = per_gate[order, :, :, d].reshape(-1, gates * h)
-            hm_d = hm[order, :, d * h : (d + 1) * h].reshape(-1, h)
+            rows = dacts[order, d].reshape(-1, gates * h)
+            hm_d = hm[order, d].reshape(-1, h)
             direction.grads["W"] += x_rows.T @ rows
             direction.grads["b"] += rows.sum(axis=0)
             if self.cell == "gru":
                 # the candidate block's U reads r * h, not h
-                r = acts[0].reshape(t, batch, 2, -1, h)[order, :, 1, d].reshape(-1, h)
+                r = acts[0][order, d, :, h:].reshape(-1, h)
                 direction.grads["U"][:, : 2 * h] += hm_d.T @ rows[:, : 2 * h]
                 direction.grads["U"][:, 2 * h :] += (r * hm_d).T @ rows[:, 2 * h :]
             else:

@@ -137,8 +137,9 @@ class DatasetManifest:
 # parsing
 
 def _read_text(path: str | Path) -> str:
+    """The text of a recording, without a leading UTF-8 byte order mark."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except (OSError, ValueError) as exc:  # ValueError: not UTF-8, a NUL in the name
         raise ParseError(str(exc), path=str(path)) from exc
 

@@ -532,6 +532,10 @@ def test_training_error_carries_fold_index(monkeypatch):
     with pytest.raises(TrainingError) as exc:
         run_experiment(seqs, sel, None, _quick_config(), SplitPlan.kfold(2, seed=0))
     assert exc.value.fold_index == 0
+    # four subjects per class cannot test both classes in each of five folds:
+    # refused, naming the fold and the class, before any fold trains
+    with pytest.raises(TooSmall, match=r"fold 3 tests no PD subject: with k = 5, each class"):
+        run_experiment(_quick_dataset(4), sel, None, _quick_config(), SplitPlan.kfold(5, seed=0))
 
 
 def test_ablation_grid_structure():

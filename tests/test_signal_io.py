@@ -30,7 +30,7 @@ from pendetect.signal_io import (
     write_manifest,
     write_tablet_file,
 )
-from pendetect.signal_io import _parse_numeric_lines, _read_clean
+from pendetect.signal_io import _parse_numeric_lines, _read_clean, _read_text
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +467,7 @@ def test_parsers_raise_only_parse_errors(tmp_path_factory, lines, tablet):
 
 def _parse_line_by_line(path, arity):
     """The per-line parser the bulk one replaced, kept as its oracle."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = Path(path).read_text(encoding="utf-8-sig").splitlines()
     rows: list[list[float]] = []
     line_nos: list[int] = []
     for line_no, line in enumerate(lines, start=1):
@@ -594,7 +594,8 @@ def test_bulk_parser_matches_line_by_line(tmp_path_factory, recording):
 
 
 # a header line and blank lines before a tablet file's rows, header-less
-# files with either line end, and a smart-pen file of reals
+# files with either line end or a UTF-8 byte order mark, and a smart-pen
+# file of reals
 @pytest.mark.parametrize(
     "head, newline, arity",
     [
@@ -605,6 +606,7 @@ def test_bulk_parser_matches_line_by_line(tmp_path_factory, recording):
     + [
         pytest.param("", "\n", 7, id="tablet"),
         pytest.param("", "\r\n", 7, id="tablet-crlf"),
+        pytest.param("\ufeff", "\n", 7, id="tablet-bom"),
         pytest.param("", "\n", 6, id="smartpen-reals"),
     ],
 )
@@ -622,10 +624,11 @@ def test_header_line_file_is_read_by_the_c_reader(tmp_path, head, newline, arity
     _assert_parsers_agree(path, arity)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        clean = _read_clean(path.read_text(), arity, path)
+        clean = _read_clean(_read_text(path), arity, path)
     assert clean is not None, "the C reader refused the file"
     values, skipped = clean
-    assert skipped == len(caught) == (head != "") and np.array_equal(values, rows)
+    assert skipped == len(caught) == (head.lstrip("\ufeff") != "")
+    assert np.array_equal(values, rows)
     assert all("header" in str(w.message) for w in caught)
 
 
