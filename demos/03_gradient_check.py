@@ -23,7 +23,7 @@ spec = ModelSpec(
     recurrent_layers=(RecurrentSpec("gru", hidden_units=4, bidirectional=True),),
 )
 model = SequenceClassifier(spec, input_size=3, rng=rng)
-print(f"model has {model.parameter_count()} parameters, "
+print(f"model has {model.theta.size} parameters, "
       f"minimum input length {model.min_input_length()}")
 
 x = rng.normal(size=(12, 3))

@@ -24,6 +24,8 @@ from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__, preprocess
 from .errors import (
     ConfigError,
@@ -491,6 +493,10 @@ def score_file(checkpoint: str | Path, input_path: str | Path) -> float:
     features of the whole recording. One consequence: a derived value past
     the cutoff that is not finite, such as an overflow of finite inputs
     near 1e308, no longer fails the call.
+
+    A normalization sidecar that cannot be read or parsed, and a p that is
+    not finite (the forward overflowed), are data errors naming the
+    checkpoint.
     """
     model, meta = load_checkpoint(checkpoint)
     pre = _replayed_preprocessing(meta, checkpoint)
@@ -502,12 +508,20 @@ def score_file(checkpoint: str | Path, input_path: str | Path) -> float:
         seq = replace(seq, channels={name: c[:rows] for name, c in seq.channels.items()})
     selection = FeatureGroupSelection(pre["feature_groups"], pre["include_raw_pressure_in_derived"])
     fm = assemble_features(seq, selection)
-    if meta.get("normalization_ref"):
-        stats = load_stats(Path(checkpoint).parent / meta["normalization_ref"])
+    ref = meta["normalization_ref"]
+    if ref:
+        try:
+            stats = load_stats(Path(checkpoint).parent / ref)
+        except (IoError, ParseError) as exc:
+            raise ParseError(f"normalization_ref {ref!r}: {exc}", path=str(checkpoint)) from exc
         fm = apply_normalization(fm, stats)
     if cutoff is not None:
         fm = fit_length(fm, LengthPolicy(cutoff=cutoff))
-    return model.forward(fm.values)
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = model.forward(fm.values)
+    if not np.isfinite(p):
+        raise DataError(f"{checkpoint}: p for {input_path} is {p}, not a probability")
+    return p
 
 
 def cmd_score(args) -> int:

@@ -121,6 +121,10 @@ class NonFiniteGradient(TrainingError):
 class SpecMismatch(PenDetectError):
     """Checkpoint does not match the model spec it is being loaded into."""
 
+    def __init__(self, message: str, path: str | None = None):
+        self.path = path
+        super().__init__(message if path is None else f"{path}: {message}")
+
 
 class IoError(PenDetectError):
     """Reading or writing an artifact file failed."""

@@ -3,11 +3,11 @@
 Every layer runs on a whole minibatch held time-major: sequences are
 (T, B, C) arrays, recurrent states (B, H); one sequence is a batch of one.
 Parameter blocks live in ``params``/``grads`` dicts keyed by short block
-names ("W", "U", "b", "w"); a recurrent layer's blocks belong to its
-``fwd``/``bwd`` directions. A standalone layer owns its arrays; inside a
-SequenceClassifier every entry is a view into the model's flat ``theta``/
-``grad`` vectors, so layers read and accumulate in place and never replace
-an entry.
+names ("W", "U", "b", "w"); a recurrent layer keys each direction's blocks
+by the direction ("fwd/W", "fwd/U", "fwd/b", "bwd/W", ...). A standalone
+layer owns its arrays; inside a SequenceClassifier every entry is a view
+into the model's flat ``theta``/``grad`` vectors, so layers read and
+accumulate in place and never replace an entry.
 
 Gate layouts of the combined matrices:
 
@@ -268,24 +268,15 @@ _SWEEPS = {
 _ORDERS = (slice(None), slice(None, None, -1))
 
 
-class _Direction(Layer):
-    """The W (C, gates*H), U (H, gates*H) and b (gates*H,) blocks of one
-    direction, in the per-cell gate layout of the module docstring."""
-
-    def __init__(self, cell, input_size, hidden, rng):
-        gates = GATES[cell]
-        w = glorot_uniform(rng, (input_size, gates * hidden), input_size, hidden)
-        u = np.concatenate([orthogonal(rng, hidden) for _ in range(gates)], axis=1)
-        super().__init__(W=w, U=u, b=np.zeros(gates * hidden))
-
-
-class Recurrent:
+class Recurrent(Layer):
     """A (bi)directional recurrent layer over a (T, B, C) batch.
 
     Output is (T, B, hidden) or (T, B, 2*hidden) when bidirectional; the
     second half of each row is the backward direction's state after reading
-    the sequence from the end down to that step. The parameter blocks belong
-    to the ``fwd`` and ``bwd`` directions; ``steps`` is the last forward's T.
+    the sequence from the end down to that step. ``directions`` holds the
+    key prefixes, ("fwd",) or ("fwd", "bwd"); each direction has a W
+    (C, gates*H), U (H, gates*H) and b (gates*H,) block in the per-cell gate
+    layout of the module docstring. ``steps`` is the last forward's T.
 
     Every direction runs in the same loop over t: the sweep holds its gate
     buffers and states in reading order (bwd rows time-reversed), with the
@@ -308,12 +299,17 @@ class Recurrent:
         self.bidirectional = bidirectional
         self.dropout_rate = dropout_rate
         self.recurrent_dropout_rate = recurrent_dropout_rate
-        self.fwd = _Direction(cell, input_size, hidden_units, rng)
-        self.bwd = _Direction(cell, input_size, hidden_units, rng) if bidirectional else None
-        self.directions = [self.fwd] if self.bwd is None else [self.fwd, self.bwd]
+        self.directions = ("fwd", "bwd") if bidirectional else ("fwd",)
+        gates, h = GATES[cell], hidden_units
+        blocks = {}
+        for d in self.directions:
+            blocks[f"{d}/W"] = glorot_uniform(rng, (input_size, gates * h), input_size, h)
+            blocks[f"{d}/U"] = np.concatenate([orthogonal(rng, h) for _ in range(gates)], axis=1)
+            blocks[f"{d}/b"] = np.zeros(gates * h)
+        super().__init__(**blocks)
         # gate groups activated at once, as gate index ranges: the GRU
         # activates its candidate after r, so it keeps two
-        self._groups = ((0, 2), (2, 3)) if cell == "gru" else ((0, GATES[cell]),)
+        self._groups = ((0, 2), (2, 3)) if cell == "gru" else ((0, gates),)
         self._tanh_cols = np.repeat(np.array(_TANH_BLOCKS[cell], dtype=np.float64), hidden_units)
         self._cache = None
 
@@ -345,10 +341,11 @@ class Recurrent:
             k = slice(g0 * h, g1 * h)
             group = np.empty((t, n, batch, (g1 - g0) * h))
             for d, (direction, order) in enumerate(zip(self.directions, _ORDERS)):
-                proj = rows @ direction.params["W"][:, k] + direction.params["b"][k]
+                w, b = self.params[f"{direction}/W"], self.params[f"{direction}/b"]
+                proj = rows @ w[:, k] + b[k]
                 group[:, d] = proj.reshape(t, batch, -1)[order]
             acts.append(group)
-        u = np.array([direction.params["U"] for direction in self.directions])
+        u = np.array([self.params[f"{direction}/U"] for direction in self.directions])
         states = np.zeros((t + 1, n, batch, h))
         cells = _SWEEPS[self.cell][0](acts, u, rmask, states)
         self.steps = t
@@ -378,16 +375,17 @@ class Recurrent:
         for d, (direction, order) in enumerate(zip(self.directions, _ORDERS)):
             rows = dacts[order, d].reshape(-1, gates * h)
             hm_d = hm[order, d].reshape(-1, h)
-            direction.grads["W"] += x_rows.T @ rows
-            direction.grads["b"] += rows.sum(axis=0)
+            du = self.grads[f"{direction}/U"]
+            self.grads[f"{direction}/W"] += x_rows.T @ rows
+            self.grads[f"{direction}/b"] += rows.sum(axis=0)
             if self.cell == "gru":
                 # the candidate block's U reads r * h, not h
                 r = acts[0][order, d, :, h:].reshape(-1, h)
-                direction.grads["U"][:, : 2 * h] += hm_d.T @ rows[:, : 2 * h]
-                direction.grads["U"][:, 2 * h :] += (r * hm_d).T @ rows[:, 2 * h :]
+                du[:, : 2 * h] += hm_d.T @ rows[:, : 2 * h]
+                du[:, 2 * h :] += (r * hm_d).T @ rows[:, 2 * h :]
             else:
-                direction.grads["U"] += hm_d.T @ rows
-            dx = dx + rows @ direction.params["W"].T
+                du += hm_d.T @ rows
+            dx = dx + rows @ self.params[f"{direction}/W"].T
         dx = dx.reshape(x.shape)
         if in_mask is not None:
             dx *= in_mask

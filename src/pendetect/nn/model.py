@@ -203,10 +203,7 @@ class SequenceClassifier:
 
         # move every block into the flat vectors and rebind the layers to views
         owners = [(f"conv{i}", conv) for i, conv in enumerate(self.convs)]
-        for i, rec in enumerate(self.recurrents):
-            owners.append((f"rec{i}/fwd", rec.fwd))
-            if rec.bwd is not None:
-                owners.append((f"rec{i}/bwd", rec.bwd))
+        owners += [(f"rec{i}", rec) for i, rec in enumerate(self.recurrents)]
         owners.append(("head", self.head))
         total = sum(v.size for _, layer in owners for v in layer.params.values())
         self.theta = np.empty(total)
@@ -237,14 +234,6 @@ class SequenceClassifier:
 
     def zero_grads(self):
         self.grad.fill(0.0)
-
-    def parameter_count(self) -> int:
-        actual = self.theta.size
-        expected = closed_form_parameter_count(self.spec, self.input_size)
-        assert actual == expected, (
-            f"parameter arrays hold {actual} entries, closed form says {expected}"
-        )
-        return actual
 
     # -- forward / backward -------------------------------------------------
 
@@ -343,53 +332,62 @@ class SequenceClassifier:
         except OSError as exc:
             raise IoError(str(exc), path=str(path)) from exc
 
-    def load_parameters(self, doc: dict) -> None:
-        stored = doc["params"]
-        own = self.params()
+# the last checkpoint decoded: (file bytes, spec, input_size, theta, meta)
+_last_decoded: tuple[bytes, ModelSpec, int, np.ndarray, dict] | None = None
+
+
+def _decode_checkpoint(raw: bytes, path: str | Path) -> tuple[ModelSpec, int, np.ndarray, dict]:
+    """Parse and verify checkpoint bytes into (spec, input_size, theta,
+    meta). Every refusal names `path`: a malformed file, a non-finite
+    parameter or a normalization_ref that is not a plain file name is a
+    ParseError; a foreign format, spec or block set a SpecMismatch."""
+    where = str(path)
+    try:
+        doc = json.loads(raw.decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
+        raise ParseError(f"not a JSON checkpoint: {exc}", path=where) from exc
+    if not isinstance(doc, dict):
+        raise ParseError("checkpoint is not a JSON object", path=where)
+    if doc.get("format") != CHECKPOINT_VERSION:
+        raise SpecMismatch(f"unknown checkpoint format {doc.get('format')!r}", path=where)
+    try:
+        spec = ModelSpec.from_dict(doc["spec"])
+        input_size = doc["input_size"]
+        if not isinstance(input_size, int) or isinstance(input_size, bool) or input_size < 1:
+            raise ParseError(f"input_size must be an integer >= 1, got {input_size!r}",
+                             path=where)
+        if spec_hash(spec, input_size) != doc["spec_sha256"]:
+            raise SpecMismatch("spec hash does not match the stored spec", path=where)
+        # a zero model of the spec gives the block names, shapes and layout
+        layout = SequenceClassifier(spec, input_size, rng=None)
+        stored, own = doc["params"], layout.params()
         if set(stored) != set(own):
             raise SpecMismatch(
-                f"checkpoint blocks {sorted(stored)} do not match model blocks {sorted(own)}"
+                f"checkpoint blocks {sorted(stored)} do not match model blocks {sorted(own)}",
+                path=where,
             )
         for key, target in own.items():
             block = stored[key]
             if tuple(block["shape"]) != target.shape:
                 raise SpecMismatch(
-                    f"block {key}: checkpoint shape {block['shape']}, model shape {target.shape}"
+                    f"block {key}: checkpoint shape {block['shape']}, model shape {target.shape}",
+                    path=where,
                 )
-            raw = base64.b64decode(block["data"])
-            target[...] = np.frombuffer(raw, dtype=np.float64).reshape(target.shape)
-
-
-# the last checkpoint decoded: (file bytes, spec, input_size, theta, meta)
-_last_decoded: tuple[bytes, ModelSpec, int, np.ndarray, dict] | None = None
-
-
-def _decode_checkpoint(raw: bytes, path: str | Path) -> tuple[SequenceClassifier, dict]:
-    """Parse and verify checkpoint bytes; a malformed file is a ParseError
-    naming `path`, a foreign format or spec a SpecMismatch."""
-    try:
-        doc = json.loads(raw.decode("utf-8"))
-    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
-        raise ParseError(f"not a JSON checkpoint: {exc}", path=str(path)) from exc
-    if not isinstance(doc, dict):
-        raise ParseError("checkpoint is not a JSON object", path=str(path))
-    if doc.get("format") != CHECKPOINT_VERSION:
-        raise SpecMismatch(f"unknown checkpoint format {doc.get('format')!r}")
-    try:
-        spec = ModelSpec.from_dict(doc["spec"])
-        input_size = int(doc["input_size"])
-        if spec_hash(spec, input_size) != doc["spec_sha256"]:
-            raise SpecMismatch("spec hash does not match the stored spec")
-        model = SequenceClassifier(spec, input_size, rng=None)
-        model.load_parameters(doc)
+            data = base64.b64decode(block["data"])
+            target[...] = np.frombuffer(data, dtype=np.float64).reshape(target.shape)
+            if not np.isfinite(target).all():
+                raise ParseError(f"block {key} holds a non-finite value", path=where)
     except KeyError as exc:
-        raise ParseError(f"checkpoint has no {exc} entry", path=str(path)) from exc
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"malformed checkpoint: {exc}", path=str(path)) from exc
+        raise ParseError(f"checkpoint has no {exc} entry", path=where) from exc
+    except (TypeError, ValueError, DimensionMismatch) as exc:
+        raise ParseError(f"malformed checkpoint: {exc}", path=where) from exc
     ref, pre = doc.get("normalization_ref"), doc.get("preprocessing")
     if not (ref is None or isinstance(ref, str)) or not (pre is None or isinstance(pre, dict)):
-        raise ParseError("malformed checkpoint: wrongly typed metadata", path=str(path))
-    return model, {"normalization_ref": ref, "preprocessing": pre}
+        raise ParseError("malformed checkpoint: wrongly typed metadata", path=where)
+    # the rule `features` applies to ids: the sidecar sits beside the checkpoint
+    if ref is not None and (Path(ref).name != ref or "\0" in ref):
+        raise ParseError(f"normalization_ref {ref!r} is not a plain file name", path=where)
+    return spec, input_size, layout.theta, {"normalization_ref": ref, "preprocessing": pre}
 
 
 def load_checkpoint(path: str | Path) -> tuple[SequenceClassifier, dict]:
@@ -399,9 +397,10 @@ def load_checkpoint(path: str | Path) -> tuple[SequenceClassifier, dict]:
     "normalization_ref" and "preprocessing" as stored by save_checkpoint.
 
     The file is read on every call, but the last file that decoded is
-    kept: when the bytes are equal, the JSON parse, the spec-hash check
-    and the base64 decode are skipped. Every call returns a new model and
-    a new meta, so changing one never reaches the next load.
+    kept: when the bytes are equal, the JSON parse, the checks and the
+    base64 decode are skipped. Every call builds a new zero model from
+    the decoded entry and copies its theta in, and returns a new meta, so
+    changing one never reaches the next load.
     """
     global _last_decoded
     try:
@@ -410,10 +409,8 @@ def load_checkpoint(path: str | Path) -> tuple[SequenceClassifier, dict]:
         raise IoError(str(exc), path=str(path)) from exc
     last = _last_decoded  # one read: another thread may replace the entry
     if last is None or last[0] != raw:
-        model, meta = _decode_checkpoint(raw, path)
-        _last_decoded = (raw, model.spec, model.input_size, model.theta.copy(), meta)
-    else:
-        _, spec, input_size, theta, meta = last
-        model = SequenceClassifier(spec, input_size, rng=None)
-        model.theta[...] = theta
+        last = _last_decoded = (raw, *_decode_checkpoint(raw, path))
+    _, spec, input_size, theta, meta = last
+    model = SequenceClassifier(spec, input_size, rng=None)
+    model.theta[...] = theta
     return model, copy.deepcopy(meta)

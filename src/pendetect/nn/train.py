@@ -122,7 +122,9 @@ def predict(
     model: SequenceClassifier, x: np.ndarray, batch_size: int = TrainConfig.batch_size
 ) -> tuple[np.ndarray, np.ndarray]:
     """Eval-mode (probabilities, logits) of a (T, N, m) array, in chunks of
-    batch_size: the head's GEMV makes a row's p depend on its chunk."""
+    batch_size. A row's p can depend on its chunk in the last bits: BLAS
+    sums in a batch-size dependent order, which at B = 1 already changes
+    the recurrent products, not only the head's GEMV."""
     n = x.shape[1]
     probs, logits = np.empty(n), np.empty(n)
     for start in range(0, n, batch_size):

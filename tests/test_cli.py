@@ -1,3 +1,4 @@
+import base64
 import contextlib
 import copy
 import io
@@ -31,7 +32,7 @@ from pendetect.errors import (
 )
 from pendetect.evaluation import strip_wall_clock
 from pendetect.features import KINEMATIC_COLUMNS, FeatureGroupSelection, assemble_features
-from pendetect.nn import ModelSpec, SequenceClassifier, load_checkpoint
+from pendetect.nn import ModelSpec, SequenceClassifier, load_checkpoint, spec_hash
 from pendetect.preprocess import (
     LengthPolicy,
     apply_normalization,
@@ -513,9 +514,23 @@ _BAD_PREPROCESSING = {
 }
 
 
+_BAD_METADATA = {
+    "unknown-format": {"format": "pendetect-checkpoint v0"},
+    "spec-hash": {"spec_sha256": "0" * 64},
+    "input-size-float": {"input_size": 16.5},
+    "input-size-integral-float": {"input_size": 16.0},
+    "input-size-string": {"input_size": "16"},
+    "input-size-bool": {"input_size": True},
+    "input-size-zero": {"input_size": 0},
+    "ref-subdirectory": {"normalization_ref": "sub/normalization.tsv"},
+    "ref-nul": {"normalization_ref": "normalization\0.tsv"},
+    "ref-missing": {"normalization_ref": "absent.tsv"},
+}
+
+
 def _corrupt_checkpoint(path: Path, kind: str) -> None:
     model = SequenceClassifier(ModelSpec.reference(16), 16, np.random.default_rng(0))
-    model.save_checkpoint(path)
+    model.save_checkpoint(path, preprocessing={"cutoff": 40, "feature_groups": ["kinematic"]})
     raw = path.read_bytes()
     if kind == "truncated":
         path.write_bytes(raw[: len(raw) // 2])
@@ -537,13 +552,33 @@ def _corrupt_checkpoint(path: Path, kind: str) -> None:
             doc["preprocessing"] = [40]
         elif kind in _BAD_PREPROCESSING:
             doc["preprocessing"] = _BAD_PREPROCESSING[kind]
+        elif kind in _BAD_METADATA:
+            doc.update(_BAD_METADATA[kind])
+        elif kind == "ref-absolute":
+            doc["normalization_ref"] = str(path.parent / "normalization.tsv")
+        elif kind == "ref-directory":
+            (path.parent / "stats.d").mkdir()
+            doc["normalization_ref"] = "stats.d"
+        elif kind == "missing-block":
+            del doc["params"]["head/b"]
+        elif kind == "block-shape":
+            doc["params"]["head/w"]["shape"] = [32, 2]
+        elif kind in ("nan-block", "inf-block"):
+            block = doc["params"]["conv0/W"]
+            values = np.zeros(block["shape"])
+            values[1, 2, 3] = np.nan if kind == "nan-block" else -np.inf
+            block["data"] = base64.b64encode(values.tobytes()).decode("ascii")
+        elif kind == "first-conv-width":
+            doc["input_size"] = 5
+            doc["spec_sha256"] = spec_hash(ModelSpec.from_dict(doc["spec"]), 5)
         path.write_text(json.dumps(doc))
 
 
 @pytest.mark.parametrize(
     "kind",
     ["no-spec", "truncated", "not-utf-8", "list-spec", "short-block", "list-preprocessing",
-     "spec-kernel-float", "spec-hidden-units-bool", *_BAD_PREPROCESSING],
+     "spec-kernel-float", "spec-hidden-units-bool", *_BAD_PREPROCESSING, *_BAD_METADATA,
+     "ref-absolute", "ref-directory", "missing-block", "block-shape", "nan-block", "inf-block", "first-conv-width"],
 )
 def test_corrupt_checkpoint_is_a_data_error_naming_the_file(tmp_path, capsys, kind):
     svc = tmp_path / "rec.svc"
@@ -558,8 +593,24 @@ def test_corrupt_checkpoint_is_a_data_error_naming_the_file(tmp_path, capsys, ki
         capsys.readouterr()
         assert main(["score", "--checkpoint", str(bad), "--input", str(svc)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("data error: ") and str(bad) in err
+        assert err.startswith("data error: ") and str(bad) in err and err.count("\n") == 1
     assert score_file(good, svc) == before
+
+
+def test_score_refuses_a_probability_the_forward_overflows_to(tmp_path, capsys):
+    ckpt, lines, _ = _score_fixture(tmp_path, "tablet_svc", 30, True)
+    recording = tmp_path / "rec.svc"
+    recording.write_text("\n".join(lines[:200]) + "\n")
+    model, meta = load_checkpoint(ckpt)
+    w = model.params()["conv0/W"]
+    w[...] = np.where(np.arange(w.size).reshape(w.shape) % 2, 1e308, -1e308)  # finite
+    model.save_checkpoint(ckpt, meta["normalization_ref"], meta["preprocessing"])
+    capsys.readouterr()
+    # pytest's filterwarnings makes a RuntimeWarning an error: none may escape
+    assert main(["score", "--checkpoint", str(ckpt), "--input", str(recording)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("data error: ") and str(ckpt) in err and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

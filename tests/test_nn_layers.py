@@ -14,7 +14,7 @@ def _one_direction(cell, params):
     c, hidden = params["W"].shape[0], params["U"].shape[0]
     layer = Recurrent(cell, c, hidden, False, 0.0, 0.0, np.random.default_rng(0))
     for key, value in params.items():
-        layer.fwd.params[key][...] = value
+        layer.params[f"fwd/{key}"][...] = value
     return layer
 
 
@@ -249,8 +249,8 @@ def test_bidirectional_width_and_degenerate_length():
     rng = np.random.default_rng(10)
     layer = Recurrent("gru", 3, 4, True, 0.0, 0.0, rng)
     # make both directions identical so the single step is visibly shared
-    for key in layer.fwd.params:
-        layer.bwd.params[key][...] = layer.fwd.params[key]
+    for key in ("W", "U", "b"):
+        layer.params[f"bwd/{key}"][...] = layer.params[f"fwd/{key}"]
     out = layer.forward(np.array([[[0.5, -1.0, 2.0]]]))
     assert out.shape == (1, 1, 8)
     np.testing.assert_array_equal(out[0, 0, :4], out[0, 0, 4:])
@@ -265,9 +265,9 @@ def test_bidirectional_reversal_symmetry(hidden):
     for cell in ("rnn", "lstm", "gru"):
         a = Recurrent(cell, c, hidden, True, 0.0, 0.0, rng)
         b = Recurrent(cell, c, hidden, True, 0.0, 0.0, rng)
-        for key in a.fwd.params:
-            b.fwd.params[key][...] = a.bwd.params[key]
-            b.bwd.params[key][...] = a.fwd.params[key]
+        for key in ("W", "U", "b"):
+            b.params[f"fwd/{key}"][...] = a.params[f"bwd/{key}"]
+            b.params[f"bwd/{key}"][...] = a.params[f"fwd/{key}"]
         x = rng.normal(size=(t, 2, c))
         out_a = a.forward(x)
         out_b = b.forward(x[::-1])
@@ -282,8 +282,8 @@ def _forward_half_and_unidirectional(cell, hidden):
     c, t, batch = 5, 9, 4
     bi = Recurrent(cell, c, hidden, True, 0.3, 0.4, np.random.default_rng(21))
     uni = Recurrent(cell, c, hidden, False, 0.3, 0.4, np.random.default_rng(0))
-    for key in bi.fwd.params:
-        uni.fwd.params[key][...] = bi.fwd.params[key]
+    for key in uni.params:
+        uni.params[key][...] = bi.params[key]
     data = np.random.default_rng(3)
     x = data.normal(size=(t, batch, c))
     g = data.normal(size=(t, batch, hidden))
@@ -292,7 +292,7 @@ def _forward_half_and_unidirectional(cell, hidden):
     out_uni = uni.forward(x, train=True, rng=np.random.default_rng(8))
     dx_bi = bi.backward(np.concatenate([g, np.zeros_like(g)], axis=2))
     dx_uni = uni.backward(g)
-    return (out_bi[:, :, :hidden], bi.fwd.grads, dx_bi), (out_uni, uni.fwd.grads, dx_uni)
+    return (out_bi[:, :, :hidden], bi.grads, dx_bi), (out_uni, uni.grads, dx_uni)
 
 
 def _assert_forward_half_exact(cell, hidden):
@@ -373,17 +373,16 @@ def test_masked_gradients_match_finite_differences(cell, bidirectional):
     assert not np.isclose(np.sum(layer.forward(x) * g), loss(x))
     dx = layer.backward(g)
     eps = 1e-6
-    for direction in layer.directions:
-        for name, block in direction.params.items():
-            numeric = np.zeros_like(block)
-            for i in np.ndindex(block.shape):
-                original = block[i]
-                block[i] = original + eps
-                plus = loss(x)
-                block[i] = original - eps
-                numeric[i] = (plus - loss(x)) / (2 * eps)
-                block[i] = original
-            np.testing.assert_allclose(direction.grads[name], numeric, rtol=1e-6, atol=1e-8)
+    for name, block in layer.params.items():
+        numeric = np.zeros_like(block)
+        for i in np.ndindex(block.shape):
+            original = block[i]
+            block[i] = original + eps
+            plus = loss(x)
+            block[i] = original - eps
+            numeric[i] = (plus - loss(x)) / (2 * eps)
+            block[i] = original
+        np.testing.assert_allclose(layer.grads[name], numeric, rtol=1e-6, atol=1e-8)
     numeric = np.zeros_like(x)
     for i in np.ndindex(x.shape):
         step = np.zeros_like(x)

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pendetect.errors import DimensionMismatch, InputTooShort, SpecMismatch
+from pendetect.errors import DimensionMismatch, InputTooShort, ParseError, SpecMismatch
 from pendetect.nn import model as model_module
 from pendetect.nn import (
     Conv1dSpec,
@@ -17,7 +17,7 @@ from pendetect.nn import (
     load_checkpoint,
     spec_hash,
 )
-from pendetect.nn.layers import Conv1d
+from pendetect.nn.layers import Conv1d, glorot_uniform, orthogonal
 
 
 def _tiny_spec(cell="gru", with_conv=True, bidirectional=True):
@@ -69,7 +69,7 @@ def test_reference_spec_shape():
 
 def test_reference_parameter_count_m17():
     model = SequenceClassifier(ModelSpec.reference(17), 17, np.random.default_rng(0))
-    assert model.parameter_count() == 29185
+    assert model.theta.size == 29185
 
 
 def test_closed_form_counts_by_hand():
@@ -85,13 +85,43 @@ def test_closed_form_counts_by_hand():
     )
 
 
+def test_reference_layout_is_pinned():
+    # checkpoints name and order their blocks by this layout, and a seed
+    # pins their values through the init draw order
+    model = SequenceClassifier(ModelSpec.reference(17), 17, np.random.default_rng(0))
+    params = model.params()
+    assert list(params) == [
+        "conv0/W", "conv0/b", "conv1/W", "conv1/b",
+        *(f"rec{i}/{d}/{k}" for i in (0, 1) for d in ("fwd", "bwd") for k in "WUb"),
+        "head/w", "head/b",
+    ]
+    offset = 0
+    for name, block in params.items():
+        assert block.flags.c_contiguous, name
+        assert block.ctypes.data - model.theta.ctypes.data == offset * block.itemsize, name
+        offset += block.size
+    assert offset == model.theta.size
+
+    replay = np.random.default_rng(0)
+    expected = {
+        "conv0/W": glorot_uniform(replay, (5, 17, 8), 17 * 5, 8 * 5),
+        "conv1/W": glorot_uniform(replay, (3, 8, 16), 8 * 3, 16 * 3),
+    }
+    for d in ("fwd", "bwd"):
+        expected[f"rec0/{d}/W"] = glorot_uniform(replay, (16, 96), 16, 32)
+        expected[f"rec0/{d}/U"] = np.concatenate([orthogonal(replay, 32) for _ in range(3)],
+                                                 axis=1)
+    for name, value in expected.items():
+        np.testing.assert_array_equal(params[name], value, err_msg=name)
+
+
 def test_parameter_count_matches_array_sizes():
     for cell in ("rnn", "lstm", "gru"):
         model = SequenceClassifier(
             ModelSpec.reference(5, cell=cell), 5, np.random.default_rng(1)
         )
-        # parameter_count() asserts closed form == actual internally
-        assert model.parameter_count() == closed_form_parameter_count(model.spec, 5)
+        assert model.theta.size == closed_form_parameter_count(model.spec, 5)
+        assert sum(v.size for v in model.params().values()) == model.theta.size
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +323,7 @@ def test_checkpoint_rejects_unknown_format(tmp_path):
 
 
 def test_load_parameters_into_wrong_shape_model(tmp_path):
+    # the blocks of a 3-unit model under a consistently hashed 5-unit spec
     a = SequenceClassifier(_tiny_spec(), 2, np.random.default_rng(11))
     path = tmp_path / "a.ckpt"
     a.save_checkpoint(path)
@@ -301,9 +332,22 @@ def test_load_parameters_into_wrong_shape_model(tmp_path):
         conv_layers=(Conv1dSpec(2, 2, kernel=2, stride=2),),
         recurrent_layers=(RecurrentSpec("gru", 5),),
     )
-    b = SequenceClassifier(wider, 2, np.random.default_rng(12))
-    with pytest.raises(SpecMismatch):
-        b.load_parameters(doc)
+    doc["spec"], doc["spec_sha256"] = wider.to_dict(), spec_hash(wider, 2)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SpecMismatch, match="block rec0/fwd/W: checkpoint shape") as exc:
+        load_checkpoint(path)
+    assert str(path) in str(exc.value)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_checkpoint_rejects_a_non_finite_block(tmp_path, value):
+    model = SequenceClassifier(_tiny_spec(), 2, np.random.default_rng(13))
+    model.params()["rec0/bwd/U"][1, 2] = value
+    path = tmp_path / "model.ckpt"
+    model.save_checkpoint(path)
+    with pytest.raises(ParseError, match="block rec0/bwd/U holds a non-finite value") as exc:
+        load_checkpoint(path)
+    assert str(path) in str(exc.value)
 
 
 def test_spec_hash_differs_for_different_specs():

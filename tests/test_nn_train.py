@@ -14,6 +14,7 @@ from pendetect.nn import (
     SequenceClassifier,
     TrainConfig,
     bce_loss,
+    closed_form_parameter_count,
     gradient_check,
     predict,
     train_model,
@@ -197,7 +198,8 @@ def test_parameters_and_gradients_are_views_of_one_flat_store():
         assert np.shares_memory(params[key], model.theta), key
         assert np.shares_memory(grads[key], model.grad), key
         assert params[key].shape == grads[key].shape
-    assert sum(v.size for v in params.values()) == model.theta.size == model.parameter_count()
+    assert sum(v.size for v in params.values()) == model.theta.size
+    assert model.theta.size == closed_form_parameter_count(model.spec, 4)
     assert model.grad.shape == model.theta.shape
 
     theta, grad = model.theta, model.grad
@@ -264,7 +266,7 @@ def test_no_early_stop_without_validation_set():
 
 def test_non_finite_gradient_diagnostics():
     model = _small_model(seed=10)
-    model.recurrents[0].fwd.params["W"][0, 0] = np.nan
+    model.recurrents[0].params["fwd/W"][0, 0] = np.nan
     opt = Adam(model.theta, learning_rate=0.01)
     x, y, ids = _batch(_toy_set(2, 10, 3, seed=10))
     with pytest.raises(NonFiniteGradient) as exc:
