@@ -4,7 +4,14 @@ from __future__ import annotations
 
 
 class PenDetectError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
+
+    A ``path``, when given, names the offending file and prefixes the message.
+    """
+
+    def __init__(self, message: str, path: str | None = None):
+        self.path = path
+        super().__init__(message if path is None else f"{path}: {message}")
 
 
 class ConfigError(PenDetectError):
@@ -15,11 +22,7 @@ class ConfigError(PenDetectError):
 # parsing / dataset assembly
 
 class ParseError(PenDetectError):
-    """Base class for file parsing failures. Carries the offending path."""
-
-    def __init__(self, message: str, path: str | None = None):
-        self.path = path
-        super().__init__(message if path is None else f"{path}: {message}")
+    """Base class for file parsing failures."""
 
 
 class MalformedLine(ParseError):
@@ -121,14 +124,6 @@ class NonFiniteGradient(TrainingError):
 class SpecMismatch(PenDetectError):
     """Checkpoint does not match the model spec it is being loaded into."""
 
-    def __init__(self, message: str, path: str | None = None):
-        self.path = path
-        super().__init__(message if path is None else f"{path}: {message}")
-
 
 class IoError(PenDetectError):
     """Reading or writing an artifact file failed."""
-
-    def __init__(self, message: str, path: str | None = None):
-        self.path = path
-        super().__init__(message if path is None else f"{path}: {message}")

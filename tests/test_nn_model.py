@@ -69,7 +69,7 @@ def test_reference_spec_shape():
 
 def test_reference_parameter_count_m17():
     model = SequenceClassifier(ModelSpec.reference(17), 17, np.random.default_rng(0))
-    assert model.theta.size == 29185
+    assert model.theta.size == closed_form_parameter_count(model.spec, 17) == 29185
 
 
 def test_closed_form_counts_by_hand():
