@@ -21,8 +21,8 @@ import os
 import sys
 from collections import Counter
 from dataclasses import dataclass, replace
-from importlib import resources
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -39,13 +39,6 @@ from .errors import (
     SpecMismatch,
     TrainingError,
 )
-from .evaluation import (
-    DECISION_THRESHOLD,
-    SplitPlan,
-    emit_roc,
-    run_ablation_grid,
-    run_experiment,
-)
 from .features import (
     GROUPS,
     MIN_LENGTH,
@@ -53,7 +46,7 @@ from .features import (
     assemble_features,
     dump_csv,
 )
-from .nn import CELLS, ModelSpec, TrainConfig, load_checkpoint
+from .nn import CELLS, DECISION_THRESHOLD, ModelSpec, TrainConfig, load_checkpoint
 from .preprocess import LengthPolicy, apply_normalization, fit_length, load_stats, save_stats
 from .signal_io import (
     MANIFEST_FORMATS,
@@ -68,6 +61,9 @@ from .signal_io import (
     write_manifest,
     write_tablet_file,
 )
+
+if TYPE_CHECKING:
+    from .evaluation import SplitPlan
 
 PRESETS = {"synthetic-quick": "synthetic_quick.json"}
 
@@ -274,6 +270,8 @@ def load_config(
     argument beats the environment, and a replacement is checked like the
     file's value.
     """
+    from .evaluation import SplitPlan
+
     env = dict(os.environ if env is None else env)
     path = Path(path)
     try:
@@ -316,6 +314,8 @@ def resolve_config_path(args) -> Path:
         name = args.preset
         if name not in PRESETS:
             raise ConfigError(f"unknown preset {name!r}; available: {sorted(PRESETS)}")
+        from importlib import resources
+
         return Path(str(resources.files("pendetect") / "presets" / PRESETS[name]))
     if args.config is None:
         raise ConfigError("either --config or --preset is required")
@@ -410,6 +410,8 @@ def cmd_features(args) -> int:
 
 
 def cmd_train(args) -> int:
+    from .evaluation import emit_roc, run_experiment
+
     config = load_config(resolve_config_path(args), args.seed, args.out)
     sequences = load_training_sequences(config)
     out = _make_out_dir(config.out_dir)
@@ -457,6 +459,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_ablate(args) -> int:
+    from .evaluation import run_ablation_grid
+
     config = load_config(resolve_config_path(args), args.seed, args.out)
     sequences = load_training_sequences(config)
     out = _make_out_dir(config.out_dir)
@@ -494,9 +498,12 @@ def score_file(checkpoint: str | Path, input_path: str | Path) -> float:
     the cutoff that is not finite, such as an overflow of finite inputs
     near 1e308, no longer fails the call.
 
-    A normalization sidecar that cannot be read or parsed, and a p that is
+    Features the recording cannot give (too few rows, a missing channel,
+    a non-finite value) are data errors naming `input_path`. A
+    normalization sidecar that cannot be read or parsed, and a p that is
     not finite (the forward overflowed), are data errors naming the
-    checkpoint.
+    checkpoint; stats that do not fit the features, or z-score them to a
+    non-finite value, name the checkpoint and `input_path`.
     """
     model, meta = load_checkpoint(checkpoint)
     pre = _replayed_preprocessing(meta, checkpoint)
@@ -507,14 +514,21 @@ def score_file(checkpoint: str | Path, input_path: str | Path) -> float:
     if rows is not None and seq.length > rows:
         seq = replace(seq, channels={name: c[:rows] for name, c in seq.channels.items()})
     selection = FeatureGroupSelection(pre["feature_groups"], pre["include_raw_pressure_in_derived"])
-    fm = assemble_features(seq, selection)
+    try:
+        fm = assemble_features(seq, selection)
+    except (ShapeError, DataError) as exc:
+        raise DataError(str(exc), path=str(input_path)) from exc
     ref = meta["normalization_ref"]
     if ref:
         try:
             stats = load_stats(Path(checkpoint).parent / ref)
         except (IoError, ParseError) as exc:
             raise ParseError(f"normalization_ref {ref!r}: {exc}", path=str(checkpoint)) from exc
-        fm = apply_normalization(fm, stats)
+        try:
+            fm = apply_normalization(fm, stats)
+        except (ShapeError, DataError) as exc:  # other columns, or an overflow
+            raise DataError(f"normalization_ref {ref!r} on {input_path}: {exc}",
+                            path=str(checkpoint)) from exc
     if cutoff is not None:
         fm = fit_length(fm, LengthPolicy(cutoff=cutoff))
     with np.errstate(over="ignore", invalid="ignore"):

@@ -86,9 +86,9 @@ class TooShort(ShapeError):
 
 
 class MissingChannel(ShapeError):
-    def __init__(self, name: str):
+    def __init__(self, name: str, recording: tuple[str, str]):
         self.channel = name
-        super().__init__(f"required channel {name!r} is not present")
+        super().__init__(f"recording {recording}: required channel {name!r} is not present")
 
 
 class ColumnMismatch(ShapeError):

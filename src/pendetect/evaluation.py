@@ -49,13 +49,19 @@ from .preprocess import (
     fit_normalization,
     round_half_up,
 )
-from .nn import CELLS, ModelSpec, SequenceClassifier, TrainConfig, predict, train_model
+from .nn import (
+    CELLS,
+    DECISION_THRESHOLD,
+    ModelSpec,
+    SequenceClassifier,
+    TrainConfig,
+    predict,
+    train_model,
+)
 from .signal_io import LABEL_TO_Y
 
 HOLDOUT_ROUNDING = "per-class: round-half-up train, floor val, remainder test"
 CARVEOUT_FRACTION = 0.10
-#: a sample is called PD when its probability is at least this
-DECISION_THRESHOLD = 0.5
 ROC_FILE_VERSION = "pendetect-roc v1"
 
 

@@ -231,16 +231,18 @@ def assemble_features(seq: SignalSequence, selection: FeatureGroupSelection) -> 
     earlier group is not repeated.
 
     Timestamps count samples: one tick is one nominal sample interval,
-    ``1 / seq.sample_rate_hz`` seconds.
+    ``1 / seq.sample_rate_hz`` seconds. A missing channel or too few
+    time-steps is refused with the recording named, as a non-finite value is.
     """
+    recording = (seq.subject_id, seq.task_id)
     if seq.is_smartpen() and not seq.is_tablet():
         if selection.groups != ("raw",):
             needed = set(selection.groups) - {"raw"}
             if needed & {"kinematic", "derived"}:
-                raise MissingChannel("x")
-            raise MissingChannel("pressure" if "pressure" in needed else "tilt_x")
+                raise MissingChannel("x", recording)
+            raise MissingChannel("pressure" if "pressure" in needed else "tilt_x", recording)
         if seq.length < 2:
-            raise TooShort(f"need at least 2 time-steps, got {seq.length}")
+            raise TooShort(f"recording {recording}: need at least 2 time-steps, got {seq.length}")
         values = np.column_stack([seq.channels[name] for name in SMARTPEN_CHANNELS])
         return FeatureMatrix(
             values=values,
@@ -271,12 +273,15 @@ def assemble_features(seq: SignalSequence, selection: FeatureGroupSelection) -> 
         required = set(RAW_COLUMNS) | {"timestamp"}
     for channel in sorted(required):
         if channel not in seq.channels:
-            raise MissingChannel(channel)
+            raise MissingChannel(channel, recording)
 
     if seq.length < 2:
-        raise TooShort(f"need at least 2 time-steps, got {seq.length}")
+        raise TooShort(f"recording {recording}: need at least 2 time-steps, got {seq.length}")
     if any(n.endswith("jerk") for n in names) and seq.length < MIN_LENGTH:
-        raise TooShort(f"jerk needs at least {MIN_LENGTH} time-steps, got {seq.length}")
+        raise TooShort(
+            f"recording {recording}: jerk needs at least {MIN_LENGTH} time-steps, "
+            f"got {seq.length}"
+        )
 
     with np.errstate(all="ignore"):  # FeatureMatrix names the inf or nan of an overflow
         cols = seq.channels if selection.groups == ("raw",) else _tablet_columns(seq)

@@ -4,10 +4,11 @@ Every layer runs on a whole minibatch held time-major: sequences are
 (T, B, C) arrays, recurrent states (B, H); one sequence is a batch of one.
 Parameter blocks live in ``params``/``grads`` dicts keyed by short block
 names ("W", "U", "b", "w"); a recurrent layer keys each direction's blocks
-by the direction ("fwd/W", "fwd/U", "fwd/b", "bwd/W", ...). A standalone
-layer owns its arrays; inside a SequenceClassifier every entry is a view
-into the model's flat ``theta``/``grad`` vectors, so layers read and
-accumulate in place and never replace an entry.
+by the direction ("fwd/W", "fwd/U", "fwd/b", "bwd/W", ...). Every entry is
+a view into one flat (theta, grad) pair of vectors: a SequenceClassifier
+hands each layer its slice of the model's, and a standalone layer
+allocates its own. Layers read and accumulate in place and never replace
+an entry.
 
 Gate layouts of the combined matrices:
 
@@ -52,6 +53,8 @@ Train mode keeps what backward needs; eval mode keeps nothing.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..errors import DimensionMismatch, InputTooShort
@@ -71,36 +74,59 @@ def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def glorot_uniform(rng: np.random.Generator | None, shape, fan_in: int, fan_out: int) -> np.ndarray:
-    """Glorot draw; without a generator, zeros (a model to be filled from a checkpoint)."""
-    if rng is None:
-        return np.zeros(shape)
+def glorot_uniform(rng: np.random.Generator, out: np.ndarray, fan_in: int, fan_out: int) -> None:
+    """Fill `out` with a Glorot uniform draw."""
     limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape)
+    out[...] = rng.uniform(-limit, limit, size=out.shape)
 
 
-def orthogonal(rng: np.random.Generator | None, n: int) -> np.ndarray:
-    """Orthogonal draw; without a generator, zeros, like glorot_uniform."""
-    if rng is None:
-        return np.zeros((n, n))
-    a = rng.normal(size=(n, n))
-    q, r = np.linalg.qr(a)
+def orthogonal(rng: np.random.Generator, out: np.ndarray) -> None:
+    """Fill the (n, k*n) `out` with k orthogonal (n, n) blocks side by side.
+
+    One (k, n, n) normal draw, the stream of k (n, n) draws in turn, and one
+    stacked QR give each block what a QR of its own draw gives.
+    """
+    n = out.shape[0]
+    q, r = np.linalg.qr(rng.normal(size=(out.shape[1] // n, n, n)))
     # fix the sign ambiguity of the decomposition so init is reproducible
-    return q * np.sign(np.diag(r))
+    signs = np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :]
+    np.multiply(q, signs, out=out.reshape(n, -1, n).swapaxes(0, 1))
 
 
 class Layer:
-    """Named parameter blocks and their same-shaped gradient accumulators."""
+    """Named parameter blocks and their same-shaped gradient accumulators:
+    views into `flat`, a (theta, grad) pair of vectors holding exactly the
+    blocks of `shapes` in order, or into a zero pair of their own.
 
-    def __init__(self, **blocks: np.ndarray):
-        self.params: dict[str, np.ndarray] = blocks
-        self.grads: dict[str, np.ndarray] = {k: np.zeros_like(v) for k, v in blocks.items()}
+    Each layer's static ``shapes`` takes its constructor's arguments and
+    gives the blocks such a layer holds, in layout order, so that a model
+    can size its vectors before it builds any layer.
+    """
+
+    def __init__(self, shapes: dict[str, tuple[int, ...]],
+                 flat: tuple[np.ndarray, np.ndarray] | None = None):
+        if flat is None:
+            size = sum(math.prod(shape) for shape in shapes.values())
+            flat = np.zeros(size), np.zeros(size)
+        theta, grad = flat
+        self.params: dict[str, np.ndarray] = {}
+        self.grads: dict[str, np.ndarray] = {}
+        offset = 0
+        for key, shape in shapes.items():
+            end = offset + math.prod(shape)
+            self.params[key] = theta[offset:end].reshape(shape)
+            self.grads[key] = grad[offset:end].reshape(shape)
+            offset = end
 
 
 class Conv1d(Layer):
     """Valid-padding strided 1-d convolution over the time axis of (T, B, C)."""
 
-    def __init__(self, in_channels, out_channels, kernel, stride, activation, rng):
+    @staticmethod
+    def shapes(in_channels, out_channels, kernel, *_) -> dict[str, tuple[int, ...]]:
+        return {"W": (kernel, in_channels, out_channels), "b": (out_channels,)}
+
+    def __init__(self, in_channels, out_channels, kernel, stride, activation, rng, flat=None):
         if kernel < 1 or stride < 1:
             raise ValueError("kernel and stride must be >= 1")
         if activation not in ("relu", "none"):
@@ -110,9 +136,9 @@ class Conv1d(Layer):
         self.kernel = kernel
         self.stride = stride
         self.activation = activation
-        w = glorot_uniform(rng, (kernel, in_channels, out_channels),
-                           in_channels * kernel, out_channels * kernel)
-        super().__init__(W=w, b=np.zeros(out_channels))
+        super().__init__(self.shapes(in_channels, out_channels, kernel), flat)
+        if rng is not None:
+            glorot_uniform(rng, self.params["W"], in_channels * kernel, out_channels * kernel)
         self._cache = None
         # backward returns dx only when a layer below needs it; a model's
         # first conv clears this, and its backward then returns None
@@ -264,7 +290,9 @@ _SWEEPS = {
     "rnn": (_rnn_forward, _rnn_backward),
 }
 
-# the rows of the time axis in each direction's reading order: fwd, then bwd
+# the direction key prefixes, and the rows of the time axis in each
+# direction's reading order: fwd, then bwd
+_DIRECTIONS = ("fwd", "bwd")
 _ORDERS = (slice(None), slice(None, None, -1))
 
 
@@ -285,8 +313,15 @@ class Recurrent(Layer):
     unidirectional layer is the case D = 1 of the same code.
     """
 
+    @staticmethod
+    def shapes(cell, input_size, hidden_units, bidirectional, *_) -> dict[str, tuple[int, ...]]:
+        width = GATES[cell] * hidden_units
+        return {f"{d}/{key}": shape for d in _DIRECTIONS[: 1 + bidirectional]
+                for key, shape in (("W", (input_size, width)), ("U", (hidden_units, width)),
+                                   ("b", (width,)))}
+
     def __init__(self, cell, input_size, hidden_units, bidirectional,
-                 dropout_rate, recurrent_dropout_rate, rng):
+                 dropout_rate, recurrent_dropout_rate, rng, flat=None):
         if cell not in CELLS:
             raise ValueError(f"cell must be one of {CELLS}, got {cell!r}")
         if hidden_units < 1:
@@ -299,17 +334,15 @@ class Recurrent(Layer):
         self.bidirectional = bidirectional
         self.dropout_rate = dropout_rate
         self.recurrent_dropout_rate = recurrent_dropout_rate
-        self.directions = ("fwd", "bwd") if bidirectional else ("fwd",)
-        gates, h = GATES[cell], hidden_units
-        blocks = {}
-        for d in self.directions:
-            blocks[f"{d}/W"] = glorot_uniform(rng, (input_size, gates * h), input_size, h)
-            blocks[f"{d}/U"] = np.concatenate([orthogonal(rng, h) for _ in range(gates)], axis=1)
-            blocks[f"{d}/b"] = np.zeros(gates * h)
-        super().__init__(**blocks)
+        self.directions = _DIRECTIONS[: 1 + bidirectional]
+        super().__init__(self.shapes(cell, input_size, hidden_units, bidirectional), flat)
+        if rng is not None:
+            for d in self.directions:
+                glorot_uniform(rng, self.params[f"{d}/W"], input_size, hidden_units)
+                orthogonal(rng, self.params[f"{d}/U"])
         # gate groups activated at once, as gate index ranges: the GRU
         # activates its candidate after r, so it keeps two
-        self._groups = ((0, 2), (2, 3)) if cell == "gru" else ((0, gates),)
+        self._groups = ((0, 2), (2, 3)) if cell == "gru" else ((0, GATES[cell]),)
         self._tanh_cols = np.repeat(np.array(_TANH_BLOCKS[cell], dtype=np.float64), hidden_units)
         self._cache = None
 
@@ -397,9 +430,15 @@ class DenseSigmoid(Layer):
     (B, W) state, as 1 / (1 + e^-x) or e^x / (1 + e^x) by sign, exact at any
     logit. ``logits`` keeps the (B,) logits for a loss to be formed from."""
 
-    def __init__(self, input_size, rng):
+    @staticmethod
+    def shapes(input_size) -> dict[str, tuple[int, ...]]:
+        return {"w": (input_size,), "b": (1,)}
+
+    def __init__(self, input_size, rng, flat=None):
         self.input_size = input_size
-        super().__init__(w=glorot_uniform(rng, (input_size,), input_size, 1), b=np.zeros(1))
+        super().__init__(self.shapes(input_size), flat)
+        if rng is not None:
+            glorot_uniform(rng, self.params["w"], input_size, 1)
         self.logits = None
         self._cache = None
 

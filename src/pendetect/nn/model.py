@@ -1,4 +1,6 @@
-"""Model specification, the assembled classifier, and checkpoints.
+"""Model specification, the assembled classifier, and checkpoints; also the
+training settings and the decision threshold, which scoring and the CLI
+read without loading the training loop.
 
 The reference architecture is two strided ReLU convolutions (8 filters,
 kernel 5, stride 5; then 16 filters, kernel 3, stride 3) followed by two
@@ -25,6 +27,7 @@ import base64
 import copy
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -34,6 +37,9 @@ from ..errors import DimensionMismatch, InputTooShort, IoError, ParseError, Spec
 from .layers import CELLS, GATES, Conv1d, DenseSigmoid, Recurrent
 
 CHECKPOINT_VERSION = "pendetect-checkpoint v1"
+
+#: a sample is called PD when its probability is at least this
+DECISION_THRESHOLD = 0.5
 
 
 def _require(spec, what: str, names: tuple[str, ...]) -> None:
@@ -131,6 +137,28 @@ class ModelSpec:
         )
 
 
+@dataclass(frozen=True)
+class TrainConfig:
+    learning_rate: float = 0.001
+    batch_size: int = 16
+    epochs: int = 100
+    seed: int = 0
+    adam_beta1: float = 0.9
+    adam_beta2: float = 0.999
+    adam_eps: float = 1e-8
+    early_stop_patience: int | None = 10
+
+    def __post_init__(self):
+        if self.learning_rate < 0:
+            raise ValueError("learning_rate must be >= 0")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+        if self.epochs < 1:
+            raise ValueError("epochs must be >= 1")
+        if self.early_stop_patience is not None and self.early_stop_patience < 1:
+            raise ValueError("early_stop_patience must be >= 1 or None")
+
+
 def spec_hash(spec: ModelSpec, input_size: int) -> str:
     canonical = json.dumps(
         {"input_size": input_size, "spec": spec.to_dict()},
@@ -170,11 +198,15 @@ class SequenceClassifier:
     concatenated with the backward state at the first step (each
     direction's own final state).
 
-    Built without a generator (``rng=None``) every parameter is zero and
-    nothing is drawn: the form `load_checkpoint` fills.
+    ``theta`` and ``grad`` are allocated once, sized from the layers' own
+    block shapes, and every layer is built on its slice of them. With a
+    generator the layers draw their initialization into it; without one
+    (``rng=None``) every parameter is zero and nothing is drawn, or, given
+    a ``theta`` vector, the model adopts that vector as its parameters.
     """
 
-    def __init__(self, spec: ModelSpec, input_size: int, rng: np.random.Generator | None):
+    def __init__(self, spec: ModelSpec, input_size: int, rng: np.random.Generator | None,
+                 theta: np.ndarray | None = None):
         if spec.conv_layers and spec.conv_layers[0].in_channels != input_size:
             raise DimensionMismatch(
                 f"first conv expects {spec.conv_layers[0].in_channels} channels, "
@@ -182,45 +214,44 @@ class SequenceClassifier:
             )
         self.spec = spec
         self.input_size = input_size
-        self.convs: list[Conv1d] = []
+        # (name, layer class, constructor arguments) in layout order
+        plan = []
         width = input_size
-        for c in spec.conv_layers:
-            self.convs.append(
-                Conv1d(c.in_channels, c.out_channels, c.kernel, c.stride, c.activation, rng)
-            )
+        for i, c in enumerate(spec.conv_layers):
+            plan.append((f"conv{i}", Conv1d,
+                         (c.in_channels, c.out_channels, c.kernel, c.stride, c.activation)))
             width = c.out_channels
-        if self.convs:
-            self.convs[0]._input_grad = False  # nothing reads the gradient of the input
-        self.recurrents: list[Recurrent] = []
-        for r in spec.recurrent_layers:
-            layer = Recurrent(
-                r.cell, width, r.hidden_units, r.bidirectional,
-                r.dropout_rate, r.recurrent_dropout_rate, rng,
-            )
-            self.recurrents.append(layer)
-            width = layer.output_size
-        self.head = DenseSigmoid(width, rng)
-
-        # move every block into the flat vectors and rebind the layers to views
-        owners = [(f"conv{i}", conv) for i, conv in enumerate(self.convs)]
-        owners += [(f"rec{i}", rec) for i, rec in enumerate(self.recurrents)]
-        owners.append(("head", self.head))
-        total = sum(v.size for _, layer in owners for v in layer.params.values())
-        self.theta = np.empty(total)
+        for i, r in enumerate(spec.recurrent_layers):
+            plan.append((f"rec{i}", Recurrent, (r.cell, width, r.hidden_units, r.bidirectional,
+                                                r.dropout_rate, r.recurrent_dropout_rate)))
+            width = r.hidden_units * (1 + r.bidirectional)
+        plan.append(("head", DenseSigmoid, (width,)))
+        sizes = [sum(math.prod(shape) for shape in kind.shapes(*args).values())
+                 for _, kind, args in plan]
+        total = sum(sizes)
+        if theta is None:
+            theta = np.zeros(total)
+        elif rng is not None or theta.shape != (total,):
+            raise ValueError(f"an adopted theta needs rng=None and shape ({total},)")
+        self.theta = theta
         self.grad = np.zeros(total)
         self._params: dict[str, np.ndarray] = {}
         self._grads: dict[str, np.ndarray] = {}
+        layers = []
         offset = 0
-        for name, layer in owners:
-            for key, value in layer.params.items():
-                end = offset + value.size
-                view = self.theta[offset:end].reshape(value.shape)
-                view[...] = value
-                layer.params[key] = self._params[f"{name}/{key}"] = view
-                layer.grads[key] = self._grads[f"{name}/{key}"] = (
-                    self.grad[offset:end].reshape(value.shape)
-                )
-                offset = end
+        for (name, kind, args), size in zip(plan, sizes):
+            flat = (theta[offset : offset + size], self.grad[offset : offset + size])
+            layer = kind(*args, rng, flat)
+            layers.append(layer)
+            for key in layer.params:
+                self._params[f"{name}/{key}"] = layer.params[key]
+                self._grads[f"{name}/{key}"] = layer.grads[key]
+            offset += size
+        self.convs: list[Conv1d] = layers[: len(spec.conv_layers)]
+        self.recurrents: list[Recurrent] = layers[len(spec.conv_layers) : -1]
+        self.head: DenseSigmoid = layers[-1]
+        if self.convs:
+            self.convs[0]._input_grad = False  # nothing reads the gradient of the input
 
     # -- parameter store ------------------------------------------------------
 
@@ -398,9 +429,9 @@ def load_checkpoint(path: str | Path) -> tuple[SequenceClassifier, dict]:
 
     The file is read on every call, but the last file that decoded is
     kept: when the bytes are equal, the JSON parse, the checks and the
-    base64 decode are skipped. Every call builds a new zero model from
-    the decoded entry and copies its theta in, and returns a new meta, so
-    changing one never reaches the next load.
+    base64 decode are skipped. Every call builds a new model on a copy of
+    the decoded entry's theta and returns a new meta, so changing one
+    never reaches the next load.
     """
     global _last_decoded
     try:
@@ -411,6 +442,4 @@ def load_checkpoint(path: str | Path) -> tuple[SequenceClassifier, dict]:
     if last is None or last[0] != raw:
         last = _last_decoded = (raw, *_decode_checkpoint(raw, path))
     _, spec, input_size, theta, meta = last
-    model = SequenceClassifier(spec, input_size, rng=None)
-    model.theta[...] = theta
-    return model, copy.deepcopy(meta)
+    return SequenceClassifier(spec, input_size, rng=None, theta=theta.copy()), copy.deepcopy(meta)

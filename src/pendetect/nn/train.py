@@ -24,7 +24,7 @@ import numpy as np
 
 from ..errors import NonFiniteGradient
 from .losses import bce_logit_grad, bce_loss
-from .model import SequenceClassifier
+from .model import SequenceClassifier, TrainConfig
 from .optim import Adam
 
 # mallopt parameters and glibc's caps for its dynamic thresholds on a
@@ -34,28 +34,6 @@ _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
 _MMAP_THRESHOLD_BYTES = 32 << 20
 _TRIM_THRESHOLD_BYTES = 64 << 20
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    learning_rate: float = 0.001
-    batch_size: int = 16
-    epochs: int = 100
-    seed: int = 0
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
-    early_stop_patience: int | None = 10
-
-    def __post_init__(self):
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be >= 0")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.early_stop_patience is not None and self.early_stop_patience < 1:
-            raise ValueError("early_stop_patience must be >= 1 or None")
 
 
 @dataclass

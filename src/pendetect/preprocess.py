@@ -20,6 +20,7 @@ one time-major (cutoff, N, m) array.
 
 from __future__ import annotations
 
+import copy
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -293,11 +294,9 @@ def load_stats(path: str | Path) -> NormalizationStats:
         _last_decoded = (raw, stats)
     else:
         stats = last[1]
-    return replace(
-        stats,
-        column_names=list(stats.column_names),
-        mean=stats.mean.copy(),
-        std=stats.std.copy(),
-        low_clip=stats.low_clip.copy(),
-        high_clip=stats.high_clip.copy(),
-    )
+    # a shallow copy skips __post_init__: the entry was checked when decoded
+    fresh = copy.copy(stats)
+    fresh.column_names = list(stats.column_names)
+    fresh.mean, fresh.std = stats.mean.copy(), stats.std.copy()
+    fresh.low_clip, fresh.high_clip = stats.low_clip.copy(), stats.high_clip.copy()
+    return fresh

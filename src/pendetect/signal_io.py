@@ -25,7 +25,6 @@ for the first ``cutoff`` rows that its model reads (see cli.score_file).
 
 from __future__ import annotations
 
-import csv
 import io
 import warnings
 from collections.abc import Callable
@@ -341,12 +340,20 @@ def parse_recording(
 # writing (round-trip counterpart of the tablet parser; used by `synth`)
 
 def write_tablet_file(seq: SignalSequence, path: str | Path) -> None:
-    """Write a tablet sequence as integer columns in DEFAULT_TABLET_COLUMNS order."""
-    cols = [seq.channels[name] for name in DEFAULT_TABLET_COLUMNS]
+    """Write a tablet sequence as integer columns in DEFAULT_TABLET_COLUMNS
+    order, each value rounded half to even. A non-finite value is an
+    InvalidRange naming `path`, raised before the file is opened."""
+    values = np.column_stack([seq.channels[name] for name in DEFAULT_TABLET_COLUMNS])
+    if not np.isfinite(values).all():
+        raise InvalidRange("a channel holds a non-finite value, which no integer column can",
+                           path=str(path))
+    # "%.0f" prints an integral float's exact digits, str(int(v)) for every
+    # v; adding 0.0 turns the -0.0 of a value in (-0.5, 0) into 0
+    line = " ".join(["%.0f"] * len(DEFAULT_TABLET_COLUMNS)) + "\n"
+    text = line * len(values) % tuple((np.rint(values) + 0.0).ravel())
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            for row in zip(*cols):
-                fh.write(" ".join(str(int(round(v))) for v in row) + "\n")
+            fh.write(text)
     except OSError as exc:
         raise IoError(str(exc), path=str(path)) from exc
 
@@ -451,6 +458,8 @@ def load_manifest(path: str | Path, format: str) -> DatasetManifest:
     A file that cannot be read is an IoError, and one that is not UTF-8 a
     ParseError; both name the manifest. A UTF-8 byte order mark is dropped.
     """
+    import csv  # here, not at the top: scoring reads no manifest
+
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             rows = list(csv.reader(fh))
@@ -478,6 +487,8 @@ def load_manifest(path: str | Path, format: str) -> DatasetManifest:
 
 
 def write_manifest(manifest: DatasetManifest, path: str | Path) -> None:
+    import csv
+
     try:
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)

@@ -5,6 +5,9 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -471,6 +474,63 @@ def test_score_too_short_input_is_a_data_error(tmp_path, capsys):
     assert "data error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["features", "train", "score"])
+def test_a_recording_too_short_for_jerk_is_a_data_error_naming_it(tmp_path, capsys, command):
+    rows = ["path,subject_id,task_id,label"]
+    for i in range(4):
+        steps = 3 if i == 0 else 30  # recording 0 is one step short of jerk
+        (tmp_path / f"r{i}.svc").write_text("".join(f"{t} {t} {t} 1 0 0 100\n"
+                                                    for t in range(steps)))
+        rows.append(f"r{i}.svc,s{i},spiral,{'PD' if i % 2 else 'HC'}")
+    (tmp_path / "manifest.csv").write_text("\n".join(rows) + "\n")
+    if command == "score":
+        ckpt, _, _ = _score_fixture(tmp_path, "tablet_svc", 30, True)
+        argv, named = ["--checkpoint", str(ckpt), "--input", str(tmp_path / "r0.svc")], "r0.svc"
+    else:
+        cfg = _write_config(tmp_path / "c.json", source=_MANIFEST_SOURCE)
+        argv, named = ["--config", str(cfg), "--out", str(tmp_path / "o")], "('s0', 'spiral')"
+    capsys.readouterr()
+    assert main([command, *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and named in err
+    assert "jerk needs at least 4 time-steps, got 3" in err and err.count("\n") == 1
+
+
+def test_score_in_a_fresh_interpreter_loads_no_training_module(tmp_path):
+    ckpt, lines, _ = _score_fixture(tmp_path, "tablet_svc", 30, True)
+    recording = tmp_path / "rec.svc"
+    recording.write_text("\n".join(lines[:100]) + "\n")
+    program = (
+        "import sys\n"
+        "from pendetect import cli\n"
+        f"code = cli.main(['score', '--checkpoint', {str(ckpt)!r}, '--input', {str(recording)!r}])\n"
+        "print(code, *sorted(name for name in sys.modules if name.startswith('pendetect')))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", program], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    score_line, loaded_line = proc.stdout.splitlines()
+    code, *loaded = loaded_line.split()
+    assert code == "0" and score_line.endswith(("PD", "HC"))
+    assert "pendetect.nn.model" in loaded
+    training = {"pendetect.evaluation", "pendetect.nn.train", "pendetect.nn.optim",
+                "pendetect.nn.gradcheck"}
+    assert training.isdisjoint(loaded)
+
+
+def test_training_names_resolve_on_first_use():
+    import pendetect.nn
+    from pendetect.nn import Adam, TrainConfig, gradient_check, train_model
+    from pendetect.nn import gradcheck, optim, train
+
+    assert train_model is train.train_model and train.TrainConfig is TrainConfig
+    assert Adam is optim.Adam and gradient_check is gradcheck.gradient_check
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        pendetect.nn.no_such_name  # noqa: B018
+
+
 def test_score_reads_a_checkpoint_rewritten_in_place(tmp_path):
     data = tmp_path / "data"
     main(["synth", "--out", str(data), "--n-per-class", "1",
@@ -675,7 +735,7 @@ def test_exit_code_training_failure(tmp_path, capsys, monkeypatch):
     def boom(*args, **kwargs):
         raise TrainingError("diverged")
 
-    monkeypatch.setattr("pendetect.cli.run_experiment", boom)
+    monkeypatch.setattr("pendetect.evaluation.run_experiment", boom)
     assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
     assert "training failure" in capsys.readouterr().err
 
@@ -688,7 +748,7 @@ def test_uncreatable_out_fails_before_any_training(tmp_path, capsys, monkeypatch
     def never(*args, **kwargs):
         pytest.fail(f"{runner} ran although the output directory cannot be created")
 
-    monkeypatch.setattr(f"pendetect.cli.{runner}", never)
+    monkeypatch.setattr(f"pendetect.evaluation.{runner}", never)
     blocker = tmp_path / "file"
     blocker.write_text("")
     out = blocker / "run"
@@ -969,6 +1029,64 @@ def test_every_preprocessing_field_loads_typed_or_is_a_data_error(tmp_path_facto
         return
     for field in PREPROCESSING_FIELDS:
         _assert_typed(field, pre[field.path.split(".")[1]])
+
+
+# ---------------------------------------------------------------------------
+# score's three input files, mutated
+
+_SPLICES = ["nan", "1e400", "\ufeff", "\0", "\u2028", "1_0"]
+
+
+def _mutated(data: bytes, kind: str, at: int, bit: int, token: str) -> bytes:
+    i = at % (len(data) + 1)
+    if kind == "flip":
+        i = min(i, len(data) - 1)
+        return data[:i] + bytes([data[i] ^ (1 << bit)]) + data[i + 1 :]
+    if kind == "truncate":
+        return data[:i]
+    return data[:i] + token.encode("utf-8") + data[i:]
+
+
+@given(
+    target=st.sampled_from(["recording", "checkpoint", "sidecar"]),
+    kind=st.sampled_from(["flip", "truncate", "splice"]),
+    at=st.integers(0, 10**7),
+    bit=st.integers(0, 7),
+    token=st.sampled_from(_SPLICES),
+)
+@settings(max_examples=300, deadline=None)
+def test_score_on_a_mutated_input_scores_or_names_the_file(
+    tmp_path_factory, target, kind, at, bit, token
+):
+    base = tmp_path_factory.getbasetemp() / "score-inputs"
+    if not base.exists():
+        base.mkdir()
+        ckpt, lines, _ = _score_fixture(base, "tablet_svc", 30, True)
+        (base / "rec.svc").write_text("\n".join(lines[:100]) + "\n")
+    work = tmp_path_factory.getbasetemp() / "score-mutated"
+    work.mkdir(exist_ok=True)
+    files = {"recording": "rec.svc", "checkpoint": "m.ckpt", "sidecar": "normalization.tsv"}
+    for name, file in files.items():
+        data = (base / file).read_bytes()
+        (work / file).write_bytes(_mutated(data, kind, at, bit, token) if name == target else data)
+    ckpt, recording = work / "m.ckpt", work / "rec.svc"
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["score", "--checkpoint", str(ckpt), "--input", str(recording)])
+    out, err = out.getvalue(), err.getvalue()
+    # the only warning README documents: a first line skipped as a header
+    assert all("assumed to be a header" in str(w.message) for w in caught)
+    assert "nan" not in out.lower()
+    if code == 0:
+        assert err == "" and out.endswith((" PD\n", " HC\n"))
+        assert 0.0 <= float(out.split()[0]) <= 1.0
+    else:
+        # a sidecar belongs to its checkpoint, which names it
+        at_fault = recording if target == "recording" else ckpt
+        assert code == 2 and out == ""
+        assert err.startswith("data error: ") and str(at_fault) in err, err
 
 
 def _readme() -> str:

@@ -433,7 +433,8 @@ def test_sigmoid_stable_at_extremes():
 
 
 def test_orthogonal_init_is_orthogonal_and_deterministic():
-    q1 = orthogonal(np.random.default_rng(5), 6)
-    q2 = orthogonal(np.random.default_rng(5), 6)
+    q1, q2 = np.empty((6, 6)), np.empty((6, 6))
+    orthogonal(np.random.default_rng(5), q1)
+    orthogonal(np.random.default_rng(5), q2)
     np.testing.assert_array_equal(q1, q2)
     np.testing.assert_allclose(q1 @ q1.T, np.eye(6), atol=1e-12)

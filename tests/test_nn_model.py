@@ -17,7 +17,7 @@ from pendetect.nn import (
     load_checkpoint,
     spec_hash,
 )
-from pendetect.nn.layers import Conv1d, glorot_uniform, orthogonal
+from pendetect.nn.layers import GATES, Conv1d, Recurrent
 
 
 def _tiny_spec(cell="gru", with_conv=True, bidirectional=True):
@@ -104,15 +104,61 @@ def test_reference_layout_is_pinned():
 
     replay = np.random.default_rng(0)
     expected = {
-        "conv0/W": glorot_uniform(replay, (5, 17, 8), 17 * 5, 8 * 5),
-        "conv1/W": glorot_uniform(replay, (3, 8, 16), 8 * 3, 16 * 3),
+        "conv0/W": _glorot(replay, (5, 17, 8), 17 * 5, 8 * 5),
+        "conv1/W": _glorot(replay, (3, 8, 16), 8 * 3, 16 * 3),
     }
     for d in ("fwd", "bwd"):
-        expected[f"rec0/{d}/W"] = glorot_uniform(replay, (16, 96), 16, 32)
-        expected[f"rec0/{d}/U"] = np.concatenate([orthogonal(replay, 32) for _ in range(3)],
-                                                 axis=1)
+        expected[f"rec0/{d}/W"] = _glorot(replay, (16, 96), 16, 32)
+        expected[f"rec0/{d}/U"] = _per_block_orthogonal(replay, 32, 3)
     for name, value in expected.items():
         np.testing.assert_array_equal(params[name], value, err_msg=name)
+
+
+def _glorot(rng, shape, fan_in, fan_out):
+    limit = np.sqrt(6.0 / (fan_in + fan_out))
+    return rng.uniform(-limit, limit, size=shape)
+
+
+def _per_block_orthogonal(rng, n, k):
+    """k orthogonal (n, n) blocks side by side, each from its own draw and QR."""
+    blocks = []
+    for _ in range(k):
+        q, r = np.linalg.qr(rng.normal(size=(n, n)))
+        blocks.append(q * np.sign(np.diag(r)))
+    return np.concatenate(blocks, axis=1)
+
+
+@pytest.mark.parametrize("hidden", [1, 4, 32])
+@pytest.mark.parametrize("bidirectional", [False, True], ids=["uni", "bi"])
+@pytest.mark.parametrize("cell", ["rnn", "lstm", "gru"])
+def test_recurrent_init_equals_a_per_block_draw_and_qr(cell, bidirectional, hidden):
+    # each direction draws its gates' normals at once and runs one stacked QR
+    layer = Recurrent(cell, 5, hidden, bidirectional, 0.0, 0.0, np.random.default_rng(hidden))
+    replay = np.random.default_rng(hidden)
+    gates = GATES[cell]
+    for d in layer.directions:
+        np.testing.assert_array_equal(layer.params[f"{d}/W"],
+                                      _glorot(replay, (5, gates * hidden), 5, hidden))
+        np.testing.assert_array_equal(layer.params[f"{d}/U"],
+                                      _per_block_orthogonal(replay, hidden, gates))
+        assert not layer.params[f"{d}/b"].any()
+
+
+@pytest.mark.parametrize("cell", ["rnn", "lstm", "gru"])
+@pytest.mark.parametrize("with_conv", [True, False], ids=["conv", "noconv"])
+def test_model_blocks_are_views_of_one_theta_and_one_grad(cell, with_conv):
+    spec = ModelSpec.reference(17, cell=cell, with_conv=with_conv)
+    model = SequenceClassifier(spec, 17, np.random.default_rng(3))
+    layers = [*model.convs, *model.recurrents, model.head]
+    for layer in layers:
+        assert all(block.base is model.theta for block in layer.params.values())
+        assert all(block.base is model.grad for block in layer.grads.values())
+    adopted = SequenceClassifier(spec, 17, None, theta=model.theta.copy())
+    np.testing.assert_array_equal(adopted.theta, model.theta)
+    adopted.params()["head/b"][0] = 1.0
+    assert adopted.theta[-1] == 1.0 and model.theta[-1] != 1.0
+    with pytest.raises(ValueError):
+        SequenceClassifier(spec, 17, None, theta=model.theta[:-1].copy())
 
 
 def test_parameter_count_matches_array_sizes():

@@ -144,6 +144,38 @@ def test_tablet_round_trip_of_synthetic(tmp_path):
         np.testing.assert_array_equal(back.channels[name], seq.channels[name], err_msg=name)
 
 
+def _tablet_of(values: np.ndarray) -> SignalSequence:
+    columns = values.reshape(-1, len(DEFAULT_TABLET_COLUMNS))
+    return SignalSequence("s", "t", "PD", dict(zip(DEFAULT_TABLET_COLUMNS, columns.T)), 200.0)
+
+
+def test_tablet_writer_bytes_follow_the_per_value_rule(tmp_path):
+    rng = np.random.default_rng(3)
+    edge = [0.5, 1.5, 2.5, -0.5, -1.5, -0.4, -0.0, 0.0, 2.0**53 + 1, 1e300, 1e308, -1e308,
+            0.49999999999999994]
+    values = np.concatenate([
+        edge,
+        rng.integers(-50, 50, 2_000) + 0.5,  # halves round to even
+        rng.normal(0.0, 1e4, 20_000),
+    ])
+    values = np.append(values, np.zeros(-len(values) % 7))
+    path = tmp_path / "w.svc"
+    write_tablet_file(_tablet_of(values), path)
+    expected = "".join(" ".join(str(int(round(v))) for v in row) + "\n"
+                       for row in values.reshape(-1, 7).tolist())
+    assert path.read_bytes() == expected.encode()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_tablet_writer_refuses_a_non_finite_value_before_opening_the_file(tmp_path, bad):
+    values = np.arange(70, dtype=float)
+    values[40] = bad
+    path = tmp_path / "w.svc"
+    with pytest.raises(InvalidRange) as exc:
+        write_tablet_file(_tablet_of(values), path)
+    assert exc.value.path == str(path) and not path.exists()
+
+
 # ---------------------------------------------------------------------------
 # smart-pen parsing
 
