@@ -32,6 +32,7 @@ from .errors import (
     DataError,
     DuplicateEntry,
     EmptyDataset,
+    InputTooShort,
     IoError,
     ParseError,
     PenDetectError,
@@ -499,7 +500,8 @@ def score_file(checkpoint: str | Path, input_path: str | Path) -> float:
     near 1e308, no longer fails the call.
 
     Features the recording cannot give (too few rows, a missing channel,
-    a non-finite value) are data errors naming `input_path`. A
+    a non-finite value), and a recording the model refuses as too short,
+    are data errors naming `input_path`. A
     normalization sidecar that cannot be read or parsed, and a p that is
     not finite (the forward overflowed), are data errors naming the
     checkpoint; stats that do not fit the features, or z-score them to a
@@ -532,7 +534,10 @@ def score_file(checkpoint: str | Path, input_path: str | Path) -> float:
     if cutoff is not None:
         fm = fit_length(fm, LengthPolicy(cutoff=cutoff))
     with np.errstate(over="ignore", invalid="ignore"):
-        p = model.forward(fm.values)
+        try:
+            p = model.forward(fm.values)
+        except InputTooShort as exc:  # shorter than the conv stack, and no cutoff pads it
+            raise DataError(str(exc), path=str(input_path)) from exc
     if not np.isfinite(p):
         raise DataError(f"{checkpoint}: p for {input_path} is {p}, not a probability")
     return p

@@ -471,7 +471,14 @@ def test_score_too_short_input_is_a_data_error(tmp_path, capsys):
     short = tmp_path / "short.svc"
     short.write_text("0 0 0 1 0 0 100\n")
     assert main(["score", "--checkpoint", str(ckpt), "--input", str(short)]) == 2
-    assert "data error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and str(short) in err
+    # without a cutoff nothing pads the input, and the conv stack refuses it
+    model.save_checkpoint(ckpt, preprocessing={"feature_groups": ["kinematic"]})
+    short.write_text("".join(f"{t} {t} {t} 1 0 0 100\n" for t in range(10)))
+    assert main(["score", "--checkpoint", str(ckpt), "--input", str(short)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and str(short) in err and "conv stack" in err
 
 
 @pytest.mark.parametrize("command", ["features", "train", "score"])
