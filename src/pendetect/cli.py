@@ -22,7 +22,6 @@ import sys
 from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -48,6 +47,7 @@ from .features import (
     dump_csv,
 )
 from .nn import CELLS, DECISION_THRESHOLD, ModelSpec, TrainConfig, load_checkpoint
+from .nn.model import SplitPlan
 from .preprocess import LengthPolicy, apply_normalization, fit_length, load_stats, save_stats
 from .signal_io import (
     MANIFEST_FORMATS,
@@ -62,9 +62,6 @@ from .signal_io import (
     write_manifest,
     write_tablet_file,
 )
-
-if TYPE_CHECKING:
-    from .evaluation import SplitPlan
 
 PRESETS = {"synthetic-quick": "synthetic_quick.json"}
 
@@ -271,8 +268,6 @@ def load_config(
     argument beats the environment, and a replacement is checked like the
     file's value.
     """
-    from .evaluation import SplitPlan
-
     env = dict(os.environ if env is None else env)
     path = Path(path)
     try:

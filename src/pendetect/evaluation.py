@@ -8,13 +8,14 @@ embeds the resolved configuration, per-fold raw numbers, and aggregate
 metrics; reports serialize to canonical JSON and a fixed-width table.
 
 Each fold is prepared once, in one pass over its rows in train, val,
-test order: every sequence is cut to the fold's length cutoff, the cut
-rows of all of them are normalized in one apply_normalization call, and
-one fit_length call pads them and stacks them into one time-major
-(cutoff, N, m) array, which training, early stopping and scoring all
-read. Rows past the cutoff are never normalized, so a value there that
-would overflow once z-scored does not fail the fold. The ablation grid
-prepares its folds once and shares them between its six cells.
+test order: one fit_length call cuts and pads every sequence to the
+fold's length cutoff and stacks them into one time-major (cutoff, N, m)
+array, one apply_normalization call normalizes that array, and its
+padding rows are set back to exact zeros. Training, early stopping and
+scoring all read that array. Rows past the cutoff are never normalized,
+so a value there that would overflow once z-scored does not fail the
+fold. The ablation grid prepares its folds once and shares them between
+its six cells.
 
 Folds are independent of each other (any could run concurrently); they
 are executed sequentially here so that a report is reproducible down to
@@ -58,6 +59,7 @@ from .nn import (
     predict,
     train_model,
 )
+from .nn.model import SplitPlan
 from .signal_io import LABEL_TO_Y
 
 HOLDOUT_ROUNDING = "per-class: round-half-up train, floor val, remainder test"
@@ -66,73 +68,7 @@ ROC_FILE_VERSION = "pendetect-roc v1"
 
 
 # ---------------------------------------------------------------------------
-# split plans
-
-
-@dataclass(frozen=True)
-class SplitPlan:
-    """Either k-fold CV or a repeated train/val/test holdout.
-
-    Splits are always stratified by label and grouped by subject.
-    """
-
-    kind: str
-    seed: int
-    k: int | None = None
-    train_frac: float | None = None
-    val_frac: float | None = None
-    test_frac: float | None = None
-    n_runs: int | None = None
-
-    def __post_init__(self):
-        if self.kind == "kfold":
-            if self.k is None or self.k < 2:
-                raise ValueError("kfold needs k >= 2")
-        elif self.kind == "holdout":
-            fracs = (self.train_frac, self.val_frac, self.test_frac)
-            if any(f is None or f < 0 for f in fracs):
-                raise ValueError("holdout needs three non-negative fractions")
-            if abs(sum(fracs) - 1.0) > 1e-9:
-                raise ValueError(f"holdout fractions {fracs} must sum to 1")
-            if self.n_runs is None or self.n_runs < 1:
-                raise ValueError("holdout needs n_runs >= 1")
-        else:
-            raise ValueError(f"unknown split kind {self.kind!r}")
-
-    @classmethod
-    def kfold(cls, k: int, seed: int) -> "SplitPlan":
-        return cls(kind="kfold", seed=seed, k=k)
-
-    @classmethod
-    def holdout(
-        cls,
-        train_frac: float,
-        val_frac: float,
-        test_frac: float,
-        n_runs: int,
-        seed: int,
-    ) -> "SplitPlan":
-        return cls(
-            kind="holdout",
-            seed=seed,
-            train_frac=train_frac,
-            val_frac=val_frac,
-            test_frac=test_frac,
-            n_runs=n_runs,
-        )
-
-    def to_dict(self) -> dict:
-        doc = {"kind": self.kind, "seed": self.seed, "stratified": True}
-        if self.kind == "kfold":
-            doc["k"] = self.k
-        else:
-            doc.update(
-                train_frac=self.train_frac,
-                val_frac=self.val_frac,
-                test_frac=self.test_frac,
-                n_runs=self.n_runs,
-            )
-        return doc
+# splits
 
 
 @dataclass(frozen=True)
@@ -507,27 +443,19 @@ def _prepare_folds(
         policy = compute_cutoff(train_ms if cutoff_scope == "train" else matrices)
         stats = fit_normalization(train_ms, clip_pcts[0], clip_pcts[1]) if normalize else None
         fold_ms = [matrices[i] for _, i in split.rows()]
-        rows = [fm.values[: policy.cutoff] for fm in fold_ms]  # the rows the model reads
+        x = fit_length([fm.values for fm in fold_ms], policy)
         if stats is not None:
-            rows = _normalized_rows(rows, fold_ms, stats)
+            x = apply_normalization(x, stats)
+            # padding is zero in normalized space, as score's pad-after-normalize gives
+            x[np.arange(policy.cutoff)[:, None] >= [fm.length for fm in fold_ms]] = 0.0
+            if not np.isfinite(x).all():
+                for j, fm in enumerate(fold_ms):
+                    check_finite(x[:, j], fm.column_names, fm.subject_id, fm.task_id)
         y = np.array([LABEL_TO_Y[fm.label] for fm in fold_ms], dtype=np.float64)
         if shuffle_labels:
             n = len(split.train)
             y[:n] = y[:n][np.random.default_rng([plan.seed, 7, fold_i]).permutation(n)]
-        yield _Fold(fold_i, split, carved, policy, stats, fit_length(rows, policy), y)
-
-
-def _normalized_rows(
-    rows: list[np.ndarray], owners: list[FeatureMatrix], stats: NormalizationStats
-) -> list[np.ndarray]:
-    """`rows` normalized in one apply_normalization call over all of them;
-    a non-finite result is a NonFiniteFeatures naming its owner's recording."""
-    flat = apply_normalization(np.concatenate(rows), stats)
-    out = np.split(flat, np.cumsum([len(r) for r in rows[:-1]]))
-    if not np.isfinite(flat).all():
-        for values, fm in zip(out, owners):
-            check_finite(values, fm.column_names, fm.subject_id, fm.task_id)
-    return out
+        yield _Fold(fold_i, split, carved, policy, stats, x, y)
 
 
 def _run_fold(
@@ -551,8 +479,8 @@ def _run_fold(
         raise
     train_seconds = time.perf_counter() - t0
 
-    # one scoring pass over the whole fold, so the batch_size chunks span roles
-    probs, _ = predict(model, fold.x, train_config.batch_size)
+    # one scoring pass over the whole fold, train, val and test rows alike
+    probs, _ = predict(model, fold.x)
     samples = [
         {
             "subject_id": matrices[i].subject_id,

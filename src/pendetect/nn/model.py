@@ -1,6 +1,7 @@
 """Model specification, the assembled classifier, and checkpoints; also the
-training settings and the decision threshold, which scoring and the CLI
-read without loading the training loop.
+training settings, the split plan and the decision threshold, which
+scoring and the CLI read without loading the training loop or the
+evaluation protocols.
 
 The reference architecture is two strided ReLU convolutions (8 filters,
 kernel 5, stride 5; then 16 filters, kernel 3, stride 3) followed by two
@@ -157,6 +158,72 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.early_stop_patience is not None and self.early_stop_patience < 1:
             raise ValueError("early_stop_patience must be >= 1 or None")
+
+
+@dataclass(frozen=True)
+class SplitPlan:
+    """Either k-fold CV or a repeated train/val/test holdout.
+
+    Splits are always stratified by label and grouped by subject.
+    """
+
+    kind: str
+    seed: int
+    k: int | None = None
+    train_frac: float | None = None
+    val_frac: float | None = None
+    test_frac: float | None = None
+    n_runs: int | None = None
+
+    def __post_init__(self):
+        if self.kind == "kfold":
+            if self.k is None or self.k < 2:
+                raise ValueError("kfold needs k >= 2")
+        elif self.kind == "holdout":
+            fracs = (self.train_frac, self.val_frac, self.test_frac)
+            if any(f is None or f < 0 for f in fracs):
+                raise ValueError("holdout needs three non-negative fractions")
+            if abs(sum(fracs) - 1.0) > 1e-9:
+                raise ValueError(f"holdout fractions {fracs} must sum to 1")
+            if self.n_runs is None or self.n_runs < 1:
+                raise ValueError("holdout needs n_runs >= 1")
+        else:
+            raise ValueError(f"unknown split kind {self.kind!r}")
+
+    @classmethod
+    def kfold(cls, k: int, seed: int) -> "SplitPlan":
+        return cls(kind="kfold", seed=seed, k=k)
+
+    @classmethod
+    def holdout(
+        cls,
+        train_frac: float,
+        val_frac: float,
+        test_frac: float,
+        n_runs: int,
+        seed: int,
+    ) -> "SplitPlan":
+        return cls(
+            kind="holdout",
+            seed=seed,
+            train_frac=train_frac,
+            val_frac=val_frac,
+            test_frac=test_frac,
+            n_runs=n_runs,
+        )
+
+    def to_dict(self) -> dict:
+        doc = {"kind": self.kind, "seed": self.seed, "stratified": True}
+        if self.kind == "kfold":
+            doc["k"] = self.k
+        else:
+            doc.update(
+                train_frac=self.train_frac,
+                val_frac=self.val_frac,
+                test_frac=self.test_frac,
+                n_runs=self.n_runs,
+            )
+        return doc
 
 
 def spec_hash(spec: ModelSpec, input_size: int) -> str:

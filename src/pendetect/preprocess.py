@@ -8,14 +8,15 @@ training split alone and travel to the other splits as an explicit
 NormalizationStats value, so there is no way to leak test data into the
 fit.
 
-Per fold, each sequence is cut to the cutoff, normalized, then padded:
-only the rows the model reads pass through the clip and the z-score,
-and padding rows are appended after normalization, so they are exact
-zeros in normalized space (each column at its clipped training mean).
-``apply_normalization`` and ``fit_length`` take one FeatureMatrix, as
-``score`` does, or a fold's arrays: the cut rows of all its sequences
-as one (rows, m) array, and the normalized pieces to pad and stack into
-one time-major (cutoff, N, m) array.
+Per fold, the sequences are first cut and padded to the cutoff and
+stacked into one time-major (cutoff, N, m) array; that array is
+normalized as a whole, and its padding rows are then set back to exact
+zeros, so in normalized space they sit at each column's clipped
+training mean. Only the rows the model reads pass through the clip and
+the z-score. ``apply_normalization`` and ``fit_length`` take one
+FeatureMatrix, as ``score`` does (normalize, then cut and pad), or a
+fold's arrays: the N sequences' values to cut, pad and stack, and the
+stacked array to normalize.
 """
 
 from __future__ import annotations
@@ -138,9 +139,13 @@ def fit_normalization(
     if clip_high_pct == 100:
         high = np.full(len(names), np.inf)
 
-    clipped = np.clip(stacked, low, high)
-    mean = clipped.mean(axis=0)
-    std = clipped.std(axis=0)
+    # `stacked` is this call's own copy: clip it and run numpy's own std steps
+    # in place, so std equals np.clip(stacked, low, high).std(axis=0) bit for bit
+    np.clip(stacked, low, high, out=stacked)
+    mean = stacked.mean(axis=0)
+    stacked -= mean
+    stacked *= stacked
+    std = np.sqrt(stacked.sum(axis=0) / len(stacked))
     std = np.where(std < STD_FLOOR, 1.0, std)
     return NormalizationStats(
         column_names=names,

@@ -455,8 +455,10 @@ def generate_synthetic(
 def load_manifest(path: str | Path, format: str) -> DatasetManifest:
     """Read a ``path,subject_id,task_id,label`` CSV into a DatasetManifest.
 
-    A file that cannot be read is an IoError, and one that is not UTF-8 a
-    ParseError; both name the manifest. A UTF-8 byte order mark is dropped.
+    A file that cannot be read is an IoError, one that is not UTF-8 or has
+    a malformed row a ParseError, and one that lists a (subject, task) pair
+    twice a DuplicateEntry; each names the manifest. A UTF-8 byte order
+    mark is dropped.
     """
     import csv  # here, not at the top: scoring reads no manifest
 
@@ -483,7 +485,10 @@ def load_manifest(path: str | Path, format: str) -> DatasetManifest:
         if label.upper() not in LABELS:
             raise MalformedLine(row_no, f"label must be PD or HC, got {label!r}", path=str(path))
         entries.append(ManifestEntry(file_path, subject_id, task_id, label.upper()))
-    return DatasetManifest(entries=entries, format=format)
+    try:
+        return DatasetManifest(entries=entries, format=format)
+    except DuplicateEntry as exc:
+        raise DuplicateEntry(str(exc), path=str(path)) from exc
 
 
 def write_manifest(manifest: DatasetManifest, path: str | Path) -> None:

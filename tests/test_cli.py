@@ -503,14 +503,17 @@ def test_a_recording_too_short_for_jerk_is_a_data_error_naming_it(tmp_path, caps
     assert "jerk needs at least 4 time-steps, got 3" in err and err.count("\n") == 1
 
 
-def test_score_in_a_fresh_interpreter_loads_no_training_module(tmp_path):
-    ckpt, lines, _ = _score_fixture(tmp_path, "tablet_svc", 30, True)
-    recording = tmp_path / "rec.svc"
-    recording.write_text("\n".join(lines[:100]) + "\n")
+_TRAINING_MODULES = {"pendetect.evaluation", "pendetect.nn.train", "pendetect.nn.optim",
+                     "pendetect.nn.losses", "pendetect.nn.gradcheck"}
+
+
+def _main_in_a_fresh_interpreter(argv: list[str]) -> tuple[list[str], str, list[str]]:
+    """(stdout lines before the last, exit code, pendetect modules loaded)
+    of ``cli.main(argv)`` run in a new interpreter."""
     program = (
         "import sys\n"
         "from pendetect import cli\n"
-        f"code = cli.main(['score', '--checkpoint', {str(ckpt)!r}, '--input', {str(recording)!r}])\n"
+        f"code = cli.main({argv!r})\n"
         "print(code, *sorted(name for name in sys.modules if name.startswith('pendetect')))\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -518,13 +521,30 @@ def test_score_in_a_fresh_interpreter_loads_no_training_module(tmp_path):
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", program], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
-    score_line, loaded_line = proc.stdout.splitlines()
+    *lines, loaded_line = proc.stdout.splitlines()
     code, *loaded = loaded_line.split()
+    return lines, code, loaded
+
+
+def test_score_in_a_fresh_interpreter_loads_no_training_module(tmp_path):
+    ckpt, lines, _ = _score_fixture(tmp_path, "tablet_svc", 30, True)
+    recording = tmp_path / "rec.svc"
+    recording.write_text("\n".join(lines[:100]) + "\n")
+    (score_line,), code, loaded = _main_in_a_fresh_interpreter(
+        ["score", "--checkpoint", str(ckpt), "--input", str(recording)]
+    )
     assert code == "0" and score_line.endswith(("PD", "HC"))
     assert "pendetect.nn.model" in loaded
-    training = {"pendetect.evaluation", "pendetect.nn.train", "pendetect.nn.optim",
-                "pendetect.nn.gradcheck"}
-    assert training.isdisjoint(loaded)
+    assert _TRAINING_MODULES.isdisjoint(loaded)
+
+
+def test_features_in_a_fresh_interpreter_loads_no_training_module(tmp_path):
+    # load_config builds the split plan, which lives beside TrainConfig
+    (summary,), code, loaded = _main_in_a_fresh_interpreter(
+        ["features", "--preset", "synthetic-quick", "--out", str(tmp_path / "out")]
+    )
+    assert code == "0" and summary.startswith("wrote 40 feature files")
+    assert _TRAINING_MODULES.isdisjoint(loaded)
 
 
 def test_training_names_resolve_on_first_use():
@@ -1094,6 +1114,66 @@ def test_score_on_a_mutated_input_scores_or_names_the_file(
         at_fault = recording if target == "recording" else ckpt
         assert code == 2 and out == ""
         assert err.startswith("data error: ") and str(at_fault) in err, err
+
+
+@given(
+    target=st.sampled_from(["config", "manifest"]),
+    kind=st.sampled_from(["flip", "truncate", "splice"]),
+    at=st.integers(0, 10**7),
+    bit=st.integers(0, 7),
+    token=st.sampled_from(_SPLICES),
+)
+@settings(max_examples=300, deadline=None)
+def test_features_on_a_mutated_config_or_manifest_runs_or_names_the_file(
+    tmp_path_factory, target, kind, at, bit, token
+):
+    # `features` loads and checks the config, the manifest and every
+    # recording it lists, and trains nothing
+    base = tmp_path_factory.getbasetemp() / "features-inputs"
+    work = tmp_path_factory.getbasetemp() / "features-mutated"
+    if not base.exists():
+        base.mkdir()
+        work.mkdir()
+        rows = ["path,subject_id,task_id,label"]
+        for i, seq in enumerate(generate_synthetic(2, (40, 60), 0.5, seed=8)):
+            write_tablet_file(seq, work / f"rec{i}.svc")
+            rows.append(f"rec{i}.svc,{seq.subject_id},{seq.task_id},{seq.label}")
+        (base / "manifest.csv").write_text("\n".join(rows) + "\n")
+        doc = copy.deepcopy(_PRESET)
+        doc["source"] = {"kind": "manifest", "path": "manifest.csv", "format": "tablet_svc",
+                         "sample_rate_hz": 200}
+        (base / "c.json").write_text(json.dumps(doc, indent=1))
+    files = {"config": "c.json", "manifest": "manifest.csv"}
+    for name, file in files.items():
+        data = (base / file).read_bytes()
+        (work / file).write_bytes(_mutated(data, kind, at, bit, token) if name == target else data)
+    cfg, manifest = work / "c.json", work / "manifest.csv"
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["features", "--config", str(cfg), "--out", str(work / "out")])
+    out, err = out.getvalue(), err.getvalue()
+    assert caught == []
+    assert "nan" not in out.lower()
+    if code == 0:
+        assert out.startswith("wrote ") and " feature files to " in out and err == "" or \
+            out == "" and err == "warning: dataset is empty, nothing to do\n"
+        return
+    assert out == "" and err.count("\n") == 1
+    if code == 1:
+        # a config error names the config, or the key at fault in it
+        assert target == "config" and err.startswith("config error: ")
+        head, _, rest = err.removeprefix("config error: ").partition(" ")
+        known = {f.path for f in CONFIG_FIELDS} | {f.path.split(".")[0] for f in CONFIG_FIELDS}
+        assert str(cfg) in err or head.rstrip(":") in known or \
+            rest.startswith("is not a known key"), err
+    else:
+        # a data error names the manifest, a recording file it lists, or
+        # a recording by its (subject, task) pair
+        assert code == 2 and err.startswith("data error: ")
+        assert str(manifest) in err or f"data error: {work}{os.sep}" in err or \
+            err.startswith("data error: recording ("), err
 
 
 def _readme() -> str:

@@ -1,5 +1,9 @@
 import math
+import os
 import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +11,7 @@ import pytest
 from pendetect.errors import NonFiniteGradient
 from pendetect.features import FeatureMatrix
 from pendetect.nn import (
+    CELLS,
     Adam,
     Conv1dSpec,
     ModelSpec,
@@ -250,7 +255,7 @@ def test_early_stopping_triggers_and_restores_best():
     assert len(result.val_losses) == result.epochs_run
     # restored parameters reproduce the best recorded validation loss
     best_val = min(result.val_losses)
-    _, logits = predict(model, x_val, config.batch_size)
+    _, logits = predict(model, x_val)
     val_loss = float(np.mean(bce_loss(logits, y_val)))
     assert val_loss == pytest.approx(best_val, rel=1e-12)
 
@@ -317,8 +322,46 @@ def test_training_from_the_fold_array_equals_per_batch_stacking():
     assert result.val_losses == val_losses
     scored = train_set + val_set
     expected = chunked(scored)
-    for got, want in zip(predict(model, _stack(scored)[0], config.batch_size), expected):
+    for got, want in zip(predict(model, _stack(scored)[0]), expected):
         np.testing.assert_array_equal(got, want)
+
+
+# fold sizes around the 64-row chunk edges, a one-row remainder included
+_PREDICT_ROWS = (1, 2, 3, 5, 17, 40, 63, 64, 65, 66, 129)
+
+
+def _predict_mismatches() -> list[str]:
+    """The (cell, with_conv, N) of the six reference models at T = 157 where
+    predict's probabilities or logits differ from one forward over all N rows."""
+    m = 17
+    x = np.random.default_rng(0).normal(size=(157, max(_PREDICT_ROWS), m))
+    found = []
+    for cell in CELLS:
+        for with_conv in (True, False):
+            spec = ModelSpec.reference(m, cell, with_conv)
+            model = SequenceClassifier(spec, m, np.random.default_rng(3))
+            for n in _PREDICT_ROWS:
+                probs, logits = predict(model, x[:, :n])
+                whole = model.forward(x[:, :n].transpose(1, 0, 2))
+                if not (np.array_equal(probs, whole) and np.array_equal(logits, model.head.logits)):
+                    found.append(f"{cell}/{with_conv}/{n}")
+    return found
+
+
+def test_predict_equals_one_forward_over_all_rows():
+    assert _predict_mismatches() == []
+
+
+def test_predict_equals_one_forward_over_all_rows_on_two_blas_threads():
+    # larger GEMMs may take threaded BLAS paths; they must give the same bits
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(tests.parent / "src"),
+                                                      str(tests), env.get("PYTHONPATH")]))
+    program = "from test_nn_train import _predict_mismatches; print(_predict_mismatches())"
+    proc = subprocess.run([sys.executable, "-c", program], env=env, capture_output=True,
+                          text=True, timeout=300, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc's malloc thresholds")

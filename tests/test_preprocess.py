@@ -9,6 +9,7 @@ from hypothesis.extra import numpy as hnp
 from pendetect.errors import ColumnMismatch, EmptyDataset, ParseError
 from pendetect.features import FeatureMatrix
 from pendetect.preprocess import (
+    STD_FLOOR,
     LengthPolicy,
     NormalizationStats,
     apply_normalization,
@@ -204,6 +205,35 @@ def test_mean_std_computed_after_clipping():
     assert stats.std[0] == pytest.approx(clipped.std(), rel=1e-12)
     # and not the plain statistics
     assert stats.mean[0] != pytest.approx(column.mean(), rel=1e-6)
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_fit_normalization_equals_numpy_mean_and_std_of_the_clipped_stack(data):
+    # one-row inputs, constant columns, ties and the bounds 0 and 100
+    m = data.draw(st.integers(1, 4))
+    lengths = data.draw(st.lists(st.integers(1, 25), min_size=1, max_size=4))
+    elements = st.one_of(st.floats(-1e6, 1e6), st.sampled_from([-1.5, 0.0, 0.1, 2.0]))
+    values = [data.draw(hnp.arrays(np.float64, (t, m), elements=elements)) for t in lengths]
+    for j in range(m):
+        if data.draw(st.booleans()):
+            constant = data.draw(elements)
+            for v in values:
+                v[:, j] = constant
+    low_pct, high_pct = sorted(data.draw(st.lists(
+        st.one_of(st.sampled_from([0.0, 5.0, 90.0, 100.0]), st.floats(0, 100)),
+        min_size=2, max_size=2, unique=True)))
+    fms = [_fm(v) for v in values]
+    before = [v.copy() for v in values]
+
+    stats = fit_normalization(fms, low_pct, high_pct)
+
+    clipped = np.clip(np.concatenate(before), stats.low_clip, stats.high_clip)
+    std = np.std(clipped, axis=0)
+    assert np.array_equal(stats.mean, np.mean(clipped, axis=0))
+    assert np.array_equal(stats.std, np.where(std < STD_FLOOR, 1.0, std))
+    for fm, v, old in zip(fms, values, before):
+        assert fm.values is v and np.array_equal(v, old)
 
 
 # ---------------------------------------------------------------------------

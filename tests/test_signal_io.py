@@ -1,3 +1,4 @@
+import re
 import warnings
 from pathlib import Path
 
@@ -378,6 +379,13 @@ def test_manifest_duplicate_entry():
     ]
     with pytest.raises(DuplicateEntry):
         DatasetManifest(entries=rows, format="tablet_svc")
+
+
+def test_manifest_file_with_a_duplicate_pair_names_the_manifest(tmp_path):
+    m = tmp_path / "m.csv"
+    m.write_text("path,subject_id,task_id,label\na.svc,s1,spiral,PD\nb.svc,s1,spiral,HC\n")
+    with pytest.raises(DuplicateEntry, match=f"^{re.escape(str(m))}: duplicate"):
+        load_manifest(m, format="tablet_svc")
 
 
 def test_manifest_label_case_insensitive(tmp_path):
