@@ -38,6 +38,7 @@ from .errors import (
     ShapeError,
     SpecMismatch,
     TrainingError,
+    write_text,
 )
 from .features import (
     GROUPS,
@@ -326,7 +327,12 @@ def load_sequences(config: ExperimentConfig) -> list:
             src["n_per_class"], src["length_range"], src["class_separation"], seed=seed
         )
     manifest = load_manifest(src["path"], format=src["format"])
-    return load_dataset(manifest, base_dir=src["path"].parent, sample_rate_hz=src["sample_rate_hz"])
+    base = src["path"].parent
+    for e in manifest.entries:
+        if not (base / e.path).is_file():
+            raise DataError(f"lists {e.path}, but {base / e.path} is not a file",
+                            path=str(src["path"]))
+    return load_dataset(manifest, base_dir=base, sample_rate_hz=src["sample_rate_hz"])
 
 
 def load_training_sequences(config: ExperimentConfig) -> list:
@@ -344,13 +350,6 @@ def _make_out_dir(path: Path) -> Path:
     except (OSError, ValueError) as exc:  # ValueError: a NUL in the name
         raise IoError(str(exc), path=str(path)) from exc
     return path
-
-
-def _write_text(path: Path, text: str) -> None:
-    try:
-        path.write_text(text, encoding="utf-8")
-    except OSError as exc:
-        raise IoError(str(exc), path=str(path)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -422,8 +421,8 @@ def cmd_train(args) -> int:
         clip_pcts=config.clip_pcts, out_artifacts=artifacts,
     )
 
-    _write_text(out / "report.json", report.to_json() + "\n")
-    _write_text(out / "report.txt", report.to_table())
+    write_text(out / "report.json", report.to_json() + "\n")
+    write_text(out / "report.txt", report.to_table())
     emit_roc(report, out / "roc.csv")
 
     norm_ref = None
@@ -464,8 +463,8 @@ def cmd_ablate(args) -> int:
         sequences, config.features, config.train, config.plan,
         cutoff_scope=config.cutoff_scope, normalize=config.normalize, clip_pcts=config.clip_pcts,
     )
-    _write_text(out / "ablation.json", report.to_json() + "\n")
-    _write_text(out / "ablation.txt", report.to_table())
+    write_text(out / "ablation.json", report.to_json() + "\n")
+    write_text(out / "ablation.txt", report.to_table())
     print(report.to_table(), end="")
     print(f"ablation grid written to {out}")
     return 0

@@ -1,6 +1,13 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one place where an
+artifact file is read (``read_bytes``) or written (``write_text``), so
+that every such failure is an IoError naming the file. That place is here
+because every module imports ``errors``, and ``nn`` imports nothing else
+of the package; this module imports only the standard library.
+"""
 
 from __future__ import annotations
+
+from pathlib import Path
 
 
 class PenDetectError(Exception):
@@ -127,3 +134,21 @@ class SpecMismatch(PenDetectError):
 
 class IoError(PenDetectError):
     """Reading or writing an artifact file failed."""
+
+
+def read_bytes(path: str | Path) -> bytes:
+    """The bytes of the file at `path`. A file that cannot be read, a
+    name with a NUL in it included, is an IoError naming `path`."""
+    try:
+        return Path(path).read_bytes()
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the name
+        raise IoError(str(exc), path=str(path)) from exc
+
+
+def write_text(path: str | Path, text: str) -> None:
+    """Write `text` to `path` as UTF-8. A file that cannot be written, a
+    name with a NUL in it included, is an IoError naming `path`."""
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the name
+        raise IoError(str(exc), path=str(path)) from exc

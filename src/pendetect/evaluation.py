@@ -35,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import IoError, SingleClass, TooSmall, TrainingError
+from .errors import SingleClass, TooSmall, TrainingError, write_text
 from .features import FeatureGroupSelection, FeatureMatrix, assemble_features, check_finite
 from .preprocess import (
     CUTOFF_SCOPES,
@@ -733,7 +733,4 @@ def emit_roc(report: ExperimentReport, path: str | Path) -> None:
     ]
     for x, y in points:
         lines.append(f"{float(x)!r},{float(y)!r}")
-    try:
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    except OSError as exc:
-        raise IoError(str(exc), path=str(path)) from exc
+    write_text(path, "\n".join(lines) + "\n")

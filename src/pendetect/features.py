@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IoError, LengthMismatch, MissingChannel, NonFiniteFeatures, TooShort
+from .errors import LengthMismatch, MissingChannel, NonFiniteFeatures, TooShort, write_text
 from .signal_io import SMARTPEN_CHANNELS, SignalSequence
 
 GROUPS = ("raw", "inclination", "pressure", "kinematic", "derived")
@@ -298,10 +298,6 @@ def assemble_features(seq: SignalSequence, selection: FeatureGroupSelection) -> 
 
 def dump_csv(fm: FeatureMatrix, path) -> None:
     """Write the matrix as CSV; floats use shortest round-trip decimals."""
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(",".join(fm.column_names) + "\n")
-            for row in fm.values:
-                fh.write(",".join(repr(float(v)) for v in row) + "\n")
-    except OSError as exc:
-        raise IoError(str(exc), path=str(path)) from exc
+    lines = [",".join(fm.column_names)]
+    lines += [",".join(repr(float(v)) for v in row) for row in fm.values]
+    write_text(path, "\n".join(lines) + "\n")

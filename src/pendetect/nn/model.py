@@ -34,7 +34,8 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import DimensionMismatch, InputTooShort, IoError, ParseError, SpecMismatch
+from ..errors import DimensionMismatch, InputTooShort, ParseError, SpecMismatch
+from ..errors import read_bytes, write_text
 from .layers import CELLS, GATES, Conv1d, DenseSigmoid, Recurrent
 
 CHECKPOINT_VERSION = "pendetect-checkpoint v1"
@@ -423,12 +424,7 @@ class SequenceClassifier:
             "preprocessing": preprocessing,
             "params": blocks,
         }
-        try:
-            Path(path).write_text(
-                json.dumps(doc, sort_keys=True, separators=(",", ":")), encoding="utf-8"
-            )
-        except OSError as exc:
-            raise IoError(str(exc), path=str(path)) from exc
+        write_text(path, json.dumps(doc, sort_keys=True, separators=(",", ":")))
 
 # the last checkpoint decoded: (file bytes, spec, input_size, theta, meta)
 _last_decoded: tuple[bytes, ModelSpec, int, np.ndarray, dict] | None = None
@@ -501,10 +497,7 @@ def load_checkpoint(path: str | Path) -> tuple[SequenceClassifier, dict]:
     never reaches the next load.
     """
     global _last_decoded
-    try:
-        raw = Path(path).read_bytes()
-    except OSError as exc:
-        raise IoError(str(exc), path=str(path)) from exc
+    raw = read_bytes(path)
     last = _last_decoded  # one read: another thread may replace the entry
     if last is None or last[0] != raw:
         last = _last_decoded = (raw, *_decode_checkpoint(raw, path))

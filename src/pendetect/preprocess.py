@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ColumnMismatch, EmptyDataset, IoError, ParseError
+from .errors import ColumnMismatch, EmptyDataset, ParseError, read_bytes, write_text
 from .features import FeatureMatrix
 
 STD_FLOOR = 1e-8
@@ -232,10 +232,7 @@ def save_stats(stats: NormalizationStats, path: str | Path) -> None:
                 ]
             )
         )
-    try:
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    except OSError as exc:
-        raise IoError(str(exc), path=str(path)) from exc
+    write_text(path, "\n".join(lines) + "\n")
 
 
 # the last stats file that parsed: (file bytes, stats)
@@ -289,10 +286,7 @@ def load_stats(path: str | Path) -> NormalizationStats:
     reaches the next load.
     """
     global _last_decoded
-    try:
-        raw = Path(path).read_bytes()
-    except (OSError, ValueError) as exc:  # ValueError: a NUL in the name
-        raise IoError(str(exc), path=str(path)) from exc
+    raw = read_bytes(path)
     last = _last_decoded  # one read: another thread may replace the entry
     if last is None or last[0] != raw:
         stats = _decode_stats(raw, path)

@@ -41,6 +41,8 @@ from .errors import (
     MalformedLine,
     NonMonotonicTime,
     ParseError,
+    read_bytes,
+    write_text,
 )
 
 PD = "PD"
@@ -350,12 +352,7 @@ def write_tablet_file(seq: SignalSequence, path: str | Path) -> None:
     # "%.0f" prints an integral float's exact digits, str(int(v)) for every
     # v; adding 0.0 turns the -0.0 of a value in (-0.5, 0) into 0
     line = " ".join(["%.0f"] * len(DEFAULT_TABLET_COLUMNS)) + "\n"
-    text = line * len(values) % tuple((np.rint(values) + 0.0).ravel())
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise IoError(str(exc), path=str(path)) from exc
+    write_text(path, line * len(values) % tuple((np.rint(values) + 0.0).ravel()))
 
 
 # ---------------------------------------------------------------------------
@@ -463,12 +460,10 @@ def load_manifest(path: str | Path, format: str) -> DatasetManifest:
     import csv  # here, not at the top: scoring reads no manifest
 
     try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            rows = list(csv.reader(fh))
-    except OSError as exc:
-        raise IoError(str(exc), path=str(path)) from exc
+        text = read_bytes(path).decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ParseError(str(exc), path=str(path)) from exc
+    rows = list(csv.reader(io.StringIO(text, newline="")))
     entries: list[ManifestEntry] = []
     if not rows:
         return DatasetManifest(entries=entries, format=format)

@@ -28,16 +28,24 @@ from pendetect.cli import (
 )
 from pendetect.errors import (
     ConfigError,
+    IoError,
     MalformedLine,
     NonMonotonicTime,
     ParseError,
     TrainingError,
+    write_text,
 )
-from pendetect.evaluation import strip_wall_clock
-from pendetect.features import KINEMATIC_COLUMNS, FeatureGroupSelection, assemble_features
+from pendetect.evaluation import ExperimentReport, emit_roc, strip_wall_clock
+from pendetect.features import (
+    KINEMATIC_COLUMNS,
+    FeatureGroupSelection,
+    assemble_features,
+    dump_csv,
+)
 from pendetect.nn import ModelSpec, SequenceClassifier, load_checkpoint, spec_hash
 from pendetect.preprocess import (
     LengthPolicy,
+    NormalizationStats,
     apply_normalization,
     fit_length,
     fit_normalization,
@@ -47,6 +55,7 @@ from pendetect.preprocess import (
 from pendetect.signal_io import (
     SMARTPEN_CHANNELS,
     generate_synthetic,
+    load_manifest,
     parse_recording,
     write_tablet_file,
 )
@@ -934,6 +943,75 @@ def test_manifest_that_is_not_utf8_is_a_parse_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("data error:") and str(manifest.resolve()) in err
 
+
+
+@pytest.mark.parametrize("listed", ["missing", "directory"])
+def test_manifest_listing_a_recording_that_is_not_a_file_names_the_manifest(
+    tmp_path, capsys, listed
+):
+    if listed == "directory":
+        (tmp_path / "rec0.svb").mkdir()
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("path,subject_id,task_id,label\nrec0.svb,s1,spiral,PD\n")
+    cfg = _write_config(tmp_path / "c.json", source=_MANIFEST_SOURCE)
+    assert main(["features", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {manifest.resolve()}: lists rec0.svb, ")
+    assert err.count("\n") == 1
+
+
+def _roc_report() -> ExperimentReport:
+    report = ExperimentReport(kind="experiment", seed=0, config={})
+    report.pooled = {"auc": 1.0, "roc_points": [[0.0, 0.0], [0.0, 1.0], [1.0, 1.0]]}
+    return report
+
+
+def _recording():
+    return generate_synthetic(1, (20, 20), 0.5, seed=0)[0]
+
+
+_WRITERS = {
+    "write_text": lambda path: write_text(path, "text\n"),
+    "emit_roc": lambda path: emit_roc(_roc_report(), path),
+    "save_stats": lambda path: save_stats(
+        NormalizationStats(column_names=["a"], mean=np.zeros(1), std=np.ones(1),
+                           low_clip=-np.ones(1), high_clip=np.ones(1), fitted_on=1), path),
+    "save_checkpoint": lambda path: SequenceClassifier(
+        ModelSpec.reference(16), 16, np.random.default_rng(0)).save_checkpoint(path),
+    "dump_csv": lambda path: dump_csv(
+        assemble_features(_recording(), FeatureGroupSelection(("kinematic",))), path),
+    "write_tablet_file": lambda path: write_tablet_file(_recording(), path),
+}
+_READERS = {
+    "load_checkpoint": load_checkpoint,
+    "load_stats": load_stats,
+    "load_manifest": lambda path: load_manifest(path, format="tablet_svc"),
+}
+
+
+@pytest.mark.parametrize(
+    "call, where",
+    [*((w, where) for w in _WRITERS for where in ("missing-directory", "nul")),
+     *((r, where) for r in _READERS for where in ("directory", "nul"))],
+)
+def test_an_artifact_that_cannot_be_read_or_written_is_an_io_error_naming_it(
+    tmp_path, call, where
+):
+    path = {"missing-directory": tmp_path / "missing" / "file", "directory": tmp_path,
+            "nul": tmp_path / "a\0b"}[where]
+    with pytest.raises(IoError) as exc:
+        {**_WRITERS, **_READERS}[call](path)
+    assert str(exc.value).startswith(f"{path}: ")
+
+
+@pytest.mark.parametrize("where", ["directory", "nul"])
+def test_score_with_an_unreadable_checkpoint_is_an_io_error(tmp_path, capsys, where):
+    recording = tmp_path / "rec.svc"
+    recording.write_text("0 0 0 1 0 0 100\n" * 40)
+    checkpoint = str(tmp_path) if where == "directory" else "a\0b"
+    assert main(["score", "--checkpoint", checkpoint, "--input", str(recording)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {checkpoint}: ") and err.count("\n") == 1
 
 def test_features_non_finite_derived_value_is_a_data_error_naming_the_recording(
     tmp_path, capsys

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from pendetect import errors as errors_module
 from pendetect.errors import DimensionMismatch, InputTooShort, ParseError, SpecMismatch
 from pendetect.nn import model as model_module
 from pendetect.nn import (
@@ -436,6 +437,17 @@ def test_first_conv_skips_input_gradient_with_equal_weight_gradients():
 # ---------------------------------------------------------------------------
 # dependencies
 
+def _imports(path: Path) -> list[tuple[int, str]]:
+    """(level, module) of every import statement in the file at `path`."""
+    imported = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            imported += [(0, alias.name) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported += [(node.level, node.module or alias.name) for alias in node.names]
+    return imported
+
+
 def test_nn_imports_only_the_standard_library_numpy_errors_and_itself():
     # nn depends on numpy and pendetect.errors alone: it knows nothing of
     # recordings, features, evaluation or the CLI
@@ -443,19 +455,21 @@ def test_nn_imports_only_the_standard_library_numpy_errors_and_itself():
     own = {path.stem for path in nn_dir.glob("*.py")}
     outside = []
     for path in sorted(nn_dir.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Import):
-                imported = [(0, alias.name) for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                imported = [(node.level, node.module or alias.name) for alias in node.names]
-            else:
-                continue
-            for level, name in imported:
-                top = name.partition(".")[0]
-                if not (
-                    (level == 0 and (top in sys.stdlib_module_names or top == "numpy"))
-                    or (level == 1 and top in own)
-                    or (level == 2 and name == "errors")
-                ):
-                    outside.append(f"{path.name}: {'.' * level}{name}")
+        for level, name in _imports(path):
+            top = name.partition(".")[0]
+            if not (
+                (level == 0 and (top in sys.stdlib_module_names or top == "numpy"))
+                or (level == 1 and top in own)
+                or (level == 2 and name == "errors")
+            ):
+                outside.append(f"{path.name}: {'.' * level}{name}")
+    assert outside == []
+
+
+def test_errors_imports_only_the_standard_library():
+    # every module, nn included, imports errors, so it is the leaf: the
+    # artifact reads and writes live there and must pull in nothing else
+    path = Path(errors_module.__file__)
+    outside = [f"{'.' * level}{name}" for level, name in _imports(path)
+               if level or name.partition(".")[0] not in sys.stdlib_module_names]
     assert outside == []
