@@ -445,10 +445,12 @@ class DenseSigmoid(Layer):
     def forward(self, s: np.ndarray, train: bool = False, rng=None) -> np.ndarray:
         if s.ndim != 2 or s.shape[1] != self.input_size:
             raise DimensionMismatch(f"expected states (B, {self.input_size}), got {s.shape}")
-        self.logits = s @ self.params["w"] + self.params["b"][0]
+        # p comes from the local logits: another thread's forward on a
+        # shared model may replace ``self.logits`` before this one is done
+        self.logits = logits = s @ self.params["w"] + self.params["b"][0]
         self._cache = s if train else None
-        e = np.exp(-np.abs(self.logits))
-        return np.where(self.logits >= 0, 1.0, e) / (1.0 + e)
+        e = np.exp(-np.abs(logits))
+        return np.where(logits >= 0, 1.0, e) / (1.0 + e)
 
     def backward(self, dlogits: np.ndarray) -> np.ndarray:
         s = self._cache

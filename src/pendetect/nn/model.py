@@ -426,15 +426,16 @@ class SequenceClassifier:
         }
         write_text(path, json.dumps(doc, sort_keys=True, separators=(",", ":")))
 
-# the last checkpoint decoded: (file bytes, spec, input_size, theta, meta)
-_last_decoded: tuple[bytes, ModelSpec, int, np.ndarray, dict] | None = None
+# the last checkpoint decoded: (file bytes, its read-only model, meta)
+_last_decoded: tuple[bytes, SequenceClassifier, dict] | None = None
 
 
-def _decode_checkpoint(raw: bytes, path: str | Path) -> tuple[ModelSpec, int, np.ndarray, dict]:
-    """Parse and verify checkpoint bytes into (spec, input_size, theta,
-    meta). Every refusal names `path`: a malformed file, a non-finite
-    parameter or a normalization_ref that is not a plain file name is a
-    ParseError; a foreign format, spec or block set a SpecMismatch."""
+def _decode_checkpoint(raw: bytes, path: str | Path) -> tuple[SequenceClassifier, dict]:
+    """Parse and verify checkpoint bytes into (model, meta): one model whose
+    ``theta`` and parameter views refuse writes. Every refusal names
+    `path`: a malformed file, a non-finite parameter or a normalization_ref
+    that is not a plain file name is a ParseError; a foreign format, spec
+    or block set a SpecMismatch."""
     where = str(path)
     try:
         doc = json.loads(raw.decode("utf-8"))
@@ -452,9 +453,10 @@ def _decode_checkpoint(raw: bytes, path: str | Path) -> tuple[ModelSpec, int, np
                              path=where)
         if spec_hash(spec, input_size) != doc["spec_sha256"]:
             raise SpecMismatch("spec hash does not match the stored spec", path=where)
-        # a zero model of the spec gives the block names, shapes and layout
-        layout = SequenceClassifier(spec, input_size, rng=None)
-        stored, own = doc["params"], layout.params()
+        # a zero model of the spec: its views give the block names, shapes and
+        # layout, and the stored blocks decode into them
+        model = SequenceClassifier(spec, input_size, rng=None)
+        stored, own = doc["params"], model.params()
         if set(stored) != set(own):
             raise SpecMismatch(
                 f"checkpoint blocks {sorted(stored)} do not match model blocks {sorted(own)}",
@@ -481,25 +483,31 @@ def _decode_checkpoint(raw: bytes, path: str | Path) -> tuple[ModelSpec, int, np
     # the rule `features` applies to ids: the sidecar sits beside the checkpoint
     if ref is not None and (Path(ref).name != ref or "\0" in ref):
         raise ParseError(f"normalization_ref {ref!r} is not a plain file name", path=where)
-    return spec, input_size, layout.theta, {"normalization_ref": ref, "preprocessing": pre}
+    # every layer holds these same views, so the whole parameter store is read-only
+    for block in (model.theta, *own.values()):
+        block.flags.writeable = False
+    return model, {"normalization_ref": ref, "preprocessing": pre}
 
 
 def load_checkpoint(path: str | Path) -> tuple[SequenceClassifier, dict]:
-    """Rebuild the model stored at `path`.
+    """The model stored at `path`, read-only, and its meta.
 
     Returns (model, meta) where meta holds the non-parameter payload:
     "normalization_ref" and "preprocessing" as stored by save_checkpoint.
 
     The file is read on every call, but the last file that decoded is
     kept: when the bytes are equal, the JSON parse, the checks and the
-    base64 decode are skipped. Every call builds a new model on a copy of
-    the decoded entry's theta and returns a new meta, so changing one
-    never reaches the next load.
+    base64 decode are skipped. One model is built per file content and
+    every call on those bytes returns that same model, shared by all its
+    callers: its ``theta`` and every ``params()`` block refuse writes
+    (ValueError). Each call returns a new meta, so changing one never
+    reaches the next load. To train on a loaded model, take a copy:
+    ``SequenceClassifier(m.spec, m.input_size, None, theta=m.theta.copy())``.
     """
     global _last_decoded
     raw = read_bytes(path)
     last = _last_decoded  # one read: another thread may replace the entry
     if last is None or last[0] != raw:
         last = _last_decoded = (raw, *_decode_checkpoint(raw, path))
-    _, spec, input_size, theta, meta = last
-    return SequenceClassifier(spec, input_size, rng=None, theta=theta.copy()), copy.deepcopy(meta)
+    _, model, meta = last
+    return model, copy.deepcopy(meta)

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -43,6 +44,7 @@ from pendetect.features import (
     dump_csv,
 )
 from pendetect.nn import ModelSpec, SequenceClassifier, load_checkpoint, spec_hash
+from pendetect.nn import model as model_module
 from pendetect.preprocess import (
     LengthPolicy,
     NormalizationStats,
@@ -591,6 +593,50 @@ def test_score_reads_a_checkpoint_rewritten_in_place(tmp_path):
     assert scores[0] != scores[1]
 
 
+def test_warm_scoring_builds_and_decodes_no_model(tmp_path, monkeypatch):
+    ckpt, lines, _ = _score_fixture(tmp_path, "tablet_svc", 30, True)
+    recording = tmp_path / "rec.svc"
+    recording.write_text("\n".join(lines[:200]) + "\n")
+    cold = score_file(ckpt, recording)
+    counts = {"builds": 0, "decodes": 0}
+    init, decode = SequenceClassifier.__init__, model_module._decode_checkpoint
+
+    def counted_init(self, *args, **kwargs):
+        counts["builds"] += 1
+        init(self, *args, **kwargs)
+
+    def counted_decode(*args):
+        counts["decodes"] += 1
+        return decode(*args)
+
+    monkeypatch.setattr(SequenceClassifier, "__init__", counted_init)
+    monkeypatch.setattr(model_module, "_decode_checkpoint", counted_decode)
+    for _ in range(20):
+        assert score_file(ckpt, recording) == cold
+    assert counts == {"builds": 0, "decodes": 0}
+    loaded, meta = load_checkpoint(ckpt)
+    rewritten = SequenceClassifier(loaded.spec, loaded.input_size, np.random.default_rng(3))
+    rewritten.save_checkpoint(ckpt, meta["normalization_ref"], meta["preprocessing"])
+    counts.update(builds=0, decodes=0)
+    assert score_file(ckpt, recording) != cold
+    assert counts == {"builds": 1, "decodes": 1}
+
+
+def test_threads_sharing_one_loaded_model_score_as_sequential_calls(tmp_path):
+    ckpt, lines, _ = _score_fixture(tmp_path, "tablet_svc", 30, True)
+    recordings = []
+    for i in range(8):
+        path = tmp_path / f"rec{i}.svc"
+        path.write_text("\n".join(lines[50 * i : 50 * i + 60 + 10 * i]) + "\n")
+        recordings.append(path)
+    sequential = [score_file(ckpt, path) for path in recordings]
+    assert len(set(sequential)) == len(recordings)
+    assert load_checkpoint(ckpt)[0] is load_checkpoint(ckpt)[0]
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        shared = list(pool.map(lambda path: score_file(ckpt, path), recordings * 4))
+    assert shared == sequential * 4
+
+
 _BAD_PREPROCESSING = {
     "cutoff-list": {"cutoff": [1]},
     "cutoff-string": {"cutoff": "abc"},
@@ -697,7 +743,8 @@ def test_score_refuses_a_probability_the_forward_overflows_to(tmp_path, capsys):
     ckpt, lines, _ = _score_fixture(tmp_path, "tablet_svc", 30, True)
     recording = tmp_path / "rec.svc"
     recording.write_text("\n".join(lines[:200]) + "\n")
-    model, meta = load_checkpoint(ckpt)
+    loaded, meta = load_checkpoint(ckpt)  # read-only: craft the file from a trainable copy
+    model = SequenceClassifier(loaded.spec, loaded.input_size, None, theta=loaded.theta.copy())
     w = model.params()["conv0/W"]
     w[...] = np.where(np.arange(w.size).reshape(w.shape) % 2, 1e308, -1e308)  # finite
     model.save_checkpoint(ckpt, meta["normalization_ref"], meta["preprocessing"])

@@ -426,6 +426,23 @@ def test_dense_sigmoid_forward():
     assert p[1] > p[2] > p[3] > 0.0
 
 
+def test_dense_sigmoid_p_comes_from_its_own_logits(monkeypatch):
+    rng = np.random.default_rng(17)
+    head = DenseSigmoid(4, rng)
+    s = rng.normal(size=(5, 4))
+    expected = head.forward(s)
+    exp = np.exp
+
+    def exp_then_replace_logits(*args, **kwargs):
+        head.logits = -head.logits  # another thread's forward on a shared head
+        return exp(*args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", exp_then_replace_logits)
+    p = head.forward(s)
+    monkeypatch.undo()
+    np.testing.assert_array_equal(p, expected)
+
+
 def test_sigmoid_stable_at_extremes():
     out = sigmoid(np.array([-1000.0, 0.0, 1000.0]))
     np.testing.assert_allclose(out, [0.0, 0.5, 1.0], atol=1e-12)

@@ -303,12 +303,13 @@ def test_repeated_load_decodes_once_per_content(tmp_path, monkeypatch):
 
     monkeypatch.setattr(model_module, "_decode_checkpoint", no_decode)
     hit, _ = load_checkpoint(pa)
-    assert hit is not missed
-    np.testing.assert_array_equal(hit.forward(x), missed.forward(x))
+    assert hit is missed  # the same read-only model, built once
     np.testing.assert_array_equal(hit.forward(x), a.forward(x))
     monkeypatch.setattr(model_module, "_decode_checkpoint", decode)
-    other, _ = load_checkpoint(pb)  # new bytes: a miss
+    other, _ = load_checkpoint(pb)  # new bytes: a miss and a new model
+    assert other is not missed
     np.testing.assert_array_equal(other.forward(x), b.forward(x))
+    np.testing.assert_array_equal(missed.forward(x), a.forward(x))
 
 
 def test_changing_a_load_leaves_the_next_unchanged(tmp_path):
@@ -317,8 +318,10 @@ def test_changing_a_load_leaves_the_next_unchanged(tmp_path):
     model.save_checkpoint(path, normalization_ref="n.tsv",
                           preprocessing={"cutoff": 9, "feature_groups": ["raw"]})
     first, meta = load_checkpoint(path)
-    first.theta += 1.0
-    first.params()["head/b"][...] = 7.0
+    with pytest.raises(ValueError, match="read-only"):
+        first.theta += 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        first.params()["head/b"][...] = 7.0
     meta["preprocessing"]["cutoff"] = 3
     meta["preprocessing"]["feature_groups"].append("kinematic")
     meta["normalization_ref"] = None
@@ -326,6 +329,27 @@ def test_changing_a_load_leaves_the_next_unchanged(tmp_path):
     np.testing.assert_array_equal(second.theta, model.theta)
     assert meta2 == {"normalization_ref": "n.tsv",
                      "preprocessing": {"cutoff": 9, "feature_groups": ["raw"]}}
+
+
+def test_every_block_of_a_loaded_model_refuses_writes(tmp_path):
+    model = SequenceClassifier(ModelSpec.reference(3), 3, np.random.default_rng(26))
+    x = np.random.default_rng(27).normal(size=(2, 40, 3))
+    path = tmp_path / "model.ckpt"
+    model.save_checkpoint(path)
+    loaded, _ = load_checkpoint(path)
+    layers = [*loaded.convs, *loaded.recurrents, loaded.head]
+    blocks = [loaded.theta, *loaded.params().values(),
+              *(block for layer in layers for block in layer.params.values())]
+    assert len(blocks) == 1 + 2 * len(loaded.params())
+    for block in blocks:
+        with pytest.raises(ValueError, match="read-only"):
+            block[...] = 0.0
+    # the recipe for a trainable copy
+    trainable = SequenceClassifier(loaded.spec, loaded.input_size, None,
+                                   theta=loaded.theta.copy())
+    trainable.params()["head/b"][...] += 1.0
+    assert trainable.forward(x)[0] != loaded.forward(x)[0]
+    np.testing.assert_array_equal(loaded.forward(x), model.forward(x))
 
 
 def test_load_failure_is_not_kept(tmp_path):
