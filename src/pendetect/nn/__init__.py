@@ -7,7 +7,7 @@ first use, so building and scoring a model never loads them.
 
 import importlib
 
-from .layers import CELLS, Conv1d, DenseSigmoid, Recurrent, sigmoid
+from .layers import CELLS, Conv1d, DenseSigmoid, Recurrent
 from .model import (
     DECISION_THRESHOLD,
     Conv1dSpec,

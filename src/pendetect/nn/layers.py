@@ -40,14 +40,18 @@ bidirectional) in one loop over t, on a (D, B, H) state:
   direction, each with its own U: a direction's numbers are those of a
   one-direction layer, bit for bit.
 
-X @ W + b is one (T*B, C) product per direction and gate group, before the
-loop; after the backward sweep, each direction's dW, dU, db and dx are one
-product over all T*B rows of its own, back in time order, as is each
-conv tap. Recurrent.forward draws dropout once per minibatch, in train
-mode with a generator: an inverted (T, B, C) input mask, then a (D, B, H)
-recurrent mask, fwd first (all ones otherwise), applied to h wherever it
-enters a U product, never to the (1 - z) * h carry term: variational,
-one mask per sequence and direction.
+Only work that depends on t runs inside the loop over t. X @ W + b is one
+(T*B, C) product per direction and gate group, before the loop, and the
+sigmoid gates' columns of it and of U are halved there once, so a step's
+sigmoid 0.5 * (tanh(a / 2) + 1) starts at its tanh. After the backward
+sweep, each direction's dW, dU, db and dx are one product over all T*B
+rows of its own, back in time order, as is each conv tap.
+Recurrent.forward draws dropout once per minibatch, in train mode with a
+generator: an inverted (T, B, C) input mask, then a (D, B, H) recurrent
+mask, fwd first, applied to h wherever it enters a U product, never to
+the (1 - z) * h carry term: variational, one mask per sequence and
+direction. A mask that is not drawn (eval mode, no generator, a rate of
+0) is None, and nothing is multiplied in its place.
 Train mode keeps what backward needs; eval mode keeps nothing.
 """
 
@@ -63,15 +67,6 @@ CELLS = ("rnn", "lstm", "gru")
 # per gate block, in layout order: 1 where the activation is tanh, 0 for sigmoid
 _TANH_BLOCKS = {"rnn": (1,), "lstm": (0, 0, 1, 0), "gru": (0, 0, 1)}
 GATES = {cell: len(blocks) for cell, blocks in _TANH_BLOCKS.items()}
-
-
-def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Gate sigmoid 0.5 * (tanh(0.5 x) + 1): one ufunc chain, 0 below x ~ -37."""
-    out = np.multiply(x, 0.5, out=out)
-    np.tanh(out, out=out)
-    out += 1.0
-    out *= 0.5
-    return out
 
 
 def glorot_uniform(rng: np.random.Generator, out: np.ndarray, fan_in: int, fan_out: int) -> None:
@@ -188,100 +183,113 @@ class Conv1d(Layer):
 # recurrent sweeps, a forward/backward pair per cell, reading rows t = 0..T-1
 # of arrays held in reading order, with the direction axis ahead of the batch.
 # `acts` holds a (T, D, B, k) buffer per gate group activated at once,
-# X @ W + b on entry and the gates on return. `u` is (D, H, gates*H).
-# Backward scales `dacts`, which arrives holding each gate's activation
-# derivative, in place. `states` (and the LSTM's `cells`) has T + 1 rows:
-# row 0 stays zero and the forward sweep writes step t's state to row t + 1,
-# so `hprev`, the states the sweep read before each step, is `states[:-1]`;
-# `hm` is hprev * rmask.
+# X @ W + b on entry and the gates on return; the rnn's one group is
+# `states[1:]`, so its steps activate in place. `u` is (D, H, gates*H) and
+# `rmask` the (D, B, H) recurrent mask, or None when none was drawn.
+# Forward: the sigmoid blocks' columns (GRU z, r; LSTM i, f, o) arrive
+# halved in `acts` and `u`, so a gate is tanh, then +1 and x0.5 (GRU) or
+# x0.5 and +0.5 (LSTM). Halving is exact unless an unhalved sum would
+# overflow, and wherever a subnormal could round differently the gate is
+# 0.5 either way. `states` (and the LSTM's `cells`) has T + 1 rows: row 0
+# stays zero and step t writes its state into row t + 1.
+# Backward: `u` is not halved. `dacts` arrives holding each gate's
+# activation derivative and is scaled in place. `hprev`, the states the
+# sweep read before each step, is `states[:-1]`, and `hm` is hprev * rmask.
+# Formed once before each loop: the gate and derivative column views, the
+# transposed U, the GRU's c - hprev, the LSTM's 1 - tanh(c)^2 and its
+# [g | c_prev | i] stack, whose product with dc scales the i, f and g
+# derivatives in one multiply.
 
 def _gru_forward(acts, u, rmask, states):
     hidden = states.shape[-1]
     u_zr, u_c = u[..., : 2 * hidden], u[..., 2 * hidden :]
-    h = np.zeros(states.shape[1:])
+    zs, rs = acts[0][..., :hidden], acts[0][..., hidden:]
     for t in range(len(states) - 1):
-        hm = h * rmask
-        zr, c = acts[0][t], acts[1][t]
+        h, zr, c = states[t], acts[0][t], acts[1][t]
+        hm = h if rmask is None else h * rmask
         zr += hm @ u_zr
-        sigmoid(zr, out=zr)
-        c += (zr[..., hidden:] * hm) @ u_c
+        np.tanh(zr, out=zr)
+        zr += 1.0
+        zr *= 0.5
+        c += (rs[t] * hm) @ u_c
         np.tanh(c, out=c)
-        h = h + zr[..., :hidden] * (c - h)
-        states[t + 1] = h
+        np.add(h, zs[t] * (c - h), out=states[t + 1])
 
 
 def _gru_backward(acts, u, rmask, dstates, dacts, hprev, hm, cells):
     hidden = hprev.shape[-1]
-    u_zr, u_c = u[..., : 2 * hidden], u[..., 2 * hidden :]
+    u_zr, u_c = u[..., : 2 * hidden].swapaxes(1, 2), u[..., 2 * hidden :].swapaxes(1, 2)
+    zs, rs = acts[0][..., :hidden], acts[0][..., hidden:]
+    c_minus_h = acts[1] - hprev
+    dz, dr = dacts[..., :hidden], dacts[..., hidden : 2 * hidden]
+    dzr, dc = dacts[..., : 2 * hidden], dacts[..., 2 * hidden :]
     dh = 0.0
     for t in range(hprev.shape[0] - 1, -1, -1):
         dh = dh + dstates[t]
-        z, r = acts[0][t, ..., :hidden], acts[0][t, ..., hidden:]
-        d = dacts[t]
-        dhz = dh * z
-        d[..., 2 * hidden :] *= dhz
-        drhm = d[..., 2 * hidden :] @ u_c.swapaxes(1, 2)
-        d[..., :hidden] *= dh * (acts[1][t] - hprev[t])
-        d[..., hidden : 2 * hidden] *= drhm * hm[t]
-        dhm = drhm * r + d[..., : 2 * hidden] @ u_zr.swapaxes(1, 2)
-        dh = dh - dhz + dhm * rmask
+        dhz = dh * zs[t]
+        dc[t] *= dhz
+        drhm = dc[t] @ u_c
+        dz[t] *= dh * c_minus_h[t]
+        dr[t] *= drhm * hm[t]
+        dhm = drhm * rs[t] + dzr[t] @ u_zr
+        dh = dh - dhz + (dhm if rmask is None else dhm * rmask)
 
 
 def _lstm_forward(acts, u, rmask, states):
     hidden = states.shape[-1]
-    # sigmoid(a) = 0.5 * tanh(0.5 a) + 0.5 on i, f, o and tanh(a) on g: one
-    # chain of four ufuncs over the whole row
     scale = 0.5 + 0.5 * np.repeat(_TANH_BLOCKS["lstm"], hidden)
     shift = 1.0 - scale
-    h = c = np.zeros(states.shape[1:])
+    a = acts[0]
+    i, f, g, o = (a[..., k * hidden : (k + 1) * hidden] for k in range(4))
     cells = np.zeros(states.shape)
     for t in range(len(states) - 1):
-        a = acts[0][t]
-        a += (h * rmask) @ u
-        a *= scale
-        np.tanh(a, out=a)
-        a *= scale
-        a += shift
-        c = a[..., hidden : 2 * hidden] * c + a[..., :hidden] * a[..., 2 * hidden : 3 * hidden]
-        cells[t + 1] = c
-        h = a[..., 3 * hidden :] * np.tanh(c)
-        states[t + 1] = h
+        h, at = states[t], a[t]
+        at += (h if rmask is None else h * rmask) @ u
+        np.tanh(at, out=at)
+        at *= scale
+        at += shift
+        c = np.add(f[t] * cells[t], i[t] * g[t], out=cells[t + 1])
+        np.multiply(o[t], np.tanh(c), out=states[t + 1])
     return cells
 
 
 def _lstm_backward(acts, u, rmask, dstates, dacts, hprev, hm, cells):
     hidden = hprev.shape[-1]
-    tcs, cprev = np.tanh(cells[1:]), cells[:-1]
+    a, u_t = acts[0], u.swapaxes(1, 2)
+    i, f, g, o = (a[..., k * hidden : (k + 1) * hidden] for k in range(4))
+    tcs = np.tanh(cells[1:])
+    dtcs = 1.0 - tcs * tcs
+    gci = np.stack([g, cells[:-1], i], axis=-2)
+    difg = dacts.reshape(*dacts.shape[:-1], 4, hidden)[..., :3, :]
+    do = dacts[..., 3 * hidden :]
     dh, dc = 0.0, 0.0
     for t in range(hprev.shape[0] - 1, -1, -1):
         dh = dh + dstates[t]
-        i, f = acts[0][t, ..., :hidden], acts[0][t, ..., hidden : 2 * hidden]
-        g, o = acts[0][t, ..., 2 * hidden : 3 * hidden], acts[0][t, ..., 3 * hidden :]
-        d, tc = dacts[t], tcs[t]
-        dc = dc + dh * o * (1.0 - tc * tc)
-        d[..., :hidden] *= dc * g
-        d[..., hidden : 2 * hidden] *= dc * cprev[t]
-        d[..., 2 * hidden : 3 * hidden] *= dc * i
-        d[..., 3 * hidden :] *= dh * tc
-        dc = dc * f
-        dh = (d @ u.swapaxes(1, 2)) * rmask
+        dc = dc + dh * o[t] * dtcs[t]
+        difg[t] *= dc[..., None, :] * gci[t]
+        do[t] *= dh * tcs[t]
+        dc = dc * f[t]
+        dh = dacts[t] @ u_t
+        if rmask is not None:
+            dh *= rmask
 
 
 def _rnn_forward(acts, u, rmask, states):
-    h = np.zeros(states.shape[1:])
     for t in range(len(states) - 1):
-        a = acts[0][t]
-        a += (h * rmask) @ u
-        h = np.tanh(a, out=a)
-        states[t + 1] = h
+        h, a = states[t], acts[0][t]
+        a += (h if rmask is None else h * rmask) @ u
+        np.tanh(a, out=a)
 
 
 def _rnn_backward(acts, u, rmask, dstates, dacts, hprev, hm, cells):
+    u_t = u.swapaxes(1, 2)
     dh = 0.0
     for t in range(hprev.shape[0] - 1, -1, -1):
         d = dacts[t]
         d *= dh + dstates[t]
-        dh = (d @ u.swapaxes(1, 2)) * rmask
+        dh = d @ u_t
+        if rmask is not None:
+            dh *= rmask
 
 
 _SWEEPS = {
@@ -344,6 +352,8 @@ class Recurrent(Layer):
         # activates its candidate after r, so it keeps two
         self._groups = ((0, 2), (2, 3)) if cell == "gru" else ((0, GATES[cell]),)
         self._tanh_cols = np.repeat(np.array(_TANH_BLOCKS[cell], dtype=np.float64), hidden_units)
+        # 0.5 on the sigmoid blocks' columns, 1 on the tanh blocks'
+        self._halve = 0.5 + 0.5 * self._tanh_cols
         self._cache = None
 
     @property
@@ -363,24 +373,24 @@ class Recurrent(Layer):
             keep = 1.0 - self.dropout_rate
             in_mask = (rng.random(x.shape) < keep) / keep
             x = x * in_mask
-        rmask = np.ones((n, batch, h))
+        rmask = None
         if draw and self.recurrent_dropout_rate > 0:
             keep = 1.0 - self.recurrent_dropout_rate
             rmask = (rng.random((n, batch, h)) < keep) / keep
-        # X @ W + b per direction and group, packed in reading order
-        rows = x.reshape(-1, c)
-        acts = []
-        for g0, g1 in self._groups:
-            k = slice(g0 * h, g1 * h)
-            group = np.empty((t, n, batch, (g1 - g0) * h))
-            for d, (direction, order) in enumerate(zip(self.directions, _ORDERS)):
-                w, b = self.params[f"{direction}/W"], self.params[f"{direction}/b"]
-                proj = rows @ w[:, k] + b[k]
-                group[:, d] = proj.reshape(t, batch, -1)[order]
-            acts.append(group)
-        u = np.array([self.params[f"{direction}/U"] for direction in self.directions])
         states = np.zeros((t + 1, n, batch, h))
-        cells = _SWEEPS[self.cell][0](acts, u, rmask, states)
+        acts = [states[1:]] if self.cell == "rnn" else [
+            np.empty((t, n, batch, (g1 - g0) * h)) for g0, g1 in self._groups]
+        # X @ W + b per direction and group, sigmoid blocks halved, packed in
+        # reading order
+        rows = x.reshape(-1, c)
+        for d, (direction, order) in enumerate(zip(self.directions, _ORDERS)):
+            w = self.params[f"{direction}/W"] * self._halve
+            b = self.params[f"{direction}/b"] * self._halve
+            for (g0, g1), group in zip(self._groups, acts):
+                k = slice(g0 * h, g1 * h)
+                np.add((rows @ w[:, k]).reshape(t, batch, -1)[order], b[k], out=group[:, d])
+        u = np.array([self.params[f"{direction}/U"] for direction in self.directions])
+        cells = _SWEEPS[self.cell][0](acts, u * self._halve, rmask, states)
         self.steps = t
         self._cache = (x, in_mask, acts, u, rmask, states, cells) if train else None
         return np.concatenate([states[1:][order, d] for d, order in enumerate(_ORDERS[:n])],
@@ -392,13 +402,12 @@ class Recurrent(Layer):
         t, batch, c = x.shape
         h, n, gates = self.hidden, len(self.directions), GATES[self.cell]
         hprev = states[:-1]
-        hm = hprev * rmask
+        hm = hprev if rmask is None else hprev * rmask
         # sigmoid' = (1 - a) * a and tanh' = (1 - a) * (1 + a)
         dacts = np.empty((t, n, batch, gates * h))
         for (g0, g1), a in zip(self._groups, acts):
             k = slice(g0 * h, g1 * h)
-            np.add(a, self._tanh_cols[k], out=dacts[..., k])
-            dacts[..., k] *= 1.0 - a
+            np.multiply(a + self._tanh_cols[k], 1.0 - a, out=dacts[..., k])
         dstates = np.stack([dout[order, :, d * h : (d + 1) * h]
                             for d, order in enumerate(_ORDERS[:n])], axis=1)
         _SWEEPS[self.cell][1](acts, u, rmask, dstates, dacts, hprev, hm, cells)

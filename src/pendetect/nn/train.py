@@ -161,34 +161,37 @@ def train_model(
     best_theta = None
     since_best = 0
 
-    for epoch in range(config.epochs):
-        started = time.perf_counter()
-        order = rng.permutation(n)
-        epoch_total = 0.0
-        for start in range(0, n, config.batch_size):
-            idx = order[start : start + config.batch_size]
-            batch = x[:, idx].transpose(1, 0, 2)
-            loss = train_step(model, batch, y[idx], [ids[i] for i in idx], optimizer, rng)
-            epoch_total += loss * len(idx)
-        result.epoch_losses.append(epoch_total / n)
-        result.wall_clock_epoch_seconds.append(time.perf_counter() - started)
-        result.epochs_run = epoch + 1
+    # what overflows or turns invalid in a step ends as NonFiniteGradient;
+    # numpy's warnings would only repeat it on stderr
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(config.epochs):
+            started = time.perf_counter()
+            order = rng.permutation(n)
+            epoch_total = 0.0
+            for start in range(0, n, config.batch_size):
+                idx = order[start : start + config.batch_size]
+                batch = x[:, idx].transpose(1, 0, 2)
+                loss = train_step(model, batch, y[idx], [ids[i] for i in idx], optimizer, rng)
+                epoch_total += loss * len(idx)
+            result.epoch_losses.append(epoch_total / n)
+            result.wall_clock_epoch_seconds.append(time.perf_counter() - started)
+            result.epochs_run = epoch + 1
 
-        if val is not None:
-            _, logits = predict(model, val[0])
-            val_loss = float(np.mean(bce_loss(logits, val[1])))
-            result.val_losses.append(val_loss)
-            if use_early_stop:
-                if val_loss < best_val:
-                    best_val = val_loss
-                    result.best_epoch = epoch + 1
-                    best_theta = model.theta.copy()
-                    since_best = 0
-                else:
-                    since_best += 1
-                    if since_best >= config.early_stop_patience:
-                        result.stopped_early = True
-                        break
+            if val is not None:
+                _, logits = predict(model, val[0])
+                val_loss = float(np.mean(bce_loss(logits, val[1])))
+                result.val_losses.append(val_loss)
+                if use_early_stop:
+                    if val_loss < best_val:
+                        best_val = val_loss
+                        result.best_epoch = epoch + 1
+                        best_theta = model.theta.copy()
+                        since_best = 0
+                    else:
+                        since_best += 1
+                        if since_best >= config.early_stop_patience:
+                            result.stopped_early = True
+                            break
 
     if use_early_stop and best_theta is not None:
         model.theta[...] = best_theta

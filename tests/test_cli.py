@@ -348,6 +348,31 @@ def test_ablate_writes_grid(tmp_path):
     assert (tmp_path / "o" / "ablation.txt").exists()
 
 
+def test_ablate_is_deterministic_across_blas_threads(tmp_path):
+    # ablate is the one command that trains LSTM and RNN cells: at one and two
+    # OpenBLAS threads its grid must keep every bit
+    cfg = _write_config(
+        tmp_path / "c.json",
+        source={"kind": "synthetic", "n_per_class": 3, "length_range": [30, 45],
+                "class_separation": 1.0},
+        train={"epochs": 1, "early_stop_patience": None},
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    grids = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = tmp_path / threads
+        subprocess.run(
+            [sys.executable, "-m", "pendetect.cli", "ablate", "--config", str(cfg),
+             "--out", str(out)],
+            env=env, check=True, capture_output=True, timeout=300,
+        )
+        doc = strip_wall_clock(json.loads((out / "ablation.json").read_text()))
+        grids.append(json.dumps(doc, sort_keys=True))
+    assert grids[0] == grids[1]
+
+
 def test_score_replays_training_preprocessing(tmp_path):
     data = tmp_path / "data"
     main(["synth", "--out", str(data), "--n-per-class", "4",
@@ -821,6 +846,26 @@ def test_exit_code_training_failure(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("pendetect.evaluation.run_experiment", boom)
     assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
     assert "training failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_a_diverging_run_is_a_training_failure_and_prints_no_warning(tmp_path, capsys,
+                                                                     command):
+    # a learning rate of 1e300 overflows the conv products after the first
+    # step: the run ends as a non-finite gradient, with no numpy warning
+    cfg = _write_config(
+        tmp_path / "c.json",
+        source={"kind": "synthetic", "n_per_class": 3, "length_range": [30, 45],
+                "class_separation": 1.0},
+        train={"epochs": 2, "early_stop_patience": None, "learning_rate": 1e300},
+    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("training failure: non-finite gradient"), err
+    assert [str(w.message) for w in caught] == []
 
 
 @pytest.mark.parametrize(

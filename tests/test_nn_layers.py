@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pendetect.errors import DimensionMismatch, InputTooShort
-from pendetect.nn.layers import Conv1d, DenseSigmoid, Recurrent, orthogonal, sigmoid
+from pendetect.nn.layers import Conv1d, DenseSigmoid, Recurrent, _gru_forward, orthogonal
+
+from reference_recurrent import ReferenceRecurrent
 
 
 def _one_direction(cell, params):
@@ -235,6 +237,41 @@ def test_hidden_state_bounded(seed, cell):
     assert np.isfinite(h).all()
 
 
+@given(
+    cell=st.sampled_from(["rnn", "lstm", "gru"]),
+    bidirectional=st.booleans(),
+    dropout=st.booleans(),
+    batch=st.integers(1, 5),
+    steps=st.integers(1, 12),
+    hidden=st.sampled_from([1, 4, 17]),
+    weight_scale=st.sampled_from([1.0, 0.0, 1e-310, 30.0]),
+    seed=st.integers(0, 10_000),
+)
+@settings(max_examples=300, deadline=None)
+def test_sweeps_equal_the_reference_bit_for_bit(cell, bidirectional, dropout, batch, steps,
+                                                hidden, weight_scale, seed):
+    # the loops over t do only step-dependent work; the reference keeps the
+    # loops as they were, and every output, gradient block and dx must keep
+    # its bytes, also where weights are zero, subnormal or saturate the gates
+    rates = (0.3, 0.4) if dropout else (0.0, 0.0)
+    layers = [cls(cell, 3, hidden, bidirectional, *rates, np.random.default_rng(seed))
+              for cls in (Recurrent, ReferenceRecurrent)]
+    for layer in layers:
+        for block in layer.params.values():
+            block *= weight_scale
+    data = np.random.default_rng(seed + 1)
+    x = data.normal(size=(steps, batch, 3))
+    g = data.normal(size=(steps, batch, layers[0].output_size))
+    outs = [layer.forward(x) for layer in layers]
+    assert outs[0].tobytes() == outs[1].tobytes()
+    outs = [layer.forward(x, train=True, rng=np.random.default_rng(seed)) for layer in layers]
+    assert outs[0].tobytes() == outs[1].tobytes()
+    dxs = [layer.backward(g) for layer in layers]
+    assert dxs[0].tobytes() == dxs[1].tobytes()
+    for key in layers[0].grads:
+        assert layers[0].grads[key].tobytes() == layers[1].grads[key].tobytes(), key
+
+
 def test_cell_dimension_mismatch():
     rng = np.random.default_rng(0)
     layer = Recurrent("gru", 3, 4, False, 0.0, 0.0, rng)
@@ -443,10 +480,13 @@ def test_dense_sigmoid_p_comes_from_its_own_logits(monkeypatch):
     np.testing.assert_array_equal(p, expected)
 
 
-def test_sigmoid_stable_at_extremes():
-    out = sigmoid(np.array([-1000.0, 0.0, 1000.0]))
-    np.testing.assert_allclose(out, [0.0, 0.5, 1.0], atol=1e-12)
-    assert np.isfinite(out).all()
+def test_gru_sweep_gates_are_exact_at_extremes():
+    # z and r at pre-activations -1000, 0 and 1000, which the sweep takes
+    # halved: the tanh-form sigmoid gives exactly 0, 0.5 and 1
+    pre = np.array([-1000.0, 0.0, 1000.0] * 2)
+    acts = [(0.5 * pre).reshape(1, 1, 1, 6), np.zeros((1, 1, 1, 3))]
+    _gru_forward(acts, np.zeros((1, 3, 9)), None, np.zeros((2, 1, 1, 3)))
+    np.testing.assert_array_equal(acts[0].ravel(), [0.0, 0.5, 1.0] * 2)
 
 
 def test_orthogonal_init_is_orthogonal_and_deterministic():
