@@ -5,7 +5,8 @@ dumps feature matrices as CSV, ``train`` runs one evaluation protocol
 end to end, ``ablate`` runs the cell-by-convolution grid, and ``score``
 applies a saved checkpoint to a single recording.
 
-Experiments are driven by a JSON config file (see CONFIG_FIELDS).
+Experiments are driven by a JSON config file (see CONFIG_FIELDS, whose
+"train" and "split" rows are the ones TrainConfig and SplitPlan declare).
 A handful of settings can be overridden without editing the file, with
 flag beating environment variable beating file: ``--seed`` /
 PENDETECT_SEED, ``--out`` / PENDETECT_OUT, and PENDETECT_EPOCHS.
@@ -48,6 +49,7 @@ from .features import (
     dump_csv,
 )
 from .nn import CELLS, DECISION_THRESHOLD, ModelSpec, TrainConfig, load_checkpoint
+from .nn.fields import Field, checked, declared
 from .nn.model import SplitPlan
 from .preprocess import LengthPolicy, apply_normalization, fit_length, load_stats, save_stats
 from .signal_io import (
@@ -66,35 +68,6 @@ from .signal_io import (
 
 PRESETS = {"synthetic-quick": "synthetic_quick.json"}
 
-_REQUIRED = object()
-_BAD = object()
-
-
-@dataclass(frozen=True)
-class Field:
-    """One JSON field: its dotted key path, type, default and allowed values.
-
-    `type` is int, float (an integer is taken as a float), bool, str, dict
-    (kept as given) or list; a bool is never a number. `allowed` is an
-    interval such as "[0, 1)" or a vocabulary; a list's items have type
-    `item` and must each be allowed. A list is non-empty, with `pair`
-    ("<" or "<=") two items in that order, and is checked into a tuple.
-    `null` lets JSON null through; a row with `kind` exists only where its
-    block's "kind" has that value. A default is in checked form.
-    """
-
-    path: str
-    type: type
-    default: object = _REQUIRED
-    allowed: str | tuple[str, ...] = ""
-    item: type | None = None
-    pair: str = ""
-    null: bool = False
-    kind: str = ""
-
-
-_TRAIN = TrainConfig()
-
 CONFIG_FIELDS = (
     Field("seed", int, allowed="[0, inf)"),
     Field("source.kind", str, allowed=("manifest", "synthetic")),
@@ -111,19 +84,9 @@ CONFIG_FIELDS = (
     Field("model.spec", dict, None),
     Field("model.cell", str, "gru", CELLS),
     Field("model.with_conv", bool, True),
-    Field("train.learning_rate", float, _TRAIN.learning_rate, "[0, inf)"),
-    Field("train.batch_size", int, _TRAIN.batch_size, "[1, inf)"),
-    Field("train.epochs", int, _TRAIN.epochs, "[1, inf)"),
-    Field("train.adam_beta1", float, _TRAIN.adam_beta1, "[0, 1)"),
-    Field("train.adam_beta2", float, _TRAIN.adam_beta2, "[0, 1)"),
-    Field("train.adam_eps", float, _TRAIN.adam_eps, "(0, inf)"),
-    Field("train.early_stop_patience", int, _TRAIN.early_stop_patience, "[1, inf)", null=True),
-    Field("split.kind", str, "kfold", ("kfold", "holdout")),
-    Field("split.k", int, 10, "[2, inf)", kind="kfold"),
-    Field("split.train_frac", float, allowed="[0, 1]", kind="holdout"),
-    Field("split.val_frac", float, allowed="[0, 1]", kind="holdout"),
-    Field("split.test_frac", float, allowed="[0, 1]", kind="holdout"),
-    Field("split.n_runs", int, allowed="[1, inf)", kind="holdout"),
+    # the dataclasses' rows, less their "seed": the top-level one seeds both
+    *(f for f in declared(TrainConfig, "train.") + declared(SplitPlan, "split.")
+      if not f.path.endswith(".seed")),
     Field("out_dir", str, "pendetect-out"),
     Field("cutoff_scope", str, preprocess.DEFAULT_CUTOFF_SCOPE, preprocess.CUTOFF_SCOPES),
     Field("normalize", bool, preprocess.DEFAULT_NORMALIZE),
@@ -139,85 +102,6 @@ PREPROCESSING_FIELDS = (
     Field("preprocessing.format", str, "tablet_svc", MANIFEST_FORMATS),
     Field("preprocessing.sample_rate_hz", float, None, "(0, inf)", null=True),
 )
-
-_TYPE_NAMES = {int: "an integer", float: "a number", bool: "true or false", str: "a string",
-               dict: "a JSON object"}
-
-
-def _item(v, type_: type, allowed):
-    """`v` as `type_` if it is one and is allowed, else _BAD."""
-    if type_ is float and type(v) is int and abs(v) <= sys.float_info.max:
-        v = float(v)
-    if type(v) is not type_ or (isinstance(allowed, tuple) and v not in allowed):
-        return _BAD
-    if isinstance(allowed, str) and allowed:
-        lo, hi = map(float, allowed[1:-1].split(","))
-        above = lo <= v if allowed[0] == "[" else lo < v
-        if not (above and (v <= hi if allowed[-1] == "]" else v < hi)):
-            return _BAD
-    return v
-
-
-def _describe(f: Field) -> str:
-    what = _TYPE_NAMES[f.item or f.type]
-    if isinstance(f.allowed, tuple):
-        what = f"one of {', '.join(f.allowed)}"
-    elif f.allowed:
-        what += f" in {f.allowed}"
-    if f.pair:
-        what = f"a pair [low, high] with low {f.pair} high, each {what}"
-    elif f.type is list:
-        what = f"a non-empty list, each item {what}"
-    return what + (" or null" if f.null else "")
-
-
-def _value(f: Field, value, fault):
-    if value is None and f.null:
-        return None
-    if f.type is not list:
-        checked = _item(value, f.type, f.allowed)
-    elif type(value) is list and value and not (f.pair and len(value) != 2):
-        checked = tuple(_item(v, f.item, f.allowed) for v in value)
-        lo, hi = checked[0], checked[-1]
-        if _BAD in checked or (f.pair == "<" and lo >= hi) or (f.pair == "<=" and lo > hi):
-            checked = _BAD
-    else:
-        checked = _BAD
-    if checked is _BAD:
-        raise fault(f"{f.path} must be {_describe(f)}, got {json.dumps(value)}")
-    return checked
-
-
-def _checked(doc, path: str, fields: tuple[Field, ...], fault, overrides=None) -> dict:
-    """The JSON object `doc` at key path `path` checked against the rows
-    of `fields` under it, nested blocks included: every key known, every
-    value allowed, absent keys at their defaults. `overrides` maps a row's
-    path to a value, checked too, that replaces the document's. A fault
-    is `fault(message)`, and the message starts with the key path."""
-    if type(doc) is not dict:
-        raise fault(f"{path or 'config'} must be a JSON object, got {json.dumps(doc)}")
-    overrides = overrides or {}
-    prefix = f"{path}." if path else ""
-    out: dict = {}
-    for f in fields:
-        key, _, rest = f.path.removeprefix(prefix).partition(".")
-        if not f.path.startswith(prefix) or (f.kind and not rest and f.kind != out.get("kind")):
-            continue
-        if rest:
-            if key not in out:
-                out[key] = _checked(doc.get(key, {}), prefix + key, fields, fault, overrides)
-        elif key in doc or f.path in overrides:
-            out[key] = _value(f, doc[key], fault) if key in doc else None
-            if f.path in overrides:
-                out[key] = _value(f, overrides[f.path], fault)
-        elif f.default is _REQUIRED:
-            raise fault(f"{f.path} is required")
-        else:
-            out[key] = f.default
-    unknown = sorted(set(doc) - set(out))
-    if unknown:
-        raise fault(f"{prefix}{unknown[0]} is not a known key; known: {', '.join(out)}")
-    return out
 
 
 @dataclass
@@ -246,8 +130,9 @@ def _env_int(env, name: str) -> int:
 
 
 def _built(path: str, build, *args, **kwargs):
-    """build(*args, **kwargs), for the cross-field rules CONFIG_FIELDS
-    cannot state (a spec's conv chain, holdout fractions summing to 1)."""
+    """build(*args, **kwargs), for what CONFIG_FIELDS does not hold: a
+    spec's layer fields, which its dataclasses check, and the cross-field
+    rules (a spec's conv chain, holdout fractions summing to 1)."""
     try:
         return build(*args, **kwargs)
     except (KeyError, TypeError, ValueError) as exc:
@@ -281,7 +166,7 @@ def load_config(
                        ("out_dir", out_override)):
         if value is not None:
             overrides[key] = value
-    cfg = _checked(raw, "", CONFIG_FIELDS, ConfigError, overrides)
+    cfg = checked(raw, "", CONFIG_FIELDS, ConfigError, overrides)
 
     seed, source, model = cfg["seed"], cfg["source"], cfg["model"]
     spec = model["spec"]
@@ -430,7 +315,7 @@ def cmd_train(args) -> int:
         norm_ref = "normalization.tsv"
         save_stats(artifacts["stats"], out / norm_ref)
     # checked against the rows that score_file reads it with
-    preprocessing = _checked(
+    preprocessing = checked(
         {
             "cutoff": artifacts["policy"].cutoff,
             "feature_groups": list(config.features.groups),
@@ -478,7 +363,7 @@ def _replayed_preprocessing(meta: dict, checkpoint: str | Path) -> dict:
     def fault(message: str) -> ParseError:
         return ParseError(f"malformed checkpoint: {message}", path=str(checkpoint))
 
-    return _checked(meta["preprocessing"] or {}, "preprocessing", PREPROCESSING_FIELDS, fault)
+    return checked(meta["preprocessing"] or {}, "preprocessing", PREPROCESSING_FIELDS, fault)
 
 
 def score_file(checkpoint: str | Path, input_path: str | Path) -> float:

@@ -479,8 +479,12 @@ def _run_fold(
         raise
     train_seconds = time.perf_counter() - t0
 
-    # one scoring pass over the whole fold, train, val and test rows alike
-    probs, _ = predict(model, fold.x)
+    # one scoring pass over the whole fold, train, val and test rows alike;
+    # a last update can leave finite parameters whose forward overflows
+    with np.errstate(over="ignore", invalid="ignore"):
+        probs, _ = predict(model, fold.x)
+    if not np.isfinite(probs).all():
+        raise TrainingError(f"fold {fold.index}: the trained model scores a non-finite probability")
     samples = [
         {
             "subject_id": matrices[i].subject_id,

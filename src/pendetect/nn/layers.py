@@ -53,6 +53,9 @@ the (1 - z) * h carry term: variational, one mask per sequence and
 direction. A mask that is not drawn (eval mode, no generator, a rate of
 0) is None, and nothing is multiplied in its place.
 Train mode keeps what backward needs; eval mode keeps nothing.
+
+A layer's constructor takes its settings as a checked Conv1dSpec or
+RecurrentSpec holds them, and does not check them again.
 """
 
 from __future__ import annotations
@@ -122,10 +125,6 @@ class Conv1d(Layer):
         return {"W": (kernel, in_channels, out_channels), "b": (out_channels,)}
 
     def __init__(self, in_channels, out_channels, kernel, stride, activation, rng, flat=None):
-        if kernel < 1 or stride < 1:
-            raise ValueError("kernel and stride must be >= 1")
-        if activation not in ("relu", "none"):
-            raise ValueError(f"unknown activation {activation!r}")
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel = kernel
@@ -330,12 +329,6 @@ class Recurrent(Layer):
 
     def __init__(self, cell, input_size, hidden_units, bidirectional,
                  dropout_rate, recurrent_dropout_rate, rng, flat=None):
-        if cell not in CELLS:
-            raise ValueError(f"cell must be one of {CELLS}, got {cell!r}")
-        if hidden_units < 1:
-            raise ValueError("hidden_units must be >= 1")
-        if not (0 <= dropout_rate < 1 and 0 <= recurrent_dropout_rate < 1):
-            raise ValueError("dropout rates must be in [0, 1)")
         self.cell = cell
         self.input_size = input_size
         self.hidden = hidden_units

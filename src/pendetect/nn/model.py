@@ -10,6 +10,10 @@ second recurrent layer carries input dropout 0.1 (the conventional
 dropout sitting between the two BiGRUs) and recurrent dropout 0.1; the
 first carries none.
 
+Each field of the layer specs, TrainConfig and SplitPlan declares its type,
+default and allowed values once (see `fields`): construction checks them,
+raising ValueError, and the CLI's config table reuses the declarations.
+
 The classifier owns one contiguous float64 parameter vector ``theta``
 and one gradient vector ``grad`` of the same length. Every parameter
 block a layer, optimizer or checkpoint sees is a named view into them
@@ -36,6 +40,7 @@ import numpy as np
 
 from ..errors import DimensionMismatch, InputTooShort, ParseError, SpecMismatch
 from ..errors import read_bytes, write_text
+from .fields import Field, check, check_value, declared, setting
 from .layers import CELLS, GATES, Conv1d, DenseSigmoid, Recurrent
 
 CHECKPOINT_VERSION = "pendetect-checkpoint v1"
@@ -44,52 +49,28 @@ CHECKPOINT_VERSION = "pendetect-checkpoint v1"
 DECISION_THRESHOLD = 0.5
 
 
-def _require(spec, what: str, names: tuple[str, ...]) -> None:
-    """TypeError unless each field in `names` of `spec` is `what`: "an
-    integer", "a number" or "a bool". A bool is never a number."""
-    types = {"an integer": int, "a number": (int, float), "a bool": bool}[what]
-    for name in names:
-        value = getattr(spec, name)
-        if not isinstance(value, types) or (what != "a bool" and isinstance(value, bool)):
-            raise TypeError(f"{name} must be {what}, got {value!r}")
-
-
 @dataclass(frozen=True)
 class Conv1dSpec:
-    in_channels: int
-    out_channels: int
-    kernel: int
-    stride: int
-    activation: str = "relu"
+    in_channels: int = setting(int, "[1, inf)")
+    out_channels: int = setting(int, "[1, inf)")
+    kernel: int = setting(int, "[1, inf)")
+    stride: int = setting(int, "[1, inf)")
+    activation: str = setting(str, ("relu", "none"), "relu")
 
     def __post_init__(self):
-        _require(self, "an integer", ("in_channels", "out_channels", "kernel", "stride"))
-        if self.kernel < 1 or self.stride < 1:
-            raise ValueError("kernel and stride must be >= 1")
-        if self.in_channels < 1 or self.out_channels < 1:
-            raise ValueError("channel counts must be >= 1")
-        if self.activation not in ("relu", "none"):
-            raise ValueError(f"activation must be 'relu' or 'none', got {self.activation!r}")
+        check(self)
 
 
 @dataclass(frozen=True)
 class RecurrentSpec:
-    cell: str
-    hidden_units: int
-    bidirectional: bool = True
-    dropout_rate: float = 0.0
-    recurrent_dropout_rate: float = 0.0
+    cell: str = setting(str, CELLS)
+    hidden_units: int = setting(int, "[1, inf)")
+    bidirectional: bool = setting(bool, default=True)
+    dropout_rate: float = setting(float, "[0, 1)", 0.0)
+    recurrent_dropout_rate: float = setting(float, "[0, 1)", 0.0)
 
     def __post_init__(self):
-        _require(self, "an integer", ("hidden_units",))
-        _require(self, "a bool", ("bidirectional",))
-        _require(self, "a number", ("dropout_rate", "recurrent_dropout_rate"))
-        if self.cell not in CELLS:
-            raise ValueError(f"cell must be one of {CELLS}, got {self.cell!r}")
-        if self.hidden_units < 1:
-            raise ValueError("hidden_units must be >= 1")
-        if not (0 <= self.dropout_rate < 1 and 0 <= self.recurrent_dropout_rate < 1):
-            raise ValueError("dropout rates must be in [0, 1)")
+        check(self)
 
 
 @dataclass(frozen=True)
@@ -141,24 +122,17 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    learning_rate: float = 0.001
-    batch_size: int = 16
-    epochs: int = 100
-    seed: int = 0
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
-    early_stop_patience: int | None = 10
+    learning_rate: float = setting(float, "[0, inf)", 0.001)
+    batch_size: int = setting(int, "[1, inf)", 16)
+    epochs: int = setting(int, "[1, inf)", 100)
+    seed: int = setting(int, "[0, inf)", 0)
+    adam_beta1: float = setting(float, "[0, 1)", 0.9)
+    adam_beta2: float = setting(float, "[0, 1)", 0.999)
+    adam_eps: float = setting(float, "(0, inf)", 1e-8)
+    early_stop_patience: int | None = setting(int, "[1, inf)", 10, null=True)
 
     def __post_init__(self):
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be >= 0")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.early_stop_patience is not None and self.early_stop_patience < 1:
-            raise ValueError("early_stop_patience must be >= 1 or None")
+        check(self)
 
 
 @dataclass(frozen=True)
@@ -168,28 +142,19 @@ class SplitPlan:
     Splits are always stratified by label and grouped by subject.
     """
 
-    kind: str
-    seed: int
-    k: int | None = None
-    train_frac: float | None = None
-    val_frac: float | None = None
-    test_frac: float | None = None
-    n_runs: int | None = None
+    kind: str = setting(str, ("kfold", "holdout"), config="kfold")
+    seed: int = setting(int, "[0, inf)")
+    k: int | None = setting(int, "[2, inf)", None, kind="kfold", config=10)
+    train_frac: float | None = setting(float, "[0, 1]", None, kind="holdout")
+    val_frac: float | None = setting(float, "[0, 1]", None, kind="holdout")
+    test_frac: float | None = setting(float, "[0, 1]", None, kind="holdout")
+    n_runs: int | None = setting(int, "[1, inf)", None, kind="holdout")
 
     def __post_init__(self):
-        if self.kind == "kfold":
-            if self.k is None or self.k < 2:
-                raise ValueError("kfold needs k >= 2")
-        elif self.kind == "holdout":
-            fracs = (self.train_frac, self.val_frac, self.test_frac)
-            if any(f is None or f < 0 for f in fracs):
-                raise ValueError("holdout needs three non-negative fractions")
-            if abs(sum(fracs) - 1.0) > 1e-9:
-                raise ValueError(f"holdout fractions {fracs} must sum to 1")
-            if self.n_runs is None or self.n_runs < 1:
-                raise ValueError("holdout needs n_runs >= 1")
-        else:
-            raise ValueError(f"unknown split kind {self.kind!r}")
+        check(self)
+        fracs = (self.train_frac, self.val_frac, self.test_frac)
+        if self.kind == "holdout" and abs(sum(fracs) - 1.0) > 1e-9:
+            raise ValueError(f"holdout fractions {fracs} must sum to 1")
 
     @classmethod
     def kfold(cls, k: int, seed: int) -> "SplitPlan":
@@ -214,17 +179,9 @@ class SplitPlan:
         )
 
     def to_dict(self) -> dict:
-        doc = {"kind": self.kind, "seed": self.seed, "stratified": True}
-        if self.kind == "kfold":
-            doc["k"] = self.k
-        else:
-            doc.update(
-                train_frac=self.train_frac,
-                val_frac=self.val_frac,
-                test_frac=self.test_frac,
-                n_runs=self.n_runs,
-            )
-        return doc
+        """The fields the plan's kind uses, and "stratified": true."""
+        kept = (f.path for f in declared(SplitPlan) if f.kind in ("", self.kind))
+        return {"stratified": True, **{name: getattr(self, name) for name in kept}}
 
 
 def spec_hash(spec: ModelSpec, input_size: int) -> str:
@@ -447,10 +404,8 @@ def _decode_checkpoint(raw: bytes, path: str | Path) -> tuple[SequenceClassifier
         raise SpecMismatch(f"unknown checkpoint format {doc.get('format')!r}", path=where)
     try:
         spec = ModelSpec.from_dict(doc["spec"])
-        input_size = doc["input_size"]
-        if not isinstance(input_size, int) or isinstance(input_size, bool) or input_size < 1:
-            raise ParseError(f"input_size must be an integer >= 1, got {input_size!r}",
-                             path=where)
+        row = Field("input_size", int, allowed="[1, inf)")
+        input_size = check_value(row, doc["input_size"], ValueError)
         if spec_hash(spec, input_size) != doc["spec_sha256"]:
             raise SpecMismatch("spec hash does not match the stored spec", path=where)
         # a zero model of the spec: its views give the block names, shapes and

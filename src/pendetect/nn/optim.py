@@ -5,6 +5,7 @@ place from the matching flat gradient vector. Both moment estimates are
 vectors of the same length; they are public so tests can inspect them.
 A step updates them, and ``theta``, in place through two preallocated
 work vectors, in the same operation order as the textbook formulas.
+Its rates come from a TrainConfig, which checks them.
 """
 
 from __future__ import annotations
@@ -15,8 +16,6 @@ import numpy as np
 class Adam:
     def __init__(self, theta: np.ndarray, learning_rate=0.001,
                  beta1=0.9, beta2=0.999, eps=1e-8):
-        if learning_rate < 0:
-            raise ValueError("learning_rate must be >= 0")
         self.theta = theta
         self.lr = learning_rate
         self.beta1 = beta1

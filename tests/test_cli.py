@@ -43,7 +43,15 @@ from pendetect.features import (
     assemble_features,
     dump_csv,
 )
-from pendetect.nn import ModelSpec, SequenceClassifier, load_checkpoint, spec_hash
+from pendetect.nn import (
+    Conv1dSpec,
+    ModelSpec,
+    RecurrentSpec,
+    SequenceClassifier,
+    load_checkpoint,
+    spec_hash,
+)
+from pendetect.nn.fields import declared
 from pendetect.nn import model as model_module
 from pendetect.preprocess import (
     LengthPolicy,
@@ -371,6 +379,24 @@ def test_ablate_is_deterministic_across_blas_threads(tmp_path):
         doc = strip_wall_clock(json.loads((out / "ablation.json").read_text()))
         grids.append(json.dumps(doc, sort_keys=True))
     assert grids[0] == grids[1]
+
+
+def test_score_is_deterministic_across_blas_threads(tmp_path):
+    # the printed line, and p to the last bit, at one and two OpenBLAS threads
+    ckpt, _, _ = _score_fixture(tmp_path, "tablet_svc", 60, True)
+    recording = str(tmp_path / "full.svc")
+    hex_p = "import sys; from pendetect.cli import score_file; print(score_file(*sys.argv[1:]).hex())"
+    commands = (["-m", "pendetect.cli", "score", "--checkpoint", str(ckpt), "--input", recording],
+                ["-c", hex_p, str(ckpt), recording])
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        runs.append([subprocess.run([sys.executable, *argv], env=env, check=True, text=True,
+                                    capture_output=True, timeout=300).stdout
+                     for argv in commands])
+    assert runs[0] == runs[1]
 
 
 def test_score_replays_training_preprocessing(tmp_path):
@@ -1344,6 +1370,107 @@ def test_features_on_a_mutated_config_or_manifest_runs_or_names_the_file(
         assert code == 2 and err.startswith("data error: ")
         assert str(manifest) in err or f"data error: {work}{os.sep}" in err or \
             err.startswith("data error: recording ("), err
+
+
+
+# ---------------------------------------------------------------------------
+# train and ablate on mutated numbers
+
+_TINY = {
+    "seed": 1,
+    "source": {"kind": "synthetic", "n_per_class": 2, "length_range": [16, 20],
+               "class_separation": 1.0},
+    "features": {"groups": ["pressure"]},
+    "model": {"spec": ModelSpec(
+        conv_layers=(Conv1dSpec(2, 3, kernel=3, stride=2),),
+        recurrent_layers=(RecurrentSpec("gru", 3, dropout_rate=0.1, recurrent_dropout_rate=0.1),),
+    ).to_dict()},
+    "train": {"epochs": 1, "early_stop_patience": None},
+    "clip_pcts": [5.0, 90.0],
+}
+_TINY_SPLITS = {
+    "kfold": {"kind": "kfold", "k": 2},
+    "holdout": {"kind": "holdout", "train_frac": 0.5, "val_frac": 0.0, "test_frac": 0.5,
+                "n_runs": 1},
+}
+# rows that size no array, so a huge integer is only a number to them
+_HUGE_OK = {"seed", "train.batch_size", "train.early_stop_patience", "split.k"}
+
+
+def _fuzz_values(field) -> list:
+    """0, 1e-320, 1e300, -0.0 and the finite ends of the row's interval; huge
+    integers where they size nothing, and elsewhere no integer above 64."""
+    values = [0, 1e-320, 1e300, -0.0]
+    if isinstance(field.allowed, str) and field.allowed:
+        ends = (float(e) for e in field.allowed[1:-1].split(","))
+        values += [(field.item or field.type)(e) for e in ends if e != math.inf]
+    if field.path in _HUGE_OK:
+        return values + [2**64, 10**30]
+    return [v for v in values if not (type(v) is int and v > 64)]
+
+
+def _fuzz_targets(split: str) -> list:
+    """(key path in the tiny config, row) for each number the tiny config
+    with `split` holds or can hold, model.spec's layer fields included."""
+    targets = []
+    for f in CONFIG_FIELDS:
+        if f.kind in ("", "synthetic", split) and (f.item or f.type) in (int, float):
+            keys = tuple(f.path.split("."))
+            targets += [(keys + (i,), f) for i in (0, 1)] if f.type is list else [(keys, f)]
+    for layers, cls in (("conv_layers", Conv1dSpec), ("recurrent_layers", RecurrentSpec)):
+        targets += [(("model", "spec", layers, 0, f.path), f) for f in declared(cls)
+                    if f.type in (int, float)]
+    return targets
+
+
+_MUTATIONS = {split: [(keys, v) for keys, f in _fuzz_targets(split) for v in _fuzz_values(f)]
+              for split in _TINY_SPLITS}
+_EXIT_PREFIXES = {1: ("config error: ",), 2: ("data error: ", "error: "),
+                  3: ("training failure: ",)}
+
+
+@given(command=st.sampled_from(["train", "ablate"]), split=st.sampled_from(sorted(_TINY_SPLITS)),
+       data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_train_and_ablate_on_mutated_numbers_run_or_fail_as_documented(
+    tmp_path_factory, command, split, data
+):
+    doc = copy.deepcopy({**_TINY, "split": _TINY_SPLITS[split]})
+    for keys, value in data.draw(st.lists(st.sampled_from(_MUTATIONS[split]), min_size=1,
+                                          max_size=3)):
+        block = doc
+        for key in keys[:-1]:
+            block = block[key]
+        block[keys[-1]] = value
+    work = tmp_path_factory.mktemp("fuzz")
+    (work / "c.json").write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([command, "--config", str(work / "c.json"), "--out", str(work / "out")])
+    out, err = out.getvalue(), err.getvalue()
+    assert caught == []
+    assert "nan" not in out.lower()
+    if code == 0:
+        assert err == ""
+    else:
+        assert err.startswith(_EXIT_PREFIXES[code]) and err.count("\n") == 1, err
+
+
+def test_a_model_that_scores_nan_after_its_last_update_is_a_training_failure(tmp_path, capsys):
+    # with no validation part, nothing runs the model between the last
+    # update and the fold's scoring pass, and at a learning rate of 1e300
+    # some cell of the grid then scores nan
+    doc = {**_TINY, "split": _TINY_SPLITS["holdout"],
+           "train": {"epochs": 1, "early_stop_patience": None, "learning_rate": 1e300}}
+    (tmp_path / "c.json").write_text(json.dumps(doc))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["ablate", "--config", str(tmp_path / "c.json"), "--out", str(tmp_path / "o")])
+    assert code == 3 and caught == []
+    assert capsys.readouterr().err == \
+        "training failure: fold 0: the trained model scores a non-finite probability\n"
 
 
 def _readme() -> str:
