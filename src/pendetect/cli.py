@@ -48,10 +48,10 @@ from .features import (
     assemble_features,
     dump_csv,
 )
-from .nn import CELLS, DECISION_THRESHOLD, ModelSpec, TrainConfig, load_checkpoint
+from .nn import CELLS, DECISION_THRESHOLD, ModelSpec, TrainConfig, load_checkpoint, predict
 from .nn.fields import Field, checked, declared
 from .nn.model import SplitPlan
-from .preprocess import LengthPolicy, apply_normalization, fit_length, load_stats, save_stats
+from .preprocess import LengthPolicy, load_stats, prepare, save_stats
 from .signal_io import (
     MANIFEST_FORMATS,
     MAX_SYNTHETIC_LENGTH,
@@ -368,7 +368,9 @@ def _replayed_preprocessing(meta: dict, checkpoint: str | Path) -> dict:
 
 def score_file(checkpoint: str | Path, input_path: str | Path) -> float:
     """Score one recording, replaying the checkpoint's training-time
-    preprocessing (feature groups, normalization statistics, cutoff).
+    preprocessing (feature groups, normalization statistics, cutoff). It is
+    prepared and scored as a fold's row is (`preprocess.prepare`, then
+    `nn.predict`), so p is the report's p for it, bit for bit.
 
     The whole recording is parsed and validated, but features are derived
     only for its first ``cutoff`` rows (at least MIN_LENGTH), the rows the
@@ -399,24 +401,21 @@ def score_file(checkpoint: str | Path, input_path: str | Path) -> float:
         fm = assemble_features(seq, selection)
     except (ShapeError, DataError) as exc:
         raise DataError(str(exc), path=str(input_path)) from exc
-    ref = meta["normalization_ref"]
+    ref, stats = meta["normalization_ref"], None
     if ref:
         try:
             stats = load_stats(Path(checkpoint).parent / ref)
         except (IoError, ParseError) as exc:
             raise ParseError(f"normalization_ref {ref!r}: {exc}", path=str(checkpoint)) from exc
-        try:
-            fm = apply_normalization(fm, stats)
-        except (ShapeError, DataError) as exc:  # other columns, or an overflow
-            raise DataError(f"normalization_ref {ref!r} on {input_path}: {exc}",
-                            path=str(checkpoint)) from exc
-    if cutoff is not None:
-        fm = fit_length(fm, LengthPolicy(cutoff=cutoff))
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            p = model.forward(fm.values)
-        except InputTooShort as exc:  # shorter than the conv stack, and no cutoff pads it
-            raise DataError(str(exc), path=str(input_path)) from exc
+    try:  # the preparation of a training fold, at the recording's own length without a cutoff
+        x = prepare([fm], LengthPolicy(cutoff=fm.length if cutoff is None else cutoff), stats)
+    except (ShapeError, DataError) as exc:  # other columns, or an overflow
+        raise DataError(f"normalization_ref {ref!r} on {input_path}: {exc}",
+                        path=str(checkpoint)) from exc
+    try:
+        p = float(predict(model, x)[0][0])
+    except InputTooShort as exc:  # shorter than the conv stack, and no cutoff pads it
+        raise DataError(str(exc), path=str(input_path)) from exc
     if not np.isfinite(p):
         raise DataError(f"{checkpoint}: p for {input_path} is {p}, not a probability")
     return p

@@ -7,15 +7,13 @@ boundary. An experiment run produces an :class:`ExperimentReport` that
 embeds the resolved configuration, per-fold raw numbers, and aggregate
 metrics; reports serialize to canonical JSON and a fixed-width table.
 
-Each fold is prepared once, in one pass over its rows in train, val,
-test order: one fit_length call cuts and pads every sequence to the
-fold's length cutoff and stacks them into one time-major (cutoff, N, m)
-array, one apply_normalization call normalizes that array, and its
-padding rows are set back to exact zeros. Training, early stopping and
-scoring all read that array. Rows past the cutoff are never normalized,
-so a value there that would overflow once z-scored does not fail the
-fold. The ablation grid prepares its folds once and shares them between
-its six cells.
+Each fold is prepared once, by one `preprocess.prepare` call over its
+rows in train, val, test order, the call `score` makes for one
+recording: cut and pad to the fold's cutoff, stack time-major, normalize,
+zero the padding rows. Training, early stopping and scoring all read
+that array. Rows past the cutoff are never normalized, so a value there
+that would overflow once z-scored does not fail the fold. The ablation
+grid prepares its folds once and shares them between its six cells.
 
 Folds are independent of each other (any could run concurrently); they
 are executed sequentially here so that a report is reproducible down to
@@ -36,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import SingleClass, TooSmall, TrainingError, write_text
-from .features import FeatureGroupSelection, FeatureMatrix, assemble_features, check_finite
+from .features import FeatureGroupSelection, FeatureMatrix, assemble_features
 from .preprocess import (
     CUTOFF_SCOPES,
     DEFAULT_CLIP_PCTS,
@@ -44,10 +42,9 @@ from .preprocess import (
     DEFAULT_NORMALIZE,
     LengthPolicy,
     NormalizationStats,
-    apply_normalization,
     compute_cutoff,
-    fit_length,
     fit_normalization,
+    prepare,
     round_half_up,
 )
 from .nn import (
@@ -443,14 +440,7 @@ def _prepare_folds(
         policy = compute_cutoff(train_ms if cutoff_scope == "train" else matrices)
         stats = fit_normalization(train_ms, clip_pcts[0], clip_pcts[1]) if normalize else None
         fold_ms = [matrices[i] for _, i in split.rows()]
-        x = fit_length([fm.values for fm in fold_ms], policy)
-        if stats is not None:
-            x = apply_normalization(x, stats)
-            # padding is zero in normalized space, as score's pad-after-normalize gives
-            x[np.arange(policy.cutoff)[:, None] >= [fm.length for fm in fold_ms]] = 0.0
-            if not np.isfinite(x).all():
-                for j, fm in enumerate(fold_ms):
-                    check_finite(x[:, j], fm.column_names, fm.subject_id, fm.task_id)
+        x = prepare(fold_ms, policy, stats)
         y = np.array([LABEL_TO_Y[fm.label] for fm in fold_ms], dtype=np.float64)
         if shuffle_labels:
             n = len(split.train)
@@ -481,8 +471,7 @@ def _run_fold(
 
     # one scoring pass over the whole fold, train, val and test rows alike;
     # a last update can leave finite parameters whose forward overflows
-    with np.errstate(over="ignore", invalid="ignore"):
-        probs, _ = predict(model, fold.x)
+    probs, _ = predict(model, fold.x)
     if not np.isfinite(probs).all():
         raise TrainingError(f"fold {fold.index}: the trained model scores a non-finite probability")
     samples = [

@@ -17,6 +17,7 @@ from .model import (
     TrainConfig,
     closed_form_parameter_count,
     load_checkpoint,
+    predict,
     spec_hash,
 )
 
@@ -27,7 +28,6 @@ _ON_FIRST_USE = {
     "bce_loss": "losses",
     "gradient_check": "gradcheck",
     "TrainResult": "train",
-    "predict": "train",
     "train_model": "train",
     "train_step": "train",
 }

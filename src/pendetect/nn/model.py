@@ -47,6 +47,11 @@ CHECKPOINT_VERSION = "pendetect-checkpoint v1"
 
 #: a sample is called PD when its probability is at least this
 DECISION_THRESHOLD = 0.5
+#: rows per eval forward in `predict`
+SCORE_CHUNK_ROWS = 64
+#: `predict` zero-pads each forward's rows to a multiple of this: BLAS works in row
+#: blocks, and one row (GEMV) or two or three (GEMM's edge kernels) sum in another order
+ROW_BLOCK = 4
 
 
 @dataclass(frozen=True)
@@ -304,10 +309,11 @@ class SequenceClassifier:
                 rng: np.random.Generator | None = None):
         """Probabilities for a (B, T, m) batch, as a (B,) array.
 
-        A (T, m) matrix is a batch of one and gives a float. The logits
-        behind the probabilities stay in ``head.logits`` until the next
-        forward. Train mode keeps what `backward` needs and draws dropout
-        masks from `rng`; see the layers module.
+        A (T, m) matrix is a batch of one and gives a float (kept for
+        perfbench's ``ScoreStream.finish`` while ``perfbench/`` is frozen;
+        scoring goes through `predict`). The logits stay in ``head.logits``
+        until the next forward. Train mode keeps what `backward` needs and
+        draws dropout masks from `rng`; see the layers module.
         """
         x = np.asarray(values, dtype=np.float64)
         single = x.ndim == 2
@@ -382,6 +388,27 @@ class SequenceClassifier:
             "params": blocks,
         }
         write_text(path, json.dumps(doc, sort_keys=True, separators=(",", ":")))
+
+
+def predict(model: SequenceClassifier, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eval-mode (probabilities, logits) of a (T, N, m) array, in chunks of
+    SCORE_CHUNK_ROWS rows, each zero-padded to a multiple of ROW_BLOCK rows.
+
+    With every row in a full block, a row's p and logit do not depend on
+    which other rows share its forward (a test pins it on the six reference
+    models at one and two OpenBLAS threads): `score`'s p for a recording is
+    the report's, and neither depends on the training batch size. A forward
+    that overflows gives a non-finite p without a warning; callers check p."""
+    n = x.shape[1]
+    probs, logits = np.empty(n), np.empty(n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, n, SCORE_CHUNK_ROWS):
+            rows = min(SCORE_CHUNK_ROWS, n - start)
+            chunk = np.zeros((len(x), rows + -rows % ROW_BLOCK, x.shape[2]))
+            chunk[:, :rows] = x[:, start : start + rows]
+            probs[start : start + rows] = model.forward(chunk.transpose(1, 0, 2))[:rows]
+            logits[start : start + rows] = model.head.logits[:rows]
+    return probs, logits
 
 # the last checkpoint decoded: (file bytes, its read-only model, meta)
 _last_decoded: tuple[bytes, SequenceClassifier, dict] | None = None

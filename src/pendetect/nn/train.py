@@ -1,11 +1,11 @@
 """Mini-batch training loop: shuffling, Adam steps, early stopping.
 
-`train_model` and `predict` take time-major ``(T, N, m)`` arrays with
-``(N,)`` 0/1 targets and know nothing of feature matrices; a caller
-stacks its sequences once and hands in the array or views of it. A
-minibatch is a gather ``x[:, idx]`` (a chunk ``x[:, start:stop]`` for
-scoring), handed to the model as its ``(B, T, m)`` transpose view, so the
-model's own time-major copy costs nothing for a gathered batch.
+`train_model` takes a time-major ``(T, N, m)`` array with ``(N,)`` 0/1
+targets and knows nothing of feature matrices: `preprocess.prepare` makes
+the array once (cut and pad, stack, normalize, zero the padding), and a
+caller hands in it or views of it. A minibatch is a gather ``x[:, idx]``,
+handed to the model as its ``(B, T, m)`` transpose view, so the model's
+own time-major copy costs nothing for a gathered batch.
 
 The first `train_model` call in a process also fixes glibc's malloc
 thresholds (`_keep_heap_resident`); importing the package or scoring
@@ -24,7 +24,7 @@ import numpy as np
 
 from ..errors import NonFiniteGradient
 from .losses import bce_logit_grad, bce_loss
-from .model import SequenceClassifier, TrainConfig
+from .model import SequenceClassifier, TrainConfig, predict
 from .optim import Adam
 
 # mallopt parameters and glibc's caps for its dynamic thresholds on a
@@ -34,9 +34,6 @@ _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
 _MMAP_THRESHOLD_BYTES = 32 << 20
 _TRIM_THRESHOLD_BYTES = 64 << 20
-
-#: rows per eval forward in `predict`
-SCORE_CHUNK_ROWS = 64
 
 
 @dataclass
@@ -97,31 +94,6 @@ def train_step(
         raise NonFiniteGradient(layer, block, ids)
     optimizer.step(model.grad)
     return float(bce_loss(model.head.logits, y).mean())
-
-
-def predict(model: SequenceClassifier, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eval-mode (probabilities, logits) of a (T, N, m) array, in chunks of
-    SCORE_CHUNK_ROWS rows; a one-row remainder joins the chunk before it.
-
-    The forward is bound by call overhead rather than rows, so one chunk
-    serves a typical fold. BLAS sums in a batch-size dependent order, and
-    a one-row chunk takes other kernels from the recurrent products on.
-    With this rule every row's p equals one forward over all N rows, bit
-    for bit, on the six reference models (checked at every N from 1 to
-    150 on one and two OpenBLAS threads; a test pins the chunk edges), so
-    p does not depend on the training batch size.
-    """
-    n = x.shape[1]
-    probs, logits = np.empty(n), np.empty(n)
-    start = 0
-    while start < n:
-        stop = start + SCORE_CHUNK_ROWS
-        if n - stop == 1:
-            stop = n
-        probs[start:stop] = model.forward(x[:, start:stop].transpose(1, 0, 2))
-        logits[start:stop] = model.head.logits
-        start = stop
-    return probs, logits
 
 
 def train_model(

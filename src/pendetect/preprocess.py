@@ -8,15 +8,13 @@ training split alone and travel to the other splits as an explicit
 NormalizationStats value, so there is no way to leak test data into the
 fit.
 
-Per fold, the sequences are first cut and padded to the cutoff and
-stacked into one time-major (cutoff, N, m) array; that array is
-normalized as a whole, and its padding rows are then set back to exact
-zeros, so in normalized space they sit at each column's clipped
-training mean. Only the rows the model reads pass through the clip and
-the z-score. ``apply_normalization`` and ``fit_length`` take one
-FeatureMatrix, as ``score`` does (normalize, then cut and pad), or a
-fold's arrays: the N sequences' values to cut, pad and stack, and the
-stacked array to normalize.
+``prepare`` is the one preparation of rows for the model, a fold's in
+``train`` and a recording's in ``score``: the sequences are cut and
+padded to the cutoff and stacked into one time-major (cutoff, N, m)
+array, that array is normalized as a whole, and its padding rows are
+set back to exact zeros, so in normalized space they sit at each
+column's clipped training mean. Only the rows the model reads pass
+through the clip and the z-score.
 """
 
 from __future__ import annotations
@@ -28,8 +26,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ColumnMismatch, EmptyDataset, ParseError, read_bytes, write_text
-from .features import FeatureMatrix
+from .errors import ColumnMismatch, EmptyDataset, InvalidRange, ParseError, read_bytes, write_text
+from .features import FeatureMatrix, check_finite
 
 STD_FLOOR = 1e-8
 STATS_FILE_VERSION = "pendetect-normalization v1"
@@ -95,9 +93,10 @@ def fit_length(
 ) -> FeatureMatrix | np.ndarray:
     """Pad with zero rows or cut the tail so the output has cutoff rows.
 
-    `fm` is a FeatureMatrix, which comes back as one, or a non-empty
-    sequence of N 2-d arrays with m columns each, which come back stacked
-    time-major as one (cutoff, N, m) array.
+    `fm` is a non-empty sequence of N 2-d arrays with m columns each, which
+    come back stacked time-major as one (cutoff, N, m) array, or a
+    FeatureMatrix, which comes back as one (kept for perfbench's
+    ``ScoreStream.finish`` while ``perfbench/`` is frozen).
     """
     if isinstance(fm, FeatureMatrix):
         return replace(fm, values=fit_length([fm.values], policy)[:, 0])
@@ -117,7 +116,8 @@ def fit_normalization(
 
     Percentiles follow the linear-interpolation definition. The boundary
     request (0, 100) turns clipping off entirely (bounds at ±inf) rather
-    than clamping unseen data to the training min/max.
+    than clamping unseen data to the training min/max. A column whose
+    bounds, mean or variance overflow is an InvalidRange naming it.
     """
     if not train:
         raise EmptyDataset("cannot fit normalization on zero sequences")
@@ -133,19 +133,22 @@ def fit_normalization(
             )
     stacked = np.concatenate([fm.values for fm in train], axis=0)
 
-    low, high = _clip_bounds(stacked, (clip_low_pct, clip_high_pct))
-    if clip_low_pct == 0:
-        low = np.full(len(names), -np.inf)
-    if clip_high_pct == 100:
-        high = np.full(len(names), np.inf)
-
-    # `stacked` is this call's own copy: clip it and run numpy's own std steps
-    # in place, so std equals np.clip(stacked, low, high).std(axis=0) bit for bit
-    np.clip(stacked, low, high, out=stacked)
-    mean = stacked.mean(axis=0)
-    stacked -= mean
-    stacked *= stacked
-    std = np.sqrt(stacked.sum(axis=0) / len(stacked))
+    with np.errstate(over="ignore", invalid="ignore"):
+        low, high = _clip_bounds(stacked, (clip_low_pct, clip_high_pct))
+        if clip_low_pct == 0:
+            low = np.full(len(names), -np.inf)
+        if clip_high_pct == 100:
+            high = np.full(len(names), np.inf)
+        # `stacked` is this call's own copy: clip it and run numpy's own std steps
+        # in place, so std equals np.clip(stacked, low, high).std(axis=0) bit for bit
+        np.clip(stacked, low, high, out=stacked)
+        mean = stacked.mean(axis=0)
+        stacked -= mean
+        stacked *= stacked
+        std = np.sqrt(stacked.sum(axis=0) / len(stacked))
+    unfit = ~(np.isfinite(mean) & np.isfinite(std))
+    if unfit.any():
+        raise InvalidRange(f"column {names[np.argmax(unfit)]!r} spans too wide a range to z-score")
     std = np.where(std < STD_FLOOR, 1.0, std)
     return NormalizationStats(
         column_names=names,
@@ -186,11 +189,12 @@ def apply_normalization(
 ) -> FeatureMatrix | np.ndarray:
     """Clip each column to the fitted bounds, then z-score it.
 
-    `fm` is a FeatureMatrix, whose columns must be the fitted ones and
-    which comes back as one, or an array whose last axis holds the fitted
-    columns, which comes back as an array. An overflow leaves a non-finite
-    value without a warning: a FeatureMatrix raises NonFiniteFeatures
-    naming its recording, and a caller passing an array checks it.
+    `fm` is an array whose last axis holds the fitted columns, which comes
+    back as an array, or a FeatureMatrix of those columns, which comes back
+    as one (kept for perfbench's ``ScoreStream.finish`` while ``perfbench/``
+    is frozen). An overflow leaves a non-finite value without a warning: a
+    FeatureMatrix raises NonFiniteFeatures naming its recording, and a
+    caller passing an array checks it.
     """
     if not isinstance(fm, FeatureMatrix):
         if fm.shape[-1] != len(stats.column_names):
@@ -198,12 +202,33 @@ def apply_normalization(
                 f"array has {fm.shape[-1]} columns, fitted on {len(stats.column_names)}"
             )
         return _normalized(fm, stats)
-    if list(fm.column_names) != list(stats.column_names):
-        raise ColumnMismatch(
-            f"matrix columns {fm.column_names} do not match fitted columns "
-            f"{stats.column_names}"
-        )
+    _check_columns(fm, stats)
     return replace(fm, values=_normalized(fm.values, stats))
+
+
+def _check_columns(fm: FeatureMatrix, stats: NormalizationStats) -> None:
+    if list(fm.column_names) != list(stats.column_names):
+        raise ColumnMismatch(f"matrix columns {fm.column_names} do not match fitted columns "
+                             f"{stats.column_names}")
+
+
+def prepare(matrices: Sequence[FeatureMatrix], policy: LengthPolicy,
+            stats: NormalizationStats | None = None) -> np.ndarray:
+    """The rows' values cut or padded to the cutoff, stacked as one (cutoff,
+    N, m) array and normalized with `stats` when given, padding rows back at
+    exact zeros. Stats of other columns are a ColumnMismatch; a value that
+    normalizes to inf or nan is NonFiniteFeatures naming its recording."""
+    x = fit_length([fm.values for fm in matrices], policy)
+    if stats is None:
+        return x
+    for fm in matrices:
+        _check_columns(fm, stats)
+    x = apply_normalization(x, stats)
+    x[np.arange(policy.cutoff)[:, None] >= [fm.length for fm in matrices]] = 0.0
+    if not np.isfinite(x).all():
+        for j, fm in enumerate(matrices):
+            check_finite(x[:, j], fm.column_names, fm.subject_id, fm.task_id)
+    return x
 
 
 def _normalized(values: np.ndarray, stats: NormalizationStats) -> np.ndarray:
@@ -220,18 +245,9 @@ def _normalized(values: np.ndarray, stats: NormalizationStats) -> np.ndarray:
 def save_stats(stats: NormalizationStats, path: str | Path) -> None:
     """Write stats as a small versioned text file, one column per line."""
     lines = [STATS_FILE_VERSION, f"fitted_on {stats.fitted_on}"]
+    columns = (stats.mean, stats.std, stats.low_clip, stats.high_clip)
     for j, name in enumerate(stats.column_names):
-        lines.append(
-            "\t".join(
-                [
-                    name,
-                    repr(float(stats.mean[j])),
-                    repr(float(stats.std[j])),
-                    repr(float(stats.low_clip[j])),
-                    repr(float(stats.high_clip[j])),
-                ]
-            )
-        )
+        lines.append("\t".join([name, *(repr(float(c[j])) for c in columns)]))
     write_text(path, "\n".join(lines) + "\n")
 
 

@@ -37,7 +37,6 @@ from .errors import (
     DuplicateEntry,
     EmptyFile,
     InvalidRange,
-    IoError,
     MalformedLine,
     NonMonotonicTime,
     ParseError,
@@ -487,16 +486,14 @@ def load_manifest(path: str | Path, format: str) -> DatasetManifest:
 
 
 def write_manifest(manifest: DatasetManifest, path: str | Path) -> None:
+    """Write `manifest` as CSV with csv's ``\r\n`` row ends; a file that
+    cannot be written is an IoError naming `path`."""
     import csv
 
-    try:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(MANIFEST_HEADER)
-            for e in manifest.entries:
-                writer.writerow([e.path, e.subject_id, e.task_id, e.label])
-    except OSError as exc:
-        raise IoError(str(exc), path=str(path)) from exc
+    text = io.StringIO()
+    csv.writer(text).writerows([MANIFEST_HEADER, *((e.path, e.subject_id, e.task_id, e.label)
+                                                   for e in manifest.entries)])
+    write_text(path, text.getvalue())
 
 
 def load_dataset(

@@ -64,9 +64,12 @@ from pendetect.preprocess import (
 )
 from pendetect.signal_io import (
     SMARTPEN_CHANNELS,
+    DatasetManifest,
+    ManifestEntry,
     generate_synthetic,
     load_manifest,
     parse_recording,
+    write_manifest,
     write_tablet_file,
 )
 
@@ -417,6 +420,39 @@ def test_score_replays_training_preprocessing(tmp_path):
         assert p == pytest.approx(row["p"], abs=1e-9)
 
 
+@pytest.mark.parametrize("model", [{"cell": "rnn"}, {"cell": "gru", "with_conv": False}])
+def test_score_gives_the_report_p_of_every_recording_of_a_fold_of_ten_rows(tmp_path, model):
+    # 5 subjects per class in 2 folds: the model's fold scores its 10 rows,
+    # not a multiple of 4, in one forward, and score scores each on its own
+    data = tmp_path / "data"
+    main(["synth", "--out", str(data), "--n-per-class", "5",
+          "--min-length", "30", "--max-length", "40", "--seed", "2"])
+    cfg = _write_config(
+        tmp_path / "c.json",
+        source={"kind": "manifest", "path": "data/manifest.csv", "format": "synthetic"},
+        model=model,
+    )
+    program = (
+        "import json, sys\n"
+        "from pathlib import Path\n"
+        "from pendetect.cli import main, score_file\n"
+        "cfg, data, run = map(Path, sys.argv[1:])\n"
+        "main(['train', '--config', str(cfg), '--out', str(run)])\n"
+        "rows = json.loads((run / 'report.json').read_text())['per_fold'][-1]['samples']\n"
+        "print(len(rows), [r['subject_id'] for r in rows\n"
+        "                  if score_file(run / 'model.ckpt', data / f\"{r['subject_id']}.svc\")\n"
+        "                  != r['p']])\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", program, str(cfg), str(data),
+                               str(tmp_path / f"run{threads}")],
+                              env=env, check=True, text=True, capture_output=True, timeout=300)
+        assert proc.stdout.splitlines()[-1] == "10 []", (threads, proc.stdout)
+
+
 def test_score_zero_weight_checkpoint_prints_half(tmp_path, capsys):
     data = tmp_path / "data"
     main(["synth", "--out", str(data), "--n-per-class", "1",
@@ -483,10 +519,14 @@ def _score_fixture(tmp_path, fmt, cutoff, with_conv):
 
 
 def _uncut_score(ckpt, recording, fmt, selection, cutoff):
+    """p from features of the whole recording, scored as `predict` scores a
+    row: first of a zero-padded 4-row batch."""
     model, meta = load_checkpoint(ckpt)
     fm = assemble_features(parse_recording(recording, fmt), selection)
     fm = apply_normalization(fm, load_stats(ckpt.parent / meta["normalization_ref"]))
-    return model.forward(fit_length(fm, LengthPolicy(cutoff=cutoff)).values)
+    batch = np.zeros((4, cutoff, fm.m))
+    batch[0] = fit_length(fm, LengthPolicy(cutoff=cutoff)).values
+    return float(model.forward(batch)[0])
 
 
 @pytest.mark.parametrize("fmt", ["tablet_svc", "smartpen_channels"])
@@ -1099,6 +1139,8 @@ _WRITERS = {
     "dump_csv": lambda path: dump_csv(
         assemble_features(_recording(), FeatureGroupSelection(("kinematic",))), path),
     "write_tablet_file": lambda path: write_tablet_file(_recording(), path),
+    "write_manifest": lambda path: write_manifest(
+        DatasetManifest([ManifestEntry("r.svc", "s1", "spiral", "PD")], "tablet_svc"), path),
 }
 _READERS = {
     "load_checkpoint": load_checkpoint,
@@ -1409,12 +1451,13 @@ def _fuzz_values(field) -> list:
     return [v for v in values if not (type(v) is int and v > 64)]
 
 
-def _fuzz_targets(split: str) -> list:
+def _fuzz_targets(split: str, source: str) -> list:
     """(key path in the tiny config, row) for each number the tiny config
-    with `split` holds or can hold, model.spec's layer fields included."""
+    with `split` and `source` holds or can hold, model.spec's layer fields
+    included."""
     targets = []
     for f in CONFIG_FIELDS:
-        if f.kind in ("", "synthetic", split) and (f.item or f.type) in (int, float):
+        if f.kind in ("", source, split) and (f.item or f.type) in (int, float):
             keys = tuple(f.path.split("."))
             targets += [(keys + (i,), f) for i in (0, 1)] if f.type is list else [(keys, f)]
     for layers, cls in (("conv_layers", Conv1dSpec), ("recurrent_layers", RecurrentSpec)):
@@ -1423,20 +1466,37 @@ def _fuzz_targets(split: str) -> list:
     return targets
 
 
-_MUTATIONS = {split: [(keys, v) for keys, f in _fuzz_targets(split) for v in _fuzz_values(f)]
-              for split in _TINY_SPLITS}
+_MUTATIONS = {(split, source): [(keys, v) for keys, f in _fuzz_targets(split, source)
+                                for v in _fuzz_values(f)]
+              for split in _TINY_SPLITS for source in ("synthetic", "manifest")}
 _EXIT_PREFIXES = {1: ("config error: ",), 2: ("data error: ", "error: "),
                   3: ("training failure: ",)}
 
 
+@pytest.fixture(scope="session")
+def tiny_manifest(tmp_path_factory) -> Path:
+    """A manifest of 2 subjects per class at 14 or 15 rows, around the
+    reference conv stack's minimum of 15 that ablate's cells with conv
+    need; its first recording opens with a sample-count header line."""
+    data = tmp_path_factory.mktemp("tiny-manifest")
+    with contextlib.redirect_stdout(io.StringIO()):
+        main(["synth", "--out", str(data), "--n-per-class", "2", "--min-length", "12",
+              "--max-length", "18", "--seed", "1"])
+    first = data / load_manifest(data / "manifest.csv", format="tablet_svc").entries[0].path
+    first.write_text(f"{len(first.read_text().splitlines())}\n{first.read_text()}")
+    return data / "manifest.csv"
+
+
 @given(command=st.sampled_from(["train", "ablate"]), split=st.sampled_from(sorted(_TINY_SPLITS)),
-       data=st.data())
+       source=st.sampled_from(["synthetic", "manifest"]), data=st.data())
 @settings(max_examples=100, deadline=None)
 def test_train_and_ablate_on_mutated_numbers_run_or_fail_as_documented(
-    tmp_path_factory, command, split, data
+    tmp_path_factory, tiny_manifest, command, split, source, data
 ):
     doc = copy.deepcopy({**_TINY, "split": _TINY_SPLITS[split]})
-    for keys, value in data.draw(st.lists(st.sampled_from(_MUTATIONS[split]), min_size=1,
+    if source == "manifest":
+        doc["source"] = {"kind": "manifest", "path": str(tiny_manifest), "format": "tablet_svc"}
+    for keys, value in data.draw(st.lists(st.sampled_from(_MUTATIONS[split, source]), min_size=1,
                                           max_size=3)):
         block = doc
         for key in keys[:-1]:
@@ -1450,7 +1510,9 @@ def test_train_and_ablate_on_mutated_numbers_run_or_fail_as_documented(
         warnings.simplefilter("always")
         code = main([command, "--config", str(work / "c.json"), "--out", str(work / "out")])
     out, err = out.getvalue(), err.getvalue()
-    assert caught == []
+    # no warning but the parser's own for the manifest's one header line
+    assert [str(w.message) for w in caught if not (
+        source == "manifest" and str(w.message).endswith("assumed to be a header"))] == []
     assert "nan" not in out.lower()
     if code == 0:
         assert err == ""

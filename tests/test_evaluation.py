@@ -564,6 +564,7 @@ def test_ablation_grid_structure():
 
 def test_ablation_grid_derives_features_and_splits_once(monkeypatch):
     import pendetect.evaluation as evaluation
+    import pendetect.preprocess as preprocess
 
     seqs = generate_synthetic(3, (30, 40), 1.0, seed=6)
     sel = FeatureGroupSelection.of("pressure")
@@ -576,13 +577,15 @@ def test_ablation_grid_derives_features_and_splits_once(monkeypatch):
     )
     specs = []
     for name in calls:
-        original = getattr(evaluation, name)
+        # preprocess.prepare cuts and normalizes a fold with its module's own names
+        module = preprocess if name in ("apply_normalization", "fit_length") else evaluation
+        original = getattr(module, name)
 
         def counting(*args, _name=name, _original=original, **kwargs):
             calls[_name] += 1
             return _original(*args, **kwargs)
 
-        monkeypatch.setattr(evaluation, name, counting)
+        monkeypatch.setattr(module, name, counting)
     run_one = evaluation.run_experiment
 
     def recording_run_experiment(dataset, feature_selection, model_spec, *args, **kwargs):

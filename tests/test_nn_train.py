@@ -326,13 +326,14 @@ def test_training_from_the_fold_array_equals_per_batch_stacking():
         np.testing.assert_array_equal(got, want)
 
 
-# fold sizes around the 64-row chunk edges, a one-row remainder included
-_PREDICT_ROWS = (1, 2, 3, 5, 17, 40, 63, 64, 65, 66, 129)
+# row counts across the 4-row block and 64-row chunk edges
+_PREDICT_ROWS = (1, 2, 3, 4, 5, 7, 8, 9, 63, 64, 65, 66, 67, 68, 69, 70)
 
 
 def _predict_mismatches() -> list[str]:
     """The (cell, with_conv, N) of the six reference models at T = 157 where
-    predict's probabilities or logits differ from one forward over all N rows."""
+    a row's probability or logit from predict over N rows differs from
+    predict over that row alone."""
     m = 17
     x = np.random.default_rng(0).normal(size=(157, max(_PREDICT_ROWS), m))
     found = []
@@ -340,19 +341,18 @@ def _predict_mismatches() -> list[str]:
         for with_conv in (True, False):
             spec = ModelSpec.reference(m, cell, with_conv)
             model = SequenceClassifier(spec, m, np.random.default_rng(3))
+            alone = np.array([predict(model, x[:, [i]]) for i in range(x.shape[1])])[..., 0]
             for n in _PREDICT_ROWS:
-                probs, logits = predict(model, x[:, :n])
-                whole = model.forward(x[:, :n].transpose(1, 0, 2))
-                if not (np.array_equal(probs, whole) and np.array_equal(logits, model.head.logits)):
+                if not np.array_equal(np.array(predict(model, x[:, :n])), alone[:n].T):
                     found.append(f"{cell}/{with_conv}/{n}")
     return found
 
 
-def test_predict_equals_one_forward_over_all_rows():
+def test_predict_scores_a_row_as_it_scores_it_alone():
     assert _predict_mismatches() == []
 
 
-def test_predict_equals_one_forward_over_all_rows_on_two_blas_threads():
+def test_predict_scores_a_row_as_it_scores_it_alone_on_two_blas_threads():
     # larger GEMMs may take threaded BLAS paths; they must give the same bits
     tests = Path(__file__).resolve().parent
     env = dict(os.environ, OPENBLAS_NUM_THREADS="2")

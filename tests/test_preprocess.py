@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from pendetect.errors import ColumnMismatch, EmptyDataset, ParseError
+from pendetect.errors import ColumnMismatch, EmptyDataset, InvalidRange, NonFiniteFeatures, ParseError
 from pendetect.features import FeatureMatrix
 from pendetect.preprocess import (
     STD_FLOOR,
@@ -17,6 +17,7 @@ from pendetect.preprocess import (
     fit_length,
     fit_normalization,
     load_stats,
+    prepare,
     save_stats,
 )
 from pendetect.preprocess import _clip_bounds
@@ -195,6 +196,40 @@ def test_fit_normalization_validation():
     b = _fm(np.zeros((4, 3)))
     with pytest.raises(ColumnMismatch):
         fit_normalization([a, b], 5, 90)
+
+
+@pytest.mark.parametrize("pcts", [(5, 90), (0, 100)])
+@pytest.mark.parametrize("big", [1e300, 1.7e308])
+def test_fit_normalization_refuses_a_column_whose_statistics_overflow(pcts, big):
+    # the variance of +-1e300 overflows, and so do the percentile spans and
+    # the mean of values near the largest float; no RuntimeWarning escapes
+    values = np.zeros((20, 2))
+    values[:, 1] = big * (-1.0) ** np.arange(20)
+    with pytest.raises(InvalidRange, match="column 'f1' spans too wide a range"):
+        fit_normalization([_fm(values)], *pcts)
+
+
+def test_prepare_is_each_matrix_normalized_then_cut_or_padded():
+    # oracle: the FeatureMatrix forms, one matrix at a time
+    rng = np.random.default_rng(5)
+    fms = _random_fms(rng, [3, 7, 12, 7])
+    stats = fit_normalization(fms[:2])
+    policy = LengthPolicy(cutoff=7)
+    x = prepare(fms, policy, stats)
+    for j, fm in enumerate(fms):
+        np.testing.assert_array_equal(
+            x[:, j], fit_length(apply_normalization(fm, stats), policy).values)
+    np.testing.assert_array_equal(prepare(fms, policy),
+                                  np.stack([fit_length(fm, policy).values for fm in fms], 1))
+    other = _fm(np.zeros((5, 3)), subject="s9")
+    other.column_names = ["a", "b", "c"]
+    with pytest.raises(ColumnMismatch, match=r"matrix columns \['a', 'b', 'c'\] do not match"):
+        prepare([fms[0], other], policy, stats)
+    huge = _fm(np.full((5, 3), 1e308), subject="s8")
+    tiny = NormalizationStats(["f0", "f1", "f2"], np.zeros(3), np.full(3, 1e-10),
+                              np.full(3, -np.inf), np.full(3, np.inf), 1)
+    with pytest.raises(NonFiniteFeatures, match=r"recording \('s8', 't'\)"):
+        prepare([fms[0], huge], policy, tiny)
 
 
 def test_mean_std_computed_after_clipping():
