@@ -6,7 +6,8 @@ end to end, ``ablate`` runs the cell-by-convolution grid, and ``score``
 applies a saved checkpoint to a single recording.
 
 Experiments are driven by a JSON config file (see CONFIG_FIELDS, whose
-"train" and "split" rows are the ones TrainConfig and SplitPlan declare).
+"train", "split" and fold-preparation rows are the ones TrainConfig,
+SplitPlan and PrepConfig declare).
 A handful of settings can be overridden without editing the file, with
 flag beating environment variable beating file: ``--seed`` /
 PENDETECT_SEED, ``--out`` / PENDETECT_OUT, and PENDETECT_EPOCHS.
@@ -26,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, preprocess
+from . import __version__
 from .errors import (
     ConfigError,
     DataError,
@@ -51,7 +52,7 @@ from .features import (
 from .nn import CELLS, DECISION_THRESHOLD, ModelSpec, TrainConfig, load_checkpoint, predict
 from .nn.fields import Field, checked, declared
 from .nn.model import SplitPlan
-from .preprocess import LengthPolicy, load_stats, prepare, save_stats
+from .preprocess import LengthPolicy, PrepConfig, load_stats, prepare, save_stats
 from .signal_io import (
     MANIFEST_FORMATS,
     MAX_SYNTHETIC_LENGTH,
@@ -88,9 +89,7 @@ CONFIG_FIELDS = (
     *(f for f in declared(TrainConfig, "train.") + declared(SplitPlan, "split.")
       if not f.path.endswith(".seed")),
     Field("out_dir", str, "pendetect-out"),
-    Field("cutoff_scope", str, preprocess.DEFAULT_CUTOFF_SCOPE, preprocess.CUTOFF_SCOPES),
-    Field("normalize", bool, preprocess.DEFAULT_NORMALIZE),
-    Field("clip_pcts", list, preprocess.DEFAULT_CLIP_PCTS, "[0, 100]", item=float, pair="<"),
+    *declared(PrepConfig),
 )
 
 #: what `train` records in model.ckpt and `score` replays; absent keys
@@ -117,9 +116,7 @@ class ExperimentConfig:
     train: TrainConfig
     plan: SplitPlan
     out_dir: Path
-    cutoff_scope: str
-    normalize: bool
-    clip_pcts: tuple[float, float]
+    prep: PrepConfig
 
 
 def _env_int(env, name: str) -> int:
@@ -185,9 +182,7 @@ def load_config(
         train=TrainConfig(seed=seed, **cfg["train"]),
         plan=_built("split", SplitPlan, seed=seed, **cfg["split"]),
         out_dir=Path(cfg["out_dir"]),
-        cutoff_scope=cfg["cutoff_scope"],
-        normalize=cfg["normalize"],
-        clip_pcts=cfg["clip_pcts"],
+        prep=PrepConfig(**{f.path: cfg[f.path] for f in declared(PrepConfig)}),
     )
 
 
@@ -302,8 +297,7 @@ def cmd_train(args) -> int:
     artifacts: dict = {}
     report = run_experiment(
         sequences, config.features, spec, config.train, config.plan,
-        cutoff_scope=config.cutoff_scope, normalize=config.normalize,
-        clip_pcts=config.clip_pcts, out_artifacts=artifacts,
+        prep=config.prep, out_artifacts=artifacts,
     )
 
     write_text(out / "report.json", report.to_json() + "\n")
@@ -345,8 +339,7 @@ def cmd_ablate(args) -> int:
     sequences = load_training_sequences(config)
     out = _make_out_dir(config.out_dir)
     report = run_ablation_grid(
-        sequences, config.features, config.train, config.plan,
-        cutoff_scope=config.cutoff_scope, normalize=config.normalize, clip_pcts=config.clip_pcts,
+        sequences, config.features, config.train, config.plan, prep=config.prep
     )
     write_text(out / "ablation.json", report.to_json() + "\n")
     write_text(out / "ablation.txt", report.to_table())

@@ -33,15 +33,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import SingleClass, TooSmall, TrainingError, write_text
+from .errors import InputTooShort, SingleClass, TooSmall, TrainingError, write_text
 from .features import FeatureGroupSelection, FeatureMatrix, assemble_features
 from .preprocess import (
-    CUTOFF_SCOPES,
-    DEFAULT_CLIP_PCTS,
-    DEFAULT_CUTOFF_SCOPE,
-    DEFAULT_NORMALIZE,
     LengthPolicy,
     NormalizationStats,
+    PrepConfig,
     compute_cutoff,
     fit_normalization,
     prepare,
@@ -413,15 +410,12 @@ def _prepare_folds(
     matrices: list[FeatureMatrix],
     plan: SplitPlan,
     train_config: TrainConfig,
-    cutoff_scope: str = DEFAULT_CUTOFF_SCOPE,
-    normalize: bool = DEFAULT_NORMALIZE,
-    clip_pcts: tuple[float, float] = DEFAULT_CLIP_PCTS,
+    prep: PrepConfig = PrepConfig(),
     shuffle_labels: bool = False,
 ) -> Iterator[_Fold]:
-    """Each split of `plan` as a `_Fold`, prepared when it is reached; the
-    flags are run_experiment's."""
-    if cutoff_scope not in CUTOFF_SCOPES:
-        raise ValueError(f"cutoff_scope must be one of {CUTOFF_SCOPES}, got {cutoff_scope!r}")
+    """Each split of `plan` as a `_Fold`, prepared when it is reached as
+    `prep` says (``prep=PrepConfig(cutoff_scope="all")`` fits every cutoff
+    on the whole dataset); `shuffle_labels` is run_experiment's."""
     splits = make_splits(matrices, plan)
     # refused before any fold trains: a test part of one class has no ROC
     labels = {fm.label for fm in matrices}
@@ -437,8 +431,8 @@ def _prepare_folds(
             if val:
                 split, carved = SplitIndices(train=train, val=val, test=split.test), True
         train_ms = [matrices[i] for i in split.train]
-        policy = compute_cutoff(train_ms if cutoff_scope == "train" else matrices)
-        stats = fit_normalization(train_ms, clip_pcts[0], clip_pcts[1]) if normalize else None
+        policy = compute_cutoff(train_ms if prep.cutoff_scope == "train" else matrices)
+        stats = fit_normalization(train_ms, *prep.clip_pcts) if prep.normalize else None
         fold_ms = [matrices[i] for _, i in split.rows()]
         x = prepare(fold_ms, policy, stats)
         y = np.array([LABEL_TO_Y[fm.label] for fm in fold_ms], dtype=np.float64)
@@ -457,6 +451,12 @@ def _run_fold(
     model = SequenceClassifier(
         spec, matrices[0].m, np.random.default_rng([train_config.seed, 101, fold.index])
     )
+    if fold.policy.cutoff < model.min_input_length():
+        raise InputTooShort(
+            f"fold {fold.index}: its cutoff {fold.policy.cutoff} (the rounded mean recording "
+            f"length; see cutoff_scope) is below the minimum {model.min_input_length()} "
+            f"for the conv stack"
+        )
     ids = [f"{matrices[i].subject_id}/{matrices[i].task_id}" for i in split.train]
     val = (fold.x[:, n_train:n_fit], fold.y[n_train:n_fit]) if split.val else None
     t0 = time.perf_counter()
@@ -533,9 +533,7 @@ def run_experiment(
     train_config: TrainConfig,
     plan: SplitPlan,
     *,
-    cutoff_scope: str = DEFAULT_CUTOFF_SCOPE,
-    normalize: bool = DEFAULT_NORMALIZE,
-    clip_pcts: tuple[float, float] = DEFAULT_CLIP_PCTS,
+    prep: PrepConfig = PrepConfig(),
     shuffle_labels: bool = False,
     out_artifacts: dict | None = None,
 ) -> ExperimentReport:
@@ -544,10 +542,10 @@ def run_experiment(
 
     Each split is prepared once: the length cutoff and normalization
     statistics are fitted on the training side only (set
-    ``cutoff_scope="all"`` to fit the cutoff on the whole dataset; the
-    choice is echoed in the report), and the sequences are cut to the
-    cutoff, normalized, padded and stacked into one time-major array in
-    train, val, test row order. A fresh model trains on its train rows
+    ``prep=PrepConfig(cutoff_scope="all")`` to fit the cutoff on the whole
+    dataset; the choice is echoed in the report), and the sequences are
+    cut to the cutoff, normalized, padded and stacked into one time-major
+    array in train, val, test row order. A fresh model trains on its train rows
     (the val rows drive early stopping) and one pass scores every row.
     Given a list of sequences, each fold is prepared when it is reached
     and dropped after scoring. ``shuffle_labels`` permutes training
@@ -564,9 +562,7 @@ def run_experiment(
         cohort = dataset
     else:
         matrices = [assemble_features(seq, feature_selection) for seq in dataset]
-        folds = _prepare_folds(
-            matrices, plan, train_config, cutoff_scope, normalize, clip_pcts, shuffle_labels
-        )
+        folds = _prepare_folds(matrices, plan, train_config, prep, shuffle_labels)
         cohort = _Cohort(matrices, folds)
     matrices = cohort.matrices
     spec = model_spec if model_spec is not None else ModelSpec.reference(matrices[0].m)
@@ -606,10 +602,10 @@ def run_experiment(
         "train": asdict(train_config),
         "plan": plan.to_dict(),
         "flags": {
-            "cutoff_scope": cutoff_scope,
-            "normalize": normalize,
-            "clip_low_pct": clip_pcts[0],
-            "clip_high_pct": clip_pcts[1],
+            "cutoff_scope": prep.cutoff_scope,
+            "normalize": prep.normalize,
+            "clip_low_pct": prep.clip_pcts[0],
+            "clip_high_pct": prep.clip_pcts[1],
             "shuffle_labels": shuffle_labels,
             "stratified": True,
             "subject_grouped": True,
@@ -651,7 +647,7 @@ def run_ablation_grid(
     the table renders the per-cell speed comparison from them. The
     features are derived and the folds prepared once, and every cell
     trains and scores on the same fold arrays. `experiment_kwargs` are
-    run_experiment's preprocessing flags.
+    run_experiment's `prep` and `shuffle_labels`.
     """
     t_start = time.perf_counter()
     matrices = [assemble_features(seq, feature_selection) for seq in dataset]

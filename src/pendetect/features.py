@@ -164,31 +164,15 @@ def directional_displacement(c: np.ndarray) -> np.ndarray:
     return out
 
 
-def time_derivative(s: np.ndarray, timestamps: np.ndarray, tick_seconds: float) -> np.ndarray:
-    """Backward-difference time derivative; first entry 0.
-
-    Each delta divides by the actual timestamp gap converted to seconds,
-    floored at one tick so that repeated ticks cannot divide by zero.
-    """
-    s = np.asarray(s, dtype=np.float64)
-    timestamps = np.asarray(timestamps, dtype=np.float64)
-    if s.shape != timestamps.shape:
-        raise LengthMismatch(
-            f"series has shape {s.shape}, timestamps have shape {timestamps.shape}"
-        )
-    if tick_seconds <= 0:
-        raise ValueError("tick_seconds must be positive")
-    return _rate(s, _gaps(timestamps, tick_seconds))
-
-
 def _gaps(timestamps: np.ndarray, tick_seconds: float) -> np.ndarray:
     """Each timestamp gap in seconds, floored at one tick."""
     return np.maximum((timestamps[1:] - timestamps[:-1]) * tick_seconds, tick_seconds)
 
 
 def _rate(s: np.ndarray, gaps: np.ndarray) -> np.ndarray:
-    """time_derivative of the float64 series `s` over the `gaps` of its
-    timestamps (np.diff's subtraction, without its per-call overhead)."""
+    """Backward-difference time derivative of the float64 series `s` over
+    the `gaps` of its timestamps, first entry 0 (np.diff's subtraction,
+    without its per-call overhead)."""
     out = np.empty_like(s)
     out[:1] = 0.0
     np.subtract(s[1:], s[:-1], out=out[1:])

@@ -27,7 +27,8 @@ class Field:
     (kept as given) or list; a bool is never a number. `allowed` is an
     interval such as "[0, 1)" or a vocabulary; a list's items have type
     `item` and must each be allowed. A list is non-empty, with `pair`
-    ("<" or "<=") two items in that order, and is checked into a tuple.
+    ("<" or "<=") two items in that order, and is checked into a tuple;
+    a Python caller may give the tuple itself.
     `null` lets None (JSON null) through; a row with `kind` exists only
     where its block's "kind" has that value. A default is in checked form.
     """
@@ -43,16 +44,18 @@ class Field:
 
 
 def setting(type_: type, allowed: str | tuple[str, ...] = "", default=MISSING, *,
-            null: bool = False, kind: str = "", config=MISSING):
-    """A dataclass field that declares its row: `type_`, `allowed`, `null`
-    and `kind` as in Field. `default` is the Python default; a config file
-    takes `config` instead when it is given. A config key with no default,
-    or whose default its row refuses (None without `null`), is required."""
+            item: type | None = None, pair: str = "", null: bool = False, kind: str = "",
+            config=MISSING):
+    """A dataclass field that declares its row: `type_`, `allowed`, `item`,
+    `pair`, `null` and `kind` as in Field. `default` is the Python
+    default; a config file takes `config` instead when it is given. A
+    config key with no default, or whose default its row refuses (None
+    without `null`), is required."""
     if config is MISSING:
         config = default
     if config is MISSING or (config is None and not null):
         config = REQUIRED
-    row = Field("", type_, config, allowed, null=null, kind=kind)
+    row = Field("", type_, config, allowed, item, pair, null, kind)
     return dataclasses.field(default=default, metadata={"row": row})
 
 
@@ -114,7 +117,7 @@ def check_value(f: Field, value, fault):
         return None
     if f.type is not list:
         out = _item(value, f.type, f.allowed)
-    elif type(value) is list and value and not (f.pair and len(value) != 2):
+    elif type(value) in (list, tuple) and value and not (f.pair and len(value) != 2):
         out = tuple(_item(v, f.item, f.allowed) for v in value)
         lo, hi = out[0], out[-1]
         if _BAD in out or (f.pair == "<" and lo >= hi) or (f.pair == "<=" and lo > hi):

@@ -231,12 +231,10 @@ class SequenceClassifier:
     ``theta`` and ``grad`` are allocated once, sized from the layers' own
     block shapes, and every layer is built on its slice of them. With a
     generator the layers draw their initialization into it; without one
-    (``rng=None``) every parameter is zero and nothing is drawn, or, given
-    a ``theta`` vector, the model adopts that vector as its parameters.
+    (``rng=None``) every parameter is zero and nothing is drawn.
     """
 
-    def __init__(self, spec: ModelSpec, input_size: int, rng: np.random.Generator | None,
-                 theta: np.ndarray | None = None):
+    def __init__(self, spec: ModelSpec, input_size: int, rng: np.random.Generator | None):
         if spec.conv_layers and spec.conv_layers[0].in_channels != input_size:
             raise DimensionMismatch(
                 f"first conv expects {spec.conv_layers[0].in_channels} channels, "
@@ -259,18 +257,14 @@ class SequenceClassifier:
         sizes = [sum(math.prod(shape) for shape in kind.shapes(*args).values())
                  for _, kind, args in plan]
         total = sum(sizes)
-        if theta is None:
-            theta = np.zeros(total)
-        elif rng is not None or theta.shape != (total,):
-            raise ValueError(f"an adopted theta needs rng=None and shape ({total},)")
-        self.theta = theta
+        self.theta = np.zeros(total)
         self.grad = np.zeros(total)
         self._params: dict[str, np.ndarray] = {}
         self._grads: dict[str, np.ndarray] = {}
         layers = []
         offset = 0
         for (name, kind, args), size in zip(plan, sizes):
-            flat = (theta[offset : offset + size], self.grad[offset : offset + size])
+            flat = (self.theta[offset : offset + size], self.grad[offset : offset + size])
             layer = kind(*args, rng, flat)
             layers.append(layer)
             for key in layer.params:
@@ -483,8 +477,9 @@ def load_checkpoint(path: str | Path) -> tuple[SequenceClassifier, dict]:
     every call on those bytes returns that same model, shared by all its
     callers: its ``theta`` and every ``params()`` block refuse writes
     (ValueError). Each call returns a new meta, so changing one never
-    reaches the next load. To train on a loaded model, take a copy:
-    ``SequenceClassifier(m.spec, m.input_size, None, theta=m.theta.copy())``.
+    reaches the next load. To train on a loaded model, copy it into a zero
+    model: ``m2 = SequenceClassifier(m.spec, m.input_size, None);
+    m2.theta[...] = m.theta``.
     """
     global _last_decoded
     raw = read_bytes(path)

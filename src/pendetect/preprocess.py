@@ -28,16 +28,24 @@ import numpy as np
 
 from .errors import ColumnMismatch, EmptyDataset, InvalidRange, ParseError, read_bytes, write_text
 from .features import FeatureMatrix, check_finite
+from .nn.fields import check, setting
 
 STD_FLOOR = 1e-8
 STATS_FILE_VERSION = "pendetect-normalization v1"
 
-#: what a fold's length cutoff is fitted on: its training split or the whole dataset
-CUTOFF_SCOPES = ("train", "all")
-#: the preprocessing that a config or a run_experiment call leaves unset
-DEFAULT_CUTOFF_SCOPE = "train"
-DEFAULT_NORMALIZE = True
-DEFAULT_CLIP_PCTS = (5.0, 90.0)
+
+@dataclass(frozen=True)
+class PrepConfig:
+    """How each fold is prepared: the cutoff fitted on its training split
+    or on the whole dataset (`cutoff_scope`), and whether it is normalized
+    with `fit_normalization` at the percentile bounds `clip_pcts`."""
+
+    cutoff_scope: str = setting(str, ("train", "all"), "train")
+    normalize: bool = setting(bool, default=True)
+    clip_pcts: tuple[float, float] = setting(list, "[0, 100]", (5.0, 90.0), item=float, pair="<")
+
+    def __post_init__(self):
+        check(self)
 
 
 @dataclass(frozen=True)
@@ -109,8 +117,8 @@ def fit_length(
 
 def fit_normalization(
     train: list[FeatureMatrix],
-    clip_low_pct: float = DEFAULT_CLIP_PCTS[0],
-    clip_high_pct: float = DEFAULT_CLIP_PCTS[1],
+    clip_low_pct: float = PrepConfig.clip_pcts[0],
+    clip_high_pct: float = PrepConfig.clip_pcts[1],
 ) -> NormalizationStats:
     """Fit per-column clip bounds and post-clip z-score statistics.
 

@@ -56,6 +56,7 @@ from pendetect.nn import model as model_module
 from pendetect.preprocess import (
     LengthPolicy,
     NormalizationStats,
+    PrepConfig,
     apply_normalization,
     fit_length,
     fit_normalization,
@@ -102,9 +103,7 @@ def test_load_config_minimal(tmp_path):
     assert cfg.train.epochs == 2
     assert cfg.train.seed == 3
     assert cfg.plan.kind == "kfold" and cfg.plan.k == 2 and cfg.plan.seed == 3
-    assert cfg.cutoff_scope == "train"
-    assert cfg.normalize is True
-    assert cfg.clip_pcts == (5.0, 90.0)
+    assert cfg.prep == PrepConfig(cutoff_scope="train", normalize=True, clip_pcts=(5.0, 90.0))
     # a byte order mark, as Notepad writes one, is not part of the JSON
     bom = tmp_path / "bom.json"
     bom.write_bytes(b"\xef\xbb\xbf" + (tmp_path / "c.json").read_bytes())
@@ -116,7 +115,7 @@ def test_load_config_takes_an_integer_number_as_a_float(tmp_path):
     path = _write_config(tmp_path / "c.json", source=source, clip_pcts=[5, 90])
     cfg = load_config(path, env={})
     assert type(cfg.source["class_separation"]) is float
-    assert [type(c) for c in cfg.clip_pcts] == [float, float]
+    assert [type(c) for c in cfg.prep.clip_pcts] == [float, float]
 
 
 def test_load_config_requires_seed(tmp_path):
@@ -835,7 +834,8 @@ def test_score_refuses_a_probability_the_forward_overflows_to(tmp_path, capsys):
     recording = tmp_path / "rec.svc"
     recording.write_text("\n".join(lines[:200]) + "\n")
     loaded, meta = load_checkpoint(ckpt)  # read-only: craft the file from a trainable copy
-    model = SequenceClassifier(loaded.spec, loaded.input_size, None, theta=loaded.theta.copy())
+    model = SequenceClassifier(loaded.spec, loaded.input_size, None)
+    model.theta[...] = loaded.theta
     w = model.params()["conv0/W"]
     w[...] = np.where(np.arange(w.size).reshape(w.shape) % 2, 1e308, -1e308)  # finite
     model.save_checkpoint(ckpt, meta["normalization_ref"], meta["preprocessing"])
@@ -932,6 +932,25 @@ def test_a_diverging_run_is_a_training_failure_and_prints_no_warning(tmp_path, c
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("training failure: non-finite gradient"), err
     assert [str(w.message) for w in caught] == []
+
+
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_a_cutoff_below_the_conv_minimum_names_the_fold_and_the_cutoff(tmp_path, capsys,
+                                                                      command):
+    # 8-10-row recordings: the fold's cutoff, their rounded mean length, is 10
+    # and the reference conv stack reads at least 15 steps
+    main(["synth", "--out", str(tmp_path / "data"), "--n-per-class", "2", "--min-length", "8",
+          "--max-length", "10", "--seed", "1"])
+    cfg = _write_config(
+        tmp_path / "c.json",
+        source={"kind": "manifest", "path": "data/manifest.csv", "format": "synthetic"},
+    )
+    capsys.readouterr()
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        "data error: fold 0: its cutoff 10 (the rounded mean recording length; see "
+        "cutoff_scope) is below the minimum 15 for the conv stack\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -1238,9 +1257,7 @@ def _loaded(cfg: ExperimentConfig, path: str):
         "model.cell": cfg.model_cell,
         "model.with_conv": cfg.model_with_conv,
         "out_dir": cfg.out_dir,
-        "cutoff_scope": cfg.cutoff_scope,
-        "normalize": cfg.normalize,
-        "clip_pcts": cfg.clip_pcts,
+        **vars(cfg.prep),
     }[path]
 
 

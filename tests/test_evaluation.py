@@ -25,7 +25,7 @@ from pendetect.evaluation import (
 )
 from pendetect.features import FeatureGroupSelection, FeatureMatrix, assemble_features
 from pendetect.nn import CELLS, ModelSpec, TrainConfig
-from pendetect.preprocess import apply_normalization, fit_length
+from pendetect.preprocess import PrepConfig, apply_normalization, fit_length
 from pendetect.signal_io import generate_synthetic
 
 
@@ -344,7 +344,8 @@ def test_run_experiment_artifacts_and_cutoff_scope():
     plan = SplitPlan.kfold(3, seed=0)
     art = {}
     report = run_experiment(
-        seqs, sel, None, _quick_config(), plan, cutoff_scope="all", out_artifacts=art
+        seqs, sel, None, _quick_config(), plan, prep=PrepConfig(cutoff_scope="all"),
+        out_artifacts=art,
     )
     assert set(art) >= {"model", "policy", "stats", "report"}
     matrices = [assemble_features(s, sel) for s in seqs]
@@ -354,7 +355,7 @@ def test_run_experiment_artifacts_and_cutoff_scope():
     assert all(f["cutoff"] == expected for f in report.per_fold)
     assert report.config["flags"]["cutoff_scope"] == "all"
     with pytest.raises(ValueError):
-        run_experiment(seqs, sel, None, _quick_config(), plan, cutoff_scope="test")
+        PrepConfig(cutoff_scope="test")
 
 
 def test_run_experiment_without_normalization():
@@ -363,7 +364,8 @@ def test_run_experiment_without_normalization():
     plan = SplitPlan.kfold(2, seed=0)
     art = {}
     report = run_experiment(
-        seqs, sel, None, _quick_config(), plan, normalize=False, out_artifacts=art
+        seqs, sel, None, _quick_config(), plan, prep=PrepConfig(normalize=False),
+        out_artifacts=art,
     )
     assert report.config["flags"]["normalize"] is False
     assert art["stats"] is None
@@ -453,10 +455,10 @@ def _matrices(lengths, seed=0, m=3):
     "config, flags",
     [
         (_quick_config(), {}),
-        (_quick_config(), {"normalize": False}),
-        (_quick_config(), {"cutoff_scope": "all"}),
+        (_quick_config(), {"prep": PrepConfig(normalize=False)}),
+        (_quick_config(), {"prep": PrepConfig(cutoff_scope="all")}),
         (_quick_config(), {"shuffle_labels": True}),
-        (_quick_config(), {"clip_pcts": (0.0, 100.0)}),
+        (_quick_config(), {"prep": PrepConfig(clip_pcts=(0.0, 100.0))}),
         (_quick_config(early_stop_patience=2), {}),
     ],
     ids=["default", "normalize-off", "cutoff-all", "shuffle-labels", "no-clip", "carve-out"],
@@ -484,6 +486,7 @@ def test_fold_array_equals_the_per_recording_pipeline(config, flags):
 
 
 _HOLDOUT = SplitPlan.holdout(0.5, 0.0, 0.5, n_runs=1, seed=3)
+_NO_CLIP = PrepConfig(clip_pcts=(0.0, 100.0))
 
 
 def _overflowing_test_recording(length: int, row: int):
@@ -504,7 +507,7 @@ def test_normalized_overflow_inside_the_cutoff_names_the_recording():
     matrices, i = _overflowing_test_recording(40, row=5)
     named = rf"\('{matrices[i].subject_id}', 'spiral'\).*\['c1'\]"
     with pytest.raises(NonFiniteFeatures, match=named):
-        list(_prepare_folds(matrices, _HOLDOUT, _quick_config(), clip_pcts=(0.0, 100.0)))
+        list(_prepare_folds(matrices, _HOLDOUT, _quick_config(), _NO_CLIP))
 
 
 def test_normalized_overflow_past_the_cutoff_trains():
@@ -512,9 +515,9 @@ def test_normalized_overflow_past_the_cutoff_trains():
     # that would overflow is never z-scored
     matrices, i = _overflowing_test_recording(60, row=50)
     config = _quick_config(epochs=1)
-    folds = _prepare_folds(matrices, _HOLDOUT, config, clip_pcts=(0.0, 100.0))
+    folds = _prepare_folds(matrices, _HOLDOUT, config, _NO_CLIP)
     report = run_experiment(_Cohort(matrices, folds), FeatureGroupSelection.of("raw"),
-                            None, config, _HOLDOUT, clip_pcts=(0.0, 100.0))
+                            None, config, _HOLDOUT, prep=_NO_CLIP)
     (fold,) = report.per_fold
     assert fold["cutoff"] < matrices[i].length
     assert all(math.isfinite(s["p"]) for s in fold["samples"])

@@ -20,7 +20,6 @@ from pendetect.features import (
     directional_displacement,
     displacement,
     dump_csv,
-    time_derivative,
 )
 from pendetect.signal_io import SMARTPEN_CHANNELS, SignalSequence, generate_synthetic
 
@@ -97,28 +96,32 @@ def test_directional_displacement_errors():
 
 
 # ---------------------------------------------------------------------------
-# time derivative
+# time derivative, as the assembled rate columns take it
+
+def _rates(x, y, timestamps, rate=200.0):
+    """The velocity, acceleration and jerk columns assembled from x, y and
+    `timestamps` at `rate` Hz."""
+    fm = assemble_features(_tablet_sequence(x, y, timestamp=timestamps, rate=rate),
+                           FeatureGroupSelection.of("kinematic"))
+    return [fm.column(q) for q in ("velocity", "acceleration", "jerk")]
+
 
 def test_time_derivative_at_200hz():
-    out = time_derivative([0, 1, 2], [0, 1, 2], tick_seconds=0.005)
-    np.testing.assert_array_equal(out, [0.0, 200.0, 200.0])
+    # steps of 1, 2 and 3: the displacement series is 0, 1, 2, 3
+    velocity = _rates([0, 1, 3, 6], [0, 0, 0, 0], [0, 1, 2, 3])[0]
+    np.testing.assert_array_equal(velocity, [0.0, 200.0, 200.0, 200.0])
 
 
 def test_time_derivative_constant_series():
-    out = time_derivative(np.full(8, 3.5), np.arange(8), tick_seconds=0.005)
-    np.testing.assert_array_equal(out, np.zeros(8))
+    velocity = _rates(np.full(8, 3.5), np.full(8, -1.0), np.arange(8))[0]
+    np.testing.assert_array_equal(velocity, np.zeros(8))
 
 
 def test_time_derivative_floors_repeated_ticks():
     # two samples share a tick; the delta is floored at one nominal interval
-    out = time_derivative([0, 1, 2], [0, 0, 1], tick_seconds=0.01)
-    np.testing.assert_array_equal(out, [0.0, 100.0, 100.0])
-    assert np.isfinite(out).all()
-
-
-def test_time_derivative_length_mismatch():
-    with pytest.raises(LengthMismatch):
-        time_derivative([0, 1], [0, 1, 2], tick_seconds=0.005)
+    velocity = _rates([0, 1, 3, 6], [0, 0, 0, 0], [0, 0, 1, 2], rate=100.0)[0]
+    np.testing.assert_array_equal(velocity, [0.0, 100.0, 100.0, 100.0])
+    assert np.isfinite(velocity).all()
 
 
 def test_triple_derivative_matches_finite_difference_oracle():
@@ -129,10 +132,7 @@ def test_triple_derivative_matches_finite_difference_oracle():
     ts = np.cumsum(rng.integers(1, 4, n)).astype(float)
     tick = 0.005
 
-    d = displacement(x, y)
-    v = time_derivative(d, ts, tick)
-    a = time_derivative(v, ts, tick)
-    j = time_derivative(a, ts, tick)
+    v, a, j = _rates(x, y, ts, rate=1 / tick)
 
     # independently coded chain, plain python loops
     od = [0.0] + [
@@ -149,7 +149,6 @@ def test_triple_derivative_matches_finite_difference_oracle():
     ov = oracle_derivative(od)
     oa = oracle_derivative(ov)
     oj = oracle_derivative(oa)
-    np.testing.assert_allclose(d, od, rtol=1e-12)
     np.testing.assert_allclose(v, ov, rtol=1e-12)
     np.testing.assert_allclose(a, oa, rtol=1e-11)
     np.testing.assert_allclose(j, oj, rtol=1e-10)
@@ -382,14 +381,14 @@ def test_assembled_columns_equal_column_by_column_oracles(n, rate, data):
     for name, expected in oracle.items():
         np.testing.assert_array_equal(fm.column(name), expected, err_msg=name)
 
-    # each rate column is the public time_derivative of the column it is
-    # the rate of, to the bit, repeated timestamps included
+    # each rate column is the oracle derivative of the column it is the
+    # rate of, to the bit, repeated timestamps included
     ladder = ("displacement", "velocity", "acceleration", "jerk")
     sources = {"pressure_derivative": "pressure"}
     for prefix in ("", "horizontal_", "vertical_"):
         sources.update((prefix + b, prefix + a) for a, b in zip(ladder, ladder[1:]))
     for name, source in sources.items():
-        rate = time_derivative(fm.column(source), ts, tick)
+        rate = deriv(fm.column(source))
         assert fm.column(name).tobytes() == rate.tobytes(), name
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pendetect.cli import load_config, main
+from pendetect.cli import CONFIG_FIELDS, load_config, main
 from pendetect.errors import ConfigError
 from pendetect.nn import (
     Conv1dSpec,
@@ -21,6 +21,7 @@ from pendetect.nn import (
 )
 from pendetect.nn.fields import REQUIRED, declared
 from pendetect.nn.model import SplitPlan
+from pendetect.preprocess import PrepConfig
 
 # a valid instance of each kind, as keyword arguments
 _KFOLD = {"kind": "kfold", "seed": 0, "k": 2}
@@ -89,6 +90,29 @@ def test_python_callers_and_config_files_meet_one_rule_with_one_message(
     with pytest.raises(ValueError) as python_exc:
         cls(**{**_valid(cls, name), name: value})
     assert str(exc.value) == prefix + str(python_exc.value)
+
+
+def test_config_rows_are_the_declared_rows_and_prep_config_checks_them(tmp_path):
+    rows = {f.path: f for f in CONFIG_FIELDS}
+    for cls, prefix in ((TrainConfig, "train."), (SplitPlan, "split."), (PrepConfig, "")):
+        for f in declared(cls, prefix):
+            if f.path.endswith(".seed"):  # the top-level seed seeds every block
+                assert f.path not in rows
+            else:
+                assert rows[f.path] == f
+    for name, value in (("normalize", "no"), ("clip_pcts", (5.0,)),
+                        ("clip_pcts", (90.0, 5.0)), ("cutoff_scope", "test")):
+        doc = {"seed": 3, "source": {"kind": "synthetic", "n_per_class": 4,
+                                     "length_range": [30, 45], "class_separation": 1.0},
+               name: value}
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError) as exc:
+            load_config(path, env={})
+        with pytest.raises(ValueError) as python_exc:
+            PrepConfig(**{name: value})
+        assert str(exc.value) == str(python_exc.value)
+        assert str(exc.value).startswith(f"{name} must be ")
 
 
 def test_an_in_range_numpy_float_passes_and_is_kept():

@@ -154,12 +154,10 @@ def test_model_blocks_are_views_of_one_theta_and_one_grad(cell, with_conv):
     for layer in layers:
         assert all(block.base is model.theta for block in layer.params.values())
         assert all(block.base is model.grad for block in layer.grads.values())
-    adopted = SequenceClassifier(spec, 17, None, theta=model.theta.copy())
-    np.testing.assert_array_equal(adopted.theta, model.theta)
-    adopted.params()["head/b"][0] = 1.0
-    assert adopted.theta[-1] == 1.0 and model.theta[-1] != 1.0
-    with pytest.raises(ValueError):
-        SequenceClassifier(spec, 17, None, theta=model.theta[:-1].copy())
+    copied = SequenceClassifier(spec, 17, None)
+    copied.theta[...] = model.theta
+    copied.params()["head/b"][0] = 1.0
+    assert copied.theta[-1] == 1.0 and model.theta[-1] != 1.0
 
 
 def test_parameter_count_matches_array_sizes():
@@ -345,8 +343,8 @@ def test_every_block_of_a_loaded_model_refuses_writes(tmp_path):
         with pytest.raises(ValueError, match="read-only"):
             block[...] = 0.0
     # the recipe for a trainable copy
-    trainable = SequenceClassifier(loaded.spec, loaded.input_size, None,
-                                   theta=loaded.theta.copy())
+    trainable = SequenceClassifier(loaded.spec, loaded.input_size, None)
+    trainable.theta[...] = loaded.theta
     trainable.params()["head/b"][...] += 1.0
     assert trainable.forward(x)[0] != loaded.forward(x)[0]
     np.testing.assert_array_equal(loaded.forward(x), model.forward(x))
