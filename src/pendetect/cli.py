@@ -5,9 +5,10 @@ dumps feature matrices as CSV, ``train`` runs one evaluation protocol
 end to end, ``ablate`` runs the cell-by-convolution grid, and ``score``
 applies a saved checkpoint to a single recording.
 
-Experiments are driven by a JSON config file (see CONFIG_FIELDS, whose
-"train", "split" and fold-preparation rows are the ones TrainConfig,
-SplitPlan and PrepConfig declare).
+Experiments are driven by a JSON config file (see CONFIG_FIELDS). Each
+row there and in PREPROCESSING_FIELDS is the row declared by the code
+that uses its value, moved to its key path, except the literal rows
+source.kind, source.path, model.spec, model.with_conv and out_dir.
 A handful of settings can be overridden without editing the file, with
 flag beating environment variable beating file: ``--seed`` /
 PENDETECT_SEED, ``--out`` / PENDETECT_OUT, and PENDETECT_EPOCHS.
@@ -49,16 +50,15 @@ from .features import (
     assemble_features,
     dump_csv,
 )
-from .nn import CELLS, DECISION_THRESHOLD, ModelSpec, TrainConfig, load_checkpoint, predict
-from .nn.fields import Field, checked, declared
+from .nn import DECISION_THRESHOLD, ModelSpec, RecurrentSpec, TrainConfig, load_checkpoint, predict
+from .nn.fields import REQUIRED, Field, checked, declared
 from .nn.model import SplitPlan
 from .preprocess import LengthPolicy, PrepConfig, load_stats, prepare, save_stats
 from .signal_io import (
-    MANIFEST_FORMATS,
-    MAX_SYNTHETIC_LENGTH,
-    MIN_SYNTHETIC_LENGTH,
+    SYNTHETIC_FIELDS,
     DatasetManifest,
     ManifestEntry,
+    SignalSequence,
     generate_synthetic,
     load_dataset,
     load_manifest,
@@ -69,21 +69,28 @@ from .signal_io import (
 
 PRESETS = {"synthetic-quick": "synthetic_quick.json"}
 
+
+def _moved(rows: tuple[Field, ...], name: str, path: str, **changes) -> Field:
+    """Row `name` of `rows` at key path `path`, changed only in `changes`."""
+    (row,) = (f for f in rows if f.path == name)
+    return replace(row, path=path, **changes)
+
+
+_NULL = {"default": None, "null": True}  # a row that a config may leave unset
+
 CONFIG_FIELDS = (
-    Field("seed", int, allowed="[0, inf)"),
+    _moved(declared(TrainConfig), "seed", "seed", default=REQUIRED),
     Field("source.kind", str, allowed=("manifest", "synthetic")),
     Field("source.path", str, kind="manifest"),
-    Field("source.format", str, allowed=MANIFEST_FORMATS, kind="manifest"),
-    Field("source.sample_rate_hz", float, None, "(0, inf)", null=True, kind="manifest"),
-    Field("source.n_per_class", int, allowed="[1, inf)", kind="synthetic"),
-    Field("source.length_range", list, allowed=f"[{MIN_SYNTHETIC_LENGTH}, {MAX_SYNTHETIC_LENGTH}]",
-          item=int, pair="<=", kind="synthetic"),
-    Field("source.class_separation", float, allowed="[0, 1]", kind="synthetic"),
-    Field("source.seed", int, None, "[0, inf)", null=True, kind="synthetic"),
-    Field("features.groups", list, ("derived",), GROUPS, item=str),
-    Field("features.include_raw_pressure_in_derived", bool, False),
+    _moved(declared(DatasetManifest), "format", "source.format", kind="manifest"),
+    _moved(declared(SignalSequence), "sample_rate_hz", "source.sample_rate_hz", kind="manifest",
+           **_NULL),
+    *(replace(f, path=f"source.{f.path}", kind="synthetic")  # all but the seed
+      for f in SYNTHETIC_FIELDS[:3]),
+    _moved(SYNTHETIC_FIELDS, "seed", "source.seed", kind="synthetic", **_NULL),
+    *declared(FeatureGroupSelection, "features."),
     Field("model.spec", dict, None),
-    Field("model.cell", str, "gru", CELLS),
+    _moved(declared(RecurrentSpec), "cell", "model.cell", default="gru"),
     Field("model.with_conv", bool, True),
     # the dataclasses' rows, less their "seed": the top-level one seeds both
     *(f for f in declared(TrainConfig, "train.") + declared(SplitPlan, "split.")
@@ -95,11 +102,12 @@ CONFIG_FIELDS = (
 #: what `train` records in model.ckpt and `score` replays; absent keys
 #: (checkpoints written before a key existed) take these defaults
 PREPROCESSING_FIELDS = (
-    Field("preprocessing.cutoff", int, None, "[1, inf)", null=True),
-    Field("preprocessing.feature_groups", list, ("derived",), GROUPS, item=str),
-    Field("preprocessing.include_raw_pressure_in_derived", bool, False),
-    Field("preprocessing.format", str, "tablet_svc", MANIFEST_FORMATS),
-    Field("preprocessing.sample_rate_hz", float, None, "(0, inf)", null=True),
+    _moved(declared(LengthPolicy), "cutoff", "preprocessing.cutoff", **_NULL),
+    _moved(declared(FeatureGroupSelection), "groups", "preprocessing.feature_groups"),
+    _moved(declared(FeatureGroupSelection), "include_raw_pressure_in_derived",
+           "preprocessing.include_raw_pressure_in_derived"),
+    _moved(declared(DatasetManifest), "format", "preprocessing.format", default="tablet_svc"),
+    _moved(declared(SignalSequence), "sample_rate_hz", "preprocessing.sample_rate_hz", **_NULL),
 )
 
 
@@ -237,13 +245,13 @@ def _make_out_dir(path: Path) -> Path:
 
 
 def cmd_synth(args) -> int:
-    out = _make_out_dir(Path(args.out))
-    sequences = generate_synthetic(
+    sequences = generate_synthetic(  # checks the flags before --out is made
         args.n_per_class,
         (args.min_length, args.max_length),
         args.separation,
         seed=args.seed,
     )
+    out = _make_out_dir(Path(args.out))
     entries = [ManifestEntry(f"{s.subject_id}.svc", s.subject_id, s.task_id, s.label)
                for s in sequences]
     for seq, entry in zip(sequences, entries):
@@ -308,17 +316,13 @@ def cmd_train(args) -> int:
     if artifacts.get("stats") is not None:
         norm_ref = "normalization.tsv"
         save_stats(artifacts["stats"], out / norm_ref)
-    # checked against the rows that score_file reads it with
-    preprocessing = checked(
-        {
-            "cutoff": artifacts["policy"].cutoff,
-            "feature_groups": list(config.features.groups),
-            "include_raw_pressure_in_derived": config.features.include_raw_pressure_in_derived,
-            "format": config.source.get("format", "synthetic"),
-            "sample_rate_hz": config.source.get("sample_rate_hz"),
-        },
-        "preprocessing", PREPROCESSING_FIELDS, ConfigError,
-    )
+    preprocessing = {  # each value from a checked object or config row
+        "cutoff": artifacts["policy"].cutoff,
+        "feature_groups": list(config.features.groups),
+        "include_raw_pressure_in_derived": config.features.include_raw_pressure_in_derived,
+        "format": config.source.get("format", "synthetic"),
+        "sample_rate_hz": config.source.get("sample_rate_hz"),
+    }
     artifacts["model"].save_checkpoint(
         out / "model.ckpt", normalization_ref=norm_ref, preprocessing=preprocessing
     )

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LengthMismatch, MissingChannel, NonFiniteFeatures, TooShort, write_text
+from .nn.fields import check, setting
 from .signal_io import SMARTPEN_CHANNELS, SignalSequence
 
 GROUPS = ("raw", "inclination", "pressure", "kinematic", "derived")
@@ -76,15 +77,11 @@ class FeatureGroupSelection:
     raw pressure column (a sensitivity-analysis switch, off by default).
     """
 
-    groups: tuple[str, ...]
-    include_raw_pressure_in_derived: bool = False
+    groups: tuple[str, ...] = setting(list, GROUPS, item=str, config=("derived",))
+    include_raw_pressure_in_derived: bool = setting(bool, default=False)
 
     def __post_init__(self):
-        if not self.groups:
-            raise ValueError("selection must name at least one group")
-        unknown = set(self.groups) - set(GROUPS)
-        if unknown:
-            raise ValueError(f"unknown feature groups {sorted(unknown)}")
+        check(self)
         ordered = tuple(g for g in GROUPS if g in self.groups)
         object.__setattr__(self, "groups", ordered)
 

@@ -11,6 +11,7 @@ message: "<path> must be <what the row allows>, got <the value>".
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import sys
 from dataclasses import MISSING, dataclass
@@ -59,9 +60,10 @@ def setting(type_: type, allowed: str | tuple[str, ...] = "", default=MISSING, *
     return dataclasses.field(default=default, metadata={"row": row})
 
 
+@functools.cache
 def declared(cls, prefix: str = "") -> tuple[Field, ...]:
-    """The rows dataclass `cls` declares with `setting`, in field order,
-    each path the field's name after `prefix`."""
+    """The rows dataclass `cls` declares with `setting`, in field order, each
+    path the field's name after `prefix`; cached, as `check` reads them often."""
     return tuple(dataclasses.replace(f.metadata["row"], path=prefix + f.name)
                  for f in dataclasses.fields(cls) if "row" in f.metadata)
 

@@ -50,11 +50,10 @@ class PrepConfig:
 
 @dataclass(frozen=True)
 class LengthPolicy:
-    cutoff: int
+    cutoff: int = setting(int, "[1, inf)")
 
     def __post_init__(self):
-        if self.cutoff < 1:
-            raise ValueError(f"cutoff must be >= 1, got {self.cutoff}")
+        check(self)
 
 
 @dataclass

@@ -43,6 +43,7 @@ from .errors import (
     read_bytes,
     write_text,
 )
+from .nn.fields import Field, check, check_value, declared, setting
 
 PD = "PD"
 HC = "HC"
@@ -71,9 +72,13 @@ SMARTPEN_CHANNELS = (
 MANIFEST_HEADER = ("path", "subject_id", "task_id", "label")
 MANIFEST_FORMATS = ("tablet_svc", "smartpen_channels", "synthetic")
 
-#: the range of generate_synthetic's sequence lengths
-MIN_SYNTHETIC_LENGTH = 8
-MAX_SYNTHETIC_LENGTH = 1_000_000
+#: the rows generate_synthetic checks its four arguments against, in order
+SYNTHETIC_FIELDS = (
+    Field("n_per_class", int, allowed="[1, inf)"),
+    Field("length_range", list, allowed="[8, 1000000]", item=int, pair="<="),
+    Field("class_separation", float, allowed="[0, 1]"),
+    Field("seed", int, allowed="[0, inf)"),
+)
 
 
 @dataclass
@@ -82,9 +87,9 @@ class SignalSequence:
 
     subject_id: str
     task_id: str
-    label: str | None
+    label: str | None = setting(str, LABELS, null=True)
     channels: dict[str, np.ndarray]
-    sample_rate_hz: float = 200.0
+    sample_rate_hz: float = setting(float, "(0, inf)", 200.0)
 
     def __post_init__(self):
         if not self.channels:
@@ -92,10 +97,7 @@ class SignalSequence:
         lengths = {name: len(series) for name, series in self.channels.items()}
         if len(set(lengths.values())) != 1:
             raise ValueError(f"channel lengths differ: {lengths}")
-        if self.label is not None and self.label not in LABELS:
-            raise ValueError(f"label must be one of {LABELS}, got {self.label!r}")
-        if self.sample_rate_hz <= 0:
-            raise ValueError("sample_rate_hz must be positive")
+        check(self)
         self.channels = {k: np.asarray(v, dtype=np.float64) for k, v in self.channels.items()}
 
     @property
@@ -120,11 +122,10 @@ class ManifestEntry:
 @dataclass
 class DatasetManifest:
     entries: list[ManifestEntry]
-    format: str
+    format: str = setting(str, MANIFEST_FORMATS)
 
     def __post_init__(self):
-        if self.format not in MANIFEST_FORMATS:
-            raise ValueError(f"unknown manifest format {self.format!r}")
+        check(self)
         seen: set[tuple[str, str]] = set()
         for e in self.entries:
             key = (e.subject_id, e.task_id)
@@ -327,10 +328,10 @@ def parse_recording(
     Smart-pen files go to parse_smartpen_file, tablet and synthetic files
     to parse_tablet_file. ``sample_rate_hz`` None keeps that parser's
     nominal rate (100 Hz smart pen, 200 Hz tablet); ``ids`` (subject_id,
-    task_id, label) pass through to it.
+    task_id, label) pass through to it. A ``format`` that DatasetManifest's
+    one row refuses is a ValueError.
     """
-    if format not in MANIFEST_FORMATS:
-        raise ValueError(f"unknown recording format {format!r}")
+    check_value(declared(DatasetManifest)[0], format, ValueError)
     parse = parse_smartpen_file if format == "smartpen_channels" else parse_tablet_file
     if sample_rate_hz is not None:
         ids["sample_rate_hz"] = sample_rate_hz
@@ -370,20 +371,11 @@ def generate_synthetic(
     ``class_separation``. At 0 the two classes share one generating
     distribution; at 1 a threshold on mean absolute velocity change separates
     them almost perfectly. Deterministic for a fixed seed. An argument
-    out of range is an InvalidRange.
+    that its row of SYNTHETIC_FIELDS refuses is an InvalidRange.
     """
-    lo, hi = length_range
-    if not MIN_SYNTHETIC_LENGTH <= lo <= hi <= MAX_SYNTHETIC_LENGTH:
-        raise InvalidRange(
-            f"length_range must be min <= max within [{MIN_SYNTHETIC_LENGTH}, "
-            f"{MAX_SYNTHETIC_LENGTH}], got {tuple(length_range)}"
-        )
-    if not 0.0 <= class_separation <= 1.0:
-        raise InvalidRange(f"class_separation must be in [0, 1], got {class_separation}")
-    if n_subjects_per_class < 1:
-        raise InvalidRange("n_subjects_per_class must be >= 1")
-    if seed < 0:
-        raise InvalidRange(f"seed must be >= 0, got {seed}")
+    n_subjects_per_class, (lo, hi), class_separation, seed = (
+        check_value(f, v, InvalidRange) for f, v in
+        zip(SYNTHETIC_FIELDS, (n_subjects_per_class, length_range, class_separation, seed)))
 
     rng = np.random.default_rng(seed)
     sequences: list[SignalSequence] = []
