@@ -1,13 +1,16 @@
 """Exception types shared across the package, and the one place where an
-artifact file is read (``read_bytes``) or written (``write_text``), so
-that every such failure is an IoError naming the file. That place is here
+artifact file is read (``read_bytes``, or ``read_decoded``, which
+decodes it once per file content) or written (``write_text``), so that
+every such failure is an IoError naming the file. That place is here
 because every module imports ``errors``, and ``nn`` imports nothing else
 of the package; this module imports only the standard library.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from pathlib import Path
+from typing import Any
 
 
 class PenDetectError(Exception):
@@ -143,6 +146,22 @@ def read_bytes(path: str | Path) -> bytes:
         return Path(path).read_bytes()
     except (OSError, ValueError) as exc:  # ValueError: a NUL in the name
         raise IoError(str(exc), path=str(path)) from exc
+
+
+# artifact kind -> (bytes, decoded value) of the last file of that kind that decoded
+_decoded: dict[str, tuple[bytes, Any]] = {}
+
+
+def read_decoded(kind: str, path: str | Path, decode: Callable[[bytes, str | Path], Any]) -> Any:
+    """``decode(raw, path)`` of the bytes `raw` of the file at `path`, read
+    on every call. The last file of each `kind` that decoded is kept: on
+    equal bytes `decode` is skipped and every caller gets the same kept
+    value. Kinds keep separate slots, so one never evicts another."""
+    raw = read_bytes(path)
+    last = _decoded.get(kind)  # one read: another thread may replace the entry
+    if last is None or last[0] != raw:
+        last = _decoded[kind] = (raw, decode(raw, path))
+    return last[1]
 
 
 def write_text(path: str | Path, text: str) -> None:

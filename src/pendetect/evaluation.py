@@ -33,6 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .errors import InputTooShort, SingleClass, TooSmall, TrainingError, write_text
 from .features import FeatureGroupSelection, FeatureMatrix, assemble_features
 from .preprocess import (
@@ -474,6 +475,10 @@ def _run_fold(
     probs, _ = predict(model, fold.x)
     if not np.isfinite(probs).all():
         raise TrainingError(f"fold {fold.index}: the trained model scores a non-finite probability")
+    # a diverged model can score finite p; its squared parameter norm overflows
+    with np.errstate(over="ignore"):
+        if not np.isfinite(model.theta @ model.theta):
+            raise TrainingError(f"fold {fold.index}: the trained model's parameters diverged")
     samples = [
         {
             "subject_id": matrices[i].subject_id,
@@ -590,8 +595,6 @@ def run_experiment(
         "auc": roc_auc_from_points(pooled_roc),
         "roc_points": [list(p) for p in pooled_roc],
     }
-
-    from pendetect import __version__
 
     config = {
         "tool_version": __version__,

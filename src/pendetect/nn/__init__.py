@@ -1,35 +1,28 @@
 """From-scratch numpy neural network: conv, recurrent cells, Adam, gradcheck.
 
-The names imported here are the package's public interface. The training
-names (the loop, Adam, the losses, the gradient check) are imported on
-first use, so building and scoring a model never loads them.
+The names listed here are the package's public interface. Each is
+imported from its module on first use, so ``nn.fields``, which the data
+modules (``signal_io``, ``features``, ``preprocess``) import for their
+setting declarations, loads neither the layers nor the model, and
+building and scoring a model never loads the training loop, Adam, the
+losses or the gradient check.
 """
 
 import importlib
 
-from .layers import CELLS, Conv1d, DenseSigmoid, Recurrent
-from .model import (
-    DECISION_THRESHOLD,
-    Conv1dSpec,
-    ModelSpec,
-    RecurrentSpec,
-    SequenceClassifier,
-    TrainConfig,
-    closed_form_parameter_count,
-    load_checkpoint,
-    predict,
-    spec_hash,
-)
-
 # public name -> the module of this package that defines it
 _ON_FIRST_USE = {
-    "Adam": "optim",
-    "bce_logit_grad": "losses",
-    "bce_loss": "losses",
-    "gradient_check": "gradcheck",
-    "TrainResult": "train",
-    "train_model": "train",
-    "train_step": "train",
+    name: module
+    for module, names in (
+        ("layers", "CELLS Conv1d DenseSigmoid Recurrent"),
+        ("model", "DECISION_THRESHOLD Conv1dSpec ModelSpec RecurrentSpec SequenceClassifier "
+                  "TrainConfig closed_form_parameter_count load_checkpoint predict spec_hash"),
+        ("optim", "Adam"),
+        ("losses", "bce_logit_grad bce_loss"),
+        ("gradcheck", "gradient_check"),
+        ("train", "TrainResult train_model train_step"),
+    )
+    for name in names.split()
 }
 
 

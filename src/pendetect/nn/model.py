@@ -39,7 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import DimensionMismatch, InputTooShort, ParseError, SpecMismatch
-from ..errors import read_bytes, write_text
+from ..errors import read_decoded, write_text
 from .fields import Field, check, check_value, declared, setting
 from .layers import CELLS, GATES, Conv1d, DenseSigmoid, Recurrent
 
@@ -404,9 +404,6 @@ def predict(model: SequenceClassifier, x: np.ndarray) -> tuple[np.ndarray, np.nd
             logits[start : start + rows] = model.head.logits[:rows]
     return probs, logits
 
-# the last checkpoint decoded: (file bytes, its read-only model, meta)
-_last_decoded: tuple[bytes, SequenceClassifier, dict] | None = None
-
 
 def _decode_checkpoint(raw: bytes, path: str | Path) -> tuple[SequenceClassifier, dict]:
     """Parse and verify checkpoint bytes into (model, meta): one model whose
@@ -471,20 +468,15 @@ def load_checkpoint(path: str | Path) -> tuple[SequenceClassifier, dict]:
     Returns (model, meta) where meta holds the non-parameter payload:
     "normalization_ref" and "preprocessing" as stored by save_checkpoint.
 
-    The file is read on every call, but the last file that decoded is
-    kept: when the bytes are equal, the JSON parse, the checks and the
-    base64 decode are skipped. One model is built per file content and
-    every call on those bytes returns that same model, shared by all its
-    callers: its ``theta`` and every ``params()`` block refuse writes
+    The file is read on every call, but the last checkpoint that decoded is
+    kept (`errors.read_decoded`): on equal bytes the JSON parse, the checks
+    and the base64 decode are skipped. One model is built per file content
+    and every call on those bytes returns that same model, shared by all
+    its callers: its ``theta`` and every ``params()`` block refuse writes
     (ValueError). Each call returns a new meta, so changing one never
     reaches the next load. To train on a loaded model, copy it into a zero
     model: ``m2 = SequenceClassifier(m.spec, m.input_size, None);
     m2.theta[...] = m.theta``.
     """
-    global _last_decoded
-    raw = read_bytes(path)
-    last = _last_decoded  # one read: another thread may replace the entry
-    if last is None or last[0] != raw:
-        last = _last_decoded = (raw, *_decode_checkpoint(raw, path))
-    _, model, meta = last
+    model, meta = read_decoded("checkpoint", path, _decode_checkpoint)
     return model, copy.deepcopy(meta)

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ColumnMismatch, EmptyDataset, InvalidRange, ParseError, read_bytes, write_text
+from .errors import ColumnMismatch, EmptyDataset, InvalidRange, ParseError, read_decoded, write_text
 from .features import FeatureMatrix, check_finite
 from .nn.fields import check, setting
 
@@ -258,10 +258,6 @@ def save_stats(stats: NormalizationStats, path: str | Path) -> None:
     write_text(path, "\n".join(lines) + "\n")
 
 
-# the last stats file that parsed: (file bytes, stats)
-_last_decoded: tuple[bytes, NormalizationStats] | None = None
-
-
 def _decode_stats(raw: bytes, path: str | Path) -> NormalizationStats:
     """Parse stats file bytes; any content fault is a ParseError naming `path`."""
     try:
@@ -303,20 +299,13 @@ def _decode_stats(raw: bytes, path: str | Path) -> NormalizationStats:
 def load_stats(path: str | Path) -> NormalizationStats:
     """Read a stats file; any content fault is a ParseError naming it.
 
-    The file is read on every call, but the last file that parsed is
-    kept: when the bytes are equal, the parse is skipped. Every call
-    returns new stats with their own arrays, so changing one never
-    reaches the next load.
+    The file is read on every call, but the last stats file that parsed
+    is kept (`errors.read_decoded`): when the bytes are equal, the parse
+    is skipped. Every call returns new stats with their own arrays, so
+    changing one never reaches the next load.
     """
-    global _last_decoded
-    raw = read_bytes(path)
-    last = _last_decoded  # one read: another thread may replace the entry
-    if last is None or last[0] != raw:
-        stats = _decode_stats(raw, path)
-        _last_decoded = (raw, stats)
-    else:
-        stats = last[1]
-    # a shallow copy skips __post_init__: the entry was checked when decoded
+    stats = read_decoded("stats", path, _decode_stats)
+    # a shallow copy skips __post_init__: the kept stats were checked when decoded
     fresh = copy.copy(stats)
     fresh.column_names = list(stats.column_names)
     fresh.mean, fresh.std = stats.mean.copy(), stats.std.copy()

@@ -44,6 +44,7 @@ from pendetect.features import (
     dump_csv,
 )
 from pendetect.nn import (
+    CELLS,
     Conv1dSpec,
     ModelSpec,
     RecurrentSpec,
@@ -53,6 +54,7 @@ from pendetect.nn import (
 )
 from pendetect.nn.fields import declared
 from pendetect.nn import model as model_module
+from pendetect import preprocess as preprocess_module
 from pendetect.preprocess import (
     LengthPolicy,
     NormalizationStats,
@@ -645,7 +647,9 @@ def test_features_in_a_fresh_interpreter_loads_no_training_module(tmp_path):
         ["features", "--preset", "synthetic-quick", "--out", str(tmp_path / "out")]
     )
     assert code == "0" and summary.startswith("wrote 40 feature files")
-    assert _TRAINING_MODULES.isdisjoint(loaded)
+    assert loaded == ["pendetect", "pendetect.cli", "pendetect.errors", "pendetect.features",
+                      "pendetect.nn", "pendetect.nn.fields", "pendetect.nn.layers",
+                      "pendetect.nn.model", "pendetect.preprocess", "pendetect.signal_io"]
 
 
 def test_training_names_resolve_on_first_use():
@@ -684,32 +688,35 @@ def test_score_reads_a_checkpoint_rewritten_in_place(tmp_path):
 
 
 def test_warm_scoring_builds_and_decodes_no_model(tmp_path, monkeypatch):
+    # each call loads the checkpoint and then its stats file: each kind keeps
+    # its own slot in the cache, so neither load evicts the other
     ckpt, lines, _ = _score_fixture(tmp_path, "tablet_svc", 30, True)
     recording = tmp_path / "rec.svc"
     recording.write_text("\n".join(lines[:200]) + "\n")
     cold = score_file(ckpt, recording)
-    counts = {"builds": 0, "decodes": 0}
-    init, decode = SequenceClassifier.__init__, model_module._decode_checkpoint
+    counts = {"builds": 0, "decodes": 0, "stats decodes": 0}
 
-    def counted_init(self, *args, **kwargs):
-        counts["builds"] += 1
-        init(self, *args, **kwargs)
+    def counted(key, fn):
+        def counted_fn(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return counted_fn
 
-    def counted_decode(*args):
-        counts["decodes"] += 1
-        return decode(*args)
-
-    monkeypatch.setattr(SequenceClassifier, "__init__", counted_init)
-    monkeypatch.setattr(model_module, "_decode_checkpoint", counted_decode)
+    monkeypatch.setattr(SequenceClassifier, "__init__",
+                        counted("builds", SequenceClassifier.__init__))
+    monkeypatch.setattr(model_module, "_decode_checkpoint",
+                        counted("decodes", model_module._decode_checkpoint))
+    monkeypatch.setattr(preprocess_module, "_decode_stats",
+                        counted("stats decodes", preprocess_module._decode_stats))
     for _ in range(20):
         assert score_file(ckpt, recording) == cold
-    assert counts == {"builds": 0, "decodes": 0}
+    assert counts == {"builds": 0, "decodes": 0, "stats decodes": 0}
     loaded, meta = load_checkpoint(ckpt)
     rewritten = SequenceClassifier(loaded.spec, loaded.input_size, np.random.default_rng(3))
     rewritten.save_checkpoint(ckpt, meta["normalization_ref"], meta["preprocessing"])
     counts.update(builds=0, decodes=0)
     assert score_file(ckpt, recording) != cold
-    assert counts == {"builds": 1, "decodes": 1}
+    assert counts == {"builds": 1, "decodes": 1, "stats decodes": 0}
 
 
 def test_threads_sharing_one_loaded_model_score_as_sequential_calls(tmp_path):
@@ -1505,16 +1512,21 @@ def tiny_manifest(tmp_path_factory) -> Path:
 
 
 @given(command=st.sampled_from(["train", "ablate"]), split=st.sampled_from(sorted(_TINY_SPLITS)),
-       source=st.sampled_from(["synthetic", "manifest"]), data=st.data())
+       source=st.sampled_from(["synthetic", "manifest"]), cell=st.sampled_from(CELLS),
+       with_conv=st.booleans(), data=st.data())
 @settings(max_examples=100, deadline=None)
 def test_train_and_ablate_on_mutated_numbers_run_or_fail_as_documented(
-    tmp_path_factory, tiny_manifest, command, split, source, data
+    tmp_path_factory, tiny_manifest, command, split, source, cell, with_conv, data
 ):
     doc = copy.deepcopy({**_TINY, "split": _TINY_SPLITS[split]})
     if source == "manifest":
         doc["source"] = {"kind": "manifest", "path": str(tiny_manifest), "format": "tablet_svc"}
-    for keys, value in data.draw(st.lists(st.sampled_from(_MUTATIONS[split, source]), min_size=1,
-                                          max_size=3)):
+    doc["model"]["spec"]["recurrent_layers"][0]["cell"] = cell
+    if not with_conv:
+        doc["model"]["spec"]["conv_layers"] = []
+    mutations = [(keys, v) for keys, v in _MUTATIONS[split, source]
+                 if with_conv or "conv_layers" not in keys]
+    for keys, value in data.draw(st.lists(st.sampled_from(mutations), min_size=1, max_size=3)):
         block = doc
         for key in keys[:-1]:
             block = block[key]
@@ -1535,6 +1547,10 @@ def test_train_and_ablate_on_mutated_numbers_run_or_fail_as_documented(
         assert err == ""
     else:
         assert err.startswith(_EXIT_PREFIXES[code]) and err.count("\n") == 1, err
+    if code == 0 and command == "train":  # the model written did not diverge
+        theta = load_checkpoint(work / "out" / "model.ckpt")[0].theta
+        with np.errstate(over="ignore"):
+            assert np.isfinite(theta @ theta)
 
 
 def test_a_model_that_scores_nan_after_its_last_update_is_a_training_failure(tmp_path, capsys):
@@ -1550,6 +1566,26 @@ def test_a_model_that_scores_nan_after_its_last_update_is_a_training_failure(tmp
     assert code == 3 and caught == []
     assert capsys.readouterr().err == \
         "training failure: fold 0: the trained model scores a non-finite probability\n"
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("cell", CELLS)
+def test_a_model_whose_parameters_diverged_is_a_training_failure(tmp_path, capsys, cell, seed):
+    # without the conv stack the 1e300 weights of the last update still score
+    # finite p (lstm at seed 1 scored every test row right); only their
+    # squared norm, which overflows, shows that training diverged
+    doc = {"seed": seed, "source": {"kind": "synthetic", "n_per_class": 2, "length_range": [30, 40],
+                                    "class_separation": 1.0},
+           "model": {"cell": cell, "with_conv": False}, "split": _TINY_SPLITS["holdout"],
+           "train": {"epochs": 1, "early_stop_patience": None, "learning_rate": 1e300}}
+    (tmp_path / "c.json").write_text(json.dumps(doc))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["train", "--config", str(tmp_path / "c.json"), "--out", str(tmp_path / "o")])
+    assert code == 3 and caught == []
+    assert capsys.readouterr().err == \
+        "training failure: fold 0: the trained model's parameters diverged\n"
+    assert not (tmp_path / "o" / "model.ckpt").exists()
 
 
 def _readme() -> str:

@@ -1,11 +1,14 @@
 import ast
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pendetect.nn
 from pendetect import errors as errors_module
 from pendetect.errors import DimensionMismatch, InputTooShort, ParseError, SpecMismatch
 from pendetect.nn import model as model_module
@@ -485,6 +488,9 @@ def test_nn_imports_only_the_standard_library_numpy_errors_and_itself():
                 or (level == 2 and name == "errors")
             ):
                 outside.append(f"{path.name}: {'.' * level}{name}")
+    # the package's names come from its own modules on first use
+    outside += [f"__init__.py: first use of {name} in .{module}"
+                for name, module in pendetect.nn._ON_FIRST_USE.items() if module not in own]
     assert outside == []
 
 
@@ -495,3 +501,19 @@ def test_errors_imports_only_the_standard_library():
     outside = [f"{'.' * level}{name}" for level, name in _imports(path)
                if level or name.partition(".")[0] not in sys.stdlib_module_names]
     assert outside == []
+
+
+def test_the_data_modules_load_neither_the_layers_nor_the_model():
+    # signal_io, features and preprocess import nn.fields for their setting
+    # declarations; the network loads only where a model is built
+    program = ("import sys, pendetect.signal_io, pendetect.features, pendetect.preprocess\n"
+               "print(*sorted(name for name in sys.modules if name.startswith('pendetect')))\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", program], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert proc.stdout.split() == [
+        "pendetect", "pendetect.errors", "pendetect.features", "pendetect.nn",
+        "pendetect.nn.fields", "pendetect.preprocess", "pendetect.signal_io",
+    ]
