@@ -379,16 +379,20 @@ def score_file(checkpoint: str | Path, input_path: str | Path) -> float:
 
     Features the recording cannot give (too few rows, a missing channel,
     a non-finite value), and a recording the model refuses as too short,
-    are data errors naming `input_path`. A
-    normalization sidecar that cannot be read or parsed, and a p that is
-    not finite (the forward overflowed), are data errors naming the
-    checkpoint; stats that do not fit the features, or z-score them to a
+    are data errors naming `input_path`. A cutoff below the conv stack's
+    minimum, a normalization sidecar that cannot be read or parsed, and a
+    p that is not finite (the forward overflowed), are data errors naming
+    the checkpoint; stats that do not fit the features, or z-score them to a
     non-finite value, name the checkpoint and `input_path`.
     """
     model, meta = load_checkpoint(checkpoint)
     pre = _replayed_preprocessing(meta, checkpoint)
-    seq = parse_recording(input_path, pre["format"], pre["sample_rate_hz"])
     cutoff = pre["cutoff"]
+    if cutoff is not None and cutoff < model.min_input_length():  # `train` never writes one
+        raise ParseError(f"malformed checkpoint: preprocessing.cutoff {cutoff} is below the "
+                         f"minimum {model.min_input_length()} for the conv stack",
+                         path=str(checkpoint))
+    seq = parse_recording(input_path, pre["format"], pre["sample_rate_hz"])
     # at least MIN_LENGTH rows, so that a recording fit for features stays fit
     rows = None if cutoff is None else max(cutoff, MIN_LENGTH)
     if rows is not None and seq.length > rows:
@@ -399,7 +403,7 @@ def score_file(checkpoint: str | Path, input_path: str | Path) -> float:
     except (ShapeError, DataError) as exc:
         raise DataError(str(exc), path=str(input_path)) from exc
     ref, stats = meta["normalization_ref"], None
-    if ref:
+    if ref is not None:
         try:
             stats = load_stats(Path(checkpoint).parent / ref)
         except (IoError, ParseError) as exc:

@@ -433,7 +433,7 @@ def _prepare_folds(
                 split, carved = SplitIndices(train=train, val=val, test=split.test), True
         train_ms = [matrices[i] for i in split.train]
         policy = compute_cutoff(train_ms if prep.cutoff_scope == "train" else matrices)
-        stats = fit_normalization(train_ms, *prep.clip_pcts) if prep.normalize else None
+        stats = fit_normalization(train_ms, prep.clip_pcts) if prep.normalize else None
         fold_ms = [matrices[i] for _, i in split.rows()]
         x = prepare(fold_ms, policy, stats)
         y = np.array([LABEL_TO_Y[fm.label] for fm in fold_ms], dtype=np.float64)

@@ -165,24 +165,6 @@ class SplitPlan:
     def kfold(cls, k: int, seed: int) -> "SplitPlan":
         return cls(kind="kfold", seed=seed, k=k)
 
-    @classmethod
-    def holdout(
-        cls,
-        train_frac: float,
-        val_frac: float,
-        test_frac: float,
-        n_runs: int,
-        seed: int,
-    ) -> "SplitPlan":
-        return cls(
-            kind="holdout",
-            seed=seed,
-            train_frac=train_frac,
-            val_frac=val_frac,
-            test_frac=test_frac,
-            n_runs=n_runs,
-        )
-
     def to_dict(self) -> dict:
         """The fields the plan's kind uses, and "stratified": true."""
         kept = (f.path for f in declared(SplitPlan) if f.kind in ("", self.kind))
@@ -220,6 +202,30 @@ def closed_form_parameter_count(spec: ModelSpec, input_size: int) -> int:
     return total
 
 
+def _layer_plan(spec: ModelSpec, input_size: int) -> list[tuple[str, type, tuple]]:
+    """(name, layer class, constructor arguments) of each layer of a model of
+    `spec` on `input_size` columns, in layout order. A class's static
+    ``shapes`` of the arguments gives the layer's blocks without building it.
+    A first conv of another width is a DimensionMismatch."""
+    if spec.conv_layers and spec.conv_layers[0].in_channels != input_size:
+        raise DimensionMismatch(
+            f"first conv expects {spec.conv_layers[0].in_channels} channels, "
+            f"input has {input_size}"
+        )
+    plan = []
+    width = input_size
+    for i, c in enumerate(spec.conv_layers):
+        plan.append((f"conv{i}", Conv1d,
+                     (c.in_channels, c.out_channels, c.kernel, c.stride, c.activation)))
+        width = c.out_channels
+    for i, r in enumerate(spec.recurrent_layers):
+        plan.append((f"rec{i}", Recurrent, (r.cell, width, r.hidden_units, r.bidirectional,
+                                            r.dropout_rate, r.recurrent_dropout_rate)))
+        width = r.hidden_units * (1 + r.bidirectional)
+    plan.append(("head", DenseSigmoid, (width,)))
+    return plan
+
+
 class SequenceClassifier:
     """The full pipeline: conv stack, recurrent stack, sigmoid head.
 
@@ -235,25 +241,9 @@ class SequenceClassifier:
     """
 
     def __init__(self, spec: ModelSpec, input_size: int, rng: np.random.Generator | None):
-        if spec.conv_layers and spec.conv_layers[0].in_channels != input_size:
-            raise DimensionMismatch(
-                f"first conv expects {spec.conv_layers[0].in_channels} channels, "
-                f"input has {input_size}"
-            )
+        plan = _layer_plan(spec, input_size)
         self.spec = spec
         self.input_size = input_size
-        # (name, layer class, constructor arguments) in layout order
-        plan = []
-        width = input_size
-        for i, c in enumerate(spec.conv_layers):
-            plan.append((f"conv{i}", Conv1d,
-                         (c.in_channels, c.out_channels, c.kernel, c.stride, c.activation)))
-            width = c.out_channels
-        for i, r in enumerate(spec.recurrent_layers):
-            plan.append((f"rec{i}", Recurrent, (r.cell, width, r.hidden_units, r.bidirectional,
-                                                r.dropout_rate, r.recurrent_dropout_rate)))
-            width = r.hidden_units * (1 + r.bidirectional)
-        plan.append(("head", DenseSigmoid, (width,)))
         sizes = [sum(math.prod(shape) for shape in kind.shapes(*args).values())
                  for _, kind, args in plan]
         total = sum(sizes)
@@ -410,7 +400,9 @@ def _decode_checkpoint(raw: bytes, path: str | Path) -> tuple[SequenceClassifier
     ``theta`` and parameter views refuse writes. Every refusal names
     `path`: a malformed file, a non-finite parameter or a normalization_ref
     that is not a plain file name is a ParseError; a foreign format, spec
-    or block set a SpecMismatch."""
+    or block set a SpecMismatch. Every block is checked against the spec's
+    layer plan before the model is built, so a spec whose parameters the
+    file does not hold allocates nothing of its size."""
     where = str(path)
     try:
         doc = json.loads(raw.decode("utf-8"))
@@ -426,25 +418,25 @@ def _decode_checkpoint(raw: bytes, path: str | Path) -> tuple[SequenceClassifier
         input_size = check_value(row, doc["input_size"], ValueError)
         if spec_hash(spec, input_size) != doc["spec_sha256"]:
             raise SpecMismatch("spec hash does not match the stored spec", path=where)
-        # a zero model of the spec: its views give the block names, shapes and
-        # layout, and the stored blocks decode into them
-        model = SequenceClassifier(spec, input_size, rng=None)
-        stored, own = doc["params"], model.params()
+        # the spec's block names and shapes in layout order, from the layer classes
+        own = {f"{name}/{key}": shape for name, kind, args in _layer_plan(spec, input_size)
+               for key, shape in kind.shapes(*args).items()}
+        stored, values = doc["params"], []
         if set(stored) != set(own):
             raise SpecMismatch(
                 f"checkpoint blocks {sorted(stored)} do not match model blocks {sorted(own)}",
                 path=where,
             )
-        for key, target in own.items():
+        for key, shape in own.items():
             block = stored[key]
-            if tuple(block["shape"]) != target.shape:
+            if tuple(block["shape"]) != shape:
                 raise SpecMismatch(
-                    f"block {key}: checkpoint shape {block['shape']}, model shape {target.shape}",
+                    f"block {key}: checkpoint shape {block['shape']}, model shape {shape}",
                     path=where,
                 )
             data = base64.b64decode(block["data"])
-            target[...] = np.frombuffer(data, dtype=np.float64).reshape(target.shape)
-            if not np.isfinite(target).all():
+            values.append(np.frombuffer(data, dtype=np.float64).reshape(shape))
+            if not np.isfinite(values[-1]).all():
                 raise ParseError(f"block {key} holds a non-finite value", path=where)
     except KeyError as exc:
         raise ParseError(f"checkpoint has no {exc} entry", path=where) from exc
@@ -454,10 +446,13 @@ def _decode_checkpoint(raw: bytes, path: str | Path) -> tuple[SequenceClassifier
     if not (ref is None or isinstance(ref, str)) or not (pre is None or isinstance(pre, dict)):
         raise ParseError("malformed checkpoint: wrongly typed metadata", path=where)
     # the rule `features` applies to ids: the sidecar sits beside the checkpoint
-    if ref is not None and (Path(ref).name != ref or "\0" in ref):
+    if ref is not None and (not ref or Path(ref).name != ref or "\0" in ref):
         raise ParseError(f"normalization_ref {ref!r} is not a plain file name", path=where)
+    model = SequenceClassifier(spec, input_size, rng=None)
+    for target, value in zip(model.params().values(), values):
+        target[...] = value
     # every layer holds these same views, so the whole parameter store is read-only
-    for block in (model.theta, *own.values()):
+    for block in (model.theta, *model.params().values()):
         block.flags.writeable = False
     return model, {"normalization_ref": ref, "preprocessing": pre}
 

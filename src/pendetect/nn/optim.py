@@ -5,22 +5,25 @@ place from the matching flat gradient vector. Both moment estimates are
 vectors of the same length; they are public so tests can inspect them.
 A step updates them, and ``theta``, in place through two preallocated
 work vectors, in the same operation order as the textbook formulas.
-Its rates come from a TrainConfig, which checks them.
+Its rates are a TrainConfig's ``learning_rate``, ``adam_beta1``,
+``adam_beta2`` and ``adam_eps``, which declares their defaults and checks
+them.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .model import TrainConfig
+
 
 class Adam:
-    def __init__(self, theta: np.ndarray, learning_rate=0.001,
-                 beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, theta: np.ndarray, config: TrainConfig):
         self.theta = theta
-        self.lr = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
+        self.lr = config.learning_rate
+        self.beta1 = config.adam_beta1
+        self.beta2 = config.adam_beta2
+        self.eps = config.adam_eps
         self.step_count = 0
         self.m = np.zeros_like(theta)
         self.v = np.zeros_like(theta)

@@ -113,13 +113,7 @@ def train_model(
     """
     _keep_heap_resident()
     rng = np.random.default_rng([config.seed])
-    optimizer = Adam(
-        model.theta,
-        learning_rate=config.learning_rate,
-        beta1=config.adam_beta1,
-        beta2=config.adam_beta2,
-        eps=config.adam_eps,
-    )
+    optimizer = Adam(model.theta, config)
     use_early_stop = val is not None and config.early_stop_patience is not None
     result = TrainResult(
         stopping_rule=(

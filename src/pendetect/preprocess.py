@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import ColumnMismatch, EmptyDataset, InvalidRange, ParseError, read_decoded, write_text
 from .features import FeatureMatrix, check_finite
-from .nn.fields import check, setting
+from .nn.fields import check, check_value, declared, setting
 
 STD_FLOOR = 1e-8
 STATS_FILE_VERSION = "pendetect-normalization v1"
@@ -115,23 +115,20 @@ def fit_length(
 
 
 def fit_normalization(
-    train: list[FeatureMatrix],
-    clip_low_pct: float = PrepConfig.clip_pcts[0],
-    clip_high_pct: float = PrepConfig.clip_pcts[1],
+    train: list[FeatureMatrix], clip_pcts: tuple[float, float] = PrepConfig.clip_pcts
 ) -> NormalizationStats:
     """Fit per-column clip bounds and post-clip z-score statistics.
 
-    Percentiles follow the linear-interpolation definition. The boundary
-    request (0, 100) turns clipping off entirely (bounds at ±inf) rather
-    than clamping unseen data to the training min/max. A column whose
-    bounds, mean or variance overflow is an InvalidRange naming it.
+    `clip_pcts` is a (low, high) pair of percentiles that PrepConfig's
+    ``clip_pcts`` row allows (a ValueError otherwise), by default its
+    default. Percentiles follow the linear-interpolation definition. The
+    boundary request (0, 100) turns clipping off entirely (bounds at ±inf)
+    rather than clamping unseen data to the training min/max. A column
+    whose bounds, mean or variance overflow is an InvalidRange naming it.
     """
     if not train:
         raise EmptyDataset("cannot fit normalization on zero sequences")
-    if not (0 <= clip_low_pct < clip_high_pct <= 100):
-        raise ValueError(
-            f"need 0 <= low < high <= 100, got ({clip_low_pct}, {clip_high_pct})"
-        )
+    clip_low_pct, clip_high_pct = check_value(declared(PrepConfig)[2], clip_pcts, ValueError)
     names = list(train[0].column_names)
     for fm in train[1:]:
         if list(fm.column_names) != names:

@@ -274,13 +274,14 @@ def _sequence(path, names, values, sample_rate_hz, subject_id, task_id, label) -
 
 def parse_tablet_file(
     path: str | Path,
-    sample_rate_hz: float = 200.0,
+    sample_rate_hz: float = SignalSequence.sample_rate_hz,
     subject_id: str = "",
     task_id: str = "",
     label: str | None = None,
 ) -> SignalSequence:
     """Parse a 7-column tablet recording, columns in DEFAULT_TABLET_COLUMNS
-    order, into a SignalSequence."""
+    order, into a SignalSequence. The rate defaults to SignalSequence's own
+    default (200 Hz)."""
     values, line_nos = _parse_numeric_lines(path, arity=7)
     columns = dict(zip(DEFAULT_TABLET_COLUMNS, values.T))
 

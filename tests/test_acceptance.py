@@ -459,7 +459,8 @@ def test_criterion_8b_newhandpd_spiral():
         FeatureGroupSelection.of("raw"),
         None,
         TrainConfig(seed=0),
-        SplitPlan.holdout(0.65, 0.10, 0.25, n_runs=20, seed=0),
+        SplitPlan(kind="holdout", train_frac=0.65,
+                  val_frac=0.10, test_frac=0.25, n_runs=20, seed=0),
     )
     acc = report.aggregate["accuracy"]
     assert abs(acc - 0.9444) <= 0.07

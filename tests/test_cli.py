@@ -1,6 +1,7 @@
 import base64
 import contextlib
 import copy
+import hashlib
 import io
 import json
 import math
@@ -750,6 +751,8 @@ _BAD_PREPROCESSING = {
     "rate-bool": {"sample_rate_hz": True},
     "rate-infinite": {"sample_rate_hz": float("inf")},
     "unknown-key": {"cutoff": 40, "cut_off": 40},
+    # below the reference conv stack's minimum of 15, so every recording would fail
+    "cutoff-below-conv": {"cutoff": 5, "feature_groups": ["kinematic"]},
 }
 
 
@@ -764,6 +767,7 @@ _BAD_METADATA = {
     "ref-subdirectory": {"normalization_ref": "sub/normalization.tsv"},
     "ref-nul": {"normalization_ref": "normalization\0.tsv"},
     "ref-missing": {"normalization_ref": "absent.tsv"},
+    "ref-empty": {"normalization_ref": ""},
 }
 
 
@@ -810,6 +814,9 @@ def _corrupt_checkpoint(path: Path, kind: str) -> None:
         elif kind == "first-conv-width":
             doc["input_size"] = 5
             doc["spec_sha256"] = spec_hash(ModelSpec.from_dict(doc["spec"]), 5)
+        elif kind == "spec-huge":  # a theta of more than any address space holds
+            doc["spec"]["recurrent_layers"][0]["hidden_units"] = 10**7
+            doc["spec_sha256"] = spec_hash(ModelSpec.from_dict(doc["spec"]), 16)
         path.write_text(json.dumps(doc))
 
 
@@ -817,7 +824,8 @@ def _corrupt_checkpoint(path: Path, kind: str) -> None:
     "kind",
     ["no-spec", "truncated", "not-utf-8", "list-spec", "short-block", "list-preprocessing",
      "spec-kernel-float", "spec-hidden-units-bool", *_BAD_PREPROCESSING, *_BAD_METADATA,
-     "ref-absolute", "ref-directory", "missing-block", "block-shape", "nan-block", "inf-block", "first-conv-width"],
+     "ref-absolute", "ref-directory", "missing-block", "block-shape", "nan-block", "inf-block",
+     "first-conv-width", "spec-huge"],
 )
 def test_corrupt_checkpoint_is_a_data_error_naming_the_file(tmp_path, capsys, kind):
     svc = tmp_path / "rec.svc"
@@ -834,6 +842,41 @@ def test_corrupt_checkpoint_is_a_data_error_naming_the_file(tmp_path, capsys, ki
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and str(bad) in err and err.count("\n") == 1
     assert score_file(good, svc) == before
+
+
+# every integer of the reference spec's layers, as (layer list, index, field)
+_SPEC_INTEGERS = [(layers, i, f.path) for layers, cls in (("conv_layers", Conv1dSpec),
+                                                           ("recurrent_layers", RecurrentSpec))
+                  for i in (0, 1) for f in declared(cls) if f.type is int]
+
+
+@given(target=st.sampled_from(_SPEC_INTEGERS), value=st.integers(1, 10**9))
+@settings(max_examples=100, deadline=None)
+def test_score_on_a_mutated_spec_integer_runs_or_fails_as_documented(
+    tmp_path_factory, target, value
+):
+    work = tmp_path_factory.mktemp("ckpt-fuzz")
+    ckpt, svc = work / "m.ckpt", work / "rec.svc"
+    svc.write_text("0 0 0 1 0 0 100\n" * 40)
+    SequenceClassifier(ModelSpec.reference(16), 16, np.random.default_rng(1)).save_checkpoint(
+        ckpt, preprocessing={"cutoff": 40, "feature_groups": ["kinematic"]}
+    )
+    doc = json.loads(ckpt.read_bytes())
+    layers, i, key = target
+    doc["spec"][layers][i][key] = value
+    # spec_hash's canonical encoding, which also covers a spec ModelSpec refuses
+    canonical = json.dumps({"input_size": 16, "spec": doc["spec"]}, sort_keys=True,
+                           separators=(",", ":"))
+    doc["spec_sha256"] = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    ckpt.write_text(json.dumps(doc))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["score", "--checkpoint", str(ckpt), "--input", str(svc)])
+    err = err.getvalue()
+    if code == 0:
+        assert err == ""
+    else:
+        assert code == 2 and err.startswith("data error: ") and err.count("\n") == 1, err
 
 
 def test_score_refuses_a_probability_the_forward_overflows_to(tmp_path, capsys):

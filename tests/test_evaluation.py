@@ -59,9 +59,9 @@ def test_split_plan_validation():
     with pytest.raises(ValueError):
         SplitPlan.kfold(1, seed=0)
     with pytest.raises(ValueError):
-        SplitPlan.holdout(0.7, 0.1, 0.1, n_runs=5, seed=0)
+        SplitPlan(kind="holdout", train_frac=0.7, val_frac=0.1, test_frac=0.1, n_runs=5, seed=0)
     with pytest.raises(ValueError):
-        SplitPlan.holdout(0.65, 0.10, 0.25, n_runs=0, seed=0)
+        SplitPlan(kind="holdout", train_frac=0.65, val_frac=0.10, test_frac=0.25, n_runs=0, seed=0)
     with pytest.raises(ValueError):
         SplitPlan(kind="bootstrap", seed=0)
 
@@ -125,7 +125,8 @@ def test_kfold_deterministic_and_seed_sensitive():
 
 def test_holdout_66_subjects_sizes():
     data = _cohort(31, 35)
-    splits = make_splits(data, SplitPlan.holdout(0.65, 0.10, 0.25, n_runs=20, seed=7))
+    splits = make_splits(data, SplitPlan(kind="holdout", train_frac=0.65,
+                                         val_frac=0.10, test_frac=0.25, n_runs=20, seed=7))
     assert len(splits) == 20
     for s in splits:
         assert (len(s.train), len(s.val), len(s.test)) == (43, 6, 17)
@@ -139,7 +140,8 @@ def test_holdout_66_subjects_sizes():
 
 def test_holdout_partitions_cover_each_run():
     data = _cohort(9, 8)
-    splits = make_splits(data, SplitPlan.holdout(0.65, 0.10, 0.25, n_runs=3, seed=1))
+    splits = make_splits(data, SplitPlan(kind="holdout", train_frac=0.65,
+                                         val_frac=0.10, test_frac=0.25, n_runs=3, seed=1))
     for s in splits:
         combined = sorted(s.train + s.val + s.test)
         assert combined == list(range(len(data)))
@@ -149,7 +151,8 @@ def test_subject_samples_stay_together():
     data = _cohort(6, 6, samples_per_subject=4)
     for plan in (
         SplitPlan.kfold(3, seed=2),
-        SplitPlan.holdout(0.65, 0.10, 0.25, n_runs=4, seed=2),
+        SplitPlan(kind="holdout", train_frac=0.65,
+                  val_frac=0.10, test_frac=0.25, n_runs=4, seed=2),
     ):
         for s in make_splits(data, plan):
             for part in (s.train, s.val, s.test):
@@ -170,7 +173,8 @@ def test_split_errors():
         make_splits(_cohort(3, 2), SplitPlan.kfold(10, seed=0))
     with pytest.raises(TooSmall):
         # a single-subject class cannot give both train and test a member
-        make_splits(_cohort(1, 10), SplitPlan.holdout(0.65, 0.10, 0.25, n_runs=1, seed=0))
+        make_splits(_cohort(1, 10), SplitPlan(kind="holdout", train_frac=0.65,
+                                              val_frac=0.10, test_frac=0.25, n_runs=1, seed=0))
 
 
 @settings(max_examples=40, deadline=None)
@@ -485,7 +489,7 @@ def test_fold_array_equals_the_per_recording_pipeline(config, flags):
     assert seen == {-1, 0, 1}
 
 
-_HOLDOUT = SplitPlan.holdout(0.5, 0.0, 0.5, n_runs=1, seed=3)
+_HOLDOUT = SplitPlan(kind="holdout", train_frac=0.5, val_frac=0.0, test_frac=0.5, n_runs=1, seed=3)
 _NO_CLIP = PrepConfig(clip_pcts=(0.0, 100.0))
 
 

@@ -114,7 +114,7 @@ def _sigmoid(z):
 
 def test_adam_zero_gradients_leave_params_unchanged():
     theta = np.array([1.0, -2.0])
-    opt = Adam(theta, learning_rate=0.1)
+    opt = Adam(theta, TrainConfig(learning_rate=0.1))
     for _ in range(3):
         opt.step(np.zeros(2))
     np.testing.assert_array_equal(theta, [1.0, -2.0])
@@ -123,7 +123,7 @@ def test_adam_zero_gradients_leave_params_unchanged():
 
 def test_adam_moments_decay_after_gradient_stops():
     theta = np.array([0.0])
-    opt = Adam(theta, learning_rate=0.0)
+    opt = Adam(theta, TrainConfig(learning_rate=0.0))
     opt.step(np.array([4.0]))
     m_after_signal = opt.m.copy()
     opt.step(np.array([0.0]))
@@ -133,7 +133,7 @@ def test_adam_moments_decay_after_gradient_stops():
 def test_adam_quadratic_trajectory_matches_hand_rolled_oracle():
     lr, b1, b2, eps = 0.1, 0.9, 0.999, 1e-8
     theta = np.array([0.0])
-    opt = Adam(theta, learning_rate=lr, beta1=b1, beta2=b2, eps=eps)
+    opt = Adam(theta, TrainConfig(learning_rate=lr, adam_beta1=b1, adam_beta2=b2, adam_eps=eps))
 
     # independent scalar implementation of the same five steps
     t_oracle, m, v = 0.0, 0.0, 0.0
@@ -159,7 +159,7 @@ def test_adam_quadratic_trajectory_matches_hand_rolled_oracle():
 
 def test_adam_updates_its_moments_in_place():
     theta = np.array([1.0, -2.0, 0.5])
-    opt = Adam(theta, learning_rate=0.1)
+    opt = Adam(theta, TrainConfig(learning_rate=0.1))
     m, v = opt.m, opt.v
     opt.step(np.array([0.3, -1.0, 2.0]))
     assert opt.m is m and opt.v is v and opt.theta is theta
@@ -169,7 +169,7 @@ def test_adam_updates_its_moments_in_place():
 def test_adam_lr_zero_is_identity():
     model = _small_model(seed=1)
     before = model.theta.copy()
-    opt = Adam(model.theta, learning_rate=0.0)
+    opt = Adam(model.theta, TrainConfig(learning_rate=0.0))
     rng = np.random.default_rng(0)
     for _ in range(4):
         opt.step(rng.normal(size=model.theta.shape))
@@ -181,7 +181,7 @@ def test_adam_lr_zero_is_identity():
 
 def test_train_step_returns_mean_loss_and_updates():
     model = _small_model(seed=2)
-    opt = Adam(model.theta, learning_rate=0.01)
+    opt = Adam(model.theta, TrainConfig(learning_rate=0.01))
     batch = _batch(_toy_set(2, 12, 3, seed=0))
     before = {k: v.copy() for k, v in model.params().items()}
     loss = train_step(model, *batch, opt, np.random.default_rng(0))
@@ -208,7 +208,7 @@ def test_parameters_and_gradients_are_views_of_one_flat_store():
     assert model.grad.shape == model.theta.shape
 
     theta, grad = model.theta, model.grad
-    opt = Adam(theta, learning_rate=0.01)
+    opt = Adam(theta, TrainConfig(learning_rate=0.01))
     before = theta.copy()
     train_step(model, *_batch(data), opt, np.random.default_rng(0))
     assert model.theta is theta and model.grad is grad
@@ -272,7 +272,7 @@ def test_no_early_stop_without_validation_set():
 def test_non_finite_gradient_diagnostics():
     model = _small_model(seed=10)
     model.recurrents[0].params["fwd/W"][0, 0] = np.nan
-    opt = Adam(model.theta, learning_rate=0.01)
+    opt = Adam(model.theta, TrainConfig(learning_rate=0.01))
     x, y, ids = _batch(_toy_set(2, 10, 3, seed=10))
     with pytest.raises(NonFiniteGradient) as exc:
         train_step(model, x, y, ids, opt, np.random.default_rng(0))
@@ -308,7 +308,7 @@ def test_training_from_the_fold_array_equals_per_batch_stacking():
         return np.concatenate(probs), np.concatenate(logits)
 
     rng = np.random.default_rng([config.seed])
-    opt = Adam(oracle.theta, learning_rate=config.learning_rate)
+    opt = Adam(oracle.theta, config)
     val_y = np.array([y for _, y in val_set])
     val_losses = []
     for _ in range(config.epochs):

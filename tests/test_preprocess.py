@@ -127,7 +127,7 @@ def _percentile_oracle(sorted_vals, pct):
 def test_percentile_clip_bounds_on_1_to_100():
     column = np.arange(1, 101, dtype=np.float64)
     fm = _fm(column.reshape(-1, 1))
-    stats = fit_normalization([fm], 5, 90)
+    stats = fit_normalization([fm], (5, 90))
     assert stats.low_clip[0] == pytest.approx(5.95, abs=1e-12)
     assert stats.high_clip[0] == pytest.approx(90.1, abs=1e-12)
     s = np.sort(column)
@@ -144,7 +144,7 @@ def test_percentile_clip_bounds_on_1_to_100():
 def test_percentiles_match_oracle(pct_low, pct_high, seed):
     rng = np.random.default_rng(seed)
     fms = _random_fms(rng, [7, 13, 22], m=2)
-    stats = fit_normalization(fms, pct_low, pct_high)
+    stats = fit_normalization(fms, (pct_low, pct_high))
     stacked = np.concatenate([fm.values for fm in fms])
     for j in range(2):
         s = np.sort(stacked[:, j])
@@ -173,7 +173,7 @@ def test_clip_bounds_equal_numpy_percentile(values, pcts):
 def test_zero_hundred_means_no_clipping():
     rng = np.random.default_rng(3)
     fms = _random_fms(rng, [10, 20])
-    stats = fit_normalization(fms, 0, 100)
+    stats = fit_normalization(fms, (0, 100))
     assert np.isneginf(stats.low_clip).all()
     assert np.isposinf(stats.high_clip).all()
     stacked = np.concatenate([fm.values for fm in fms])
@@ -187,15 +187,14 @@ def test_zero_hundred_means_no_clipping():
 def test_fit_normalization_validation():
     rng = np.random.default_rng(0)
     with pytest.raises(EmptyDataset):
-        fit_normalization([], 5, 90)
-    with pytest.raises(ValueError):
-        fit_normalization(_random_fms(rng, [5]), 90, 5)
-    with pytest.raises(ValueError):
-        fit_normalization(_random_fms(rng, [5]), -1, 90)
+        fit_normalization([], (5, 90))
+    for pcts in ((90, 5), (-1, 90), (5, 101), (5,), 5):  # PrepConfig's clip_pcts row
+        with pytest.raises(ValueError, match="^clip_pcts must be a pair"):
+            fit_normalization(_random_fms(rng, [5]), pcts)
     a = _fm(np.zeros((4, 2)))
     b = _fm(np.zeros((4, 3)))
     with pytest.raises(ColumnMismatch):
-        fit_normalization([a, b], 5, 90)
+        fit_normalization([a, b], (5, 90))
 
 
 @pytest.mark.parametrize("pcts", [(5, 90), (0, 100)])
@@ -206,7 +205,7 @@ def test_fit_normalization_refuses_a_column_whose_statistics_overflow(pcts, big)
     values = np.zeros((20, 2))
     values[:, 1] = big * (-1.0) ** np.arange(20)
     with pytest.raises(InvalidRange, match="column 'f1' spans too wide a range"):
-        fit_normalization([_fm(values)], *pcts)
+        fit_normalization([_fm(values)], pcts)
 
 
 def test_prepare_is_each_matrix_normalized_then_cut_or_padded():
@@ -234,7 +233,7 @@ def test_prepare_is_each_matrix_normalized_then_cut_or_padded():
 
 def test_mean_std_computed_after_clipping():
     column = np.arange(1, 101, dtype=np.float64)
-    stats = fit_normalization([_fm(column.reshape(-1, 1))], 5, 90)
+    stats = fit_normalization([_fm(column.reshape(-1, 1))], (5, 90))
     clipped = np.clip(column, stats.low_clip[0], stats.high_clip[0])
     assert stats.mean[0] == pytest.approx(clipped.mean(), rel=1e-12)
     assert stats.std[0] == pytest.approx(clipped.std(), rel=1e-12)
@@ -261,7 +260,7 @@ def test_fit_normalization_equals_numpy_mean_and_std_of_the_clipped_stack(data):
     fms = [_fm(v) for v in values]
     before = [v.copy() for v in values]
 
-    stats = fit_normalization(fms, low_pct, high_pct)
+    stats = fit_normalization(fms, (low_pct, high_pct))
 
     clipped = np.clip(np.concatenate(before), stats.low_clip, stats.high_clip)
     std = np.std(clipped, axis=0)
@@ -290,7 +289,7 @@ def test_apply_identity_stats():
 
 def test_constant_column_std_floored():
     fm = _fm(np.full((10, 1), 7.25))
-    stats = fit_normalization([fm], 5, 90)
+    stats = fit_normalization([fm], (5, 90))
     assert stats.std[0] == 1.0
     out = apply_normalization(fm, stats)
     np.testing.assert_array_equal(out.values, np.zeros((10, 1)))
@@ -299,7 +298,7 @@ def test_constant_column_std_floored():
 def test_train_fitted_stats_standardize_train():
     rng = np.random.default_rng(11)
     fms = _random_fms(rng, [30, 45, 60], m=4)
-    stats = fit_normalization(fms, 5, 90)
+    stats = fit_normalization(fms, (5, 90))
     transformed = np.concatenate([apply_normalization(fm, stats).values for fm in fms])
     np.testing.assert_allclose(transformed.mean(axis=0), np.zeros(4), atol=1e-9)
     np.testing.assert_allclose(transformed.std(axis=0), np.ones(4), atol=1e-9)
@@ -307,7 +306,7 @@ def test_train_fitted_stats_standardize_train():
 
 def test_apply_column_mismatch():
     fm = _fm(np.zeros((3, 2)))
-    stats = fit_normalization([_fm(np.random.default_rng(0).normal(size=(5, 3)))], 5, 90)
+    stats = fit_normalization([_fm(np.random.default_rng(0).normal(size=(5, 3)))], (5, 90))
     with pytest.raises(ColumnMismatch):
         apply_normalization(fm, stats)
     with pytest.raises(ColumnMismatch):
@@ -320,7 +319,7 @@ def test_apply_never_leaves_clip_interval(seed, low, high):
     rng = np.random.default_rng(seed)
     train = _random_fms(rng, [12, 18], m=2)
     other = _fm(rng.normal(size=(25, 2)) * 100)   # wilder than the train data
-    stats = fit_normalization(train, low, high)
+    stats = fit_normalization(train, (low, high))
     out = apply_normalization(other, stats)
     lo_t = (stats.low_clip - stats.mean) / stats.std
     hi_t = (stats.high_clip - stats.mean) / stats.std
@@ -334,7 +333,7 @@ def test_apply_never_leaves_clip_interval(seed, low, high):
 def test_stats_file_round_trip(tmp_path):
     rng = np.random.default_rng(5)
     fms = _random_fms(rng, [9, 14], m=3)
-    stats = fit_normalization(fms, 5, 90)
+    stats = fit_normalization(fms, (5, 90))
     path = tmp_path / "norm.tsv"
     save_stats(stats, path)
     back = load_stats(path)
@@ -347,7 +346,7 @@ def test_stats_file_round_trip(tmp_path):
 
 
 def test_stats_file_round_trip_with_infinite_clips(tmp_path):
-    stats = fit_normalization([_fm(np.random.default_rng(0).normal(size=(8, 2)))], 0, 100)
+    stats = fit_normalization([_fm(np.random.default_rng(0).normal(size=(8, 2)))], (0, 100))
     path = tmp_path / "norm.tsv"
     save_stats(stats, path)
     back = load_stats(path)
