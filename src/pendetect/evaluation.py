@@ -79,114 +79,91 @@ class SplitIndices:
         return [(role, i) for role in ("train", "val", "test") for i in getattr(self, role)]
 
 
-def _subjects_by_class(dataset) -> tuple[dict[str, list[int]], dict[str, list[str]]]:
-    """Group sample indices by subject, then subjects by label.
+def _partition(dataset, idx, rng, part_sizes) -> list[tuple[int, ...]]:
+    """Cut the subjects of the samples `idx` into stratified parts.
 
-    Insertion order is preserved in both maps so the only randomness in a
-    split comes from the seeded permutation.
+    The samples are grouped by subject in first-appearance order, and a
+    subject's class is its one label (`load_manifest` refuses a subject
+    listed under two). For each class in sorted label order, its n
+    subjects are permuted with `rng` and cut into consecutive runs of
+    ``part_sizes(label, n)`` subjects, run j going to part j. Each part
+    is returned as sorted sample indices.
     """
-    indices: dict[str, list[int]] = {}
-    label_of: dict[str, str] = {}
-    for i, item in enumerate(dataset):
-        indices.setdefault(item.subject_id, []).append(i)
-        label_of.setdefault(item.subject_id, item.label)
+    samples: dict[str, list[int]] = {}
     by_class: dict[str, list[str]] = {}
-    for subject, label in label_of.items():
-        by_class.setdefault(label, []).append(subject)
-    if len(by_class) < 2:
-        raise SingleClass(f"need two classes, found {sorted(by_class)}")
-    return indices, by_class
-
-
-def _expand(subjects: list[str], indices: dict[str, list[int]]) -> tuple[int, ...]:
-    out: list[int] = []
-    for s in subjects:
-        out.extend(indices[s])
-    return tuple(sorted(out))
+    for i in idx:
+        subject = dataset[i].subject_id
+        if subject not in samples:
+            samples[subject] = []
+            by_class.setdefault(dataset[i].label, []).append(subject)
+        samples[subject].append(i)
+    parts: list[list[int]] = []
+    for label in sorted(by_class):
+        pool = by_class[label]
+        sizes = part_sizes(label, len(pool))
+        order = rng.permutation(len(pool))
+        parts = parts or [[] for _ in sizes]
+        pos = 0
+        for part, size in zip(parts, sizes):
+            for j in order[pos : pos + size]:
+                part.extend(samples[pool[j]])
+            pos += size
+    return [tuple(sorted(part)) for part in parts]
 
 
 def make_splits(dataset, plan: SplitPlan) -> list[SplitIndices]:
-    """Build stratified, subject-grouped splits of `dataset`.
+    """Build stratified, subject-grouped splits of `dataset` through
+    `_partition`, which permutes each class's subjects.
 
-    For k-fold, per-class remainders are assigned one at a time to the
-    fold with the smallest running total (ties to the lowest index), so
-    fold sizes never differ by more than one more than necessary. For
-    holdout, each class contributes round-half-up(train_frac*n) subjects
-    to train, floor(val_frac*n) to val, and the remainder to test; run r
-    draws its permutation from seed [plan.seed, r].
+    For k-fold, one permutation from seed [plan.seed, 0] cuts every class
+    into k test parts; per-class remainders go one at a time to the fold
+    with the smallest running total (ties to the lowest index), so fold
+    sizes never differ by more than one more than necessary, and a fold
+    trains on every other sample. For holdout, run r draws from seed
+    [plan.seed, r], and each class gives round-half-up(train_frac*n)
+    subjects to train, floor(val_frac*n) to val, and the remainder to
+    test. Fewer than two classes is a SingleClass; fewer than k subjects,
+    or a class that leaves train or test empty, a TooSmall.
     """
-    indices, by_class = _subjects_by_class(dataset)
-    labels = sorted(by_class)
+    labels = sorted({item.label for item in dataset})
+    if len(labels) < 2:
+        raise SingleClass(f"need two classes, found {labels}")
+    idx = range(len(dataset))
 
     if plan.kind == "kfold":
         k = plan.k
-        if len(dataset) < k:
-            raise TooSmall(f"{len(dataset)} samples cannot fill {k} folds")
+        n_subjects = len({item.subject_id for item in dataset})
+        if n_subjects < k:
+            raise TooSmall(f"{n_subjects} subjects cannot fill {k} folds")
         totals = [0] * k
-        class_sizes: dict[str, list[int]] = {}
-        for label in labels:
-            n_c = len(by_class[label])
-            sizes = [n_c // k] * k
-            for _ in range(n_c % k):
+
+        def fold_sizes(label: str, n: int) -> list[int]:
+            sizes = [n // k] * k
+            for _ in range(n % k):
                 j = min(range(k), key=lambda f: (totals[f] + sizes[f], f))
                 sizes[j] += 1
-            class_sizes[label] = sizes
-            for f in range(k):
-                totals[f] += sizes[f]
-
-        rng = np.random.default_rng([plan.seed, 0])
-        fold_subjects: list[list[str]] = [[] for _ in range(k)]
-        for label in labels:
-            pool = by_class[label]
-            order = [pool[j] for j in rng.permutation(len(pool))]
-            pos = 0
-            for f in range(k):
-                take = class_sizes[label][f]
-                fold_subjects[f].extend(order[pos : pos + take])
-                pos += take
+            totals[:] = [t + s for t, s in zip(totals, sizes)]
+            return sizes
 
         splits = []
-        for f in range(k):
-            test = set(fold_subjects[f])
-            train = [s for fold in fold_subjects for s in fold if s not in test]
-            splits.append(
-                SplitIndices(
-                    train=_expand(train, indices),
-                    val=(),
-                    test=_expand(fold_subjects[f], indices),
-                )
-            )
+        for test in _partition(dataset, idx, np.random.default_rng([plan.seed, 0]), fold_sizes):
+            held = set(test)
+            splits.append(SplitIndices(tuple(i for i in idx if i not in held), (), test))
         return splits
 
-    splits = []
-    for run in range(plan.n_runs):
-        rng = np.random.default_rng([plan.seed, run])
-        train: list[str] = []
-        val: list[str] = []
-        test: list[str] = []
-        for label in labels:
-            pool = by_class[label]
-            order = [pool[j] for j in rng.permutation(len(pool))]
-            n_c = len(pool)
-            n_train = round_half_up(plan.train_frac * n_c)
-            n_val = int(math.floor(plan.val_frac * n_c))
-            n_test = n_c - n_train - n_val
-            if n_train < 1 or n_test < 1:
-                raise TooSmall(
-                    f"class {label}: {n_c} subjects leave train={n_train}, "
-                    f"test={n_test}"
-                )
-            train.extend(order[:n_train])
-            val.extend(order[n_train : n_train + n_val])
-            test.extend(order[n_train + n_val :])
-        splits.append(
-            SplitIndices(
-                train=_expand(train, indices),
-                val=_expand(val, indices),
-                test=_expand(test, indices),
-            )
-        )
-    return splits
+    def holdout_sizes(label: str, n: int) -> tuple[int, int, int]:
+        n_train = round_half_up(plan.train_frac * n)
+        n_val = int(math.floor(plan.val_frac * n))
+        n_test = n - n_train - n_val
+        if n_train < 1 or n_test < 1:
+            raise TooSmall(f"class {label}: {n} subjects leave train={n_train}, test={n_test}")
+        return n_train, n_val, n_test
+
+    return [
+        SplitIndices(*_partition(dataset, idx, np.random.default_rng([plan.seed, run]),
+                                 holdout_sizes))
+        for run in range(plan.n_runs)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -367,28 +344,23 @@ def strip_wall_clock(obj):
 def _carve_validation(
     train_idx: tuple[int, ...], matrices, seed_words
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Move ~10% of the training subjects, stratified, into a val set.
+    """Move ~10% of the training subjects, stratified, into a val set;
+    returns (train, val).
 
-    Each class gives up at least one subject whenever it can spare one,
-    so that requesting early stopping always yields a validation signal
-    even on small cohorts.
+    `_partition` cuts each class of n subjects, permuted with a generator
+    seeded by `seed_words`, into floor(CARVEOUT_FRACTION * n) val subjects
+    and the rest. Each class gives up at least one subject whenever it can
+    spare one, so that requesting early stopping always yields a
+    validation signal even on small cohorts.
     """
-    labels: dict[str, list[str]] = {}
-    for i in train_idx:
-        fm = matrices[i]
-        if fm.subject_id not in labels.setdefault(fm.label, []):
-            labels[fm.label].append(fm.subject_id)
-    rng = np.random.default_rng(seed_words)
-    val_subjects: set[str] = set()
-    for label in sorted(labels):
-        pool = labels[label]
-        n_val = int(math.floor(CARVEOUT_FRACTION * len(pool)))
-        if n_val == 0 and len(pool) >= 2:
+
+    def carve_sizes(label: str, n: int) -> tuple[int, int]:
+        n_val = int(math.floor(CARVEOUT_FRACTION * n))
+        if n_val == 0 and n >= 2:
             n_val = 1
-        order = rng.permutation(len(pool))
-        val_subjects.update(pool[j] for j in order[:n_val])
-    val = tuple(sorted(i for i in train_idx if matrices[i].subject_id in val_subjects))
-    train = tuple(i for i in train_idx if matrices[i].subject_id not in val_subjects)
+        return n_val, n - n_val
+
+    val, train = _partition(matrices, train_idx, np.random.default_rng(seed_words), carve_sizes)
     return train, val
 
 

@@ -446,8 +446,11 @@ def load_manifest(path: str | Path, format: str) -> DatasetManifest:
 
     A file that cannot be read is an IoError, one that is not UTF-8 or has
     a malformed row a ParseError, and one that lists a (subject, task) pair
-    twice a DuplicateEntry; each names the manifest. A UTF-8 byte order
-    mark is dropped.
+    twice a DuplicateEntry; each names the manifest. Every split groups
+    samples by subject and stratifies subjects by label, so a row with an
+    empty subject_id or task_id, or (checked after the pairs) one that
+    gives a subject a second label, is a MalformedLine naming the row. A
+    UTF-8 byte order mark is dropped.
     """
     import csv  # here, not at the top: scoring reads no manifest
 
@@ -463,6 +466,7 @@ def load_manifest(path: str | Path, format: str) -> DatasetManifest:
         raise ParseError(
             f"manifest header must be {','.join(MANIFEST_HEADER)}", path=str(path)
         )
+    row_nos: list[int] = []
     for row_no, row in enumerate(rows[1:], start=2):
         if not row or all(not c.strip() for c in row):
             continue
@@ -471,11 +475,23 @@ def load_manifest(path: str | Path, format: str) -> DatasetManifest:
         file_path, subject_id, task_id, label = (c.strip() for c in row)
         if label.upper() not in LABELS:
             raise MalformedLine(row_no, f"label must be PD or HC, got {label!r}", path=str(path))
-        entries.append(ManifestEntry(file_path, subject_id, task_id, label.upper()))
+        label = label.upper()
+        if not subject_id or not task_id:
+            raise MalformedLine(row_no, "subject_id and task_id must not be empty",
+                                path=str(path))
+        entries.append(ManifestEntry(file_path, subject_id, task_id, label))
+        row_nos.append(row_no)
     try:
-        return DatasetManifest(entries=entries, format=format)
+        manifest = DatasetManifest(entries=entries, format=format)
     except DuplicateEntry as exc:
         raise DuplicateEntry(str(exc), path=str(path)) from exc
+    first: dict[str, tuple[int, str]] = {}
+    for row_no, e in zip(row_nos, entries):
+        other_row, other = first.setdefault(e.subject_id, (row_no, e.label))
+        if other != e.label:
+            raise MalformedLine(row_no, f"subject {e.subject_id!r} is {e.label} here but "
+                                        f"{other} on line {other_row}", path=str(path))
+    return manifest
 
 
 def write_manifest(manifest: DatasetManifest, path: str | Path) -> None:

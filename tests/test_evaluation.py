@@ -8,12 +8,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import reference_splits
+
 from pendetect.errors import IoError, NonFiniteFeatures, SingleClass, TooSmall, TrainingError
 from pendetect.evaluation import (
     ROC_FILE_VERSION,
     ExperimentReport,
     SplitPlan,
     _Cohort,
+    _carve_validation,
     _prepare_folds,
     compute_roc,
     emit_roc,
@@ -171,10 +174,58 @@ def test_split_errors():
         make_splits(_cohort(5, 0), SplitPlan.kfold(2, seed=0))
     with pytest.raises(TooSmall):
         make_splits(_cohort(3, 2), SplitPlan.kfold(10, seed=0))
+    # 32 samples but 4 subjects: counting samples let this through, and 6 of
+    # the 10 folds tested nothing
+    with pytest.raises(TooSmall, match=r"^4 subjects cannot fill 10 folds$"):
+        make_splits(_cohort(2, 2, samples_per_subject=8), SplitPlan.kfold(10, seed=0))
     with pytest.raises(TooSmall):
         # a single-subject class cannot give both train and test a member
         make_splits(_cohort(1, 10), SplitPlan(kind="holdout", train_frac=0.65,
                                               val_frac=0.10, test_frac=0.25, n_runs=1, seed=0))
+
+
+def _outcome(call):
+    """What `call()` returns, or the type and message of what it raises."""
+    try:
+        return call()
+    except (SingleClass, TooSmall) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    pd_sizes=st.lists(st.integers(1, 4), min_size=1, max_size=25),
+    hc_sizes=st.lists(st.integers(1, 4), min_size=1, max_size=25),
+    kind=st.sampled_from(["kfold", "holdout"]),
+    k=st.integers(2, 6),
+    twentieths=st.tuples(st.integers(0, 20), st.integers(0, 20)).filter(lambda t: sum(t) <= 20),
+    n_runs=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_splits_and_carve_out_match_the_reference(pd_sizes, hc_sizes, kind, k, twentieths,
+                                                  n_runs, seed, data):
+    # PD subject i has pd_sizes[i] samples, and so on; the samples are
+    # shuffled so that a subject's samples are not adjacent
+    assume(len(pd_sizes) + len(hc_sizes) >= k)
+    rows = [Sample(f"{label.lower()}{i:02d}", label)
+            for label, counts in (("PD", pd_sizes), ("HC", hc_sizes))
+            for i, n in enumerate(counts) for _ in range(n)]
+    rows = data.draw(st.permutations(rows))
+    if kind == "kfold":
+        plan = SplitPlan.kfold(k, seed=seed)
+    else:
+        train, val = twentieths
+        plan = SplitPlan(kind="holdout", train_frac=train / 20, val_frac=val / 20,
+                         test_frac=(20 - train - val) / 20, n_runs=n_runs, seed=seed)
+    splits = _outcome(lambda: make_splits(rows, plan))
+    assert splits == _outcome(lambda: reference_splits.make_splits(rows, plan))
+    if isinstance(splits, tuple):
+        return
+    for fold_i, split in enumerate(splits):
+        words = [seed, 31, fold_i]
+        assert _carve_validation(split.train, rows, words) == \
+            reference_splits._carve_validation(split.train, rows, words)
 
 
 @settings(max_examples=40, deadline=None)

@@ -405,12 +405,22 @@ def test_manifest_bad_header_rejected(tmp_path):
         load_manifest(m, format="tablet_svc")
 
 
-def test_manifest_bad_label_rejected(tmp_path):
+@pytest.mark.parametrize("rows, line_no, detail", [
+    ("a.svc,s1,spiral,parkinsons\n", 2, "label must be PD or HC, got 'parkinsons'"),
+    # an empty subject_id was replaced by the file stem, an empty task_id
+    # by "unknown", so the subjects that splits group by came from file names
+    ("a.svc,,a,HC\nb.svc,,b,HC\n", 2, "subject_id and task_id must not be empty"),
+    ("a.svc,s1,spiral,HC\nb.svc,s2, ,PD\n", 3, "subject_id and task_id must not be empty"),
+    # a subject listed under both labels was stratified by its first one
+    ("a.svc,s1,spiral,HC\nb.svc,s2,spiral,PD\nc.svc,s1,second,pd\n", 4,
+     "subject 's1' is PD here but HC on line 2"),
+], ids=["label", "empty-subject", "empty-task", "second-label"])
+def test_manifest_bad_row_rejected(tmp_path, rows, line_no, detail):
     m = tmp_path / "m.csv"
-    m.write_text("path,subject_id,task_id,label\na.svc,s1,spiral,parkinsons\n")
+    m.write_text("path,subject_id,task_id,label\n" + rows)
     with pytest.raises(MalformedLine) as exc:
         load_manifest(m, format="tablet_svc")
-    assert exc.value.line_no == 2
+    assert str(exc.value) == f"{m}: line {line_no}: {detail}"
 
 
 def test_load_dataset_cohort_72(tmp_path):
