@@ -60,6 +60,19 @@ class DuplicateEntry(DataError):
     pass
 
 
+class InvalidEntry(DataError):
+    """A manifest entry that breaks an identity rule. ``index`` is its
+    position among the entries, and ``other``, when the rule is broken
+    against an earlier entry, that entry's."""
+
+    def __init__(self, index: int, detail: str, other: int | None = None):
+        self.index = index
+        self.detail = detail
+        self.other = other
+        where = "" if other is None else f" in entry {other}"
+        super().__init__(f"entry {index}: {detail}{where}")
+
+
 class InvalidRange(DataError):
     pass
 

@@ -83,7 +83,7 @@ def _partition(dataset, idx, rng, part_sizes) -> list[tuple[int, ...]]:
     """Cut the subjects of the samples `idx` into stratified parts.
 
     The samples are grouped by subject in first-appearance order, and a
-    subject's class is its one label (`load_manifest` refuses a subject
+    subject's class is its one label (`DatasetManifest` refuses a subject
     listed under two). For each class in sorted label order, its n
     subjects are permuted with `rng` and cut into consecutive runs of
     ``part_sizes(label, n)`` subjects, run j going to part j. Each part

@@ -20,6 +20,16 @@ differentiated components.
 
 All difference and derivative series put 0 in their first entry so that
 every column keeps the input length.
+
+A tablet recording's 17 derived columns are computed together in one
+(17, T) block (_derive): the tangential, horizontal and vertical ladders
+advance one derivative order per pass, and the resultant ladder is one
+hypot call. Each value goes through the same IEEE operations as the
+column-by-column definitions (the hypot or the signed difference of
+consecutive points, then a backward-difference derivative per order), so
+it has their bits; tests/reference_features.py keeps that derivation as
+the oracle. The selected columns are gathered from the block into a
+C-ordered (T, m) matrix in one take.
 """
 
 from __future__ import annotations
@@ -138,70 +148,71 @@ def check_finite(values: np.ndarray, column_names, subject_id: str, task_id: str
 # ---------------------------------------------------------------------------
 # elementary series
 
-def displacement(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Straight-line distance between consecutive points; first entry 0."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape:
-        raise LengthMismatch(f"x has shape {x.shape}, y has shape {y.shape}")
-    if len(x) < 2:
-        raise TooShort(f"need at least 2 points, got {len(x)}")
-    out = np.zeros_like(x)
-    out[1:] = np.hypot(np.diff(x), np.diff(y))
-    return out
-
-
-def directional_displacement(c: np.ndarray) -> np.ndarray:
-    """Signed difference of one coordinate series; first entry 0."""
-    c = np.asarray(c, dtype=np.float64)
-    if len(c) < 2:
-        raise TooShort(f"need at least 2 points, got {len(c)}")
-    out = np.zeros_like(c)
-    out[1:] = np.diff(c)
-    return out
-
-
 def _gaps(timestamps: np.ndarray, tick_seconds: float) -> np.ndarray:
     """Each timestamp gap in seconds, floored at one tick."""
     return np.maximum((timestamps[1:] - timestamps[:-1]) * tick_seconds, tick_seconds)
 
 
-def _rate(s: np.ndarray, gaps: np.ndarray) -> np.ndarray:
-    """Backward-difference time derivative of the float64 series `s` over
-    the `gaps` of its timestamps, first entry 0 (np.diff's subtraction,
-    without its per-call overhead)."""
-    out = np.empty_like(s)
-    out[:1] = 0.0
-    np.subtract(s[1:], s[:-1], out=out[1:])
-    out[1:] /= gaps
-    return out
+def _rate(s: np.ndarray, gaps: np.ndarray, out: np.ndarray) -> None:
+    """Write into `out` the backward-difference time derivative of the
+    float64 series `s` (one series per row when 2-d) over the `gaps` of its
+    timestamps, first entry 0 (np.diff's subtraction, without its per-call
+    overhead)."""
+    out[..., :1] = 0.0
+    np.subtract(s[..., 1:], s[..., :-1], out=out[..., 1:])
+    out[..., 1:] /= gaps
 
 
 # ---------------------------------------------------------------------------
 # assembly
 
-def _tablet_columns(seq: SignalSequence) -> dict[str, np.ndarray]:
-    """Every tablet column by name: the channels, the pressure derivative and
-    the four kinematic ladders."""
+#: row of each derived column in the block _tablet_values derives, in
+#: DERIVED_COLUMNS order: four ladders of four rows (displacement and its
+#: three time derivatives), then the pressure derivative
+_DERIVED_ROWS = {name: i for i, name in enumerate(DERIVED_COLUMNS)}
+
+
+def _derive(block: np.ndarray, seq: SignalSequence) -> None:
+    """Fill the (17, T) `block` with the derived columns of `seq`, rows in
+    DERIVED_COLUMNS order.
+
+    The tangential, horizontal and vertical ladders advance together, one
+    derivative order per pass over three strided rows, and the resultant
+    ladder is one hypot of the horizontal and vertical ladders. Every
+    element goes through the IEEE operations of the column-by-column
+    definitions (see the module docstring), so it keeps their bits.
+    """
     gaps = _gaps(seq.channels["timestamp"], 1.0 / seq.sample_rate_hz)
-    x, y = seq.channels["x"], seq.channels["y"]
-    cols = dict(seq.channels)
-    cols["pressure_derivative"] = _rate(cols["pressure"], gaps)
-    ladders = {
-        "": displacement(x, y),
-        "horizontal_": directional_displacement(x),
-        "vertical_": directional_displacement(y),
-    }
-    for prefix, series in ladders.items():
-        cols[prefix + "displacement"] = series
-        for quantity in ("velocity", "acceleration", "jerk"):
-            series = _rate(series, gaps)
-            cols[prefix + quantity] = series
-    for quantity in ("displacement", "velocity", "acceleration", "jerk"):
-        cols["resultant_" + quantity] = np.hypot(
-            cols["horizontal_" + quantity], cols["vertical_" + quantity]
-        )
-    return cols
+    ladders = block[:12].reshape(3, 4, -1)  # tangential, horizontal, vertical
+    for ladder, name in ((1, "x"), (2, "y")):
+        c = seq.channels[name]
+        ladders[ladder, 0, 0] = 0.0
+        np.subtract(c[1:], c[:-1], out=ladders[ladder, 0, 1:])
+    np.hypot(ladders[1, 0], ladders[2, 0], out=ladders[0, 0])
+    for order in range(3):
+        _rate(ladders[:, order], gaps, out=ladders[:, order + 1])
+    np.hypot(ladders[1], ladders[2], out=block[12:16])
+    _rate(seq.channels["pressure"], gaps, out=block[16])
+
+
+def _tablet_values(seq: SignalSequence, names: list[str]) -> np.ndarray:
+    """The C-ordered (T, m) matrix of the tablet columns `names`: a channel
+    as acquired, a derived column as _derive gives it. The columns are
+    gathered in one take from a block of the derived rows (filled only
+    when one is named) and the named channels'."""
+    channels = [name for name in names if name not in _DERIVED_ROWS]
+    block = np.empty((len(_DERIVED_ROWS) + len(channels), seq.length))
+    rows = dict(_DERIVED_ROWS)
+    for row, name in enumerate(channels, start=len(_DERIVED_ROWS)):
+        block[row] = seq.channels[name]
+        rows[name] = row
+    if len(channels) < len(names):
+        with np.errstate(all="ignore"):  # FeatureMatrix names the inf or nan of an overflow
+            _derive(block[: len(_DERIVED_ROWS)], seq)
+    order = [rows[name] for name in names]
+    if order != list(range(len(block))):  # the derived group alone names the block in order
+        block = block.take(order, axis=0)
+    return np.ascontiguousarray(block.T)
 
 
 def assemble_features(seq: SignalSequence, selection: FeatureGroupSelection) -> FeatureMatrix:
@@ -264,11 +275,8 @@ def assemble_features(seq: SignalSequence, selection: FeatureGroupSelection) -> 
             f"got {seq.length}"
         )
 
-    with np.errstate(all="ignore"):  # FeatureMatrix names the inf or nan of an overflow
-        cols = seq.channels if selection.groups == ("raw",) else _tablet_columns(seq)
-    values = np.column_stack([cols[name] for name in names])
     return FeatureMatrix(
-        values=values,
+        values=_tablet_values(seq, names),
         column_names=names,
         column_groups=tags,
         label=seq.label,

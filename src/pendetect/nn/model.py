@@ -264,8 +264,7 @@ class SequenceClassifier:
         self.convs: list[Conv1d] = layers[: len(spec.conv_layers)]
         self.recurrents: list[Recurrent] = layers[len(spec.conv_layers) : -1]
         self.head: DenseSigmoid = layers[-1]
-        if self.convs:
-            self.convs[0]._input_grad = False  # nothing reads the gradient of the input
+        layers[0]._input_grad = False  # nothing reads the gradient of the input
 
     # -- parameter store ------------------------------------------------------
 

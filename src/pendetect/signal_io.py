@@ -11,12 +11,16 @@ Two on-disk formats are supported:
 Parsing is format-only: a parsed sequence may be as short as one sample;
 length requirements are enforced downstream by the feature stage.
 
-Both formats go through one of two readers, with the same values,
-warnings and errors on every file. numpy's C reader (_read_clean), which
-converts a token as float() does, reads a clean file: ASCII text, one
-arity on every non-blank line after any header, finite values. Every
-other file (non-ASCII text, a token such as 1_000, a malformed line) is
-read one line at a time with float() (_parse_split_lines).
+Both formats go through one of three readers, with the same values,
+warnings and errors on every file. numpy's C reader (_read_clean) reads
+a clean file: ASCII text, one arity on every non-blank line after any
+header, finite values. It reads a body of integers (no ".", "e", "E" or
+"-0" in it, as tablet files are written) as int64 and casts it to
+float64, which gives float()'s bits and is faster; it reads any other
+body, or one whose integers overflow int64, as float64, converting a
+token as float() does. Every other file (non-ASCII text, a token such as
+1_000, a malformed line) is read one line at a time with float()
+(_parse_split_lines).
 
 A parser reads and validates the whole file, however long. ``score``
 parses and validates the whole recording too, but derives features only
@@ -36,6 +40,7 @@ import numpy as np
 from .errors import (
     DuplicateEntry,
     EmptyFile,
+    InvalidEntry,
     InvalidRange,
     MalformedLine,
     NonMonotonicTime,
@@ -121,17 +126,35 @@ class ManifestEntry:
 
 @dataclass
 class DatasetManifest:
+    """Recordings to load, each named by subject, task and label.
+
+    Every split groups samples by subject and stratifies subjects by
+    label, so an entry with an empty subject_id or task_id is an
+    InvalidEntry; then a (subject, task) pair listed twice is a
+    DuplicateEntry; then an entry that gives a subject a second label is
+    an InvalidEntry naming the subject's first entry.
+    """
+
     entries: list[ManifestEntry]
     format: str = setting(str, MANIFEST_FORMATS)
 
     def __post_init__(self):
         check(self)
+        for i, e in enumerate(self.entries):
+            if not e.subject_id or not e.task_id:
+                raise InvalidEntry(i, "subject_id and task_id must not be empty")
         seen: set[tuple[str, str]] = set()
         for e in self.entries:
             key = (e.subject_id, e.task_id)
             if key in seen:
                 raise DuplicateEntry(f"duplicate (subject, task) pair {key}")
             seen.add(key)
+        first: dict[str, int] = {}
+        for i, e in enumerate(self.entries):
+            other = self.entries[first.setdefault(e.subject_id, i)]
+            if other.label != e.label:
+                raise InvalidEntry(i, f"subject {e.subject_id!r} is {e.label} here but "
+                                      f"{other.label}", first[e.subject_id])
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +198,9 @@ def _parse_numeric_lines(
 def _read_clean(text: str, arity: int, path) -> tuple[np.ndarray, int] | None:
     """The values of `text` read by numpy's C reader and the number of
     header lines skipped (0 or 1), or None where that reading is refused
-    or could differ from _parse_split_lines'.
+    or could differ from _parse_split_lines'. A body of integers is read
+    as int64 (_read_integers), any other as float64, which converts a
+    token as float() does.
 
     A header is line 1 as _parse_split_lines finds it: not blank and of
     another arity. It is skipped with the same warning, and the C reader
@@ -200,15 +225,38 @@ def _read_clean(text: str, arity: int, path) -> tuple[np.ndarray, int] | None:
     body = text[len(line_1) + 1 :] if skipped else text
     if not body or body.isspace():
         return None
-    try:
-        values = np.loadtxt(io.StringIO(body), dtype=np.float64, comments=None, ndmin=2)
-    except ValueError:
-        return None
-    if values.shape[1] != arity or not np.isfinite(values).all():
+    values = _read_integers(body)
+    if values is None:
+        try:
+            values = np.loadtxt(io.StringIO(body), dtype=np.float64, comments=None, ndmin=2)
+        except ValueError:
+            return None
+        if not np.isfinite(values).all():
+            return None
+    if values.shape[1] != arity:
         return None
     if skipped:
         _warn_header(path, fields, arity)
     return values, skipped
+
+
+def _read_integers(body: str) -> np.ndarray | None:
+    """The values of `body` read by numpy's C reader as int64 and cast to
+    float64, or None for a body that may hold a real or a -0 and for one
+    with a token that reader refuses (one out of the int64 range included).
+
+    The cast rounds to nearest, as float() does a decimal integer, so each
+    value has float()'s bits; an integer is finite.
+    """
+    # ".", "e" and "E" mark a real; float() reads "-0" as -0.0, an int64
+    # read as 0. A one-character search is far faster, so "-" goes first.
+    if any(c in body for c in ".eE") or ("-" in body and "-0" in body):
+        return None
+    try:
+        values = np.loadtxt(io.StringIO(body), dtype=np.int64, comments=None, ndmin=2)
+    except (ValueError, OverflowError):  # older numpy: OverflowError out of range
+        return None
+    return values.astype(np.float64)
 
 
 def _warn_header(path, fields: int, arity: int) -> None:
@@ -261,13 +309,14 @@ def _parse_split_lines(
 
 
 def _sequence(path, names, values, sample_rate_hz, subject_id, task_id, label) -> SignalSequence:
-    """The SignalSequence of a parsed file: column i of `values` copied into
-    channel names[i], the ids defaulting to the file stem and "unknown"."""
+    """The SignalSequence of a parsed file: channel names[i] is column i of
+    `values`, a row of one transposed copy; the ids default to the file stem
+    and "unknown"."""
     return SignalSequence(
         subject_id=subject_id or Path(path).stem,
         task_id=task_id or "unknown",
         label=label,
-        channels={name: values[:, i].copy() for i, name in enumerate(names)},
+        channels=dict(zip(names, values.T.copy())),
         sample_rate_hz=sample_rate_hz,
     )
 
@@ -285,7 +334,8 @@ def parse_tablet_file(
     values, line_nos = _parse_numeric_lines(path, arity=7)
     columns = dict(zip(DEFAULT_TABLET_COLUMNS, values.T))
 
-    bad_button = np.nonzero(~np.isin(columns["button"], (0.0, 1.0)))[0]
+    button = columns["button"]
+    bad_button = np.nonzero((button != 0.0) & (button != 1.0))[0]
     if bad_button.size:
         i = int(bad_button[0])
         raise MalformedLine(line_nos()[i], "button must be 0 or 1", path=str(path))
@@ -445,12 +495,14 @@ def load_manifest(path: str | Path, format: str) -> DatasetManifest:
     """Read a ``path,subject_id,task_id,label`` CSV into a DatasetManifest.
 
     A file that cannot be read is an IoError, one that is not UTF-8 or has
-    a malformed row a ParseError, and one that lists a (subject, task) pair
-    twice a DuplicateEntry; each names the manifest. Every split groups
-    samples by subject and stratifies subjects by label, so a row with an
-    empty subject_id or task_id, or (checked after the pairs) one that
-    gives a subject a second label, is a MalformedLine naming the row. A
-    UTF-8 byte order mark is dropped.
+    a malformed row (a wrong column count, a label that is not PD or HC in
+    any case) a ParseError, and one that lists a (subject, task) pair
+    twice a DuplicateEntry; each names the manifest. A row that breaks
+    DatasetManifest's other identity rules (an empty subject_id or
+    task_id, a subject's second label) is a MalformedLine naming the row.
+    A row is named by the physical line it starts on, so a quoted path
+    holding a line break does not shift the rows after it. A UTF-8 byte
+    order mark is dropped.
     """
     import csv  # here, not at the top: scoring reads no manifest
 
@@ -458,40 +510,37 @@ def load_manifest(path: str | Path, format: str) -> DatasetManifest:
         text = read_bytes(path).decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ParseError(str(exc), path=str(path)) from exc
-    rows = list(csv.reader(io.StringIO(text, newline="")))
+    reader = csv.reader(io.StringIO(text, newline=""))
+    rows: list[tuple[int, list[str]]] = []  # each record and the line it starts on
+    start = 1
+    for record in reader:
+        rows.append((start, record))
+        start = reader.line_num + 1
     entries: list[ManifestEntry] = []
     if not rows:
         return DatasetManifest(entries=entries, format=format)
-    if tuple(h.strip() for h in rows[0]) != MANIFEST_HEADER:
+    if tuple(h.strip() for h in rows[0][1]) != MANIFEST_HEADER:
         raise ParseError(
             f"manifest header must be {','.join(MANIFEST_HEADER)}", path=str(path)
         )
-    row_nos: list[int] = []
-    for row_no, row in enumerate(rows[1:], start=2):
+    line_nos: list[int] = []
+    for line_no, row in rows[1:]:
         if not row or all(not c.strip() for c in row):
             continue
         if len(row) != 4:
-            raise MalformedLine(row_no, f"expected 4 columns, got {len(row)}", path=str(path))
+            raise MalformedLine(line_no, f"expected 4 columns, got {len(row)}", path=str(path))
         file_path, subject_id, task_id, label = (c.strip() for c in row)
         if label.upper() not in LABELS:
-            raise MalformedLine(row_no, f"label must be PD or HC, got {label!r}", path=str(path))
-        label = label.upper()
-        if not subject_id or not task_id:
-            raise MalformedLine(row_no, "subject_id and task_id must not be empty",
-                                path=str(path))
-        entries.append(ManifestEntry(file_path, subject_id, task_id, label))
-        row_nos.append(row_no)
+            raise MalformedLine(line_no, f"label must be PD or HC, got {label!r}", path=str(path))
+        entries.append(ManifestEntry(file_path, subject_id, task_id, label.upper()))
+        line_nos.append(line_no)
     try:
-        manifest = DatasetManifest(entries=entries, format=format)
+        return DatasetManifest(entries=entries, format=format)
     except DuplicateEntry as exc:
         raise DuplicateEntry(str(exc), path=str(path)) from exc
-    first: dict[str, tuple[int, str]] = {}
-    for row_no, e in zip(row_nos, entries):
-        other_row, other = first.setdefault(e.subject_id, (row_no, e.label))
-        if other != e.label:
-            raise MalformedLine(row_no, f"subject {e.subject_id!r} is {e.label} here but "
-                                        f"{other} on line {other_row}", path=str(path))
-    return manifest
+    except InvalidEntry as exc:
+        other = "" if exc.other is None else f" on line {line_nos[exc.other]}"
+        raise MalformedLine(line_nos[exc.index], exc.detail + other, path=str(path)) from exc
 
 
 def write_manifest(manifest: DatasetManifest, path: str | Path) -> None:

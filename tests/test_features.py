@@ -16,12 +16,12 @@ from pendetect.features import (
     RAW_COLUMNS,
     FeatureGroupSelection,
     FeatureMatrix,
+    _tablet_values,
     assemble_features,
-    directional_displacement,
-    displacement,
     dump_csv,
 )
 from pendetect.signal_io import SMARTPEN_CHANNELS, SignalSequence, generate_synthetic
+from reference_features import directional_displacement, displacement, reference_features
 
 
 def _tablet_sequence(x, y, timestamp=None, pressure=None, label=None, rate=200.0):
@@ -39,7 +39,7 @@ def _tablet_sequence(x, y, timestamp=None, pressure=None, label=None, rate=200.0
 
 
 # ---------------------------------------------------------------------------
-# displacement
+# displacement, as the column-by-column oracle of reference_features takes it
 
 def test_displacement_3_4_5_triangle():
     np.testing.assert_array_equal(displacement([0, 3], [0, 4]), [0.0, 5.0])
@@ -390,6 +390,51 @@ def test_assembled_columns_equal_column_by_column_oracles(n, rate, data):
     for name, source in sources.items():
         rate = deriv(fm.column(source))
         assert fm.column(name).tobytes() == rate.tobytes(), name
+
+
+# coordinates and pressures: integers as a tablet gives them, or values near
+# 1e308 whose differences overflow to inf and whose later differences are
+# inf - inf = nan
+_EXTREME = st.sampled_from([1e308, -1e308, 1.7e308, -1.7e308, 8.9e307, -8.9e307])
+_COORD = st.one_of(st.integers(-8000, 8000).map(float), _EXTREME)
+
+
+@given(
+    n=st.integers(4, 30),
+    rate=st.sampled_from([100.0, 200.0, 133.0]),
+    groups=st.lists(st.sampled_from(GROUPS), min_size=1, max_size=5, unique=True),
+    raw_pressure=st.booleans(),
+    extreme=st.booleans(),
+    data=st.data(),
+)
+@settings(max_examples=200, deadline=None)
+def test_assembled_features_equal_column_by_column_derivation(
+    n, rate, groups, raw_pressure, extreme, data
+):
+    coord = _COORD if extreme else st.integers(-8000, 8000).map(float)
+    level = st.integers(0, 1023).map(float)
+    level = st.one_of(level, _EXTREME.map(abs)) if extreme else level
+    x, y = (np.array(data.draw(st.lists(coord, min_size=n, max_size=n))) for _ in range(2))
+    pressure = data.draw(st.lists(level, min_size=n, max_size=n))
+    # steps of 0 repeat a timestamp
+    ts = np.cumsum(data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))).astype(float)
+    seq = _tablet_sequence(x, y, timestamp=ts, pressure=pressure, rate=rate)
+    selection = FeatureGroupSelection(tuple(groups), raw_pressure)
+    want, names, tags = reference_features(seq, selection)
+    if np.isfinite(want).all():
+        fm = assemble_features(seq, selection)
+        assert (fm.column_names, fm.column_groups) == (names, tags)
+        assert fm.values.flags.c_contiguous
+        assert fm.values.tobytes() == want.tobytes()
+    else:
+        bad = [names[j] for j in np.nonzero(~np.isfinite(want).all(axis=0))[0]]
+        with pytest.raises(NonFiniteFeatures) as exc:
+            assemble_features(seq, selection)
+        assert str(exc.value).endswith(f"non-finite values in columns {bad}")
+    # the values before the finiteness check, inf and nan included
+    got = _tablet_values(seq, names)
+    assert got.flags.c_contiguous
+    assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from pendetect.errors import (
     DuplicateEntry,
     EmptyFile,
+    InvalidEntry,
     InvalidRange,
     MalformedLine,
     NonMonotonicTime,
@@ -423,6 +424,33 @@ def test_manifest_bad_row_rejected(tmp_path, rows, line_no, detail):
     assert str(exc.value) == f"{m}: line {line_no}: {detail}"
 
 
+def test_manifest_rows_are_named_by_their_first_physical_line(tmp_path):
+    m = tmp_path / "m.csv"
+    head = 'path,subject_id,task_id,label\n"a\nb.svc",s1,spiral,PD\n'
+    m.write_text(head + "c.svc,s2,spiral,sick\n")
+    with pytest.raises(MalformedLine) as exc:
+        load_manifest(m, format="tablet_svc")
+    assert str(exc.value) == f"{m}: line 4: label must be PD or HC, got 'sick'"
+    # a record spanning lines 4-5 is named by line 4, the earlier one by line 2
+    m.write_text(head + '"c\nd.svc",s1,second,HC\n')
+    with pytest.raises(MalformedLine) as exc:
+        load_manifest(m, format="tablet_svc")
+    assert str(exc.value) == f"{m}: line 4: subject 's1' is HC here but PD on line 2"
+
+
+@pytest.mark.parametrize("entries, message", [
+    ([("a.svc", "", "spiral", "HC")], "entry 0: subject_id and task_id must not be empty"),
+    ([("a.svc", "s1", "spiral", "HC"), ("b.svc", "s2", "", "PD")],
+     "entry 1: subject_id and task_id must not be empty"),
+    ([("a.svc", "x", "spiral", "PD"), ("b.svc", "y", "spiral", "HC"),
+      ("c.svc", "x", "second", "HC")], "entry 2: subject 'x' is HC here but PD in entry 0"),
+], ids=["empty-subject", "empty-task", "second-label"])
+def test_manifest_built_in_python_keeps_the_identity_rules(entries, message):
+    with pytest.raises(InvalidEntry) as exc:
+        DatasetManifest([ManifestEntry(*e) for e in entries], "synthetic")
+    assert str(exc.value) == message
+
+
 def test_load_dataset_cohort_72(tmp_path):
     # 36 per class, one file each, assembled through a written manifest
     seqs = generate_synthetic(36, (30, 60), 0.5, seed=5)
@@ -563,14 +591,21 @@ def _outcome(parse, path, arity):
     return result, [(w.category, str(w.message)) for w in caught]
 
 
-_NUMBER = st.one_of(
+# integers in the forms a file may hold them: a sign, leading zeros, zeros
+# that float() reads as -0.0, 2**53 + 1 (no float64 holds it) and the ends
+# of the int64 range
+_INTEGER = st.one_of(
     st.integers(-(10**9), 10**9).map(str),
-    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["-0", "-000", "+0", "+17", "007", "9007199254740993",
+                     "9223372036854775807", "-9223372036854775807"]),
 )
+_NUMBER = st.one_of(_INTEGER, st.floats(allow_nan=False, allow_infinity=False).map(repr))
 # tokens float() takes but numpy's C reader refuses (1_000, Arabic-Indic
-# digits), tokens float() also refuses, and non-finite values
+# digits) or reads only as a real (integers beyond the int64 range), tokens
+# float() also refuses, and non-finite values
 _ODD = st.sampled_from(
-    ["1_000", "\u0661\u0662", "0x10", "nan", "-inf", "1e999", "abc", "1,5", "--1"]
+    ["1_000", "\u0661\u0662", "0x10", "nan", "-inf", "1e999", "abc", "1,5", "--1",
+     "9223372036854775808", "-9223372036854775809"]
 )
 _BLANK = st.sampled_from(["", " ", "\t", "  \t "])
 # characters str.split or str.splitlines treat otherwise than a space or
@@ -586,9 +621,11 @@ def _recording(draw):
     odd = draw(st.booleans())
     sep = st.sampled_from(_SEPARATORS + _ODD_SPACE if odd else _SEPARATORS)
     end = st.sampled_from(_LINE_ENDS + _ODD_SPACE if odd else _LINE_ENDS)
+    # often integers alone, as a tablet writes them
+    number = _INTEGER if draw(st.booleans()) else _NUMBER
 
     def row(n):
-        tokens = draw(st.lists(_NUMBER, min_size=n, max_size=n))
+        tokens = draw(st.lists(number, min_size=n, max_size=n))
         if tokens and draw(st.integers(0, 5)) == 0:
             tokens[draw(st.integers(0, n - 1))] = draw(_ODD)
         return draw(sep).join(tokens)
@@ -680,6 +717,32 @@ def test_header_line_file_is_read_by_the_c_reader(tmp_path, head, newline, arity
     assert skipped == len(caught) == (head.lstrip("\ufeff") != "")
     assert np.array_equal(values, rows)
     assert all("header" in str(w.message) for w in caught)
+
+
+def test_integer_file_is_read_as_int64_and_a_file_of_reals_as_float64(tmp_path, monkeypatch):
+    dtypes = []
+    loadtxt = np.loadtxt
+
+    def spy(*args, dtype, **kwargs):
+        dtypes.append(np.dtype(dtype))
+        return loadtxt(*args, dtype=dtype, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", spy)
+    tablet = generate_synthetic(1, (300, 300), 1.0, seed=4)[0]
+    write_tablet_file(tablet, tmp_path / "rec.svc")
+    parsed = parse_tablet_file(tmp_path / "rec.svc")
+    assert dtypes == [np.dtype(np.int64)]
+    for name in TABLET_CHANNELS:
+        assert parsed.channels[name].tobytes() == tablet.channels[name].tobytes(), name
+
+    dtypes.clear()
+    rng = np.random.default_rng(5)
+    channels = dict(zip(SMARTPEN_CHANNELS, rng.normal(0.0, 100.0, (6, 300))))
+    _write_smartpen(SignalSequence("s", "t", None, channels), tmp_path / "pen.txt")
+    parsed = parse_smartpen_file(tmp_path / "pen.txt")
+    assert dtypes == [np.dtype(np.float64)]
+    for name in SMARTPEN_CHANNELS:
+        assert parsed.channels[name].tobytes() == channels[name].tobytes(), name
 
 
 @pytest.mark.parametrize("sep", _ODD_SPACE)
