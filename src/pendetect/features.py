@@ -209,10 +209,7 @@ def _tablet_values(seq: SignalSequence, names: list[str]) -> np.ndarray:
     if len(channels) < len(names):
         with np.errstate(all="ignore"):  # FeatureMatrix names the inf or nan of an overflow
             _derive(block[: len(_DERIVED_ROWS)], seq)
-    order = [rows[name] for name in names]
-    if order != list(range(len(block))):  # the derived group alone names the block in order
-        block = block.take(order, axis=0)
-    return np.ascontiguousarray(block.T)
+    return np.ascontiguousarray(block.take([rows[name] for name in names], axis=0).T)
 
 
 def assemble_features(seq: SignalSequence, selection: FeatureGroupSelection) -> FeatureMatrix:

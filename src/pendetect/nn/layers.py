@@ -101,10 +101,6 @@ class Layer:
     can size its vectors before it builds any layer.
     """
 
-    #: backward returns dx only when a layer below needs it; a model clears
-    #: this on its first layer, whose backward then returns None
-    _input_grad = True
-
     def __init__(self, shapes: dict[str, tuple[int, ...]],
                  flat: tuple[np.ndarray, np.ndarray] | None = None):
         if flat is None:
@@ -138,6 +134,9 @@ class Conv1d(Layer):
         if rng is not None:
             glorot_uniform(rng, self.params["W"], in_channels * kernel, out_channels * kernel)
         self._cache = None
+        # backward returns dx only when a layer below needs it; a model's
+        # first conv clears this, and its backward then returns None
+        self._input_grad = True
 
     @staticmethod
     def output_length(t: int, kernel: int, stride: int) -> int:
@@ -390,7 +389,7 @@ class Recurrent(Layer):
         return np.concatenate([states[1:][order, d] for d, order in enumerate(_ORDERS[:n])],
                               axis=2)
 
-    def backward(self, dout: np.ndarray) -> np.ndarray | None:
+    def backward(self, dout: np.ndarray) -> np.ndarray:
         x, in_mask, acts, u, rmask, states, cells = self._cache
         self._cache = None
         t, batch, c = x.shape
@@ -405,7 +404,7 @@ class Recurrent(Layer):
         dstates = np.stack([dout[order, :, d * h : (d + 1) * h]
                             for d, order in enumerate(_ORDERS[:n])], axis=1)
         _SWEEPS[self.cell][1](acts, u, rmask, dstates, dacts, hprev, hm, cells)
-        # each direction's dW, dU, db and (when asked for) dx from its own rows, in time order
+        # each direction's dW, dU, db and dx from its own rows, in time order
         x_rows = x.reshape(-1, c)
         dx = 0.0
         for d, (direction, order) in enumerate(zip(self.directions, _ORDERS)):
@@ -421,10 +420,7 @@ class Recurrent(Layer):
                 du[:, 2 * h :] += (r * hm_d).T @ rows[:, 2 * h :]
             else:
                 du += hm_d.T @ rows
-            if self._input_grad:
-                dx = dx + rows @ self.params[f"{direction}/W"].T
-        if not self._input_grad:
-            return None
+            dx = dx + rows @ self.params[f"{direction}/W"].T
         dx = dx.reshape(x.shape)
         if in_mask is not None:
             dx *= in_mask

@@ -264,7 +264,8 @@ class SequenceClassifier:
         self.convs: list[Conv1d] = layers[: len(spec.conv_layers)]
         self.recurrents: list[Recurrent] = layers[len(spec.conv_layers) : -1]
         self.head: DenseSigmoid = layers[-1]
-        layers[0]._input_grad = False  # nothing reads the gradient of the input
+        if self.convs:
+            self.convs[0]._input_grad = False  # nothing reads the gradient of the input
 
     # -- parameter store ------------------------------------------------------
 

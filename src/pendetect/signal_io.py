@@ -247,14 +247,21 @@ def _read_integers(body: str) -> np.ndarray | None:
 
     The cast rounds to nearest, as float() does a decimal integer, so each
     value has float()'s bits; an integer is finite.
+
+    numpy releases before 2 read a token the int64 reader refuses ("nan",
+    "inf", an integer beyond the int64 range) through float and cast the
+    result unchecked, with a DeprecationWarning. That warning is raised
+    here as an error, so such a body is refused as numpy 2 refuses it.
     """
     # ".", "e" and "E" mark a real; float() reads "-0" as -0.0, an int64
     # read as 0. A one-character search is far faster, so "-" goes first.
     if any(c in body for c in ".eE") or ("-" in body and "-0" in body):
         return None
     try:
-        values = np.loadtxt(io.StringIO(body), dtype=np.int64, comments=None, ndmin=2)
-    except (ValueError, OverflowError):  # older numpy: OverflowError out of range
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            values = np.loadtxt(io.StringIO(body), dtype=np.int64, comments=None, ndmin=2)
+    except (ValueError, DeprecationWarning):
         return None
     return values.astype(np.float64)
 

@@ -459,32 +459,6 @@ def test_first_conv_skips_input_gradient_with_equal_weight_gradients():
     assert model.grads()["conv0/b"].tobytes() == ref.grads["b"].tobytes()
 
 
-@pytest.mark.parametrize("cell", ["rnn", "lstm", "gru"])
-def test_first_recurrent_without_conv_skips_input_gradient_with_equal_gradients(cell):
-    spec = ModelSpec(conv_layers=(), recurrent_layers=(
-        RecurrentSpec(cell, 4, bidirectional=True, dropout_rate=0.2, recurrent_dropout_rate=0.1),
-        RecurrentSpec(cell, 3, bidirectional=False),
-    ))
-    x = np.random.default_rng(30).normal(size=(3, 12, 5))
-    models = [SequenceClassifier(spec, 5, np.random.default_rng(29)) for _ in range(2)]
-    models[1].recurrents[0]._input_grad = True  # the reference forms dx, as before
-    returned = []
-    for model in models:
-        rec0 = model.recurrents[0]
-
-        def recording_backward(dout, rec0=rec0):
-            returned.append(Recurrent.backward(rec0, dout))
-            return returned[-1]
-
-        rec0.backward = recording_backward
-        model.zero_grads()
-        p = model.forward(x, train=True, rng=np.random.default_rng(31))
-        model.backward(p - np.array([1.0, 0.0, 1.0]))
-    assert returned[0] is None
-    assert returned[1].shape == (12, 3, 5)
-    assert models[0].grad.tobytes() == models[1].grad.tobytes()
-
-
 # ---------------------------------------------------------------------------
 # dependencies
 

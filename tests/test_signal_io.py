@@ -1,3 +1,4 @@
+import io
 import re
 import warnings
 from pathlib import Path
@@ -743,6 +744,33 @@ def test_integer_file_is_read_as_int64_and_a_file_of_reals_as_float64(tmp_path, 
     assert dtypes == [np.dtype(np.float64)]
     for name in SMARTPEN_CHANNELS:
         assert parsed.channels[name].tobytes() == channels[name].tobytes(), name
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "-Infinity", "9223372036854775808"])
+def test_int64_reader_refuses_a_token_numpy_1_reads_through_float(tmp_path, monkeypatch, token):
+    # numpy releases before 2 read such a token with the int64 reader through
+    # float, warn with a DeprecationWarning and cast the value unchecked
+    loadtxt = np.loadtxt
+    dtypes = []
+
+    def numpy_1_loadtxt(fname, *args, dtype, **kwargs):
+        dtypes.append(np.dtype(dtype))
+        text = fname.read()
+        try:
+            return loadtxt(io.StringIO(text), *args, dtype=dtype, **kwargs)
+        except ValueError:
+            if dtype is not np.int64:
+                raise
+            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                          DeprecationWarning, stacklevel=2)
+            shape = loadtxt(io.StringIO(text), *args, dtype=np.float64, **kwargs).shape
+            return np.full(shape, np.iinfo(np.int64).min)
+
+    monkeypatch.setattr(np, "loadtxt", numpy_1_loadtxt)
+    path = tmp_path / "rec.svc"
+    path.write_text(f"0 0 0 1 0 0 100\n5 6 1 1 0 0 {token}\n")
+    _assert_parsers_agree(path, 7)
+    assert dtypes[0] == np.dtype(np.int64)
 
 
 @pytest.mark.parametrize("sep", _ODD_SPACE)
