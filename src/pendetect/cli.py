@@ -297,11 +297,14 @@ def cmd_train(args) -> int:
 
     config = load_config(resolve_config_path(args), args.seed, args.out)
     sequences = load_training_sequences(config)
-    out = _make_out_dir(config.out_dir)
+    width = assemble_features(sequences[0], config.features).m
     spec = config.model_spec or ModelSpec.reference(
-        assemble_features(sequences[0], config.features).m,
-        cell=config.model_cell, with_conv=config.model_with_conv,
+        width, cell=config.model_cell, with_conv=config.model_with_conv
     )
+    if spec.conv_layers and spec.conv_layers[0].in_channels != width:  # before out is made
+        raise ConfigError(f"model.spec: first conv expects {spec.conv_layers[0].in_channels} "
+                          f"channels, but features {list(config.features.groups)} give {width}")
+    out = _make_out_dir(config.out_dir)
     artifacts: dict = {}
     report = run_experiment(
         sequences, config.features, spec, config.train, config.plan,
@@ -380,9 +383,10 @@ def score_file(checkpoint: str | Path, input_path: str | Path) -> float:
     Features the recording cannot give (too few rows, a missing channel,
     a non-finite value), and a recording the model refuses as too short,
     are data errors naming `input_path`. A cutoff below the conv stack's
-    minimum, a normalization sidecar that cannot be read or parsed, and a
-    p that is not finite (the forward overflowed), are data errors naming
-    the checkpoint; stats that do not fit the features, or z-score them to a
+    minimum, features whose width is not the model's input_size, a
+    normalization sidecar that cannot be read or parsed, and a p that is
+    not finite (the forward overflowed), are data errors naming the
+    checkpoint; stats that do not fit the features, or z-score them to a
     non-finite value, name the checkpoint and `input_path`.
     """
     model, meta = load_checkpoint(checkpoint)
@@ -402,6 +406,10 @@ def score_file(checkpoint: str | Path, input_path: str | Path) -> float:
         fm = assemble_features(seq, selection)
     except (ShapeError, DataError) as exc:
         raise DataError(str(exc), path=str(input_path)) from exc
+    if fm.m != model.input_size:  # `train` never writes one
+        raise DataError(f"the model reads {model.input_size} feature columns, but "
+                        f"preprocessing.feature_groups {list(selection.groups)} give {fm.m}",
+                        path=str(checkpoint))
     ref, stats = meta["normalization_ref"], None
     if ref is not None:
         try:

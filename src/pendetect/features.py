@@ -3,7 +3,8 @@
 Columns are organized in five groups:
 
 * raw: the channels as acquired (for tablet data: x, y, pressure, tilt_x,
-  tilt_y, button; smart-pen data exposes its six channels here instead).
+  tilt_y, button; a smart-pen recording, one holding SMARTPEN_CHANNELS,
+  exposes its six channels here instead).
 * inclination: the two tilt channels.
 * pressure: raw pressure and its first time derivative.
 * kinematic: displacement and its first three time derivatives, in four
@@ -21,7 +22,16 @@ differentiated components.
 All difference and derivative series put 0 in their first entry so that
 every column keeps the input length.
 
-A tablet recording's 17 derived columns are computed together in one
+Each column reads channels of the recording: a channel column (raw,
+inclination, raw pressure) reads its own channel, and every derived
+column (kinematic, pressure derivative) reads x, y, timestamp and
+pressure, as _derive does. A selection is refused for the first channel,
+in column order, that a column reads and the recording lacks. So a
+smart-pen recording gives only its raw group, and a tablet recording
+without tilt or button channels still gives every group that does not
+select them.
+
+A recording's 17 derived columns are computed together in one
 (17, T) block (_derive): the tangential, horizontal and vertical ladders
 advance one derivative order per pass, and the resultant ladder is one
 hypot call. Each value goes through the same IEEE operations as the
@@ -166,10 +176,14 @@ def _rate(s: np.ndarray, gaps: np.ndarray, out: np.ndarray) -> None:
 # ---------------------------------------------------------------------------
 # assembly
 
-#: row of each derived column in the block _tablet_values derives, in
+#: row of each derived column in the block _column_values derives, in
 #: DERIVED_COLUMNS order: four ladders of four rows (displacement and its
 #: three time derivatives), then the pressure derivative
 _DERIVED_ROWS = {name: i for i, name in enumerate(DERIVED_COLUMNS)}
+
+#: the channels _derive reads, and so every derived column, in the order
+#: a missing one is named
+_DERIVE_READS = ("x", "y", "timestamp", "pressure")
 
 
 def _derive(block: np.ndarray, seq: SignalSequence) -> None:
@@ -195,9 +209,9 @@ def _derive(block: np.ndarray, seq: SignalSequence) -> None:
     _rate(seq.channels["pressure"], gaps, out=block[16])
 
 
-def _tablet_values(seq: SignalSequence, names: list[str]) -> np.ndarray:
-    """The C-ordered (T, m) matrix of the tablet columns `names`: a channel
-    as acquired, a derived column as _derive gives it. The columns are
+def _column_values(seq: SignalSequence, names: list[str]) -> np.ndarray:
+    """The C-ordered (T, m) matrix of the columns `names`: a channel as
+    acquired, a derived column as _derive gives it. The columns are
     gathered in one take from a block of the derived rows (filled only
     when one is named) and the named channels'."""
     channels = [name for name in names if name not in _DERIVED_ROWS]
@@ -217,32 +231,20 @@ def assemble_features(seq: SignalSequence, selection: FeatureGroupSelection) -> 
 
     Selected groups are laid out in canonical order (raw, inclination,
     pressure, kinematic, derived); a column name already emitted by an
-    earlier group is not repeated.
+    earlier group is not repeated. The raw group is the recording's
+    acquired channels: SMARTPEN_CHANNELS for a smart-pen recording,
+    RAW_COLUMNS for any other.
 
     Timestamps count samples: one tick is one nominal sample interval,
-    ``1 / seq.sample_rate_hz`` seconds. A missing channel or too few
-    time-steps is refused with the recording named, as a non-finite value is.
+    ``1 / seq.sample_rate_hz`` seconds. A channel that a selected column
+    reads (see the module docstring) and the recording lacks, the first
+    in column order, or too few time-steps, is refused with the recording
+    named, as a non-finite value is.
     """
     recording = (seq.subject_id, seq.task_id)
-    if seq.is_smartpen() and not seq.is_tablet():
-        if selection.groups != ("raw",):
-            needed = set(selection.groups) - {"raw"}
-            if needed & {"kinematic", "derived"}:
-                raise MissingChannel("x", recording)
-            raise MissingChannel("pressure" if "pressure" in needed else "tilt_x", recording)
-        if seq.length < 2:
-            raise TooShort(f"recording {recording}: need at least 2 time-steps, got {seq.length}")
-        values = np.column_stack([seq.channels[name] for name in SMARTPEN_CHANNELS])
-        return FeatureMatrix(
-            values=values,
-            column_names=list(SMARTPEN_CHANNELS),
-            column_groups=["raw"] * len(SMARTPEN_CHANNELS),
-            label=seq.label,
-            subject_id=seq.subject_id,
-            task_id=seq.task_id,
-        )
-
     group_columns = dict(_GROUP_COLUMNS)
+    if seq.is_smartpen():
+        group_columns["raw"] = SMARTPEN_CHANNELS
     if selection.include_raw_pressure_in_derived:
         group_columns["derived"] = KINEMATIC_COLUMNS + ("pressure", "pressure_derivative")
 
@@ -254,15 +256,10 @@ def assemble_features(seq: SignalSequence, selection: FeatureGroupSelection) -> 
                 names.append(name)
                 tags.append(group)
 
-    # any group with derived columns needs the whole tablet channel set
-    # (timestamps included); a pure raw selection needs only the raw channels
-    if selection.groups == ("raw",):
-        required = set(RAW_COLUMNS)
-    else:
-        required = set(RAW_COLUMNS) | {"timestamp"}
-    for channel in sorted(required):
-        if channel not in seq.channels:
-            raise MissingChannel(channel, recording)
+    for name in names:
+        for channel in _DERIVE_READS if name in _DERIVED_ROWS else (name,):
+            if channel not in seq.channels:
+                raise MissingChannel(channel, recording)
 
     if seq.length < 2:
         raise TooShort(f"recording {recording}: need at least 2 time-steps, got {seq.length}")
@@ -273,7 +270,7 @@ def assemble_features(seq: SignalSequence, selection: FeatureGroupSelection) -> 
         )
 
     return FeatureMatrix(
-        values=_tablet_values(seq, names),
+        values=_column_values(seq, names),
         column_names=names,
         column_groups=tags,
         label=seq.label,

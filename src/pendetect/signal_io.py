@@ -56,9 +56,6 @@ LABELS = (PD, HC)
 #: model target of each label: PD is the positive class
 LABEL_TO_Y = {HC: 0, PD: 1}
 
-#: channel names of a tablet recording, in canonical order
-TABLET_CHANNELS = ("x", "y", "timestamp", "pressure", "tilt_x", "tilt_y", "button")
-
 #: on-disk column order of every tablet file read or written here. The
 #: acquisition format does not document its column order, so this is a
 #: convention.
@@ -108,9 +105,6 @@ class SignalSequence:
     @property
     def length(self) -> int:
         return len(next(iter(self.channels.values())))
-
-    def is_tablet(self) -> bool:
-        return set(TABLET_CHANNELS) <= set(self.channels)
 
     def is_smartpen(self) -> bool:
         return set(SMARTPEN_CHANNELS) <= set(self.channels)

@@ -34,7 +34,16 @@ from pendetect.nn import (
     gradient_check,
 )
 from pendetect.nn.layers import Conv1d
-from pendetect.signal_io import SignalSequence, generate_synthetic, load_dataset, load_manifest
+from pendetect.signal_io import (
+    DatasetManifest,
+    ManifestEntry,
+    SignalSequence,
+    generate_synthetic,
+    load_dataset,
+    load_manifest,
+    write_manifest,
+    write_tablet_file,
+)
 
 
 def _verdict(n: int, ok: bool, detail: str) -> None:
@@ -410,15 +419,40 @@ def test_criterion_7_ablation(tmp_path):
 # 8. dataset-dependent (optional, does not gate)
 
 
-def _run_task_kfold(sequences, k, seed):
-    report = run_experiment(
-        sequences,
-        FeatureGroupSelection.of("derived"),
+def _pahaw_task_reports(base: Path, k: int, epochs: int) -> dict:
+    """Criterion 8a's runs on the cohort at `base`: for tasks spiral and lll,
+    the report of a k-fold CV of the derived features."""
+    sequences = load_dataset(load_manifest(base / "manifest.csv", format="tablet_svc"),
+                             base_dir=base)
+    reports = {}
+    for task in ("spiral", "lll"):
+        subset = [s for s in sequences if s.task_id == task]
+        assert subset, f"no samples for task {task!r}"
+        reports[task] = run_experiment(
+            subset,
+            FeatureGroupSelection.of("derived"),
+            None,
+            TrainConfig(seed=0, epochs=epochs),
+            SplitPlan.kfold(k, seed=0),
+        )
+    return reports
+
+
+def _newhandpd_spiral_report(base: Path, epochs: int, n_runs: int):
+    """Criterion 8b's run on the cohort at `base`: the report of `n_runs`
+    65/10/25 holdouts of the spiral task's raw smart-pen channels."""
+    sequences = load_dataset(load_manifest(base / "manifest.csv", format="smartpen_channels"),
+                             base_dir=base)
+    subset = [s for s in sequences if s.task_id == "spiral"]
+    assert subset, "no spiral samples found"
+    return run_experiment(
+        subset,
+        FeatureGroupSelection.of("raw"),
         None,
-        TrainConfig(seed=seed),
-        SplitPlan.kfold(k, seed=seed),
+        TrainConfig(seed=0, epochs=epochs),
+        SplitPlan(kind="holdout", train_frac=0.65,
+                  val_frac=0.10, test_frac=0.25, n_runs=n_runs, seed=0),
     )
-    return report.aggregate["accuracy"]
 
 
 @pytest.mark.skipif(
@@ -427,18 +461,12 @@ def _run_task_kfold(sequences, k, seed):
     "set PENDETECT_PAHAW_DIR to a directory with manifest.csv to run",
 )
 def test_criterion_8a_pahaw_tasks():
-    base = Path(os.environ["PENDETECT_PAHAW_DIR"])
-    manifest = load_manifest(base / "manifest.csv", format="tablet_svc")
-    sequences = load_dataset(manifest, base_dir=base)
+    reports = _pahaw_task_reports(Path(os.environ["PENDETECT_PAHAW_DIR"]), k=10, epochs=100)
     published = {"spiral": 0.9375, "lll": 0.9625}
-    results = {}
+    results = {task: reports[task].aggregate["accuracy"] for task in published}
     for task, expected in published.items():
-        subset = [s for s in sequences if s.task_id == task]
-        assert subset, f"no samples for task {task!r}"
-        acc = _run_task_kfold(subset, k=10, seed=0)
-        results[task] = acc
-        assert abs(acc - expected) <= 0.07, (
-            f"{task}: accuracy {acc:.4f} outside {expected:.4f} +/- 0.07"
+        assert abs(results[task] - expected) <= 0.07, (
+            f"{task}: accuracy {results[task]:.4f} outside {expected:.4f} +/- 0.07"
         )
     _verdict(8, True, "PaHaW per-task accuracy within +/-7 points: " + str(results))
 
@@ -449,19 +477,59 @@ def test_criterion_8a_pahaw_tasks():
     "set PENDETECT_NEWHANDPD_DIR to a directory with manifest.csv to run",
 )
 def test_criterion_8b_newhandpd_spiral():
-    base = Path(os.environ["PENDETECT_NEWHANDPD_DIR"])
-    manifest = load_manifest(base / "manifest.csv", format="smartpen_channels")
-    sequences = load_dataset(manifest, base_dir=base)
-    subset = [s for s in sequences if s.task_id == "spiral"]
-    assert subset, "no spiral samples found"
-    report = run_experiment(
-        subset,
-        FeatureGroupSelection.of("raw"),
-        None,
-        TrainConfig(seed=0),
-        SplitPlan(kind="holdout", train_frac=0.65,
-                  val_frac=0.10, test_frac=0.25, n_runs=20, seed=0),
-    )
+    report = _newhandpd_spiral_report(Path(os.environ["PENDETECT_NEWHANDPD_DIR"]),
+                                      epochs=100, n_runs=20)
     acc = report.aggregate["accuracy"]
     assert abs(acc - 0.9444) <= 0.07
     _verdict(8, True, f"NewHandPD spiral holdout accuracy {acc:.4f} within 0.9444 +/- 0.07")
+
+
+# criterion 8's code paths on small stand-in cohorts; no published figure is asserted
+
+def _write_cohort(base: Path, files: list, fmt: str) -> None:
+    """Write each (name, text, subject, task, label) of `files` under
+    `base`, and a manifest of them in format `fmt`."""
+    for name, text, *_ in files:
+        (base / name).write_text(text)
+    entries = [ManifestEntry(name, *ids) for name, _, *ids in files]
+    write_manifest(DatasetManifest(entries=entries, format=fmt), base / "manifest.csv")
+
+
+def _assert_finite_and_repeatable(first, second, input_size: int) -> None:
+    assert first.config["input_size"] == input_size
+    metrics = {key: first.aggregate[key] for key in ("accuracy", "auc", "sensitivity",
+                                                     "specificity")}
+    assert np.isfinite([*metrics.values(), first.pooled["auc"]]).all(), metrics
+    assert first.fingerprint() == second.fingerprint()
+
+
+def test_criterion_8a_code_path_on_a_pahaw_shaped_cohort(tmp_path):
+    # tablet files whose first line is the sample count, as PaHaW's are
+    files = []
+    for seed, task in enumerate(("spiral", "lll")):
+        for seq in generate_synthetic(4, (60, 90), 1.0, seed=seed):
+            write_tablet_file(seq, tmp_path / "body.svc")
+            text = f"{seq.length}\n" + (tmp_path / "body.svc").read_text()
+            files.append((f"{seq.subject_id}-{task}.svc", text, seq.subject_id, task, seq.label))
+    _write_cohort(tmp_path, files, "tablet_svc")
+    runs = []
+    for _ in range(2):
+        with pytest.warns(UserWarning, match="assumed to be a header") as record:
+            runs.append(_pahaw_task_reports(tmp_path, k=2, epochs=2))
+        assert len(record) == len(files)
+    for task in ("spiral", "lll"):
+        _assert_finite_and_repeatable(runs[0][task], runs[1][task], 17)
+
+
+def test_criterion_8b_code_path_on_a_newhandpd_shaped_cohort(tmp_path):
+    # six columns of reals per line, as smart-pen files hold
+    rng = np.random.default_rng(8)
+    files = []
+    for label in ("HC", "PD"):
+        for i in range(10):
+            values = rng.normal(0.0, 1.0 + (label == "PD"), (int(rng.integers(60, 91)), 6))
+            text = "".join(" ".join(map(repr, row)) + "\n" for row in values.tolist())
+            files.append((f"{label}-{i}.txt", text, f"{label}-{i}", "spiral", label))
+    _write_cohort(tmp_path, files, "smartpen_channels")
+    runs = [_newhandpd_spiral_report(tmp_path, epochs=2, n_runs=2) for _ in range(2)]
+    _assert_finite_and_repeatable(*runs, 6)

@@ -493,6 +493,24 @@ def test_score_smartpen_checkpoint_matches_forward(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == f"{expected:.4f} {label}"
 
 
+@pytest.mark.parametrize("with_conv", [True, False])
+def test_score_checkpoint_whose_features_do_not_fit_its_model_names_it(
+    tmp_path, capsys, with_conv
+):
+    svc = tmp_path / "rec.svc"
+    write_tablet_file(generate_synthetic(1, (40, 40), 0.5, seed=2)[0], svc)
+    model = SequenceClassifier(ModelSpec.reference(17, with_conv=with_conv), 17,
+                               np.random.default_rng(3))
+    ckpt = tmp_path / "m.ckpt"
+    model.save_checkpoint(ckpt, preprocessing={"cutoff": 30, "feature_groups": ["raw"]})
+    capsys.readouterr()
+    assert main(["score", "--checkpoint", str(ckpt), "--input", str(svc)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"data error: {ckpt}: the model reads 17 feature columns, but "
+                   "preprocessing.feature_groups ['raw'] give 6\n")
+
+
 def _score_fixture(tmp_path, fmt, cutoff, with_conv):
     """A checkpoint with a normalization sidecar, the lines of a recording 20
     times the cutoff, and the feature selection the checkpoint replays."""
@@ -1054,6 +1072,19 @@ def test_bad_clip_pcts_is_a_config_error_before_any_work(tmp_path, capsys, clip)
     assert main(["train", "--config", str(cfg), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "clip_pcts" in err
+    assert not out.exists()
+
+
+def test_spec_whose_first_conv_does_not_fit_the_features_is_a_config_error(tmp_path, capsys):
+    spec = {"conv_layers": [{"in_channels": 5, "out_channels": 8, "kernel": 5, "stride": 5}],
+            "recurrent_layers": [{"cell": "gru", "hidden_units": 8}]}
+    cfg = _write_config(tmp_path / "c.json", model={"spec": spec})
+    out = tmp_path / "o"
+    assert main(["train", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "config error: model.spec: first conv expects 5 channels, "
+        "but features ['kinematic'] give 16\n"
+    )
     assert not out.exists()
 
 

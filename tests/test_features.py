@@ -16,7 +16,7 @@ from pendetect.features import (
     RAW_COLUMNS,
     FeatureGroupSelection,
     FeatureMatrix,
-    _tablet_values,
+    _column_values,
     assemble_features,
     dump_csv,
 )
@@ -270,17 +270,80 @@ def test_assemble_missing_channel():
     assert exc.value.channel == "tilt_y"
 
 
+def _smartpen_sequence(n=10, seed=3):
+    rng = np.random.default_rng(seed)
+    channels = dict(zip(SMARTPEN_CHANNELS, rng.normal(0.0, 100.0, (len(SMARTPEN_CHANNELS), n))))
+    return SignalSequence("s", "t", "PD", channels, sample_rate_hz=100.0)
+
+
 def test_smartpen_raw_only():
-    channels = {name: np.arange(10, dtype=float) for name in SMARTPEN_CHANNELS}
-    seq = SignalSequence("s", "t", "PD", channels, sample_rate_hz=100.0)
+    seq = _smartpen_sequence()
     fm = assemble_features(seq, FeatureGroupSelection.of("raw"))
     assert fm.m == 6
     assert fm.column_names == list(SMARTPEN_CHANNELS)
+    assert fm.column_groups == ["raw"] * 6
+
+
+def test_smartpen_raw_matrix_is_its_channels_byte_for_byte():
+    seq = _smartpen_sequence(n=257)
+    fm = assemble_features(seq, FeatureGroupSelection.of("raw"))
+    want = np.column_stack([seq.channels[name] for name in SMARTPEN_CHANNELS])
+    assert fm.values.flags.c_contiguous
+    assert fm.values.dtype == want.dtype and fm.values.shape == want.shape
+    assert fm.values.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "groups, channel",
+    [
+        (("inclination",), "tilt_x"),
+        (("pressure",), "pressure"),
+        (("kinematic",), "x"),
+        (("derived",), "x"),
+        (("raw", "derived"), "x"),
+        # several groups: the first column in canonical order that reads a missing channel
+        (("inclination", "pressure"), "tilt_x"),
+        (("pressure", "kinematic"), "pressure"),
+    ],
+)
+def test_smartpen_missing_channel_of_each_group(groups, channel):
     with pytest.raises(MissingChannel) as exc:
-        assemble_features(seq, FeatureGroupSelection.of("kinematic"))
-    assert exc.value.channel == "x"
-    with pytest.raises(MissingChannel):
-        assemble_features(seq, FeatureGroupSelection.of("pressure"))
+        assemble_features(_smartpen_sequence(), FeatureGroupSelection.of(*groups))
+    assert exc.value.channel == channel
+
+
+def test_tablet_without_tilt_gives_the_groups_that_do_not_read_it():
+    full = _tablet_sequence(np.arange(10) ** 2, np.arange(10) * 3)
+    seq = _tablet_sequence(np.arange(10) ** 2, np.arange(10) * 3)
+    del seq.channels["tilt_x"], seq.channels["tilt_y"], seq.channels["button"]
+    for groups in (("kinematic",), ("pressure",), ("derived",), ("pressure", "derived")):
+        selection = FeatureGroupSelection.of(*groups)
+        got, want = assemble_features(seq, selection), assemble_features(full, selection)
+        assert got.column_names == want.column_names
+        assert got.values.tobytes() == want.values.tobytes()
+    # raw reads tilt_x before button, so tilt_x is named (not "button", first alphabetically)
+    for groups in (("raw",), ("inclination",), ("inclination", "derived")):
+        with pytest.raises(MissingChannel) as exc:
+            assemble_features(seq, FeatureGroupSelection.of(*groups))
+        assert exc.value.channel == "tilt_x"
+
+
+def test_tablet_without_timestamp_gives_raw_but_no_derived_column():
+    seq = _tablet_sequence(np.arange(10), np.arange(10))
+    del seq.channels["timestamp"]
+    assert assemble_features(seq, FeatureGroupSelection.of("raw", "inclination")).m == 6
+    for groups in (("pressure",), ("kinematic",)):
+        with pytest.raises(MissingChannel) as exc:
+            assemble_features(seq, FeatureGroupSelection.of(*groups))
+        assert exc.value.channel == "timestamp"
+
+
+def test_recording_with_both_channel_sets_takes_the_smartpen_raw_group():
+    seq = _tablet_sequence(np.arange(10), np.arange(10))
+    seq.channels.update(_smartpen_sequence().channels)
+    fm = assemble_features(seq, FeatureGroupSelection.of("raw", "pressure"))
+    assert fm.column_names == [*SMARTPEN_CHANNELS, "pressure", "pressure_derivative"]
+    assert fm.column_groups == ["raw"] * 6 + ["pressure"] * 2
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +495,7 @@ def test_assembled_features_equal_column_by_column_derivation(
             assemble_features(seq, selection)
         assert str(exc.value).endswith(f"non-finite values in columns {bad}")
     # the values before the finiteness check, inf and nan included
-    got = _tablet_values(seq, names)
+    got = _column_values(seq, names)
     assert got.flags.c_contiguous
     assert got.tobytes() == want.tobytes()
 

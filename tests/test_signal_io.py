@@ -20,7 +20,6 @@ from pendetect.errors import (
 from pendetect.signal_io import (
     DEFAULT_TABLET_COLUMNS,
     SMARTPEN_CHANNELS,
-    TABLET_CHANNELS,
     DatasetManifest,
     ManifestEntry,
     SignalSequence,
@@ -143,7 +142,7 @@ def test_tablet_round_trip_of_synthetic(tmp_path):
     p = tmp_path / "rt.svc"
     write_tablet_file(seq, p)
     back = parse_tablet_file(p, subject_id=seq.subject_id, task_id=seq.task_id, label=seq.label)
-    for name in TABLET_CHANNELS:
+    for name in DEFAULT_TABLET_COLUMNS:
         np.testing.assert_array_equal(back.channels[name], seq.channels[name], err_msg=name)
 
 
@@ -276,7 +275,7 @@ def test_generate_synthetic_deterministic():
     b = generate_synthetic(10, (100, 100), 0.0, seed=7)
     for sa, sb in zip(a, b):
         assert sa.subject_id == sb.subject_id and sa.label == sb.label
-        for name in TABLET_CHANNELS:
+        for name in DEFAULT_TABLET_COLUMNS:
             np.testing.assert_array_equal(sa.channels[name], sb.channels[name])
 
 
@@ -324,12 +323,12 @@ def test_generate_synthetic_invalid_range():
 
 def test_generate_synthetic_valid_tablet_channels():
     for s in generate_synthetic(3, (20, 60), 1.0, seed=3):
-        assert set(s.channels) == set(TABLET_CHANNELS)
+        assert set(s.channels) == set(DEFAULT_TABLET_COLUMNS)
         assert np.isin(s.channels["button"], (0.0, 1.0)).all()
         assert (s.channels["pressure"] >= 0).all()
         assert (np.diff(s.channels["timestamp"]) >= 0).all()
         # every channel holds whole device units
-        for name in TABLET_CHANNELS:
+        for name in DEFAULT_TABLET_COLUMNS:
             np.testing.assert_array_equal(s.channels[name], np.round(s.channels[name]))
 
 
@@ -514,7 +513,7 @@ def test_tablet_round_trip_property(tmp_path_factory, data):
     path = tmp / "f.svc"
     write_tablet_file(seq, path)
     back = parse_tablet_file(path)
-    for name in TABLET_CHANNELS:
+    for name in DEFAULT_TABLET_COLUMNS:
         np.testing.assert_array_equal(back.channels[name], seq.channels[name], err_msg=name)
 
 
@@ -733,7 +732,7 @@ def test_integer_file_is_read_as_int64_and_a_file_of_reals_as_float64(tmp_path, 
     write_tablet_file(tablet, tmp_path / "rec.svc")
     parsed = parse_tablet_file(tmp_path / "rec.svc")
     assert dtypes == [np.dtype(np.int64)]
-    for name in TABLET_CHANNELS:
+    for name in DEFAULT_TABLET_COLUMNS:
         assert parsed.channels[name].tobytes() == tablet.channels[name].tobytes(), name
 
     dtypes.clear()
