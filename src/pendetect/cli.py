@@ -118,9 +118,7 @@ class ExperimentConfig:
     seed: int
     source: dict
     features: FeatureGroupSelection
-    model_spec: ModelSpec | None  # explicit spec, else reference variant
-    model_cell: str
-    model_with_conv: bool
+    model: dict  # only the model keys the file gives, "spec" as a ModelSpec
     train: TrainConfig
     plan: SplitPlan
     out_dir: Path
@@ -174,7 +172,8 @@ def load_config(
     cfg = checked(raw, "", CONFIG_FIELDS, ConfigError, overrides)
 
     seed, source, model = cfg["seed"], cfg["source"], cfg["model"]
-    spec = model["spec"]
+    if model["spec"] is not None:
+        model["spec"] = _built("model.spec", ModelSpec.from_dict, model["spec"])
     if source["kind"] == "manifest":
         manifest = path.parent / source["path"]
         if not manifest.exists():
@@ -184,9 +183,7 @@ def load_config(
         seed=seed,
         source=source,
         features=FeatureGroupSelection(**cfg["features"]),
-        model_spec=spec if spec is None else _built("model.spec", ModelSpec.from_dict, spec),
-        model_cell=model["cell"],
-        model_with_conv=model["with_conv"],
+        model={key: value for key, value in model.items() if key in raw.get("model", {})},
         train=TrainConfig(seed=seed, **cfg["train"]),
         plan=_built("split", SplitPlan, seed=seed, **cfg["split"]),
         out_dir=Path(cfg["out_dir"]),
@@ -195,8 +192,12 @@ def load_config(
 
 
 def resolve_config_path(args) -> Path:
-    if getattr(args, "preset", None):
-        name = args.preset
+    """The config file that --config or --preset names; giving both is a
+    ConfigError, raised before anything is read."""
+    name = getattr(args, "preset", None)
+    if name is not None and args.config is not None:
+        raise ConfigError("--config and --preset exclude each other; give one of them")
+    if name is not None:
         if name not in PRESETS:
             raise ConfigError(f"unknown preset {name!r}; available: {sorted(PRESETS)}")
         from importlib import resources
@@ -221,15 +222,6 @@ def load_sequences(config: ExperimentConfig) -> list:
             raise DataError(f"lists {e.path}, but {base / e.path} is not a file",
                             path=str(src["path"]))
     return load_dataset(manifest, base_dir=base, sample_rate_hz=src["sample_rate_hz"])
-
-
-def load_training_sequences(config: ExperimentConfig) -> list:
-    """load_sequences for `train` and `ablate`, which need at least one recording."""
-    sequences = load_sequences(config)
-    if not sequences:
-        # only a manifest can be empty: synthetic sources need n_per_class >= 1
-        raise EmptyDataset(f"manifest {config.source['path']} lists no recordings")
-    return sequences
 
 
 def _make_out_dir(path: Path) -> Path:
@@ -292,19 +284,35 @@ def cmd_features(args) -> int:
     return 0
 
 
+def _setup(args) -> tuple[ExperimentConfig, list, ModelSpec | None, Path]:
+    """The config, recordings (at least one), model and output directory of
+    `train` or `ablate`; the directory is made last, after every refusal."""
+    config = load_config(resolve_config_path(args), args.seed, args.out)
+    sequences = load_sequences(config)
+    if not sequences:
+        # only a manifest can be empty: synthetic sources need n_per_class >= 1
+        raise EmptyDataset(f"manifest {config.source['path']} lists no recordings")
+    if args.command == "ablate":
+        if config.model:
+            raise ConfigError(f"model.{next(iter(config.model))}: ablate reads no model key; "
+                              "its grid sets the cell and the conv stack of every model it trains")
+        return config, sequences, None, _make_out_dir(config.out_dir)
+    width = assemble_features(sequences[0], config.features).m
+    model = dict(config.model)
+    spec = model.pop("spec", None) or ModelSpec.reference(width, **model)
+    if spec.conv_layers and spec.conv_layers[0].in_channels != width:
+        raise ConfigError(f"model.spec: first conv expects {spec.conv_layers[0].in_channels} "
+                          f"channels, but features {list(config.features.groups)} give {width}")
+    if "spec" in config.model and model:
+        raise ConfigError(f"model.{next(iter(model))}: model.spec gives the whole model, so it "
+                          "excludes model.cell and model.with_conv")
+    return config, sequences, spec, _make_out_dir(config.out_dir)
+
+
 def cmd_train(args) -> int:
     from .evaluation import emit_roc, run_experiment
 
-    config = load_config(resolve_config_path(args), args.seed, args.out)
-    sequences = load_training_sequences(config)
-    width = assemble_features(sequences[0], config.features).m
-    spec = config.model_spec or ModelSpec.reference(
-        width, cell=config.model_cell, with_conv=config.model_with_conv
-    )
-    if spec.conv_layers and spec.conv_layers[0].in_channels != width:  # before out is made
-        raise ConfigError(f"model.spec: first conv expects {spec.conv_layers[0].in_channels} "
-                          f"channels, but features {list(config.features.groups)} give {width}")
-    out = _make_out_dir(config.out_dir)
+    config, sequences, spec, out = _setup(args)
     artifacts: dict = {}
     report = run_experiment(
         sequences, config.features, spec, config.train, config.plan,
@@ -342,9 +350,7 @@ def cmd_train(args) -> int:
 def cmd_ablate(args) -> int:
     from .evaluation import run_ablation_grid
 
-    config = load_config(resolve_config_path(args), args.seed, args.out)
-    sequences = load_training_sequences(config)
-    out = _make_out_dir(config.out_dir)
+    config, sequences, _, out = _setup(args)
     report = run_ablation_grid(
         sequences, config.features, config.train, config.plan, prep=config.prep
     )

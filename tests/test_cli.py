@@ -1,3 +1,4 @@
+import argparse
 import base64
 import contextlib
 import copy
@@ -6,6 +7,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -23,6 +25,7 @@ from pendetect.cli import (
     PREPROCESSING_FIELDS,
     ExperimentConfig,
     _replayed_preprocessing,
+    build_parser,
     load_config,
     main,
     resolve_config_path,
@@ -183,7 +186,15 @@ def test_full_model_spec_in_config(tmp_path):
     spec = ModelSpec.reference(16, cell="lstm", with_conv=False)
     path = _write_config(tmp_path / "c.json", model={"spec": spec.to_dict()})
     cfg = load_config(path, env={})
-    assert cfg.model_spec == spec
+    assert cfg.model == {"spec": spec}
+
+
+def test_the_model_rows_defaults_are_the_reference_models():
+    # the config keeps only the model keys the file gives, so an absent
+    # model.cell or model.with_conv takes ModelSpec.reference's default
+    rows = {f.path: f.default for f in CONFIG_FIELDS}
+    assert ModelSpec.reference(17, cell=rows["model.cell"], with_conv=rows["model.with_conv"]) \
+        == ModelSpec.reference(17)
 
 
 def test_resolve_preset():
@@ -204,6 +215,18 @@ def test_resolve_preset():
 
     with pytest.raises(ConfigError):
         resolve_config_path(Bad())
+
+
+@pytest.mark.parametrize("command", ["features", "train", "ablate"])
+def test_config_with_preset_is_a_config_error_before_anything_is_read(tmp_path, capsys,
+                                                                      command):
+    # the config file does not exist: reading it would be "cannot read config"
+    argv = [command, "--config", str(tmp_path / "missing.json"), "--preset", "synthetic-quick",
+            "--out", str(tmp_path / "o")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == \
+        "config error: --config and --preset exclude each other; give one of them\n"
+    assert not (tmp_path / "o").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -359,6 +382,15 @@ def test_ablate_writes_grid(tmp_path):
     doc = json.loads((tmp_path / "o" / "ablation.json").read_text())
     assert len(doc["cells"]) == 6
     assert (tmp_path / "o" / "ablation.txt").exists()
+
+
+def test_ablate_on_the_preset_reaches_the_grid(tmp_path, capsys, monkeypatch):
+    def reached(*args, **kwargs):
+        raise TrainingError("the grid ran")
+
+    monkeypatch.setattr("pendetect.evaluation.run_ablation_grid", reached)
+    assert main(["ablate", "--preset", "synthetic-quick", "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err == "training failure: the grid ran\n"
 
 
 def test_ablate_is_deterministic_across_blas_threads(tmp_path):
@@ -1088,6 +1120,54 @@ def test_spec_whose_first_conv_does_not_fit_the_features_is_a_config_error(tmp_p
     assert not out.exists()
 
 
+_SPEC_READING_5 = {
+    "conv_layers": [{"in_channels": 5, "out_channels": 8, "kernel": 5, "stride": 5}],
+    "recurrent_layers": [{"cell": "gru", "hidden_units": 8}],
+}
+
+
+@pytest.mark.parametrize("command, message", [
+    ("ablate", "model.spec: ablate reads no model key; its grid sets the cell and the conv "
+               "stack of every model it trains"),
+    ("train", "model.spec: first conv expects 5 channels, but features ['derived'] give 17"),
+])
+def test_a_model_block_ablate_cannot_run_and_train_cannot_fit_is_refused(tmp_path, capsys,
+                                                                         command, message):
+    model = {"cell": "lstm", "with_conv": False, "spec": _SPEC_READING_5}
+    cfg = _write_config(tmp_path / "c.json", features={"groups": ["derived"]}, model=model)
+    out = tmp_path / "o"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("model", [{"cell": "gru"}, {"with_conv": True},
+                                   {"spec": ModelSpec.reference(16).to_dict()}])
+def test_ablate_refuses_a_model_key_at_its_default_value_too(tmp_path, capsys, model):
+    cfg = _write_config(tmp_path / "c.json", model=model)
+    out = tmp_path / "o"
+    assert main(["ablate", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"config error: model.{next(iter(model))}: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("extra, named", [({"cell": "gru"}, "cell"),
+                                          ({"with_conv": True}, "with_conv"),
+                                          ({"with_conv": False, "cell": "lstm"}, "cell")])
+def test_train_refuses_a_spec_given_with_cell_or_with_conv(tmp_path, capsys, extra, named):
+    # a spec that fits the features: only the second key is at fault, even
+    # at its default value
+    spec = ModelSpec.reference(16, cell="gru").to_dict()
+    cfg = _write_config(tmp_path / "c.json", model={"spec": spec, **extra})
+    out = tmp_path / "o"
+    assert main(["train", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"config error: model.{named}: model.spec gives the whole model, so it excludes "
+        "model.cell and model.with_conv\n"
+    )
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "key, overrides",
     [
@@ -1328,15 +1408,13 @@ def _assert_typed(field, value) -> None:
 
 def _loaded(cfg: ExperimentConfig, path: str):
     block, _, key = path.rpartition(".")
-    if block in ("source", "train", "split"):
-        return {"source": cfg.source, "train": vars(cfg.train), "split": vars(cfg.plan)}[block][key]
+    if block in ("source", "model", "train", "split"):
+        return {"source": cfg.source, "model": cfg.model, "train": vars(cfg.train),
+                "split": vars(cfg.plan)}[block][key]
     return {
         "seed": cfg.seed,
         "features.groups": cfg.features.groups,
         "features.include_raw_pressure_in_derived": cfg.features.include_raw_pressure_in_derived,
-        "model.spec": cfg.model_spec,
-        "model.cell": cfg.model_cell,
-        "model.with_conv": cfg.model_with_conv,
         "out_dir": cfg.out_dir,
         **vars(cfg.prep),
     }[path]
@@ -1353,8 +1431,8 @@ def test_every_config_field_loads_typed_or_is_a_config_error(tmp_path_factory, p
     doc = copy.deepcopy(_PRESET)
     *blocks, key = path.split(".")
     block = doc
-    for name in blocks:
-        block = block[name]
+    for name in blocks:  # the preset has no model block
+        block = block.setdefault(name, {})
     block[key] = value
     cfg_path = tmp_path_factory.getbasetemp() / "fields.json"
     cfg_path.write_text(json.dumps(doc))
@@ -1365,8 +1443,11 @@ def test_every_config_field_loads_typed_or_is_a_config_error(tmp_path_factory, p
         code, err = _main(["features", "--config", str(cfg_path)])
         assert code == 1 and err.startswith("config error: ") and "Traceback" not in err
         return
+    assert cfg.model.keys() == doc.get("model", {}).keys()  # only the keys the file gives
     for field in CONFIG_FIELDS:
-        if not field.kind or field.kind in (cfg.source["kind"], cfg.plan.kind):
+        block, _, key = field.path.rpartition(".")
+        if (not field.kind or field.kind in (cfg.source["kind"], cfg.plan.kind)) and \
+                (block != "model" or key in cfg.model):
             _assert_typed(field, _loaded(cfg, field.path))
 
 
@@ -1595,11 +1676,15 @@ def test_train_and_ablate_on_mutated_numbers_run_or_fail_as_documented(
     doc = copy.deepcopy({**_TINY, "split": _TINY_SPLITS[split]})
     if source == "manifest":
         doc["source"] = {"kind": "manifest", "path": str(tiny_manifest), "format": "tablet_svc"}
-    doc["model"]["spec"]["recurrent_layers"][0]["cell"] = cell
-    if not with_conv:
-        doc["model"]["spec"]["conv_layers"] = []
+    if command == "ablate":  # its grid sets the model, and it refuses a model key
+        del doc["model"]
+    else:
+        doc["model"]["spec"]["recurrent_layers"][0]["cell"] = cell
+        if not with_conv:
+            doc["model"]["spec"]["conv_layers"] = []
     mutations = [(keys, v) for keys, v in _MUTATIONS[split, source]
-                 if with_conv or "conv_layers" not in keys]
+                 if (with_conv or "conv_layers" not in keys)
+                 and (command == "train" or keys[0] != "model")]
     for keys, value in data.draw(st.lists(st.sampled_from(mutations), min_size=1, max_size=3)):
         block = doc
         for key in keys[:-1]:
@@ -1633,6 +1718,7 @@ def test_a_model_that_scores_nan_after_its_last_update_is_a_training_failure(tmp
     # some cell of the grid then scores nan
     doc = {**_TINY, "split": _TINY_SPLITS["holdout"],
            "train": {"epochs": 1, "early_stop_patience": None, "learning_rate": 1e300}}
+    del doc["model"]  # ablate reads no model key
     (tmp_path / "c.json").write_text(json.dumps(doc))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -1675,6 +1761,20 @@ def test_readme_example_config_loads(tmp_path):
     (tmp_path / "experiment.json").write_text(json.dumps(doc))
     cfg = load_config(tmp_path / "experiment.json", env={})
     assert cfg.source["path"] == manifest.resolve()
+
+
+def test_readme_commands_list_the_flags_each_subcommand_parses():
+    block = _readme().split("## Commands\n", 1)[1].split("```\n", 2)[1]
+    listed: dict[str, set] = {}
+    for line in block.splitlines():
+        if line.startswith("pendetect "):
+            command = line.split()[1]
+        listed.setdefault(command, set()).update(re.findall(r"--[a-z-]+", line))
+    (subparsers,) = (a for a in build_parser()._actions
+                     if isinstance(a, argparse._SubParsersAction))
+    parsed = {name: {flag for action in p._actions for flag in action.option_strings}
+              - {"-h", "--help"} for name, p in subparsers.choices.items()}
+    assert listed == parsed
 
 
 def test_readme_lists_every_field():
